@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import ilp_feasible
+from .intlinalg import ilp_feasible, rational_inverse
 from .lift import MonomialChart
 
 Exponent = tuple[int, ...]
@@ -349,27 +349,6 @@ def campana_member(n, m: int) -> bool:
 # substitutions and pullbacks
 
 
-def _rational_inverse(m):
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise NotUnimodular("substitution matrix must be square")
-    aug = [[Fraction(m[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise NotUnimodular("substitution matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _substitute(poly: IntPolynomial, m_inv) -> dict:
     """Expand poly(M^{-1} x') exactly over the rationals."""
     n = poly.num_vars
@@ -400,7 +379,10 @@ def linear_substitution(polys, matrix) -> MonomialIdeal | None:
     single monomial.  Generators may be given pre-factored as lists of
     polynomials (the factors are substituted individually and their
     exponents added)."""
-    m_inv = _rational_inverse([list(r) for r in matrix])
+    try:
+        m_inv = rational_inverse(matrix)
+    except ValueError as exc:
+        raise NotUnimodular(f"substitution {exc}") from exc
     num_vars = len(matrix)
     gens = []
     for entry in polys:

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .campana import (
     MonomialIdeal,
@@ -264,10 +263,6 @@ def _cmd_fan(args) -> CommandResult:
         {"cone": c, "coordinates": list(v)} for c, v in pts]})
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _cmd_lift(args) -> CommandResult:
     if args.action == "primes":
         matrix = _load(args.matrix)
@@ -287,7 +282,7 @@ def _cmd_lift(args) -> CommandResult:
     payload = {
         "in_firmament": True,
         "exponents": list(out.exponents),
-        "unit_matrix": [[_fraction_str(x) for x in row]
+        "unit_matrix": [[str(x) for x in row]
                         for row in out.unit_matrix],
         "root_orders": list(out.root_orders),
         "ramification_primes": sorted(out.ramification_primes),
@@ -318,8 +313,6 @@ def _cmd_campana(args) -> CommandResult:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="logfirm")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output (always on)")
     parser.add_argument("--bound", type=int, default=None,
                         help="search/ILP budget")
     sub = parser.add_subparsers(dest="command", required=True)

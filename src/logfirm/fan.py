@@ -14,16 +14,16 @@ import itertools
 from dataclasses import dataclass
 
 from .intlinalg import (
+    Vec,
     dot,
     dual_description,
+    face_lattice,
     facets_to_rays,
     hermite_normal_form,
     identity,
     mat_vec,
     primitive,
 )
-
-Vec = tuple[int, ...]
 
 
 class NotPrimitive(Exception):
@@ -85,14 +85,10 @@ def make_cone(ambient_rank: int, rays) -> Cone:
 
 def cone_faces(c: Cone) -> list[Cone]:
     """All faces of a cone (including the zero cone and the cone itself)."""
-    out = {(): make_cone(c.ambient_rank, [])}
-    out[c.rays] = c
-    nf = len(c.facets)
-    for size in range(1, nf + 1):
-        for sub in itertools.combinations(range(nf), size):
-            tight = [r for r in c.rays
-                     if all(dot(c.facets[i], r) == 0 for i in sub)]
-            f = make_cone(c.ambient_rank, tight)
+    out = {(): make_cone(c.ambient_rank, []), c.rays: c}
+    for on_face in face_lattice(c.rays, c.facets):
+        if 0 < len(on_face) < len(c.rays):
+            f = make_cone(c.ambient_rank, [c.rays[i] for i in sorted(on_face)])
             out.setdefault(f.rays, f)
     return [out[k] for k in sorted(out)]
 
@@ -142,23 +138,22 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1,
     maximal = []
     for rays in maximal_rays:
         c = make_cone(ambient_rank, rays)
-        if not any(cone_subset(c, m) and cone_subset(m, c) for m in maximal):
+        if all(c.rays != m.rays for m in maximal):
             maximal.append(c)
     # drop cones contained in another maximal cone
     maximal = [c for c in maximal
                if not any(c is not m and cone_subset(c, m) for m in maximal)]
     all_faces: dict[tuple, Cone] = {}
+    face_rays = []
     for m in maximal:
-        for f in cone_faces(m):
+        fs = cone_faces(m)
+        face_rays.append({f.rays for f in fs})
+        for f in fs:
             all_faces.setdefault(f.rays, f)
     if check:
-        for a, b in itertools.combinations(maximal, 2):
+        for (a, fa), (b, fb) in itertools.combinations(zip(maximal, face_rays), 2):
             inter = cone_intersection(a, b)
-            if inter.rays not in all_faces:
-                raise ValueError("cones do not meet along a common face")
-            tight_a = {f.rays for f in cone_faces(a)}
-            tight_b = {f.rays for f in cone_faces(b)}
-            if inter.rays not in tight_a or inter.rays not in tight_b:
+            if inter.rays not in fa or inter.rays not in fb:
                 raise ValueError("cones do not meet along a common face")
     cones = tuple(all_faces[k] for k in sorted(all_faces))
     return ConeComplex(ambient_rank, tuple(sorted(maximal, key=Cone.key)),

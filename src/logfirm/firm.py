@@ -100,7 +100,8 @@ def firm_check(prob: FiberProblem, q: LogPointQuery,
         h = find_factorization(theta, q.psi, budget=budget)
         if h is not None:
             w = FirmnessWitness(i, h, _zero_preimage_face(h))
-            assert verify_witness(prob, q, w)
+            if not verify_witness(prob, q, w):
+                raise AssertionError("a found factorization must re-verify")
             return w
     return None
 
@@ -182,7 +183,8 @@ def generization_witnesses(prob: FiberProblem, q: LogPointQuery,
                            w: FirmnessWitness) -> dict[Face, FirmnessWitness]:
     """Witnesses for the localized queries at every face F of R for which
     the localized query stays local; each returned witness re-verifies."""
-    assert verify_witness(prob, q, w)
+    if not verify_witness(prob, q, w):
+        raise AssertionError("the given witness does not verify")
     out: dict[Face, FirmnessWitness] = {}
     r = q.point_monoid
     for f in faces(r):

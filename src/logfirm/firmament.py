@@ -20,9 +20,7 @@ from .fan import (
     point,
 )
 from .intlinalg import facets_to_rays, ilp_feasible, solve_lattice
-from .monoid import AffineMonoid, MonoidHom, local_matrix
-
-Vec = tuple[int, ...]
+from .monoid import AffineMonoid, local_matrix
 
 
 class NotAdditive(Exception):
@@ -50,19 +48,6 @@ def dual_cone_complex(m: AffineMonoid) -> ConeComplex:
         return cone_complex(0, [[]])
     rays = facets_to_rays([list(h) for h in m.hilbert_local], g)
     return cone_complex(g, [rays])
-
-
-def restriction_hom(m: AffineMonoid, dual_m: AffineMonoid) -> MonoidHom:
-    """The hom N^d -> Hom(m, N) restricting coordinate functionals to a
-    submonoid m of N^d (``dual_m`` must be dual(m) in local coordinates)."""
-    matrix = tuple(tuple(row) for row in m.group_basis)
-    return MonoidHom(_orthant(m.ambient_rank), dual_m, matrix)
-
-
-def _orthant(rank: int) -> AffineMonoid:
-    from .monoid import saturate
-    return saturate(rank, [tuple(1 if i == j else 0 for i in range(rank))
-                           for j in range(rank)])
 
 
 def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:

@@ -39,10 +39,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_copy(m) -> Matrix:
     return [list(row) for row in m]
 
@@ -101,21 +97,21 @@ def primitive(v) -> Vec:
     return tuple(x // g for x in v)
 
 
-def mat_eq(a, b) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
+def rational_inverse(m) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix by Gauss-Jordan elimination over
+    the rationals.
 
-
-def mat_inverse_unimodular(u) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1.
-
-    Computed by exact Gauss-Jordan elimination over the rationals; entries
-    of the result are asserted integral.
+    Raises ValueError when the matrix is not square or is singular.
     """
-    n = len(u)
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(u)]
+           for i, row in enumerate(m)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
         aug[col] = [x / p for x in aug[col]]
@@ -123,15 +119,19 @@ def mat_inverse_unimodular(u) -> Matrix:
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = []
-    for row in aug:
-        out = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out.append(int(x))
-        inv.append(out)
-    return inv
+    return [row[n:] for row in aug]
+
+
+def mat_inverse_unimodular(u) -> Matrix:
+    """Inverse of an integer matrix with determinant +-1.
+
+    Raises ValueError when the matrix is not square, singular, or has a
+    non-integral inverse.
+    """
+    inv = rational_inverse(u)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def in_row_lattice(basis, v) -> Vec | None:
         q, rem = divmod(v[piv], row[piv])
         if rem != 0:
             # echelon structure: no later row can fix this coordinate
-            pass
+            return None
         coords.append(q)
         v = [a - q * b for a, b in zip(v, row)]
     if any(v):
@@ -498,6 +498,32 @@ def facets_to_rays(facets, dim: int) -> tuple[Vec, ...]:
     return _generators_with_lineality(lin, rays)
 
 
+def face_lattice(points, normals) -> dict[frozenset, frozenset]:
+    """Every face of a cone from its point-normal incidences alone.
+
+    ``points`` generate the cone and every normal is >= 0 on each of them.
+    A face is the set of points on which some subset of the normals
+    vanishes; the result maps it (as point indices) to the indices of all
+    normals vanishing on it.  The faces are found by closing the full point
+    set under intersection with each normal's tight set (Kaibel & Pfetsch),
+    so the cost follows the number of faces, not of normal subsets.
+    """
+    tight = [frozenset(i for i, p in enumerate(points) if dot(a, p) == 0)
+             for a in normals]
+    top = frozenset(range(len(points)))
+    found = {top}
+    queue = [top]
+    while queue:
+        face = queue.pop()
+        for t in tight:
+            sub = face & t
+            if sub not in found:
+                found.add(sub)
+                queue.append(sub)
+    return {face: frozenset(j for j, t in enumerate(tight) if face <= t)
+            for face in found}
+
+
 # ---------------------------------------------------------------------------
 # complete integer feasibility
 
@@ -638,7 +664,8 @@ def _int_point(g, h, k, budget: _Budget):
     if bounds == "infeasible":
         return None
     lo, hi = bounds
-    assert lo is not None and hi is not None  # pointed recession cone
+    if lo is None or hi is None:
+        raise AssertionError("a polytope with no recession direction is bounded")
     lo_i = -((-lo.numerator) // lo.denominator)  # ceil
     hi_i = hi.numerator // hi.denominator  # floor
     for val in range(lo_i, hi_i + 1):

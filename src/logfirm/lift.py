@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .intlinalg import identity, ilp_feasible, smith_normal_form, solve_lattice
+from .intlinalg import (
+    identity,
+    ilp_feasible,
+    mat_inverse_unimodular,
+    smith_normal_form,
+    solve_lattice,
+)
 
 
 def _primes_of(n: int) -> set[int]:
@@ -149,14 +155,8 @@ def _drop_left_kernel(snf, target, rank):
     # components past the rank are unconstrained by A; they are absorbed by
     # the unit_constraints, so the solvable part keeps only the first rows
     y = y[:rank] + [0] * (n - rank)
-    u_inv = _int_inverse([list(r) for r in snf.U])
+    u_inv = mat_inverse_unimodular(snf.U)
     return [sum(u_inv[i][k] * y[k] for k in range(n)) for i in range(n)]
-
-
-def _int_inverse(u):
-    from .intlinalg import mat_inverse_unimodular
-
-    return mat_inverse_unimodular(u)
 
 
 def root_orders(chart: MonomialChart) -> tuple[int, ...]:

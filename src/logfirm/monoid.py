@@ -15,23 +15,26 @@ reduce to exact integer feasibility problems.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from math import gcd, lcm
 
 from .intlinalg import (
     Vec,
     dual_description,
+    face_lattice,
     hermite_normal_form,
     identity,
     ilp_feasible,
     in_row_lattice,
     kernel_and_cokernel,
+    mat_inverse_unimodular,
     mat_mul,
     mat_vec,
-    primitive,
+    rational_inverse,
     row_lattice_basis,
     smith_normal_form,
     solve_lattice,
+    transpose,
     vec_add,
     vec_sub,
     dot,
@@ -335,21 +338,33 @@ def hom_from_local_matrix(source: AffineMonoid, target: AffineMonoid,
 
 @dataclass(frozen=True)
 class Face:
+    """A face of a sharp monoid.  ``normal`` is the smallest positive integer
+    multiple, realizable in the ambient lattice, of the sum of the facets
+    that vanish on the face: it is >= 0 on the monoid and vanishes exactly
+    on the face."""
+
     generator_subset: tuple[int, ...]  # indices into the Hilbert basis
     normal: Vec                        # supporting ambient functional
     monoid: AffineMonoid               # the face as a monoid
 
 
 def _ambient_functional(m: AffineMonoid, lam) -> Vec:
-    """Ambient covector w with <w, b_i> = t * lam_i for the smallest t >= 1."""
+    """Ambient covector w with <w, b_i> = t * lam_i for the smallest t >= 1.
+
+    With U*B*V = D the Smith form of the group basis B (full row rank), the
+    system B*w = t*lam is solvable exactly when each divisor d_i divides
+    t*(U*lam)_i, so t is the lcm of the d_i / gcd(d_i, (U*lam)_i), and
+    w = V*y with y_i = t*(U*lam)_i / d_i is the particular solution that
+    :func:`solve_lattice` returns for t*lam."""
     if m.group_rank == 0 or not any(lam):
         return tuple([0] * m.ambient_rank)
-    basis = [list(b) for b in m.group_basis]
-    for t in range(1, 10_000):
-        sol = solve_lattice(basis, [t * x for x in lam])
-        if sol is not None:
-            return sol.particular
-    raise ValueError("no integer supporting functional found")
+    snf = smith_normal_form(m.group_basis)
+    ul = mat_vec(snf.U, lam)
+    t = 1
+    for d, x in zip(snf.divisors, ul):
+        t = lcm(t, d // gcd(d, x))
+    y = [t * x // d for d, x in zip(snf.divisors, ul)]
+    return mat_vec(snf.V, y + [0] * (m.ambient_rank - len(y)))
 
 
 def faces(m: AffineMonoid) -> list[Face]:
@@ -358,24 +373,13 @@ def faces(m: AffineMonoid) -> list[Face]:
         raise NotSharp("faces are enumerated for sharp monoids only")
     hb = m.hilbert
     hb_local = [m.coords(h) for h in hb]
-    seen: dict[frozenset, Vec] = {}
-    nf = len(m.facets_local)
-    for size in range(nf + 1):
-        for subset in itertools.combinations(range(nf), size):
-            lam = tuple(sum(m.facets_local[i][j] for i in subset)
-                        for j in range(m.group_rank)) if subset else \
-                tuple([0] * m.group_rank)
-            tight = frozenset(
-                k for k, h in enumerate(hb_local)
-                if all(dot(m.facets_local[i], h) == 0 for i in subset))
-            if tight not in seen:
-                seen[tight] = lam
     out = []
-    for tight, lam in seen.items():
-        gens = [hb[k] for k in sorted(tight)]
-        fm = saturate(m.ambient_rank, gens) if gens else \
-            saturate(m.ambient_rank, [])
-        out.append(Face(tuple(sorted(tight)), _ambient_functional(m, lam), fm))
+    for on_face, vanishing in face_lattice(hb_local, m.facets_local).items():
+        lam = [sum(m.facets_local[i][j] for i in vanishing)
+               for j in range(m.group_rank)]
+        gens = [hb[k] for k in sorted(on_face)]
+        out.append(Face(tuple(sorted(on_face)), _ambient_functional(m, lam),
+                        saturate(m.ambient_rank, gens)))
     out.sort(key=lambda f: (len(f.generator_subset), f.generator_subset))
     return out
 
@@ -404,40 +408,30 @@ def face_localization(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, MonoidHom
     span_gens = [hb[i] for i in f.generator_subset]
     if not span_gens:
         return m, identity_hom(m)
-    d = m.ambient_rank
-    # saturated span of the face inside the ambient lattice
-    ker = kernel_and_cokernel([list(v) for v in span_gens]).kernel_basis
-    if ker:
-        sat_span = kernel_and_cokernel([list(v) for v in ker]).kernel_basis
-    else:
-        sat_span = tuple(tuple(r) for r in identity(d))
-    s = len(sat_span)
-    snf = smith_normal_form([list(v) for v in sat_span])
-    v_mat = [list(r) for r in snf.V]
-    proj = tuple(tuple(v_mat[i][s + j] for i in range(d)) for j in range(d - s))
-    target = saturate(d - s, [mat_vec(proj, g) for g in m.generators])
-    hom = MonoidHom(m, target, proj)
-    return target, hom
+    return _quotient(m, span_gens)
 
 
 def sharpen(m: AffineMonoid) -> tuple[AffineMonoid, MonoidHom]:
     """Quotient by the unit group: returns (sharp monoid, projection hom)."""
     if m.sharp:
         return m, identity_hom(m)
-    units = m.unit_basis()
+    return _quotient(m, m.unit_basis())
+
+
+def _quotient(m: AffineMonoid, vectors) -> tuple[AffineMonoid, MonoidHom]:
+    """Image of m modulo the saturation of the span of ``vectors`` (not all
+    zero), with the projection hom onto the quotient lattice."""
     d = m.ambient_rank
-    ker = kernel_and_cokernel([list(v) for v in units]).kernel_basis
+    ker = kernel_and_cokernel([list(v) for v in vectors]).kernel_basis
     if ker:
         sat_span = kernel_and_cokernel([list(v) for v in ker]).kernel_basis
     else:
         sat_span = tuple(tuple(r) for r in identity(d))
     s = len(sat_span)
     snf = smith_normal_form([list(v) for v in sat_span])
-    v_mat = [list(r) for r in snf.V]
-    proj = tuple(tuple(v_mat[i][s + j] for i in range(d)) for j in range(d - s))
+    proj = tuple(tuple(snf.V[i][s + j] for i in range(d)) for j in range(d - s))
     target = saturate(d - s, [mat_vec(proj, g) for g in m.generators])
-    hom = MonoidHom(m, target, proj)
-    return target, hom
+    return target, MonoidHom(m, target, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +471,7 @@ def is_isomorphic(m1: AffineMonoid, m2: AffineMonoid) -> bool:
     base = [hb1[i] for i in base_idx]
     for images in itertools.permutations(range(len(hb2)), g):
         targets = [hb2[i] for i in images]
-        u = _solve_linear_map(base, targets, g)
+        u = _solve_linear_map(base, targets)
         if u is None:
             continue
         mapped = sorted(tuple(mat_vec(u, h)) for h in hb1)
@@ -500,40 +494,13 @@ def _independent_subset(vectors, g):
     return None
 
 
-def _solve_linear_map(base, targets, g):
+def _solve_linear_map(base, targets):
     """Integer matrix u with u*base_j = targets_j, unimodular, or None."""
-    bmat = [[Fraction(base[j][i]) for j in range(g)] for i in range(g)]
-    tmat = [[Fraction(targets[j][i]) for j in range(g)] for i in range(g)]
-    # u = tmat * bmat^{-1}
-    try:
-        n = g
-        aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(bmat)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                return None
-            aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [x / p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    fct = aug[r][col]
-                    aug[r] = [x - fct * y for x, y in zip(aug[r], aug[col])]
-        binv = [row[n:] for row in aug]
-        u = [[sum(tmat[i][k] * binv[k][j] for k in range(n)) for j in range(n)]
-             for i in range(n)]
-    except ZeroDivisionError:
+    # u = T * B^{-1}, with the base and target vectors as columns
+    u = mat_mul(transpose(targets), rational_inverse(transpose(base)))
+    if any(x.denominator != 1 for row in u for x in row):
         return None
-    out = []
-    for row in u:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                return None
-            r.append(int(x))
-        out.append(r)
-    from .intlinalg import mat_inverse_unimodular
+    out = [[int(x) for x in row] for row in u]
     try:
         mat_inverse_unimodular(out)
     except ValueError:

@@ -1,6 +1,10 @@
 """Tests for firmness decisions (factorization and pushout criteria)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +277,35 @@ class TestWitnessStability:
         q = LogPointQuery(n, identity_hom(n))
         w = firm_check(prob, q)
         assert w is not None
+
+
+_FAILED_RECHECK = """
+import logfirm.firm as firm
+from logfirm.monoid import MonoidHom, saturate
+
+n = saturate(1, [(1,)])
+prob = firm.FiberProblem(n, (MonoidHom(n, n, ((2,),)),))
+q = firm.LogPointQuery(n, MonoidHom(n, n, ((6,),)))
+w = firm.firm_check(prob, q)
+firm.verify_witness = lambda *args: False
+for call in (lambda: firm.firm_check(prob, q),
+             lambda: firm.generization_witnesses(prob, q, w)):
+    try:
+        call()
+    except AssertionError:
+        continue
+    raise SystemExit("a failed witness re-check went unnoticed")
+print("ok")
+"""
+
+
+def test_witness_recheck_survives_optimized_mode():
+    # python -O strips assert statements; the re-checks must still raise
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", _FAILED_RECHECK],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.strip() == "ok"

@@ -27,6 +27,7 @@ from logfirm.intlinalg import (
     mat_mul,
     mat_vec,
     primitive,
+    rational_inverse,
     smith_normal_form,
     solve_lattice,
 )
@@ -334,3 +335,40 @@ class TestUnimodularInverse:
         m = [[2, 1], [1, 1]]
         inv = mat_inverse_unimodular(m)
         assert mat_mul(m, inv) == identity(2)
+
+    def test_non_integral_inverse_rejected(self):
+        with pytest.raises(ValueError):
+            mat_inverse_unimodular([[2, 0], [0, 1]])
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError):
+            mat_inverse_unimodular([[1, 2], [2, 4]])
+
+
+class TestRationalInverse:
+    def test_round_trip_200(self):
+        rng = random.Random(31)
+        done = 0
+        while done < 200:
+            n = rng.randint(1, 5)
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if det(m) == 0:
+                continue
+            inv = rational_inverse(m)
+            assert mat_mul(m, inv) == identity(n)
+            assert mat_mul(inv, m) == identity(n)
+            done += 1
+
+    def test_empty_matrix(self):
+        assert rational_inverse([]) == []
+
+    @pytest.mark.parametrize("m", [[[0]], [[1, 2], [2, 4]],
+                                   [[1, 0, 1], [0, 1, 1], [1, 1, 2]]])
+    def test_singular_raises(self, m):
+        with pytest.raises(ValueError, match="singular"):
+            rational_inverse(m)
+
+    @pytest.mark.parametrize("m", [[[1, 2]], [[1], [2]], [[1, 0], [0]]])
+    def test_non_square_raises(self, m):
+        with pytest.raises(ValueError, match="not square"):
+            rational_inverse(m)

@@ -457,3 +457,14 @@ class TestSemiDecisions:
         theta = hom(N(), N(2), [[1], [0]])
         assert is_integral(theta, bound=3)
         assert is_saturated(theta, bound=3)
+
+
+class TestIsomorphismRegressions:
+    def test_singular_candidate_map_is_not_an_isomorphism(self):
+        # matching N^3's basis with dependent Hilbert elements of the other
+        # monoid gives a singular candidate map, which must be skipped
+        free = saturate(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        flat = saturate(3, [(1, 0, 0), (1, 2, 0)],
+                        group=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert is_isomorphic(free, flat) is False
+        assert is_isomorphic(flat, free) is False
