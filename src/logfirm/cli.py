@@ -43,7 +43,7 @@ from .firmament import (
     firmament_from_charts,
     firmament_member,
 )
-from .intlinalg import ResourceLimit
+from .intlinalg import DEFAULT_ILP_BUDGET, ResourceLimit
 from .lift import (
     DVRTargetPoint,
     LiftSolution,
@@ -97,9 +97,23 @@ def _load(arg: str):
         return json.load(fh)
 
 
+def _rows(rows, width: int, what: str, count=None) -> list[tuple[int, ...]]:
+    """The rows as tuples, after checking that each holds ``width`` integers
+    and, when ``count`` is given, that there are ``count`` of them."""
+    rows = [tuple(r) for r in rows]
+    if count is not None and len(rows) != count:
+        raise ValueError(f"{what} has {len(rows)} rows, expected {count}")
+    for r in rows:
+        if len(r) != width or not all(isinstance(x, int) for x in r):
+            raise ValueError(f"{what} row {list(r)} needs {width} integer entries")
+    return rows
+
+
 def monoid_from_json(d) -> AffineMonoid:
-    return saturate(d["rank"], [tuple(g) for g in d["generators"]],
-                    group=d.get("group"))
+    rank = d["rank"]
+    group = d.get("group")
+    return saturate(rank, _rows(d["generators"], rank, "generators"),
+                    group=None if group is None else _rows(group, rank, "group"))
 
 
 def monoid_to_json(m: AffineMonoid):
@@ -114,13 +128,20 @@ def hom_from_json(d, default_source: AffineMonoid | None = None) -> MonoidHom:
         raise _UsageError("hom JSON needs a source monoid")
     target = monoid_from_json(d["target"])
     return MonoidHom(source, target,
-                     tuple(tuple(r) for r in d["matrix"]))
+                     tuple(_rows(d["matrix"], source.ambient_rank, "matrix",
+                                 target.ambient_rank)))
 
 
 def fan_from_json(d):
-    return cone_complex(d["ambient_rank"],
-                        [[tuple(r) for r in c["rays"]] for c in d["cones"]],
-                        scale=d.get("scale", 1))
+    rank = d["ambient_rank"]
+    fan = cone_complex(rank, [_rows(c["rays"], rank, "cone rays")
+                              for c in d["cones"]],
+                       scale=d.get("scale", 1))
+    for cone in fan.maximal:
+        # a cone holding some -r for its own ray r contains a line
+        if any(cone.contains(tuple(-x for x in r)) for r in cone.rays):
+            raise ValueError(f"cone {[list(r) for r in cone.rays]} is not sharp")
+    return fan
 
 
 def fan_to_json(c):
@@ -162,7 +183,10 @@ def _parse_point(arg: str):
 
 
 def ideal_from_json(d) -> MonomialIdeal:
-    return MonomialIdeal.of(d["vars"], [tuple(g) for g in d["generators"]])
+    gens = _rows(d["generators"], d["vars"], "ideal generators")
+    if any(e < 0 for g in gens for e in g):
+        raise ValueError("ideal exponents must be nonnegative")
+    return MonomialIdeal.of(d["vars"], gens)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +223,8 @@ def _cmd_firm(args) -> CommandResult:
     qd = _load(args.query)
     point_monoid = monoid_from_json(qd["point_monoid"])
     psi = MonoidHom(base, point_monoid,
-                    tuple(tuple(r) for r in qd["matrix"]))
+                    tuple(_rows(qd["matrix"], base.ambient_rank, "query matrix",
+                                point_monoid.ambient_rank)))
     q = LogPointQuery(point_monoid, psi)
     if args.method == "pushout":
         res = firm_check_pushout(prob, q, budget=args.bound)
@@ -313,7 +338,7 @@ def _cmd_campana(args) -> CommandResult:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="logfirm")
-    parser.add_argument("--bound", type=int, default=None,
+    parser.add_argument("--bound", type=int, default=DEFAULT_ILP_BUDGET,
                         help="search/ILP budget")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,12 +6,17 @@ ambient lattice Z^d, so face inclusions are identity maps and gluing is
 literal intersection.  A positive ``scale`` k means the working lattice is
 (1/k)·Z^d; stored coordinates are always the integer numerators, i.e. k times
 the geometric coordinates.
+
+A complex keys its cones by their sorted ray tuples.  The carrier of some
+vectors, the smallest cone containing them, is looked up by that key; this
+relies on pairwise intersections of cones being common faces.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intlinalg import (
     Vec,
@@ -83,14 +88,16 @@ def make_cone(ambient_rank: int, rays) -> Cone:
     return Cone(ambient_rank, tuple(sorted(dd.rays)), tuple(dd.facets))
 
 
+def _face_rays(c: Cone) -> set[tuple[Vec, ...]]:
+    """The ray tuple of every face of a cone, the zero cone included."""
+    return {()} | {tuple(c.rays[i] for i in sorted(on_face))
+                   for on_face in face_lattice(c.rays, c.facets)}
+
+
 def cone_faces(c: Cone) -> list[Cone]:
     """All faces of a cone (including the zero cone and the cone itself)."""
-    out = {(): make_cone(c.ambient_rank, []), c.rays: c}
-    for on_face in face_lattice(c.rays, c.facets):
-        if 0 < len(on_face) < len(c.rays):
-            f = make_cone(c.ambient_rank, [c.rays[i] for i in sorted(on_face)])
-            out.setdefault(f.rays, f)
-    return [out[k] for k in sorted(out)]
+    return [c if rays == c.rays else make_cone(c.ambient_rank, rays)
+            for rays in sorted(_face_rays(c))]
 
 
 def cone_subset(a: Cone, b: Cone) -> bool:
@@ -110,18 +117,30 @@ def cone_intersection(a: Cone, b: Cone) -> Cone:
 @dataclass(frozen=True)
 class ConeComplex:
     """An embedded fan: all cones share one ambient lattice and pairwise
-    intersections of cones are faces of both."""
+    intersections of cones are faces of both, which :meth:`carrier` relies
+    on.  Cones are keyed by their sorted ray tuple."""
 
     ambient_rank: int
     maximal: tuple[Cone, ...]
     cones: tuple[Cone, ...]  # every face of every maximal cone, sorted
     scale: int = 1
 
+    @cached_property
+    def _index(self) -> dict[tuple[Vec, ...], int]:
+        return {c.rays: i for i, c in enumerate(self.cones)}
+
     def cone_index(self, c: Cone) -> int:
-        for i, other in enumerate(self.cones):
-            if other.rays == c.rays:
-                return i
-        raise KeyError(c.rays)
+        return self._index[c.rays]
+
+    def carrier(self, sigma: Cone, vectors) -> int:
+        """Index of the smallest cone containing ``vectors``, given a cone
+        ``sigma`` of the complex that contains them all."""
+        if not any(any(v) for v in vectors):  # even if sigma is not sharp
+            return self._index[()]
+        tight = [f for f in sigma.facets
+                 if all(dot(f, v) == 0 for v in vectors)]
+        return self._index[tuple(r for r in sigma.rays
+                                 if all(dot(f, r) == 0 for f in tight))]
 
     def supports(self, v) -> bool:
         return any(c.contains(v) for c in self.maximal)
@@ -132,9 +151,9 @@ class ConeComplex:
                 and {c.rays for c in self.maximal} == {c.rays for c in other.maximal})
 
 
-def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1,
-                 check: bool = True) -> ConeComplex:
-    """Build a complex from the ray lists of its maximal cones."""
+def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex:
+    """Build a complex from the ray lists of its maximal cones; raises
+    ValueError unless every two maximal cones meet in a common face."""
     maximal = []
     for rays in maximal_rays:
         c = make_cone(ambient_rank, rays)
@@ -143,19 +162,14 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1,
     # drop cones contained in another maximal cone
     maximal = [c for c in maximal
                if not any(c is not m and cone_subset(c, m) for m in maximal)]
-    all_faces: dict[tuple, Cone] = {}
-    face_rays = []
-    for m in maximal:
-        fs = cone_faces(m)
-        face_rays.append({f.rays for f in fs})
-        for f in fs:
-            all_faces.setdefault(f.rays, f)
-    if check:
-        for (a, fa), (b, fb) in itertools.combinations(zip(maximal, face_rays), 2):
-            inter = cone_intersection(a, b)
-            if inter.rays not in fa or inter.rays not in fb:
-                raise ValueError("cones do not meet along a common face")
-    cones = tuple(all_faces[k] for k in sorted(all_faces))
+    face_rays = [_face_rays(m) for m in maximal]
+    for (a, fa), (b, fb) in itertools.combinations(zip(maximal, face_rays), 2):
+        inter = cone_intersection(a, b)
+        if inter.rays not in fa or inter.rays not in fb:
+            raise ValueError("cones do not meet along a common face")
+    built = {m.rays: m for m in maximal}
+    cones = tuple(built[rays] if rays in built else make_cone(ambient_rank, rays)
+                  for rays in sorted(set().union(*face_rays)))
     return ConeComplex(ambient_rank, tuple(sorted(maximal, key=Cone.key)),
                        cones, scale)
 
@@ -185,18 +199,15 @@ def canonicalize_point(c: ConeComplex, p: IntegralPoint) -> IntegralPoint:
     sigma = c.cones[p.cone_index]
     if not sigma.contains(v):
         raise PointOutsideCone(f"{v} not in cone {sigma.rays}")
-    tight = [f for f in sigma.facets if dot(f, v) == 0]
-    rays = [r for r in sigma.rays if all(dot(f, r) == 0 for f in tight)]
-    face = make_cone(c.ambient_rank, rays)
-    return IntegralPoint(c.cone_index(face), v)
+    return IntegralPoint(c.carrier(sigma, [v]), v)
 
 
 def point(c: ConeComplex, coordinates) -> IntegralPoint:
     """Canonical integral point of an embedded complex from raw coordinates."""
     v = tuple(coordinates)
-    for i, cone in enumerate(c.cones):
-        if cone.contains(v):
-            return canonicalize_point(c, IntegralPoint(i, v))
+    for sigma in c.maximal:
+        if sigma.contains(v):
+            return IntegralPoint(c.carrier(sigma, [v]), v)
     raise OutsideSupport(f"{v} outside the support")
 
 
@@ -254,15 +265,12 @@ def complex_map(source: ConeComplex, target: ConeComplex,
     for cone in source.cones:
         images = [tuple(mat_vec([list(r) for r in matrix], list(ray)))
                   for ray in cone.rays]
-        tgt = None
-        for j, tc in enumerate(target.cones):
-            if all(tc.contains(v) for v in images):
-                if tgt is None or cone_subset(target.cones[j], target.cones[tgt]):
-                    tgt = j
-        if tgt is None:
+        sigma = next((tc for tc in target.maximal
+                      if all(tc.contains(v) for v in images)), None)
+        if sigma is None:
             raise InvalidMap(
                 f"image of cone {cone.rays} lies in no target cone")
-        assignments.append((tgt, matrix))
+        assignments.append((target.carrier(sigma, images), matrix))
     return ConeComplexMap(source, target, tuple(assignments))
 
 
@@ -293,13 +301,13 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
     return subdivided, complex_map(subdivided, c)
 
 
-def common_refinement(f1: ConeComplex, f2: ConeComplex,
-                      probe: int = 3) -> ConeComplex:
+def common_refinement(f1: ConeComplex, f2: ConeComplex) -> ConeComplex:
     """Overlay of two embedded fans with equal support: all pairwise
-    intersections of their cones."""
+    intersections of their cones.  The supports are compared only at the
+    integer points of [-3, 3]^d."""
     if f1.ambient_rank != f2.ambient_rank:
         raise SupportMismatch("different ambient lattices")
-    for p in itertools.product(range(-probe, probe + 1), repeat=f1.ambient_rank):
+    for p in itertools.product(range(-3, 4), repeat=f1.ambient_rank):
         if f1.supports(p) != f2.supports(p):
             raise SupportMismatch(f"supports differ at {p}")
     pieces = []
@@ -307,12 +315,8 @@ def common_refinement(f1: ConeComplex, f2: ConeComplex,
         for b in f2.maximal:
             inter = cone_intersection(a, b)
             if inter.rays:
-                pieces.append(inter)
-    keep = [p for p in pieces
-            if not any(q is not p and cone_subset(p, q)
-                       and not cone_subset(q, p) for q in pieces)]
-    return cone_complex(f1.ambient_rank, [list(p.rays) for p in keep],
-                        scale=f1.scale)
+                pieces.append(inter.rays)
+    return cone_complex(f1.ambient_rank, pieces, scale=f1.scale)
 
 
 def sigma_n(rank: int, n: int) -> ConeComplex:
@@ -337,10 +341,9 @@ def root_rescale(c: ConeComplex, k: int) -> ConeComplex:
     return ConeComplex(c.ambient_rank, c.maximal, c.cones, c.scale * k)
 
 
-def is_refinement(fine: ConeComplex, coarse: ConeComplex,
-                  probe: int = 8) -> bool:
+def is_refinement(fine: ConeComplex, coarse: ConeComplex) -> bool:
     """True when every cone of ``fine`` sits inside a cone of ``coarse`` and
-    the supports agree on integral points up to the probe bound."""
+    the supports agree on the integer points of [-8, 8]^d."""
     if fine.ambient_rank != coarse.ambient_rank:
         return False
     if fine.scale % coarse.scale != 0:
@@ -348,8 +351,7 @@ def is_refinement(fine: ConeComplex, coarse: ConeComplex,
     for a in fine.maximal:
         if not any(cone_subset(a, b) for b in coarse.maximal):
             return False
-    for p in itertools.product(range(-probe, probe + 1),
-                               repeat=coarse.ambient_rank):
+    for p in itertools.product(range(-8, 9), repeat=coarse.ambient_rank):
         if coarse.supports(p) and not fine.supports(p):
             return False
     return True

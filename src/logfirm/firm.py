@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import dot
+from .intlinalg import DEFAULT_ILP_BUDGET, dot
 from .monoid import (
     AffineMonoid,
     Face,
@@ -93,7 +93,7 @@ def verify_witness(prob: FiberProblem, q: LogPointQuery,
 
 
 def firm_check(prob: FiberProblem, q: LogPointQuery,
-               budget: int | None = None) -> FirmnessWitness | None:
+               budget: int = DEFAULT_ILP_BUDGET) -> FirmnessWitness | None:
     """Complete factorization-criterion decision: the lowest-index witness
     h with h o theta_i = psi, or None when the query is not firm."""
     for i, theta in enumerate(prob.components):
@@ -115,7 +115,7 @@ class PushoutFirmness:
 
 
 def firm_check_pushout(prob: FiberProblem, q: LogPointQuery,
-                       budget: int | None = None) -> PushoutFirmness:
+                       budget: int = DEFAULT_ILP_BUDGET) -> PushoutFirmness:
     """Literal base-change criterion: for each component, form the fs
     pushout of theta_i and psi, and look for a face G of its characteristic
     monoid N whose preimage in R is trivial such that the localized leg
@@ -170,13 +170,7 @@ def dichotomy(theta: MonoidHom, int_sat_evidence):
             raise AssertionError(
                 "a local integral saturated hom must admit a retraction")
         return Retraction(t)
-    p = theta.source
-    killed = tuple(i for i, v in enumerate(p.hilbert)
-                   if not any(theta.apply(v)))
-    for f in faces(p):
-        if f.generator_subset == killed:
-            return BoundaryFactorization(f)
-    raise AssertionError("kernel of a monoid hom must be a face")
+    return BoundaryFactorization(_zero_preimage_face(theta))
 
 
 def generization_witnesses(prob: FiberProblem, q: LogPointQuery,

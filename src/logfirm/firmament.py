@@ -19,7 +19,7 @@ from .fan import (
     lattice_points_box,
     point,
 )
-from .intlinalg import facets_to_rays, ilp_feasible, solve_lattice
+from .intlinalg import DEFAULT_ILP_BUDGET, facets_to_rays, ilp_feasible, solve_lattice
 from .monoid import AffineMonoid, local_matrix
 
 
@@ -85,7 +85,8 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
     return Firmament(complex_map(source, target, matrix))
 
 
-def firmament_member(gamma: Firmament, n, budget: int | None = None) -> bool:
+def firmament_member(gamma: Firmament, n,
+                     budget: int = DEFAULT_ILP_BUDGET) -> bool:
     """Exact membership: does some lattice point of a source cone map to n?"""
     coords = tuple(n.coordinates) if isinstance(n, IntegralPoint) else tuple(n)
     src = gamma.map.source
@@ -94,9 +95,8 @@ def firmament_member(gamma: Firmament, n, budget: int | None = None) -> bool:
         _, matrix = gamma.map.assignments[idx]
         eq = [list(row) for row in matrix]
         ineq = [list(f) for f in cone.facets]
-        kwargs = {} if budget is None else {"budget": budget}
         if ilp_feasible(src.ambient_rank, eq, list(coords), ineq,
-                        **kwargs) is not None:
+                        budget=budget) is not None:
             return True
     return False
 

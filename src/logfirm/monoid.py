@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .intlinalg import (
+    DEFAULT_ILP_BUDGET,
     Vec,
     dual_description,
     face_lattice,
@@ -345,7 +346,6 @@ class Face:
 
     generator_subset: tuple[int, ...]  # indices into the Hilbert basis
     normal: Vec                        # supporting ambient functional
-    monoid: AffineMonoid               # the face as a monoid
 
 
 def _ambient_functional(m: AffineMonoid, lam) -> Vec:
@@ -377,9 +377,7 @@ def faces(m: AffineMonoid) -> list[Face]:
     for on_face, vanishing in face_lattice(hb_local, m.facets_local).items():
         lam = [sum(m.facets_local[i][j] for i in vanishing)
                for j in range(m.group_rank)]
-        gens = [hb[k] for k in sorted(on_face)]
-        out.append(Face(tuple(sorted(on_face)), _ambient_functional(m, lam),
-                        saturate(m.ambient_rank, gens)))
+        out.append(Face(tuple(sorted(on_face)), _ambient_functional(m, lam)))
     out.sort(key=lambda f: (len(f.generator_subset), f.generator_subset))
     return out
 
@@ -650,7 +648,7 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
 
 
 def find_factorization(theta: MonoidHom, psi: MonoidHom,
-                       budget: int | None = None) -> MonoidHom | None:
+                       budget: int = DEFAULT_ILP_BUDGET) -> MonoidHom | None:
     """Some h: Q -> R with h o theta = psi, or None (complete decision).
 
     The unknown is the induced matrix on group coordinates; constraints are
@@ -691,15 +689,15 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom,
                 for j in range(gq):
                     row[var(i, j)] += fct[i] * u[j]
             ineq.append(row)
-    kwargs = {} if budget is None else {"budget": budget}
-    sol = ilp_feasible(num_vars, eq, rhs, ineq, **kwargs)
+    sol = ilp_feasible(num_vars, eq, rhs, ineq, budget=budget)
     if sol is None:
         return None
     h_local = [[sol[var(i, j)] for j in range(gq)] for i in range(gr)]
     return hom_from_local_matrix(q, r, h_local)
 
 
-def find_retraction(theta: MonoidHom, budget: int | None = None) -> MonoidHom | None:
+def find_retraction(theta: MonoidHom,
+                    budget: int = DEFAULT_ILP_BUDGET) -> MonoidHom | None:
     """Some t: Q -> P with t o theta = id_P, or None (complete decision)."""
     return find_factorization(theta, identity_hom(theta.source), budget=budget)
 

@@ -276,3 +276,48 @@ class TestPlumbing:
     def test_missing_file_is_input_error(self):
         r = run(["monoid", "saturate", "--monoid", "/nonexistent.json"])
         assert r.exit_code == 2
+
+
+N1 = {"rank": 1, "generators": [[1]]}
+N1_PROBLEM = json.dumps({"base": N1, "components": [
+    {"matrix": [[2]], "target": N1}]})
+SHAPE_ERRORS = {
+    "hom matrix row too short": [
+        "monoid", "pushout",
+        "--theta", json.dumps({"matrix": [[]], "source": N1, "target": N1}),
+        "--psi", json.dumps({"matrix": [[1]], "source": N1, "target": N1})],
+    "hom matrix with too many rows": [
+        "monoid", "pushout",
+        "--theta", json.dumps({"matrix": [[1], [1]], "source": N1,
+                               "target": N1}),
+        "--psi", json.dumps({"matrix": [[1]], "source": N1, "target": N1})],
+    "ragged ideal": [
+        "campana", "mult", "--ideal", '{"vars":2,"generators":[[1]]}'],
+    "negative ideal exponent": [
+        "campana", "mult", "--ideal", '{"vars":2,"generators":[[1,-1]]}'],
+    "ragged monoid generator": [
+        "monoid", "saturate", "--monoid", '{"rank":2,"generators":[[1]]}'],
+    "ragged monoid group": [
+        "monoid", "saturate", "--monoid",
+        '{"rank":2,"generators":[[1,0]],"group":[[1]]}'],
+    "fan ray too long": [
+        "fan", "points", "--box", "1", "--fan",
+        '{"ambient_rank":2,"cones":[{"rays":[[1,0,0],[0,1]]}]}'],
+    "non-sharp fan cone": [
+        "fan", "points", "--box", "1", "--fan",
+        '{"ambient_rank":2,"cones":[{"rays":[[1,0],[-1,0]]}]}'],
+    "query matrix row too long": [
+        "firm", "check", "--problem", N1_PROBLEM, "--query",
+        json.dumps({"point_monoid": N1, "matrix": [[2, 1]]})],
+    "query matrix with too many rows": [
+        "firm", "check", "--problem", N1_PROBLEM, "--query",
+        json.dumps({"point_monoid": N1, "matrix": [[2], [1]]})],
+}
+
+
+class TestShapeValidation:
+    @pytest.mark.parametrize("argv", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS)
+    def test_bad_shape_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert json.loads(out)["error"].startswith("ValueError")

@@ -1,11 +1,15 @@
 """Tests for cone complexes, integral points, and subdivisions."""
 
+import functools
 import itertools
+import random
 
 import pytest
 
+from logfirm import charts
 from logfirm.fan import (
     ConeComplexMap,
+    IntegralPoint,
     NotPrimitive,
     OutsideSupport,
     SupportMismatch,
@@ -25,6 +29,9 @@ from logfirm.fan import (
     sigma_n,
     star_subdivision,
 )
+from logfirm.firmament import firmament_from_charts
+from logfirm.intlinalg import mat_vec, primitive
+from logfirm.monoid import MonoidHom, saturate
 
 
 def ray_sets(c):
@@ -251,3 +258,89 @@ class TestWellFormedness:
     def test_bad_complex_rejected(self):
         with pytest.raises(ValueError):
             cone_complex(2, [[(1, 0), (1, 2)], [(1, 1), (0, 1)]])
+
+
+def smallest_containing(c, vectors):
+    """Test-only oracle for ``ConeComplex.carrier``: scan every cone of the
+    complex and return the index of the one containing the vectors that
+    lies inside every other cone containing them."""
+    containing = [i for i, cone in enumerate(c.cones)
+                  if all(cone.contains(v) for v in vectors)]
+    smallest = [i for i in containing
+                if all(cone_subset(c.cones[i], c.cones[j]) for j in containing)]
+    assert len(smallest) == 1
+    return smallest[0]
+
+
+def whole_plane_firmament():
+    """A chart into the trivial monoid of Z^2: its firmament source is a
+    single non-sharp cone, the whole plane."""
+    n = saturate(1, [(1,)])
+    q = saturate(2, [], group=[(1, 0), (0, 1)])
+    return firmament_from_charts(n, [MonoidHom(n, q, ((0,), (0,)))])
+
+
+@functools.lru_cache(maxsize=None)
+def carrier_corpus():
+    """(complex, maps out of it, box bound) on a seeded corpus."""
+    corpus = [(sigma_n(2, n), (), 4) for n in (2, 3, 4)]
+    corpus.append((sigma_n(3, 2), (), 2))
+    rng = random.Random(3113)
+    for _ in range(4):
+        c, maps = orthant(3), []
+        for _ in range(3):
+            v = tuple(rng.randint(0, 3) for _ in range(3))
+            if any(v) and primitive(v) == v:
+                c, f = star_subdivision(c, v)
+                maps.append(f)
+        corpus.append((c, tuple(maps[-1:]), 3))
+    for c, _, _ in list(corpus):
+        corpus.append((c, (complex_map(c, orthant(c.ambient_rank)),), 0))
+    for fam in (charts.kummer_two_three, charts.parity_root, charts.parity_cover,
+                charts.monomial_x2y3_x, charts.diagonal_embedding):
+        gamma = firmament_from_charts(*fam())
+        corpus.append((gamma.map.source, (gamma.map,), 2))
+    gamma = whole_plane_firmament()
+    corpus.append((gamma.map.source, (gamma.map,), 0))
+    return corpus
+
+
+class TestCarrierOracle:
+    def test_point_and_canonicalize_match_oracle(self):
+        checked = 0
+        for c, _, bound in carrier_corpus():
+            for v in itertools.product(range(bound + 1), repeat=c.ambient_rank):
+                if not c.supports(v):
+                    continue
+                expected = smallest_containing(c, [v])
+                assert point(c, v) == IntegralPoint(expected, v)
+                for j, cone in enumerate(c.cones):
+                    if cone.contains(v):
+                        p = canonicalize_point(c, IntegralPoint(j, v))
+                        assert p.cone_index == expected
+                checked += 1
+        assert checked > 300
+
+    def test_complex_map_and_map_point_match_oracle(self):
+        for _, maps, bound in carrier_corpus():
+            for f in maps:
+                matrix = [list(r) for r in f.assignments[0][1]]
+                for i, cone in enumerate(f.source.cones):
+                    images = [tuple(mat_vec(matrix, list(r))) for r in cone.rays]
+                    assert f.assignments[i][0] == smallest_containing(
+                        f.target, images)
+                for v in itertools.product(range(bound + 1),
+                                           repeat=f.source.ambient_rank):
+                    if not f.source.supports(v):
+                        continue
+                    q = map_point(f, point(f.source, v))
+                    assert q.cone_index == smallest_containing(
+                        f.target, [q.coordinates])
+
+    def test_non_sharp_source_keeps_zero_cone(self):
+        src = whole_plane_firmament().map.source
+        assert [cone.rays for cone in src.cones][0] == ()
+        assert src.cones[point(src, (0, 0)).cone_index].rays == ()
+        whole = src.cone_index(src.maximal[0])
+        assert canonicalize_point(src, IntegralPoint(whole, (0, 0))).cone_index == 0
+        assert point(src, (1, -1)).cone_index == whole

@@ -4,14 +4,17 @@ Brute-force oracles (box saturation, BFS amalgam closure) are defined here
 and cross-checked against the library's exact computations.
 """
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from logfirm.intlinalg import dot, mat_vec
+import logfirm.monoid
 from logfirm.monoid import (
     AffineMonoid,
+    Face,
     MonoidHom,
     NotSharp,
     dual,
@@ -163,6 +166,24 @@ class TestFaces:
                     s = tuple(a + b for a, b in zip(hb[i], hb[j]))
                     if dot(f.normal, s) == 0:
                         assert i in on and j in on
+
+    def test_faces_saturate_nothing(self, monkeypatch):
+        monoids = [N(2), q1_monoid(),
+                   saturate(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])]
+        calls = []
+        original = logfirm.monoid.saturate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(logfirm.monoid, "saturate", counting)
+        assert [len(faces(m)) for m in monoids] == [4, 4, 10]
+        assert calls == []
+
+    def test_face_fields(self):
+        assert [f.name for f in dataclasses.fields(Face)] == [
+            "generator_subset", "normal"]
 
 
 class TestFaceLocalization:
