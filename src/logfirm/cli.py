@@ -8,11 +8,13 @@ usage errors, 3 when a resource budget is exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
 
 from .campana import (
+    IN_Z,
     MonomialIdeal,
     NotContaining,
     NotUnimodular,
@@ -43,7 +45,7 @@ from .firmament import (
     firmament_from_charts,
     firmament_member,
 )
-from .intlinalg import DEFAULT_ILP_BUDGET, ResourceLimit
+from .intlinalg import DEFAULT_ILP_BUDGET, ResourceLimit, mat_vec
 from .lift import (
     DVRTargetPoint,
     LiftSolution,
@@ -163,9 +165,22 @@ def firmament_from_json(d) -> Firmament:
         return firmament_from_charts(base, thetas)
     source = fan_from_json(d["source"])
     target = fan_from_json(d["target"])
-    assignments = tuple((a["target"], tuple(tuple(r) for r in a["matrix"]))
-                        for a in d["cones"])
-    return Firmament(ConeComplexMap(source, target, assignments))
+    if len(d["cones"]) != len(source.cones):
+        raise ValueError(f"the map has {len(d['cones'])} cone assignments, "
+                         f"expected one per source cone ({len(source.cones)})")
+    assignments = []
+    for cone, a in zip(source.cones, d["cones"]):
+        t = a["target"]
+        if not isinstance(t, int) or not 0 <= t < len(target.cones):
+            raise ValueError(f"target cone index {t!r} is not in "
+                             f"[0, {len(target.cones)})")
+        matrix = tuple(_rows(a["matrix"], source.ambient_rank, "cone matrix",
+                             target.ambient_rank))
+        if not all(target.cones[t].contains(mat_vec(matrix, r)) for r in cone.rays):
+            raise InvalidMap(f"the matrix of cone {[list(r) for r in cone.rays]} "
+                             f"does not send it into target cone {t}")
+        assignments.append((t, matrix))
+    return Firmament(ConeComplexMap(source, target, tuple(assignments)))
 
 
 def _parse_point(arg: str):
@@ -248,6 +263,7 @@ def _cmd_firmament(args) -> CommandResult:
     if args.action == "member":
         gamma = firmament_from_json(_load(args.map))
         coords, _cone = _parse_point(args.point)
+        _rows([coords], gamma.map.target.ambient_rank, "point")
         member = firmament_member(gamma, coords, budget=args.bound)
         return CommandResult("ok" if member else "infeasible",
                              {"member": member})
@@ -256,6 +272,8 @@ def _cmd_firmament(args) -> CommandResult:
         vals = _load(args.vals)
         if isinstance(vals, dict):
             vals = {tuple(json.loads(k)): v for k, v in vals.items()}
+        else:
+            _rows([vals], len(m.hilbert), "vals")
         c = contact_order(m, vals)
         return CommandResult("ok", {"coordinates": list(c.point.coordinates)})
     gamma = firmament_from_json(_load(args.map))
@@ -326,9 +344,11 @@ def _cmd_campana(args) -> CommandResult:
             payload.update({"m_a": m_a, "m_b": m_b, "m_c": m_c,
                             "m_d_threshold": m_d})
         return CommandResult("ok", payload)
-    n = intersection_multiplicity(i, json.loads(args.vals), in_z=args.in_z)
+    vals = json.loads(args.vals)
+    _rows([vals], i.num_vars, "vals")
+    n = intersection_multiplicity(i, vals, in_z=args.in_z)
     member = campana_member(n, args.m)
-    payload = {"member": member, "n": "in_z" if args.in_z else n}
+    payload = {"member": member, "n": "in_z" if n is IN_Z else n}
     return CommandResult("ok" if member else "infeasible", payload)
 
 
@@ -336,6 +356,7 @@ def _cmd_campana(args) -> CommandResult:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="logfirm")
     parser.add_argument("--bound", type=int, default=DEFAULT_ILP_BUDGET,

@@ -153,7 +153,10 @@ class ConeComplex:
 
 def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex:
     """Build a complex from the ray lists of its maximal cones; raises
-    ValueError unless every two maximal cones meet in a common face."""
+    ValueError unless every two maximal cones meet in a common face, or
+    when the scale is below 1."""
+    if scale < 1:
+        raise ValueError("scale factor must be positive")
     maximal = []
     for rays in maximal_rays:
         c = make_cone(ambient_rank, rays)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ResourceLimit(Exception):
@@ -332,6 +332,14 @@ class KernelCokernel:
     torsion: tuple[int, ...]
 
 
+def _kernel(snf: SmithDecomposition, rank: int) -> tuple[Vec, ...]:
+    """Hermite-form basis of the integer kernel: the columns of V past the
+    rank, for U*M*V = D."""
+    cols = len(snf.V)
+    kernel = [tuple(snf.V[i][j] for i in range(cols)) for j in range(rank, cols)]
+    return tuple(row_lattice_basis(kernel, cols))
+
+
 def kernel_and_cokernel(m) -> KernelCokernel:
     """Integer kernel basis, cokernel free rank, and cokernel torsion of M.
 
@@ -343,11 +351,26 @@ def kernel_and_cokernel(m) -> KernelCokernel:
         return KernelCokernel((), rows, ())
     snf = smith_normal_form(m)
     rank = sum(1 for dv in snf.divisors if dv != 0)
-    kernel = [tuple(snf.V[i][j] for i in range(cols)) for j in range(rank, cols)]
-    if kernel:
-        kernel = row_lattice_basis(kernel, cols)
     torsion = tuple(dv for dv in snf.divisors if dv > 1)
-    return KernelCokernel(tuple(tuple(k) for k in kernel), rows - rank, torsion)
+    return KernelCokernel(_kernel(snf, rank), rows - rank, torsion)
+
+
+def scaled_solution(snf: SmithDecomposition, b) -> tuple[int, Vec]:
+    """The least t >= 1 for which M*x = t*b is solvable up to the left
+    kernel of M, with the solution x read off the Smith form U*M*V = D.
+
+    Each nonzero divisor d_i must divide t*(U*b)_i, so t is the lcm of the
+    d_i / gcd(d_i, (U*b)_i), and x = V*y with y_i = t*(U*b)_i / d_i.  The
+    entries of U*b past the rank lie in the left kernel and are ignored
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+    """
+    ub = mat_vec(snf.U, b)
+    divisors = [d for d in snf.divisors if d != 0]
+    t = 1
+    for d, x in zip(divisors, ub):
+        t = lcm(t, d // gcd(d, x))
+    y = [t * x // d for d, x in zip(divisors, ub)]
+    return t, mat_vec(snf.V, y + [0] * (len(snf.V) - len(y)))
 
 
 @dataclass(frozen=True)
@@ -359,8 +382,10 @@ class LatticeSolutionSet:
 def solve_lattice(a, b) -> LatticeSolutionSet | None:
     """Full integer solution set of A*x = b, or None when infeasible.
 
-    Returns a particular solution plus a Hermite-form basis of the integer
-    kernel; every solution is particular + Z-combination of the basis.
+    With U*A*V = D, A*x = b is solvable exactly when :func:`scaled_solution`
+    needs no scaling (t = 1) and U*b vanishes past the rank.  Returns that
+    particular solution plus a Hermite-form basis of the integer kernel;
+    every solution is particular + Z-combination of the basis.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -370,22 +395,10 @@ def solve_lattice(a, b) -> LatticeSolutionSet | None:
         return LatticeSolutionSet((), ())
     snf = smith_normal_form(a)
     rank = sum(1 for dv in snf.divisors if dv != 0)
-    ub = mat_vec(snf.U, b)
-    y = [0] * cols
-    for i in range(rows):
-        di = snf.divisors[i] if i < len(snf.divisors) else 0
-        if di != 0:
-            q, r = divmod(ub[i], di)
-            if r != 0:
-                return None
-            y[i] = q
-        elif ub[i] != 0:
-            return None
-    x0 = mat_vec(snf.V, y)
-    kernel = [tuple(snf.V[i][j] for i in range(cols)) for j in range(rank, cols)]
-    if kernel:
-        kernel = row_lattice_basis(kernel, cols)
-    return LatticeSolutionSet(tuple(x0), tuple(tuple(k) for k in kernel))
+    t, x0 = scaled_solution(snf, b)
+    if t != 1 or any(mat_vec(snf.U, b)[rank:]):
+        return None
+    return LatticeSolutionSet(x0, _kernel(snf, rank))
 
 
 # ---------------------------------------------------------------------------

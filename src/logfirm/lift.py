@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .intlinalg import (
-    identity,
-    ilp_feasible,
-    mat_inverse_unimodular,
-    smith_normal_form,
-    solve_lattice,
-)
+from .intlinalg import identity, ilp_feasible, scaled_solution, smith_normal_form
 
 
 def _primes_of(n: int) -> set[int]:
@@ -107,6 +101,10 @@ def solve_units(chart: MonomialChart):
     of u_{x_i} over the target units, root_orders[i] is the denominator of
     row i, and unit_constraints are multiplicative relations the target units
     must satisfy whenever the rows of A are dependent.
+
+    Column j of C is x/q_j, where q_j is the least q with A.x = q.e_j
+    solvable modulo the unit constraints.  Both come from one Smith form of
+    A by :func:`scaled_solution`, with no search over q and no cap on it.
     """
     a = [list(r) for r in chart.matrix]
     n, m = chart.num_target, chart.num_source
@@ -117,46 +115,14 @@ def solve_units(chart: MonomialChart):
     # relations among the target units: rows of U past the rank span the
     # left kernel of A
     constraints = tuple(tuple(snf.U[i]) for i in range(rank, n))
-
-    # the set of valid columns c_j (A.c_j = e_j modulo the constraint locus)
-    # is a coset of the rational kernel; per column, the minimal clearing
-    # denominator q_j is the least q with an integer solution of A.x = q.e_j.
-    # q_j divides the largest elementary divisor, which bounds the search.
-    cap = 1
-    for d in snf.divisors:
-        if d > cap:
-            cap = d
-    columns: list[list[Fraction]] = []
+    columns = []
     for j in range(n):
-        target = [1 if jj == j else 0 for jj in range(n)]
-        col = None
-        for cand in range(1, cap + 1):
-            scaled = [cand * t for t in target]
-            reduced = _drop_left_kernel(snf, scaled, rank)
-            sol = solve_lattice(a, reduced)
-            if sol is not None:
-                col = [Fraction(x, cand) for x in sol.particular]
-                break
-        if col is None:  # pragma: no cover - cap bounds every denominator
-            raise AssertionError("no clearing denominator found")
-        columns.append(col)
+        q, x = scaled_solution(snf, [int(jj == j) for jj in range(n)])
+        columns.append([Fraction(xi, q) for xi in x])
     c = tuple(tuple(columns[j][i] for j in range(n)) for i in range(m))
     root_orders = tuple(
         lcm(*[f.denominator for f in row]) if row else 1 for row in c)
     return c, root_orders, constraints
-
-
-def _drop_left_kernel(snf, target, rank):
-    """Project the target onto the row space of A: in SNF coordinates the
-    components past the rank lie in the left kernel (they are absorbed by
-    the unit constraints), so zero them out and map back."""
-    n = len(target)
-    y = [sum(snf.U[i][k] * target[k] for k in range(n)) for i in range(n)]
-    # components past the rank are unconstrained by A; they are absorbed by
-    # the unit_constraints, so the solvable part keeps only the first rows
-    y = y[:rank] + [0] * (n - rank)
-    u_inv = mat_inverse_unimodular(snf.U)
-    return [sum(u_inv[i][k] * y[k] for k in range(n)) for i in range(n)]
 
 
 def root_orders(chart: MonomialChart) -> tuple[int, ...]:

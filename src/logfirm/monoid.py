@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .intlinalg import (
     DEFAULT_ILP_BUDGET,
@@ -33,6 +32,7 @@ from .intlinalg import (
     mat_vec,
     rational_inverse,
     row_lattice_basis,
+    scaled_solution,
     smith_normal_form,
     solve_lattice,
     transpose,
@@ -125,19 +125,14 @@ class AffineMonoid:
     def _lift_through(self, proj: "MonoidHom", target_value: Vec) -> Vec:
         """Find v in this monoid with proj(v) = target_value (exists when
         proj is the sharpening projection)."""
-        g = self.group_rank
-        # unknowns: group coordinates c of v; constraints: facets * c >= 0
-        # and proj(ambient(c)) = target_value
-        pm = [list(row) for row in proj.matrix]
-        eq = []
-        rhs = []
-        for i in range(len(pm)):
-            eq.append([dot(pm[i], self.ambient(e_j(g, j))) for j in range(g)])
-            rhs.append(target_value[i])
-        sol = ilp_feasible(g, eq, rhs, [list(f) for f in self.facets_local])
+        # unknowns: group coordinates c of v with proj(ambient(c)) =
+        # target_value.  Two solutions differ by a unit, on which every facet
+        # vanishes, so each one lies in the monoid when target_value does.
+        eq = [[dot(row, b) for b in self.group_basis] for row in proj.matrix]
+        sol = solve_lattice(eq, target_value)
         if sol is None:
             raise ValueError("sharpening lift unexpectedly infeasible")
-        return self.ambient(sol)
+        return self.ambient(sol.particular)
 
     def unit_basis(self) -> tuple[Vec, ...]:
         """Ambient basis of the group of units (lineality of the cone)."""
@@ -186,8 +181,8 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     dd = dual_description(gens_local, g)
     facets = dd.facets
     rays = dd.rays
-    pointed = not kernel_and_cokernel([list(f) for f in facets]).kernel_basis \
-        if facets else (g == 0)
+    # the rays list each line of the cone as a ray and its negation
+    pointed = not any(tuple(-x for x in r) in rays for r in rays)
     hilbert = _hilbert_basis_local(rays, facets, g) if pointed else None
     return AffineMonoid(ambient_rank, tuple(gens), basis, facets, rays,
                         pointed, hilbert)
@@ -308,18 +303,20 @@ def ambient_matrix_from_group_images(source: AffineMonoid, images,
                                      target_rank: int):
     """Integer ambient matrix T with T(b_j) = images[j] for the source group
     basis, or raise HomNotRepresentable."""
-    d = source.ambient_rank
-    basis = [list(b) for b in source.group_basis]
+    if not source.group_basis:
+        return tuple((0,) * source.ambient_rank for _ in range(target_rank))
+    # the group basis has full row rank, so row i of T solves B*w = images_i
+    # exactly when it needs no scaling
+    snf = smith_normal_form(source.group_basis)
     rows = []
     for i in range(target_rank):
-        rhs = [images[j][i] for j in range(len(basis))]
-        sol = solve_lattice(basis, rhs) if basis else None
-        if basis and sol is None:
+        t, w = scaled_solution(snf, [image[i] for image in images])
+        if t != 1:
             raise HomNotRepresentable(
                 "no integer ambient matrix realizes this group map; present "
                 "the source monoid in group coordinates")
-        rows.append(list(sol.particular) if basis else [0] * d)
-    return tuple(tuple(r) for r in rows)
+        rows.append(w)
+    return tuple(rows)
 
 
 def hom_from_local_matrix(source: AffineMonoid, target: AffineMonoid,
@@ -348,36 +345,20 @@ class Face:
     normal: Vec                        # supporting ambient functional
 
 
-def _ambient_functional(m: AffineMonoid, lam) -> Vec:
-    """Ambient covector w with <w, b_i> = t * lam_i for the smallest t >= 1.
-
-    With U*B*V = D the Smith form of the group basis B (full row rank), the
-    system B*w = t*lam is solvable exactly when each divisor d_i divides
-    t*(U*lam)_i, so t is the lcm of the d_i / gcd(d_i, (U*lam)_i), and
-    w = V*y with y_i = t*(U*lam)_i / d_i is the particular solution that
-    :func:`solve_lattice` returns for t*lam."""
-    if m.group_rank == 0 or not any(lam):
-        return tuple([0] * m.ambient_rank)
-    snf = smith_normal_form(m.group_basis)
-    ul = mat_vec(snf.U, lam)
-    t = 1
-    for d, x in zip(snf.divisors, ul):
-        t = lcm(t, d // gcd(d, x))
-    y = [t * x // d for d, x in zip(snf.divisors, ul)]
-    return mat_vec(snf.V, y + [0] * (m.ambient_rank - len(y)))
-
-
 def faces(m: AffineMonoid) -> list[Face]:
     """The full face lattice of a sharp monoid, from {0} to m itself."""
     if not m.sharp:
         raise NotSharp("faces are enumerated for sharp monoids only")
-    hb = m.hilbert
-    hb_local = [m.coords(h) for h in hb]
+    if m.group_rank == 0:
+        return [Face((), (0,) * m.ambient_rank)]
+    # the normal w has <w, b_i> = t * lam_i on the group basis, t least
+    snf = smith_normal_form(m.group_basis)
+    hb_local = [m.coords(h) for h in m.hilbert]
     out = []
     for on_face, vanishing in face_lattice(hb_local, m.facets_local).items():
         lam = [sum(m.facets_local[i][j] for i in vanishing)
                for j in range(m.group_rank)]
-        out.append(Face(tuple(sorted(on_face)), _ambient_functional(m, lam)))
+        out.append(Face(tuple(sorted(on_face)), scaled_solution(snf, lam)[1]))
     out.sort(key=lambda f: (len(f.generator_subset), f.generator_subset))
     return out
 
@@ -809,13 +790,15 @@ def is_saturated(theta: MonoidHom, bound: int = 6) -> SemiDecision:
         raise NotSharp("saturation check requires a sharp source")
     probes: list[MonoidHom] = [theta]
     n_monoid = saturate(1, [(1,)])
-    for phi in dual(p).hilbert if p.group_rank else []:
-        for k in range(1, bound + 1):
-            w = _ambient_functional(p, tuple(k * x for x in phi))
-            try:
-                probes.append(MonoidHom(p, n_monoid, (tuple(w),)))
-            except ValueError:
-                continue
+    if p.group_rank:
+        snf = smith_normal_form(p.group_basis)
+        for phi in dual(p).hilbert:
+            for k in range(1, bound + 1):
+                _, w = scaled_solution(snf, [k * x for x in phi])
+                try:
+                    probes.append(MonoidHom(p, n_monoid, (w,)))
+                except ValueError:
+                    continue
     for probe in probes:
         result = fs_pushout(theta, probe)
         witness = result.amalgam_equals_saturation()

@@ -1,9 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logfirm import cli
 from logfirm.cli import dispatch, main
 
 TWO_THREE = json.dumps({
@@ -273,6 +279,13 @@ class TestPlumbing:
               '{"vars":2,"generators":[[2,0],[0,2]]}', "--variants"])
         assert capsys.readouterr().out == first
 
+    def test_parser_built_once(self):
+        argv = ["lift", "primes", "--mat", "[[2,1],[3,0]]"]
+        first = run(argv)
+        assert run(["lift", "primes"]).exit_code == 2
+        assert run(argv).payload == first.payload == {"primes": [3]}
+        assert cli._build_parser() is cli._build_parser()
+
     def test_missing_file_is_input_error(self):
         r = run(["monoid", "saturate", "--monoid", "/nonexistent.json"])
         assert r.exit_code == 2
@@ -281,6 +294,18 @@ class TestPlumbing:
 N1 = {"rank": 1, "generators": [[1]]}
 N1_PROBLEM = json.dumps({"base": N1, "components": [
     {"matrix": [[2]], "target": N1}]})
+N1_FAN = {"ambient_rank": 1, "cones": [{"rays": [[1]]}]}
+N2_FAN = {"ambient_rank": 2, "cones": [{"rays": [[1, 0], [0, 1]]}]}
+
+
+def explicit_map(*cones, source=N1_FAN, target=N1_FAN):
+    """An explicit firmament map: (target cone index, matrix) per source cone."""
+    return json.dumps({"source": source, "target": target,
+                       "cones": [{"target": t, "matrix": m} for t, m in cones]})
+
+
+N2_IDENTITY_MAP = explicit_map(*[(i, [[1, 0], [0, 1]]) for i in range(4)],
+                               source=N2_FAN, target=N2_FAN)
 SHAPE_ERRORS = {
     "hom matrix row too short": [
         "monoid", "pushout",
@@ -312,6 +337,31 @@ SHAPE_ERRORS = {
     "query matrix with too many rows": [
         "firm", "check", "--problem", N1_PROBLEM, "--query",
         json.dumps({"point_monoid": N1, "matrix": [[2], [1]]})],
+    "too few map assignments": [
+        "firmament", "member", "--point", "[1]",
+        "--map", explicit_map((0, [[1]]))],
+    "map target index out of range": [
+        "firmament", "member", "--point", "[1]",
+        "--map", explicit_map((0, [[0]]), (5, [[1]]))],
+    "map matrix with too many rows": [
+        "firmament", "member", "--point", "[1]",
+        "--map", explicit_map((0, [[0]]), (1, [[1], [1]]))],
+    "member point too short": [
+        "firmament", "member", "--point", "[1]", "--map", N2_IDENTITY_MAP],
+    "member point too long": [
+        "firmament", "member", "--point", "[1,2,3]", "--map", N2_IDENTITY_MAP],
+    "contact vals too short": [
+        "firmament", "contact", "--vals", "[1]",
+        "--monoid", '{"rank":2,"generators":[[1,0],[0,1]]}'],
+    "campana vals too short": [
+        "campana", "member", "--vals", "[1]", "--m", "2",
+        "--ideal", '{"vars":2,"generators":[[1,0]]}'],
+    "negative fan scale": [
+        "fan", "points", "--box", "2", "--fan",
+        '{"ambient_rank":2,"scale":-1,"cones":[{"rays":[[1,0],[0,1]]}]}'],
+    "zero fan scale": [
+        "fan", "points", "--box", "2", "--fan",
+        '{"ambient_rank":2,"scale":0,"cones":[{"rays":[[1,0],[0,1]]}]}'],
 }
 
 
@@ -321,3 +371,171 @@ class TestShapeValidation:
         assert main(argv) == 2
         out = capsys.readouterr().out
         assert json.loads(out)["error"].startswith("ValueError")
+
+    def test_map_matrix_outside_target_cone(self, capsys):
+        argv = ["firmament", "member", "--point", "[1]",
+                "--map", explicit_map((0, [[0]]), (1, [[-1]]))]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"].startswith("InvalidMap")
+
+    def test_valid_explicit_map(self):
+        assert run(["firmament", "member", "--point", "[2,1]",
+                    "--map", N2_IDENTITY_MAP]).payload == {"member": True}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the dispatcher: rank-consistent inputs of rank <= 2, plus junk
+
+ENTRY = st.integers(-3, 3)
+JUNK = st.recursive(
+    st.none() | st.booleans() | ENTRY | st.text("ab[]{}", max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["rank", "generators", "group", "matrix", "source",
+                         "target", "cones", "rays", "ambient_rank", "vars",
+                         "base", "charts", "components", "point_monoid"]),
+        inner, max_size=3),
+    max_leaves=6,
+)
+JUNK_TEXT = JUNK.map(json.dumps) | st.sampled_from(["{", "[1,", "{]", "[[]"])
+
+
+def _vec(r, entry=ENTRY):
+    return st.lists(entry, min_size=r, max_size=r)
+
+
+def _mat(rows, cols, entry=ENTRY):
+    return st.lists(_vec(cols, entry), min_size=rows, max_size=rows)
+
+
+def _monoid(r):
+    """N^r or a random monoid (often not sharp)."""
+    orthant = {"rank": r, "generators": [[int(i == j) for j in range(r)]
+                                         for i in range(r)]}
+    gens = st.lists(_vec(r), max_size=3)
+    return st.just(orthant) | st.fixed_dictionaries(
+        {"rank": st.just(r), "generators": gens},
+        optional={"group": st.lists(_vec(r), max_size=2)})
+
+
+@st.composite
+def _hom(draw, s, with_source=True):
+    t = draw(st.integers(0, 2))
+    entry = draw(st.sampled_from([st.integers(0, 3), ENTRY]))
+    out = {"target": draw(_monoid(t)), "matrix": draw(_mat(t, s, entry))}
+    if with_source:
+        out["source"] = draw(_monoid(s))
+    return out
+
+
+def _fan(r):
+    cone = st.fixed_dictionaries({"rays": st.lists(_vec(r), min_size=1, max_size=2)})
+    return st.fixed_dictionaries(
+        {"ambient_rank": st.just(r), "cones": st.lists(cone, min_size=1, max_size=2)},
+        optional={"scale": st.integers(-1, 2)})
+
+
+@st.composite
+def _firmament(draw):
+    r = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        charts = draw(st.lists(_hom(r, with_source=False), min_size=1, max_size=2))
+        return {"base": draw(_monoid(r)), "charts": charts}
+    t = draw(st.integers(1, 2))
+    cone = st.fixed_dictionaries({"target": st.integers(-1, 4),
+                                  "matrix": _mat(t, r)})
+    return {"source": draw(_fan(r)), "target": draw(_fan(t)),
+            "cones": draw(st.lists(cone, min_size=1, max_size=5))}
+
+
+def _ideal(n):
+    return st.fixed_dictionaries({"vars": st.just(n), "generators": st.lists(
+        _vec(n, st.integers(-1, 3)), max_size=3)})
+
+
+def _vals(n):
+    """Valuations: usually n of them and nonnegative."""
+    return _vec(n, st.integers(0, 3)) | st.lists(st.integers(-1, 3), max_size=3)
+
+
+def _arg(valid):
+    """A JSON argument: mostly drawn from ``valid``, sometimes junk."""
+    text = valid.map(json.dumps)
+    return st.one_of(text, text, text, JUNK_TEXT)
+
+
+@st.composite
+def _argv(draw):
+    r = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from([
+        "monoid", "pushout", "firm", "member", "contact", "svg", "subdivide",
+        "refine", "points", "solve", "primes", "mult", "campana-member"]))
+    if kind == "monoid":
+        return ["monoid", draw(st.sampled_from(["saturate", "dual", "faces"])),
+                "--monoid", draw(_arg(_monoid(r)))]
+    if kind == "pushout":
+        return ["monoid", "pushout", "--theta", draw(_arg(_hom(r))),
+                "--psi", draw(_arg(_hom(r)))]
+    if kind == "firm":
+        t = draw(st.integers(0, 2))
+        problem = st.fixed_dictionaries({
+            "base": _monoid(r),
+            "components": st.lists(_hom(r, with_source=False), min_size=1, max_size=2)})
+        query = st.fixed_dictionaries({"point_monoid": _monoid(t),
+                                       "matrix": _mat(t, r)})
+        return ["firm", "check", "--problem", draw(_arg(problem)),
+                "--query", draw(_arg(query)),
+                "--method", draw(st.sampled_from(["factorization", "pushout"]))]
+    if kind == "member":
+        point = draw(_arg(st.lists(ENTRY, max_size=2)))
+        suffix = draw(st.sampled_from(["", "@cone_1", "@0", "@x"]))
+        return ["firmament", "member", "--map", draw(_arg(_firmament())),
+                "--point", point + suffix]
+    if kind == "contact":
+        return ["firmament", "contact", "--monoid", draw(_arg(_monoid(r))),
+                "--vals", draw(_arg(_vals(draw(st.integers(0, 4)))))]
+    if kind == "svg":
+        return ["firmament", "svg", "--map", draw(_arg(_firmament())),
+                "--box", str(draw(st.integers(0, 2))), "-o", os.devnull]
+    if kind == "subdivide":
+        return ["fan", "subdivide", "--fan", draw(_arg(_fan(r))),
+                "--vector", draw(_arg(st.lists(ENTRY, max_size=3)))]
+    if kind == "refine":
+        return ["fan", "refine", "--first", draw(_arg(_fan(r))),
+                "--second", draw(_arg(_fan(r)))]
+    if kind == "points":
+        return ["fan", "points", "--fan", draw(_arg(_fan(r))),
+                "--box", str(draw(st.integers(0, 2)))]
+    if kind == "solve":
+        n = draw(st.integers(1, 2))
+        return ["lift", "solve", "--chart", draw(_arg(_mat(n, r, st.integers(-1, 3)))),
+                "--vals", draw(_arg(_vals(n)))]
+    if kind == "primes":
+        return ["lift", "primes", "--matrix", draw(_arg(_mat(draw(st.integers(0, 2)), r)))]
+    ideal = draw(_arg(_ideal(r)))
+    if kind == "mult":
+        return ["campana", "mult", "--ideal", ideal] + draw(
+            st.sampled_from([[], ["--variants"]]))
+    return ["campana", "member", "--ideal", ideal,
+            "--vals", draw(_arg(_vals(r))),
+            "--m", str(draw(st.integers(0, 3)))] + draw(
+                st.sampled_from([[], ["--in-z"]]))
+
+
+def _main_stdout(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestDispatchFuzz:
+    # about 2 s; far fewer examples seldom reach an explicit map or a zero
+    # ideal that gets past the earlier input checks
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 5000), _argv())
+    def test_exit_code_json_and_repeatable(self, bound, argv):
+        argv = ["--bound", str(bound)] + argv
+        code, out = _main_stdout(argv)
+        assert code in (0, 1, 2, 3)
+        json.loads(out)
+        assert _main_stdout(argv) == (code, out)

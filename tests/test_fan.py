@@ -215,6 +215,11 @@ class TestRootRescale:
         c = root_rescale(orthant(2), 2)
         assert len(lattice_points_box(c, 1)) == 9  # (2*1+1)^2
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_complex_scale_below_one_rejected(self, scale):
+        with pytest.raises(ValueError):
+            cone_complex(2, [[(1, 0), (0, 1)]], scale=scale)
+
 
 class TestIsRefinement:
     def test_sigma_2_refines_sigma_1(self):

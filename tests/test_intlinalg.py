@@ -7,6 +7,7 @@ defined in this file.
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +23,15 @@ from logfirm.intlinalg import (
     hermite_normal_form,
     identity,
     ilp_feasible,
+    in_row_lattice,
     kernel_and_cokernel,
     mat_inverse_unimodular,
     mat_mul,
     mat_vec,
     primitive,
     rational_inverse,
+    row_lattice_basis,
+    scaled_solution,
     smith_normal_form,
     solve_lattice,
 )
@@ -142,6 +146,43 @@ class TestHermiteNormalForm:
 
 # ---------------------------------------------------------------------------
 # lattice solving and kernels
+
+
+class TestScaledSolution:
+    @given(small_matrices, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_least_scale_by_brute_force(self, a, data):
+        """For b in the rational column space of A, t is the least t >= 1
+        with t*b in the column lattice, found here by trying t = 1, 2, ...
+        against a Hermite basis of the columns."""
+        cols = len(a[0])
+        y = data.draw(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols))
+        image = list(mat_vec(a, y))
+        g = gcd(data.draw(st.sampled_from([1, 2, 3, 6])), *image)
+        b = [x // g for x in image]
+        lattice = row_lattice_basis([tuple(col) for col in zip(*a)], len(a))
+        brute = next(t for t in range(1, g + 1)
+                     if in_row_lattice(lattice, [t * x for x in b]) is not None)
+        t, x = scaled_solution(smith_normal_form(a), b)
+        assert t == brute
+        assert list(mat_vec(a, x)) == [t * v for v in b]
+
+    @pytest.mark.parametrize("a", [[[2], [2]], [[1, 2], [2, 4], [0, 3]],
+                                   [[0, 0], [0, 0]]])
+    def test_left_kernel_part_ignored(self, a):
+        # w = U^-1 * e_i for i past the rank changes only entry i of U*b
+        snf = smith_normal_form(a)
+        rank = sum(1 for d in snf.divisors if d)
+        u_inv = mat_inverse_unimodular(snf.U)
+        for b in itertools.product(range(-2, 3), repeat=len(a)):
+            expected = scaled_solution(snf, b)
+            for i, k in itertools.product(range(rank, len(a)), (-2, 1, 3)):
+                shifted = [x + k * row[i] for x, row in zip(b, u_inv)]
+                assert scaled_solution(snf, shifted) == expected
+
+    def test_large_divisor(self):
+        t, x = scaled_solution(smith_normal_form([[100003]]), [1])
+        assert (t, x) == (100003, (1,))
 
 
 class TestSolveLattice:

@@ -1,11 +1,20 @@
 """Tests for the DVR-point lift solver."""
 
 import itertools
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+import logfirm.intlinalg
+import logfirm.lift
 from logfirm.firmament import firmament_from_charts, firmament_member
+from logfirm.intlinalg import (
+    mat_inverse_unimodular,
+    smith_normal_form,
+    solve_lattice,
+)
 from logfirm.lift import (
     DVRTargetPoint,
     LiftSolution,
@@ -97,6 +106,64 @@ class TestSolveUnits:
                 if d:
                     product *= d
             assert product % total == 0
+
+
+def candidate_loop_units(chart):
+    """Oracle: the former search for each root order.  Column j tries
+    q = 1, 2, ... up to the largest elementary divisor: q.e_j with its
+    left-kernel part dropped in Smith coordinates, then one full
+    solve_lattice per try."""
+    a = [list(r) for r in chart.matrix]
+    n, m = chart.num_target, chart.num_source
+    snf = smith_normal_form(a)
+    rank = sum(1 for d in snf.divisors if d != 0)
+    constraints = tuple(tuple(snf.U[i]) for i in range(rank, n))
+    u_inv = mat_inverse_unimodular(snf.U)
+    columns = []
+    for j in range(n):
+        for q in range(1, max(snf.divisors) + 1):
+            y = [q * snf.U[i][j] for i in range(n)]
+            y = y[:rank] + [0] * (n - rank)
+            reduced = [sum(u_inv[i][k] * y[k] for k in range(n)) for i in range(n)]
+            sol = solve_lattice(a, reduced)
+            if sol is not None:
+                columns.append([Fraction(x, q) for x in sol.particular])
+                break
+    c = tuple(tuple(columns[j][i] for j in range(n)) for i in range(m))
+    orders = tuple(lcm(*[f.denominator for f in row]) for row in c)
+    return c, orders, constraints
+
+
+class TestSolveUnitsOracle:
+    def test_matches_candidate_loop(self):
+        rng = random.Random(4)
+        checked = 0
+        while checked < 300:
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            rows = [[rng.randint(0, 7) for _ in range(m)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                # a dependent row makes a unit constraint
+                rows[-1] = [rng.randint(1, 3) * x for x in rows[0]]
+            if not any(any(r) for r in rows):
+                continue
+            chart = MonomialChart(tuple(map(tuple, rows)))
+            assert solve_units(chart) == candidate_loop_units(chart), rows
+            checked += 1
+
+    def test_large_root_order_one_smith_form(self, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(logfirm.lift, "smith_normal_form", counting)
+        monkeypatch.setattr(logfirm.intlinalg, "smith_normal_form", counting)
+        c, orders, constraints = solve_units(MonomialChart(((1009,),)))
+        assert orders == (1009,)
+        assert c == ((Fraction(1, 1009),),)
+        assert constraints == ()
+        assert len(calls) == 1
 
 
 class TestLogSmoothPrimes:

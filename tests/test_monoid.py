@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from logfirm.intlinalg import dot, mat_vec
+from logfirm.intlinalg import dot, kernel_and_cokernel, mat_vec
+import logfirm.intlinalg
 import logfirm.monoid
 from logfirm.monoid import (
     AffineMonoid,
@@ -31,6 +32,7 @@ from logfirm.monoid import (
     is_local,
     is_saturated,
     saturate,
+    sharpen,
 )
 
 
@@ -93,6 +95,64 @@ class TestSaturate:
         assert not m.contains((1, 0))
         assert not m.contains((-1, 1))
         assert m.contains((0, 0))
+
+
+def random_monoid(rng, rank):
+    """Generators with entries in [-2, 3], often spanning a line; a third
+    of the time inside an explicit group spanned by random rows."""
+    group = None
+    if rng.random() < 0.33:
+        group = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                 for _ in range(rng.randint(1, rank))]
+        coeffs = [[rng.randint(-2, 2) for _ in group]
+                  for _ in range(rng.randint(0, 4))]
+        gens = [tuple(sum(c * g[j] for c, g in zip(cs, group))
+                      for j in range(rank)) for cs in coeffs]
+    else:
+        gens = [tuple(rng.randint(-2, 3) for _ in range(rank))
+                for _ in range(rng.randint(0, 4))]
+    return saturate(rank, gens, group=group), group
+
+
+class TestNonSharp:
+    def test_sharp_iff_facets_have_zero_kernel(self):
+        rng = random.Random(77)
+        seen = {True: 0, False: 0, "group": 0}
+        for _ in range(400):
+            m, group = random_monoid(rng, rng.randint(1, 3))
+            if m.facets_local:
+                zero_kernel = not kernel_and_cokernel(
+                    [list(f) for f in m.facets_local]).kernel_basis
+            else:
+                zero_kernel = m.group_rank == 0
+            assert m.sharp == zero_kernel, (m.generators, group)
+            seen[m.sharp] += 1
+            seen["group"] += group is not None
+        assert min(seen.values()) > 50
+
+    def test_generating_set_lifts_without_ilp(self, monkeypatch):
+        calls = []
+        original = logfirm.intlinalg.ilp_feasible
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(logfirm.monoid, "ilp_feasible", counting)
+        monkeypatch.setattr(logfirm.intlinalg, "ilp_feasible", counting)
+        rng = random.Random(78)
+        checked = 0
+        while checked < 60:
+            m, _ = random_monoid(rng, rng.randint(1, 3))
+            if m.sharp:
+                continue
+            sharp_m, proj = sharpen(m)
+            gens = m.generating_set()
+            assert all(m.contains(v) for v in gens)
+            zero = (0,) * sharp_m.ambient_rank
+            assert {proj.apply(v) for v in gens} == set(sharp_m.hilbert) | {zero}
+            checked += 1
+        assert calls == []
 
 
 class TestHilbertBasis:
