@@ -106,7 +106,7 @@ def _rows(rows, width: int, what: str, count=None) -> list[tuple[int, ...]]:
     if count is not None and len(rows) != count:
         raise ValueError(f"{what} has {len(rows)} rows, expected {count}")
     for r in rows:
-        if len(r) != width or not all(isinstance(x, int) for x in r):
+        if len(r) != width or not all(type(x) is int for x in r):
             raise ValueError(f"{what} row {list(r)} needs {width} integer entries")
     return rows
 
@@ -309,6 +309,7 @@ def _cmd_fan(args) -> CommandResult:
 def _cmd_lift(args) -> CommandResult:
     if args.action == "primes":
         matrix = _load(args.matrix)
+        _rows(matrix, len(matrix[0]) if matrix else 0, "matrix")
         primes = sorted(log_smooth_primes(matrix))
         return CommandResult("ok", {"primes": primes})
     chart_data = _load(args.chart)

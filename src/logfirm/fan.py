@@ -8,15 +8,18 @@ literal intersection.  A positive ``scale`` k means the working lattice is
 the geometric coordinates.
 
 A complex keys its cones by their sorted ray tuples.  The carrier of some
-vectors, the smallest cone containing them, is looked up by that key; this
-relies on pairwise intersections of cones being common faces.
+vectors, the smallest cone containing them, is looked up by that key, and an
+overlay compares supports exactly by checking the walls of its pieces; both
+rely on pairwise intersections of cones being common faces.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .intlinalg import (
     Vec,
@@ -157,18 +160,22 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex
     when the scale is below 1."""
     if scale < 1:
         raise ValueError("scale factor must be positive")
+    return _assemble(ambient_rank, [make_cone(ambient_rank, rays)
+                                     for rays in maximal_rays], scale)
+
+
+def _assemble(ambient_rank: int, cones, scale: int) -> ConeComplex:
+    """:func:`cone_complex` from already built maximal ``Cone``s."""
     maximal = []
-    for rays in maximal_rays:
-        c = make_cone(ambient_rank, rays)
+    for c in cones:
         if all(c.rays != m.rays for m in maximal):
             maximal.append(c)
-    # drop cones contained in another maximal cone
     maximal = [c for c in maximal
                if not any(c is not m and cone_subset(c, m) for m in maximal)]
     face_rays = [_face_rays(m) for m in maximal]
     for (a, fa), (b, fb) in itertools.combinations(zip(maximal, face_rays), 2):
-        inter = cone_intersection(a, b)
-        if inter.rays not in fa or inter.rays not in fb:
+        inter = facets_to_rays(a.facets + b.facets, ambient_rank)  # rays of a ∩ b
+        if inter not in fa or inter not in fb:
             raise ValueError("cones do not meet along a common face")
     built = {m.rays: m for m in maximal}
     cones = tuple(built[rays] if rays in built else make_cone(ambient_rank, rays)
@@ -304,22 +311,36 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
     return subdivided, complex_map(subdivided, c)
 
 
+def _covers(a: Cone, pieces) -> bool:
+    """Whether ``pieces``, cones in ``a`` meeting in common faces, cover ``a``:
+    some piece spans ``a``, and each facet (wall) of such a piece is shared by
+    two of them or lies on a facet of ``a`` (one not vanishing on all of a)."""
+    def flat(f, c):
+        return all(dot(f, r) == 0 for r in c.rays)
+    full = {p.rays: p for p in pieces
+            if all(flat(f, a) for f in p.facets if flat(f, p))}.values()
+    walls = Counter(w for p in full for w in {
+        tuple(r for r in p.rays if dot(f, r) == 0) for f in p.facets if not flat(f, p)})
+    rims = [f for f in a.facets if not flat(f, a)]
+    return bool(full) and all(n > 1 or any(all(dot(f, r) == 0 for r in w) for f in rims)
+                              for w, n in walls.items())
+
+
 def common_refinement(f1: ConeComplex, f2: ConeComplex) -> ConeComplex:
-    """Overlay of two embedded fans with equal support: all pairwise
-    intersections of their cones.  The supports are compared only at the
-    integer points of [-3, 3]^d."""
+    """Overlay of two fans (sharp cones meeting in common faces, as the CLI
+    checks) on the lcm of their lattices: all pairwise intersections of their
+    maximal cones.  The supports must be equal: unless those intersections
+    cover every maximal cone of both fans, which is decided exactly, this
+    raises SupportMismatch naming a cone that they do not cover."""
     if f1.ambient_rank != f2.ambient_rank:
         raise SupportMismatch("different ambient lattices")
-    for p in itertools.product(range(-3, 4), repeat=f1.ambient_rank):
-        if f1.supports(p) != f2.supports(p):
-            raise SupportMismatch(f"supports differ at {p}")
-    pieces = []
-    for a in f1.maximal:
-        for b in f2.maximal:
-            inter = cone_intersection(a, b)
-            if inter.rays:
-                pieces.append(inter.rays)
-    return cone_complex(f1.ambient_rank, pieces, scale=f1.scale)
+    grid = [[cone_intersection(a, b) for b in f2.maximal] for a in f1.maximal]
+    columns = [[row[j] for row in grid] for j in range(len(f2.maximal))]
+    for c, pieces in zip(f1.maximal + f2.maximal, grid + columns):
+        if not _covers(c, pieces):
+            raise SupportMismatch(f"cone {c.rays} is not covered by the other fan")
+    return _assemble(f1.ambient_rank, [p for row in grid for p in row if p.rays],
+                     lcm(f1.scale, f2.scale))
 
 
 def sigma_n(rank: int, n: int) -> ConeComplex:
@@ -345,16 +366,9 @@ def root_rescale(c: ConeComplex, k: int) -> ConeComplex:
 
 
 def is_refinement(fine: ConeComplex, coarse: ConeComplex) -> bool:
-    """True when every cone of ``fine`` sits inside a cone of ``coarse`` and
-    the supports agree on the integer points of [-8, 8]^d."""
-    if fine.ambient_rank != coarse.ambient_rank:
+    """Whether ``fine`` refines ``coarse`` (same support, finer cones and a
+    finer lattice), i.e. whether the overlay of the two is ``fine``."""
+    try:
+        return common_refinement(fine, coarse).same_cones(fine)
+    except SupportMismatch:
         return False
-    if fine.scale % coarse.scale != 0:
-        return False
-    for a in fine.maximal:
-        if not any(cone_subset(a, b) for b in coarse.maximal):
-            return False
-    for p in itertools.product(range(-8, 9), repeat=coarse.ambient_rank):
-        if coarse.supports(p) and not fine.supports(p):
-            return False
-    return True

@@ -6,7 +6,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logfirm import cli
@@ -183,6 +183,23 @@ class TestFanCommands:
                  "--second", blown])
         assert r.status == "ok"
         assert len(r.payload["cones"]) == 2
+
+    def test_refine_lives_on_the_lcm_lattice(self):
+        thirds = json.dumps({"ambient_rank": 2, "scale": 3,
+                             "cones": [{"rays": [[1, 0], [0, 1]]}]})
+        r = run(["fan", "refine", "--first", self.ORTHANT_FAN,
+                 "--second", thirds])
+        assert r.status == "ok"
+        assert r.payload["scale"] == 3
+
+    def test_refine_steep_pair_exits_two(self, capsys):
+        steep = [json.dumps({"ambient_rank": 2,
+                             "cones": [{"rays": [[1, 0], [1, k]]}]})
+                 for k in (9, 10)]
+        assert main(["fan", "refine", "--first", steep[0],
+                     "--second", steep[1]]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith("SupportMismatch")
 
     def test_sigma_n(self):
         r = run(["fan", "sigma-n", "--rank", "2", "--n", "1"])
@@ -362,6 +379,9 @@ SHAPE_ERRORS = {
     "zero fan scale": [
         "fan", "points", "--box", "2", "--fan",
         '{"ambient_rank":2,"scale":0,"cones":[{"rays":[[1,0],[0,1]]}]}'],
+    "ragged lift matrix": ["lift", "primes", "--matrix", "[[1,2],[3]]"],
+    "boolean monoid generator": [
+        "monoid", "saturate", "--monoid", '{"rank":1,"generators":[[true]]}'],
 }
 
 
@@ -533,6 +553,7 @@ class TestDispatchFuzz:
     # ideal that gets past the earlier input checks
     @settings(max_examples=400, deadline=None)
     @given(st.integers(1, 5000), _argv())
+    @example(1, ["lift", "primes", "--matrix", '[[false], ""]'])
     def test_exit_code_json_and_repeatable(self, bound, argv):
         argv = ["--bound", str(bound)] + argv
         code, out = _main_stdout(argv)

@@ -1,0 +1,331 @@
+"""Exact support comparison in ``common_refinement`` and ``is_refinement``,
+checked against independent oracles: an exact merge of angular sectors in
+rank 2, known answers on star subdivisions in rank 3, and the old probe of
+the integer points of [-3, 3]^d as a one-sided check."""
+
+import functools
+import itertools
+import random
+
+import pytest
+
+from logfirm import fan
+from logfirm.fan import (
+    SupportMismatch,
+    common_refinement,
+    cone_complex,
+    is_refinement,
+    make_cone,
+    orthant,
+    star_subdivision,
+)
+from logfirm.intlinalg import facets_to_rays, primitive
+
+
+def assert_mismatch(f1, f2):
+    with pytest.raises(SupportMismatch):
+        common_refinement(f1, f2)
+    assert not is_refinement(f1, f2)
+
+
+def assert_overlay(f1, f2):
+    """The overlay exists and refines both fans."""
+    r = common_refinement(f1, f2)
+    assert is_refinement(r, f1) and is_refinement(r, f2)
+    return r
+
+
+def probe_differs(f1, f2) -> bool:
+    """Test-only, one-sided oracle: whether the supports differ at an
+    integer point of [-3, 3]^d.  It cannot see steep differences."""
+    return any(f1.supports(p) != f2.supports(p)
+               for p in itertools.product(range(-3, 4), repeat=f1.ambient_rank))
+
+
+# ---------------------------------------------------------------------------
+# the steep family: the two supports differ only beyond any small probe box
+
+
+class TestSteepFamily:
+    @pytest.mark.parametrize("k", range(2, 61))
+    def test_rank_2(self, k):
+        a = cone_complex(2, [[(1, 0), (1, k)]])
+        b = cone_complex(2, [[(1, 0), (1, k + 1)]])
+        assert_mismatch(a, b)
+        assert_mismatch(b, a)
+
+    def test_rank_3(self):
+        a = cone_complex(3, [[(1, 0, 0), (0, 1, 0), (1, 0, 9)]])
+        b = cone_complex(3, [[(1, 0, 0), (0, 1, 0), (1, 0, 10)]])
+        assert not probe_differs(a, b)
+        assert_mismatch(a, b)
+        assert_mismatch(b, a)
+
+
+class TestLattice:
+    def test_overlay_lives_on_the_lcm_lattice(self):
+        halves = cone_complex(2, [[(1, 0), (0, 1)]], scale=2)
+        r = assert_overlay(orthant(2), halves)
+        assert r.scale == 2
+        thirds = cone_complex(2, [[(1, 0), (0, 1)]], scale=3)
+        assert assert_overlay(halves, thirds).scale == 6
+
+    def test_coarser_lattice_is_not_a_refinement(self):
+        halves = cone_complex(2, [[(1, 0), (0, 1)]], scale=2)
+        assert not is_refinement(orthant(2), halves)
+
+
+# ---------------------------------------------------------------------------
+# rank 2: an exact oracle from angular sectors
+
+
+def cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _ccw(u, v) -> int:
+    """Order by angle from the positive x-axis, counterclockwise."""
+    def half(w):
+        return 0 if w[1] > 0 or (w[1] == 0 and w[0] > 0) else 1
+    return (half(u) - half(v)) or -cross(u, v)
+
+
+def ccw_sorted(vectors):
+    return sorted(set(vectors), key=functools.cmp_to_key(_ccw))
+
+
+def in_sector(v, s, e) -> bool:
+    """Whether v lies in the sharp sector from s counterclockwise to e."""
+    return cross(s, v) >= 0 and cross(v, e) >= 0
+
+
+def support_of(c):
+    """Exact support of a rank-2 fan: "full", or the merged arcs (from,
+    to) counterclockwise plus the rays that lie in no arc."""
+    sectors = {}
+    for cone in c.maximal:
+        if len(cone.rays) == 2:
+            s, e = cone.rays if cross(*cone.rays) > 0 else cone.rays[::-1]
+            sectors[s] = e
+    if sectors and set(sectors) <= set(sectors.values()):
+        return "full"
+    arcs = set()
+    for s in set(sectors) - set(sectors.values()):
+        e = sectors[s]
+        while e in sectors:
+            e = sectors[e]
+        arcs.add((s, e))
+    rays = {cone.rays[0] for cone in c.maximal if len(cone.rays) == 1
+            and not any(in_sector(cone.rays[0], s, e) for s, e in sectors.items())}
+    return frozenset(arcs), frozenset(rays)
+
+
+def random_direction(rng):
+    while True:
+        v = (rng.randint(-30, 30), rng.randint(-30, 30))
+        if any(v):
+            return primitive(v)
+
+
+def random_rank2_pair(rng):
+    """Two rank-2 fans, subdivided differently from one base of sectors
+    between angularly consecutive directions, the second sometimes with a
+    cone dropped or a ray nudged."""
+    base = ccw_sorted(random_direction(rng) for _ in range(rng.randint(2, 6)))
+    gaps = list(zip(base, base[1:] + base[:1])) if len(base) > 1 else []
+    filled = [g for g in gaps if cross(*g) > 0 and rng.random() < 0.7]
+    lone = [d for d in base
+            if not any(d in g for g in filled) and rng.random() < 0.5]
+
+    def build():
+        extra = [random_direction(rng) for _ in range(rng.randint(0, 4))]
+        cones = [[d] for d in lone]
+        for s, e in filled:
+            inside = ccw_sorted(v for v in extra if in_sector(v, s, e)
+                                and v not in (s, e))
+            chain = [s] + inside + [e]
+            cones += [list(pair) for pair in zip(chain, chain[1:])]
+        return cones
+
+    first, second = build(), build()
+    if second and rng.random() < 0.5:
+        i = rng.randrange(len(second))
+        if rng.random() < 0.5:
+            del second[i]
+        else:
+            j = rng.randrange(len(second[i]))
+            x, y = second[i][j]
+            dx, dy = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)])
+            second[i][j] = (x + dx, y + dy)
+    return first, second
+
+
+def rank2_fan(cones):
+    """The fan, or None when the cones do not form a fan of sharp cones."""
+    if any(len(c) == 2 and cross(*c) == 0 for c in cones):
+        return None
+    try:
+        return cone_complex(2, cones)
+    except ValueError:
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def rank2_corpus():
+    rng = random.Random(20250)
+    pairs = []
+    while len(pairs) < 200:
+        f1, f2 = (rank2_fan(c) for c in random_rank2_pair(rng))
+        if f1 is not None and f2 is not None:
+            pairs.append((f1, f2))
+    return pairs
+
+
+class TestRank2Oracle:
+    def test_overlay_matches_sector_oracle(self):
+        verdicts = []
+        for f1, f2 in rank2_corpus():
+            same = support_of(f1) == support_of(f2)
+            verdicts.append(same)
+            if same:
+                r = assert_overlay(f1, f2)
+                assert support_of(r) == support_of(f1)
+            else:
+                assert_mismatch(f1, f2)
+                assert_mismatch(f2, f1)
+        # both answers are well represented
+        assert verdicts.count(True) >= 70 and verdicts.count(False) >= 70
+
+
+# ---------------------------------------------------------------------------
+# rank 3: star subdivisions of one base, and the same with a cone dropped
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def _neg(v):
+    return tuple(-x for x in v)
+
+
+@functools.lru_cache(maxsize=None)
+def rank3_corpus():
+    """(base, subdivisions of it, each subdivision with one cone dropped)."""
+    base = cone_complex(3, [[E1, E2, E3], [E1, E2, _neg(E3)], [_neg(E1), E2, E3]])
+    rng = random.Random(4177)
+    subdivisions = []
+    for _ in range(6):
+        c = base
+        for _ in range(rng.randint(1, 3)):
+            while True:
+                v = tuple(rng.randint(-3, 3) for _ in range(3))
+                if (any(v) and primitive(v) == v and c.supports(v)
+                        and not any(v in m.rays for m in c.maximal)):
+                    break
+            c, _ = star_subdivision(c, v)
+        subdivisions.append(c)
+    dropped = []
+    for c in subdivisions:
+        keep = list(c.maximal)
+        del keep[rng.randrange(len(keep))]
+        dropped.append(cone_complex(3, [m.rays for m in keep]))
+    return base, subdivisions, dropped
+
+
+class TestRank3Corpus:
+    def test_subdivisions_are_accepted(self):
+        base, subdivisions, _ = rank3_corpus()
+        for c in subdivisions:
+            assert is_refinement(c, base)
+        for a, b in itertools.combinations(subdivisions, 2):
+            assert_overlay(a, b)
+
+    def test_dropping_a_cone_is_rejected(self):
+        base, subdivisions, dropped = rank3_corpus()
+        for c, d in zip(subdivisions, dropped):
+            assert all(m.dim == 3 for m in c.maximal)
+            assert_mismatch(d, c)
+            assert_mismatch(c, d)
+            assert_mismatch(d, base)
+
+    def test_probe_is_a_one_sided_oracle(self):
+        base, subdivisions, dropped = rank3_corpus()
+        fans = [base] + subdivisions + dropped
+        for a, b in itertools.combinations(fans, 2):
+            if probe_differs(a, b):
+                assert_mismatch(a, b)
+
+
+class TestMixedDimensions:
+    # a 2-cone and a ray of Z^3
+    FAN = cone_complex(3, [[E1, E2], [(-1, -1, 1)]])
+
+    def test_against_its_subdivision(self):
+        sub, _ = star_subdivision(self.FAN, (1, 1, 0))
+        assert common_refinement(self.FAN, sub).same_cones(sub)
+        assert is_refinement(sub, self.FAN)
+        assert not is_refinement(self.FAN, sub)
+
+    def test_against_itself_without_the_ray(self):
+        plane = cone_complex(3, [[E1, E2]])
+        assert_mismatch(self.FAN, plane)
+        assert_mismatch(plane, self.FAN)
+
+    def test_against_part_of_the_2_cone(self):
+        part = cone_complex(3, [[E1, (1, 1, 0)], [(-1, -1, 1)]])
+        assert_mismatch(self.FAN, part)
+        assert_mismatch(part, self.FAN)
+
+    def test_against_the_orthant(self):
+        assert_mismatch(self.FAN, orthant(3))
+        assert_mismatch(orthant(3), self.FAN)
+
+
+# ---------------------------------------------------------------------------
+# the work the overlay does
+
+
+def corpus_fans():
+    _, subdivisions, dropped = rank3_corpus()
+    rank2 = [f for pair in rank2_corpus()[:60] for f in pair]
+    return rank2 + subdivisions + dropped + [TestMixedDimensions.FAN]
+
+
+class TestPairwiseShortcut:
+    def test_facet_union_gives_the_rays_of_the_intersection(self):
+        pairs = 0
+        for c in corpus_fans():
+            for a, b in itertools.combinations(c.maximal, 2):
+                rays = facets_to_rays(a.facets + b.facets, c.ambient_rank)
+                assert rays == make_cone(c.ambient_rank, rays).rays
+                pairs += 1
+        assert pairs > 500
+
+
+class TestBuildCounts:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+
+        def counting(ambient_rank, rays):
+            counted.append(1)
+            return make_cone(ambient_rank, rays)
+        monkeypatch.setattr(fan, "make_cone", counting)
+        return counted
+
+    def test_pairwise_check_builds_nothing(self, calls):
+        # one make_cone per input ray list and per face that is not maximal
+        for c in corpus_fans()[::7]:
+            calls.clear()
+            rebuilt = cone_complex(c.ambient_rank, [m.rays for m in c.maximal])
+            assert len(calls) == (len(c.maximal) + len(rebuilt.cones)
+                                  - len(rebuilt.maximal))
+
+    def test_each_piece_is_built_once(self, calls):
+        _, subdivisions, _ = rank3_corpus()
+        for a, b in itertools.combinations(subdivisions[:4], 2):
+            calls.clear()
+            r = common_refinement(a, b)
+            # one make_cone per pairwise piece, then one per face that is
+            # not maximal
+            assert len(calls) == (len(a.maximal) * len(b.maximal)
+                                  + len(r.cones) - len(r.maximal))
