@@ -55,7 +55,6 @@ from .lift import (
 )
 from .monoid import (
     AffineMonoid,
-    HomNotRepresentable,
     MonoidHom,
     NotSharp,
     dual,
@@ -132,6 +131,18 @@ def hom_from_json(d, default_source: AffineMonoid | None = None) -> MonoidHom:
     return MonoidHom(source, target,
                      tuple(_rows(d["matrix"], source.ambient_rank, "matrix",
                                  target.ambient_rank)))
+
+
+def hom_to_json(h: MonoidHom):
+    """The ambient matrix of h when an integer one induces h; otherwise
+    ``"matrix": null``, the matrix on group coordinates and the Hermite
+    bases of the source and target groups it is written in."""
+    if h.matrix is not None:
+        return {"matrix": [list(r) for r in h.matrix]}
+    return {"matrix": None,
+            "group_matrix": [list(r) for r in h.local],
+            "source_group": [list(b) for b in h.source.group_basis],
+            "target_group": [list(b) for b in h.target.group_basis]}
 
 
 def fan_from_json(d):
@@ -252,8 +263,7 @@ def _cmd_firm(args) -> CommandResult:
     w = firm_check(prob, q, budget=args.bound)
     witness = None
     if w is not None:
-        witness = {"component": w.component_index,
-                   "matrix": [list(r) for r in w.hom.matrix]}
+        witness = {"component": w.component_index, **hom_to_json(w.hom)}
     payload = {"firm": w is not None, "witness": witness,
                "method": "factorization"}
     return CommandResult("ok" if w is not None else "infeasible", payload)
@@ -290,7 +300,8 @@ def _cmd_firmament(args) -> CommandResult:
 def _cmd_fan(args) -> CommandResult:
     if args.action == "subdivide":
         fan = fan_from_json(_load(args.fan))
-        sub, f = star_subdivision(fan, tuple(json.loads(args.vector)))
+        vector = _rows([json.loads(args.vector)], fan.ambient_rank, "vector")[0]
+        sub, f = star_subdivision(fan, vector)
         return CommandResult("ok", {"fan": fan_to_json(sub),
                                     "map": map_to_json(f)})
     if args.action == "refine":
@@ -315,8 +326,9 @@ def _cmd_lift(args) -> CommandResult:
     chart_data = _load(args.chart)
     if isinstance(chart_data, dict):
         chart_data = chart_data["matrix"]
-    chart = MonomialChart(tuple(tuple(r) for r in chart_data))
-    vals = tuple(json.loads(args.vals))
+    chart = MonomialChart(tuple(_rows(
+        chart_data, len(chart_data[0]) if chart_data else 0, "chart")))
+    vals = _rows([json.loads(args.vals)], chart.num_target, "vals")[0]
     out = describe_lift(chart, DVRTargetPoint(vals),
                         residue_char=args.residue_char)
     if not isinstance(out, LiftSolution):
@@ -441,7 +453,7 @@ def _build_parser() -> _Parser:
 _INPUT_ERRORS = (
     _UsageError, ValueError, KeyError, TypeError, OSError,
     json.JSONDecodeError, RankUnsupported, NotPrimitive, OutsideSupport,
-    SupportMismatch, InvalidMap, HomNotRepresentable, NotSharp,
+    SupportMismatch, InvalidMap, NotSharp,
     NotContaining, NotUnimodular, ZeroOrUnitIdeal,
 )
 

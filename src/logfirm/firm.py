@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import DEFAULT_ILP_BUDGET, dot
+from .intlinalg import DEFAULT_ILP_BUDGET, dot, mat_vec
 from .monoid import (
     AffineMonoid,
     Face,
@@ -69,7 +69,8 @@ class FirmnessWitness:
 def _zero_preimage_face(h: MonoidHom) -> Face:
     """The face h^{-1}(0) of the source of h."""
     q = h.source
-    subset = tuple(i for i, v in enumerate(q.hilbert) if not any(h.apply(v)))
+    subset = tuple(i for i, c in enumerate(q.hilbert_local)
+                   if not any(mat_vec(h.local, c)))
     for f in faces(q):
         if f.generator_subset == subset:
             return f
@@ -85,9 +86,9 @@ def verify_witness(prob: FiberProblem, q: LogPointQuery,
     theta = prob.components[w.component_index]
     if not w.hom.compose(theta).equal_on_source(q.psi):
         return False
-    hb = theta.source.hilbert
-    for v in hb:
-        if any(v) and dot(w.induced_face.normal, theta.apply(v)) == 0:
+    for c in theta.source.hilbert_local:
+        image = theta.target.ambient(mat_vec(theta.local, c))
+        if dot(w.induced_face.normal, image) == 0:
             return False
     return True
 
@@ -121,13 +122,13 @@ def firm_check_pushout(prob: FiberProblem, q: LogPointQuery,
     monoid N whose preimage in R is trivial such that the localized leg
     R -> (N_G)# admits a retraction."""
     r = q.point_monoid
-    r_gens = [v for v in r.hilbert if any(v)]
     for i, theta in enumerate(prob.components):
         res = fs_pushout(theta, q.psi)
         n = res.characteristic
         leg_r = res.leg2
+        r_images = [n.ambient(mat_vec(leg_r.local, c)) for c in r.hilbert_local]
         for g_face in faces(n):
-            if any(dot(g_face.normal, leg_r.apply(v)) == 0 for v in r_gens):
+            if any(dot(g_face.normal, x) == 0 for x in r_images):
                 continue  # a nonzero element of R would land on the face
             loc, proj = face_localization(n, g_face)
             composite = proj.compose(leg_r)

@@ -20,7 +20,7 @@ from .fan import (
     point,
 )
 from .intlinalg import DEFAULT_ILP_BUDGET, facets_to_rays, ilp_feasible, solve_lattice
-from .monoid import AffineMonoid, local_matrix
+from .monoid import AffineMonoid
 
 
 class NotAdditive(Exception):
@@ -76,9 +76,8 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
             maximal.append(embedded)
         else:
             maximal.append([[0] * total])
-        loc = local_matrix(theta)  # g_Q x g_P
         for j in range(width):
-            columns.append([loc[j][i] for i in range(gp)])
+            columns.append([theta.local[j][i] for i in range(gp)])
         offset += width
     matrix = [[columns[c][i] for c in range(total)] for i in range(gp)]
     source = cone_complex(total, maximal)

@@ -6,14 +6,16 @@ an ambient lattice Z^d.  All structural computation happens in "local"
 coordinates on the group: the group basis is a Hermite-form lattice basis,
 and cones, facets, and Hilbert bases live in Z^g where g is the group rank.
 
-Homomorphisms are integer matrices on the ambient lattices that carry the
-source monoid into the target monoid.  The searches in this module
-(retraction, factorization, pushout saturation probes) are complete: they
-reduce to exact integer feasibility problems.
+A homomorphism is a map of groups that carries the source monoid into the
+target monoid, stored as its matrix on group coordinates; an integer matrix
+on the ambient lattices is only one way to present it, and need not exist.
+The searches in this module (retraction, factorization, pushout saturation
+probes) are complete: they reduce to exact integer feasibility problems.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -50,12 +52,6 @@ class NotAFace(Exception):
     """The supplied face does not belong to the monoid."""
 
 
-class HomNotRepresentable(Exception):
-    """A group-level homomorphism admits no integer matrix on the chosen
-    ambient lattices.  Present the source monoid in group coordinates
-    (full-lattice generators) to avoid this."""
-
-
 # ---------------------------------------------------------------------------
 # AffineMonoid
 
@@ -68,7 +64,10 @@ class AffineMonoid:
     facets_local: tuple[Vec, ...]      # halfspace normals in group coordinates
     rays_local: tuple[Vec, ...]        # extreme rays in group coordinates
     sharp: bool
-    hilbert_local: tuple[Vec, ...] | None  # None when not sharp
+    # None when not sharp.  Sorted, which is also the order of ``hilbert``:
+    # the group basis is echelon with positive pivots, so ``ambient`` keeps
+    # the lexicographic order, and an index names the same element in both
+    hilbert_local: tuple[Vec, ...] | None
 
     # -- coordinates ------------------------------------------------------
 
@@ -102,7 +101,16 @@ class AffineMonoid:
         """Hilbert basis in ambient coordinates (sharp monoids only)."""
         if self.hilbert_local is None:
             raise NotSharp("Hilbert basis is defined for sharp monoids only")
-        return tuple(sorted(self.ambient(h) for h in self.hilbert_local))
+        return tuple(self.ambient(h) for h in self.hilbert_local)
+
+    @functools.cached_property
+    def local_generators(self) -> tuple[Vec, ...]:
+        """Group coordinates of a generating set of the monoid: the Hilbert
+        basis when sharp, else ``generating_set``.  The given generators of
+        a non-sharp monoid generate its cone but need not generate it."""
+        if self.sharp:
+            return self.hilbert_local
+        return tuple(self.coords(v) for v in self.generating_set())
 
     def generating_set(self) -> tuple[Vec, ...]:
         """An ambient generating set: Hilbert basis when sharp, else Hilbert
@@ -110,29 +118,19 @@ class AffineMonoid:
         the unit group."""
         if self.sharp:
             return self.hilbert
-        units = self.unit_basis()
         sharp_m, proj = sharpen(self)
-        lifts = []
-        for h in sharp_m.hilbert:
-            lift = self._lift_through(proj, h)
-            lifts.append(lift)
-        out = list(lifts)
-        for u in units:
+        out = []
+        for h in sharp_m.hilbert_local:
+            # two solutions of proj(c) = h differ by a unit, on which every
+            # facet vanishes, so each one lies in the monoid
+            sol = solve_lattice(proj.local, h)
+            if sol is None:
+                raise ValueError("sharpening lift unexpectedly infeasible")
+            out.append(self.ambient(sol.particular))
+        for u in self.unit_basis():
             out.append(u)
             out.append(tuple(-x for x in u))
         return tuple(sorted(set(out)))
-
-    def _lift_through(self, proj: "MonoidHom", target_value: Vec) -> Vec:
-        """Find v in this monoid with proj(v) = target_value (exists when
-        proj is the sharpening projection)."""
-        # unknowns: group coordinates c of v with proj(ambient(c)) =
-        # target_value.  Two solutions differ by a unit, on which every facet
-        # vanishes, so each one lies in the monoid when target_value does.
-        eq = [[dot(row, b) for b in self.group_basis] for row in proj.matrix]
-        sol = solve_lattice(eq, target_value)
-        if sol is None:
-            raise ValueError("sharpening lift unexpectedly infeasible")
-        return self.ambient(sol.particular)
 
     def unit_basis(self) -> tuple[Vec, ...]:
         """Ambient basis of the group of units (lineality of the cone)."""
@@ -233,12 +231,8 @@ def hilbert_basis(m: AffineMonoid) -> list[Vec]:
 
 
 def in_group_coordinates(m: AffineMonoid) -> AffineMonoid:
-    """Isomorphic copy of m whose ambient lattice is its own group.
-
-    Every monoid hom out of the copy is representable by an integer matrix,
-    which is not true of monoids whose group is a proper sublattice of the
-    ambient lattice.
-    """
+    """Isomorphic copy of m whose ambient lattice is its own group, so that
+    its group coordinates and its ambient coordinates agree."""
     g = m.group_rank
     gens = [m.coords(v) for v in m.generators]
     return saturate(g, [c for c in gens if c is not None],
@@ -249,85 +243,96 @@ def in_group_coordinates(m: AffineMonoid) -> AffineMonoid:
 # homomorphisms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonoidHom:
+    """A monoid hom, defined by ``local``: its g_target x g_source matrix on
+    group coordinates.
+
+    ``MonoidHom(source, target, matrix)`` takes an integer ambient matrix
+    (target ambient x source ambient); the library's constructions pass
+    ``local=`` instead.  ``matrix`` is a presentation: the given matrix, or
+    an integer ambient matrix inducing the hom, or None when none exists
+    (the source group a proper sublattice, as for 2N in Z).
+    """
+
     source: AffineMonoid
     target: AffineMonoid
-    matrix: tuple[Vec, ...]  # target_ambient x source_ambient
+    local: tuple[Vec, ...]
 
-    def __post_init__(self):
-        gens = self.source.hilbert if self.source.sharp else self.source.generators
-        for v in gens:
-            if not self.target.contains(self.apply(v)):
+    def __init__(self, source: AffineMonoid, target: AffineMonoid,
+                 matrix=None, *, local=None):
+        if local is None:
+            matrix = tuple(tuple(r) for r in matrix)
+            gens = source.hilbert if source.sharp else source.generators
+            for v in gens:
+                if not target.contains(mat_vec(matrix, v)):
+                    raise ValueError(
+                        f"matrix does not map generator {v} into the target monoid")
+            cols = [target.coords(mat_vec(matrix, b)) for b in source.group_basis]
+            if None in cols:
                 raise ValueError(
-                    f"matrix does not map generator {v} into the target monoid")
+                    "hom does not carry the source group into the target group")
+            local = [[c[i] for c in cols] for i in range(target.group_rank)]
+            object.__setattr__(self, "matrix", matrix)
+        else:
+            for c in source.local_generators:
+                image = mat_vec(local, c)
+                if not all(dot(f, image) >= 0 for f in target.facets_local):
+                    raise ValueError(f"hom does not map generator "
+                                     f"{source.ambient(c)} into the target monoid")
+        local = tuple(tuple(r) for r in local)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "local", local)
+
+    @functools.cached_property
+    def matrix(self) -> tuple[Vec, ...] | None:
+        """An integer ambient matrix inducing this hom, or None."""
+        source, target = self.source, self.target
+        if not source.group_basis:
+            return tuple((0,) * source.ambient_rank
+                         for _ in range(target.ambient_rank))
+        images = [target.ambient([row[j] for row in self.local])
+                  for j in range(source.group_rank)]
+        # the group basis has full row rank, so row i of the matrix solves
+        # B*w = images_i exactly when it needs no scaling
+        snf = smith_normal_form(source.group_basis)
+        rows = []
+        for i in range(target.ambient_rank):
+            t, w = scaled_solution(snf, [image[i] for image in images])
+            if t != 1:
+                return None
+            rows.append(w)
+        return tuple(rows)
 
     def apply(self, v) -> Vec:
-        return mat_vec(self.matrix, v)
+        c = self.source.coords(v)
+        if c is None:
+            raise ValueError(f"{tuple(v)} is outside the source group")
+        return self.target.ambient(mat_vec(self.local, c))
 
     def compose(self, inner: "MonoidHom") -> "MonoidHom":
         """self o inner."""
-        mat = mat_mul([list(r) for r in self.matrix], [list(r) for r in inner.matrix])
-        return MonoidHom(inner.source, self.target,
-                         tuple(tuple(r) for r in mat))
+        cols = range(inner.source.group_rank)
+        local = [[sum(a * b[j] for a, b in zip(row, inner.local)) for j in cols]
+                 for row in self.local]
+        return MonoidHom(inner.source, self.target, local=local)
 
     def equal_on_source(self, other: "MonoidHom") -> bool:
-        gens = self.source.hilbert if self.source.sharp else self.source.generators
-        return all(self.apply(v) == other.apply(v) for v in gens)
+        """Whether other agrees with self on self's source; both are read in
+        the group coordinates of self's source."""
+        return all(self.target.ambient(mat_vec(self.local, c))
+                   == other.target.ambient(mat_vec(other.local, c))
+                   for c in self.source.local_generators)
 
 
 def identity_hom(m: AffineMonoid) -> MonoidHom:
-    return MonoidHom(m, m, tuple(tuple(r) for r in identity(m.ambient_rank)))
+    return MonoidHom(m, m, local=identity(m.group_rank))
 
 
 def is_local(h: MonoidHom) -> bool:
     """True iff h^{-1}(0) = {0}: no nonzero Hilbert generator maps to zero."""
-    gens = h.source.hilbert if h.source.sharp else h.source.generators
-    return all(any(h.apply(v)) for v in gens)
-
-
-def local_matrix(h: MonoidHom):
-    """The induced matrix on group coordinates: g_target x g_source."""
-    cols = []
-    for j in range(h.source.group_rank):
-        b = h.source.group_basis[j]
-        c = h.target.coords(h.apply(b))
-        if c is None:
-            raise ValueError("hom does not carry the source group into the target group")
-        cols.append(c)
-    gt = h.target.group_rank
-    return [[cols[j][i] for j in range(len(cols))] for i in range(gt)]
-
-
-def ambient_matrix_from_group_images(source: AffineMonoid, images,
-                                     target_rank: int):
-    """Integer ambient matrix T with T(b_j) = images[j] for the source group
-    basis, or raise HomNotRepresentable."""
-    if not source.group_basis:
-        return tuple((0,) * source.ambient_rank for _ in range(target_rank))
-    # the group basis has full row rank, so row i of T solves B*w = images_i
-    # exactly when it needs no scaling
-    snf = smith_normal_form(source.group_basis)
-    rows = []
-    for i in range(target_rank):
-        t, w = scaled_solution(snf, [image[i] for image in images])
-        if t != 1:
-            raise HomNotRepresentable(
-                "no integer ambient matrix realizes this group map; present "
-                "the source monoid in group coordinates")
-        rows.append(w)
-    return tuple(rows)
-
-
-def hom_from_local_matrix(source: AffineMonoid, target: AffineMonoid,
-                          h_local) -> MonoidHom:
-    """Build a MonoidHom from a matrix on group coordinates."""
-    images = []
-    for j in range(source.group_rank):
-        c = mat_vec(h_local, e_j(source.group_rank, j))
-        images.append(target.ambient(c))
-    mat = ambient_matrix_from_group_images(source, images, target.ambient_rank)
-    return MonoidHom(source, target, mat)
+    return all(any(mat_vec(h.local, c)) for c in h.source.local_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +358,8 @@ def faces(m: AffineMonoid) -> list[Face]:
         return [Face((), (0,) * m.ambient_rank)]
     # the normal w has <w, b_i> = t * lam_i on the group basis, t least
     snf = smith_normal_form(m.group_basis)
-    hb_local = [m.coords(h) for h in m.hilbert]
     out = []
-    for on_face, vanishing in face_lattice(hb_local, m.facets_local).items():
+    for on_face, vanishing in face_lattice(m.hilbert_local, m.facets_local).items():
         lam = [sum(m.facets_local[i][j] for i in vanishing)
                for j in range(m.group_rank)]
         out.append(Face(tuple(sorted(on_face)), scaled_solution(snf, lam)[1]))
@@ -409,7 +413,8 @@ def _quotient(m: AffineMonoid, vectors) -> tuple[AffineMonoid, MonoidHom]:
     s = len(sat_span)
     snf = smith_normal_form([list(v) for v in sat_span])
     proj = tuple(tuple(snf.V[i][s + j] for i in range(d)) for j in range(d - s))
-    target = saturate(d - s, [mat_vec(proj, g) for g in m.generators])
+    target = saturate(d - s, [mat_vec(proj, g) for g in m.generators],
+                      group=[mat_vec(proj, b) for b in m.group_basis])
     return target, MonoidHom(m, target, proj)
 
 
@@ -555,15 +560,8 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
     q1, q2 = f.target, g.target
     g1, g2 = q1.group_rank, q2.group_rank
     m_dim = g1 + g2
-    f_loc = local_matrix(f)
-    g_loc = local_matrix(g)
-    relations = []
-    p_gens = p.hilbert if p.sharp else p.generators
-    for pv in p_gens:
-        c = p.coords(pv)
-        r1 = mat_vec(f_loc, c)
-        r2 = mat_vec(g_loc, c)
-        relations.append(list(r1) + [-x for x in r2])
+    relations = [list(mat_vec(f.local, c)) + [-x for x in mat_vec(g.local, c)]
+                 for c in p.local_generators]
     if relations:
         snf = smith_normal_form(relations)
         v_mat = [list(r) for r in snf.V]
@@ -584,34 +582,19 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
         free = tuple(y[i] for i in free_pos)
         return tor, free
 
-    amalgam = []
-    q1_gens = q1.hilbert if q1.sharp else q1.generators
-    q2_gens = q2.hilbert if q2.sharp else q2.generators
-    q1_images = {}
-    q2_images = {}
-    for qv in q1_gens:
-        c = q1.coords(qv)
-        tor, free = project(list(c) + [0] * g2)
-        amalgam.append((tor, free))
-        q1_images[qv] = (tor, free)
-    for qv in q2_gens:
-        c = q2.coords(qv)
-        tor, free = project([0] * g1 + list(c))
-        amalgam.append((tor, free))
-        q2_images[qv] = (tor, free)
-
-    sat_free = saturate(free_rank, [free for _, free in amalgam])
+    amalgam = ([project(list(c) + [0] * g2) for c in q1.local_generators]
+               + [project([0] * g1 + list(c)) for c in q2.local_generators])
+    # the group of the pushout projects onto all of Z^free_rank, so there the
+    # saturation's group coordinates are its ambient coordinates
+    sat_free = saturate(free_rank, [free for _, free in amalgam],
+                        group=identity(free_rank))
     characteristic, sharp_proj = sharpen(sat_free)
 
     def leg_for(q: AffineMonoid, offset: int) -> MonoidHom:
-        images = []
-        for j in range(q.group_rank):
-            x = [0] * m_dim
-            x[offset + j] = 1
-            _, free = project(x)
-            images.append(sharp_proj.apply(free))
-        mat = ambient_matrix_from_group_images(q, images, characteristic.ambient_rank)
-        return MonoidHom(q, characteristic, mat)
+        cols = [mat_vec(sharp_proj.local, project(e_j(m_dim, offset + j))[1])
+                for j in range(q.group_rank)]
+        return MonoidHom(q, characteristic, local=[
+            [c[i] for c in cols] for i in range(characteristic.group_rank)])
 
     return PushoutResult(
         free_rank=free_rank,
@@ -648,13 +631,9 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom,
         return i * gq + j
 
     eq, rhs = [], []
-    theta_loc = local_matrix(theta)
-    psi_loc = local_matrix(psi)
-    p_gens = p.hilbert
-    for pv in p_gens:
-        c = p.coords(pv)
-        u = mat_vec(theta_loc, c)   # in Z^gq
-        w = mat_vec(psi_loc, c)     # in Z^gr
+    for c in p.hilbert_local:
+        u = mat_vec(theta.local, c)   # in Z^gq
+        w = mat_vec(psi.local, c)     # in Z^gr
         for i in range(gr):
             row = [0] * num_vars
             for j in range(gq):
@@ -662,8 +641,7 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom,
             eq.append(row)
             rhs.append(w[i])
     ineq = []
-    for qv in q.hilbert:
-        u = q.coords(qv)
+    for u in q.hilbert_local:
         for fct in r.facets_local:
             row = [0] * num_vars
             for i in range(gr):
@@ -673,8 +651,8 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom,
     sol = ilp_feasible(num_vars, eq, rhs, ineq, budget=budget)
     if sol is None:
         return None
-    h_local = [[sol[var(i, j)] for j in range(gq)] for i in range(gr)]
-    return hom_from_local_matrix(q, r, h_local)
+    return MonoidHom(q, r, local=[[sol[var(i, j)] for j in range(gq)]
+                                  for i in range(gr)])
 
 
 def find_retraction(theta: MonoidHom,
@@ -728,13 +706,13 @@ def is_integral(theta: MonoidHom, bound: int = 6) -> SemiDecision:
         raise NotSharp("integrality check requires sharp monoids")
     p_elts = _elements_up_to_degree(p, bound)
     q_elts = _elements_up_to_degree(q, bound)
-    theta_loc = local_matrix(theta)
+    image = {a: theta.apply(a) for a in p_elts}
     gp, gq = p.group_rank, q.group_rank
     facets_p = [list(f) for f in p.facets_local]
     facets_q = [list(f) for f in q.facets_local]
     checked = set()
     for a1, a2 in itertools.product(p_elts, repeat=2):
-        ta1, ta2 = theta.apply(a1), theta.apply(a2)
+        ta1, ta2 = image[a1], image[a2]
         for b1 in q_elts:
             b2 = vec_sub(vec_add(ta1, b1), ta2)
             if not q.contains(b2):
@@ -753,14 +731,14 @@ def is_integral(theta: MonoidHom, bound: int = 6) -> SemiDecision:
             for i in range(gq):  # theta(a3) + b = b1
                 row = [0] * nv
                 for j in range(gp):
-                    row[j] = theta_loc[i][j]
+                    row[j] = theta.local[i][j]
                 row[2 * gp + i] = 1
                 eq.append(row)
                 rhs.append(cb1[i])
             for i in range(gq):  # theta(a4) + b = b2
                 row = [0] * nv
                 for j in range(gp):
-                    row[gp + j] = theta_loc[i][j]
+                    row[gp + j] = theta.local[i][j]
                 row[2 * gp + i] = 1
                 eq.append(row)
                 rhs.append(cb2[i])
@@ -790,15 +768,11 @@ def is_saturated(theta: MonoidHom, bound: int = 6) -> SemiDecision:
         raise NotSharp("saturation check requires a sharp source")
     probes: list[MonoidHom] = [theta]
     n_monoid = saturate(1, [(1,)])
-    if p.group_rank:
-        snf = smith_normal_form(p.group_basis)
-        for phi in dual(p).hilbert:
-            for k in range(1, bound + 1):
-                _, w = scaled_solution(snf, [k * x for x in phi])
-                try:
-                    probes.append(MonoidHom(p, n_monoid, (w,)))
-                except ValueError:
-                    continue
+    # dual(p) lives on the group coordinates of p
+    for phi in dual(p).hilbert:
+        for k in range(1, bound + 1):
+            probes.append(MonoidHom(p, n_monoid,
+                                    local=[[k * x for x in phi]]))
     for probe in probes:
         result = fs_pushout(theta, probe)
         witness = result.amalgam_equals_saturation()

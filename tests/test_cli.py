@@ -61,6 +61,15 @@ class TestMonoidCommands:
         assert r.payload["torsion_orders"] == [2]
         assert r.payload["saturated"] is False
 
+    def test_pushout_into_even_numbers(self):
+        n = {"rank": 1, "generators": [[1]]}
+        theta = json.dumps({"matrix": [[2]], "source": n,
+                            "target": {"rank": 1, "generators": [[2]]}})
+        psi = json.dumps({"matrix": [[1]], "source": n, "target": n})
+        r = run(["monoid", "pushout", "--theta", theta, "--psi", psi])
+        assert r.exit_code == 0
+        assert r.payload["characteristic"] == n
+
     def test_bad_json_is_input_error(self):
         r = run(["monoid", "saturate", "--monoid", "{not json"])
         assert r.status == "error"
@@ -102,6 +111,22 @@ class TestFirmCommand:
                      "--query", self._query(v), "--method", "pushout"])
             assert r.payload["firm"] is expected, v
             assert r.payload["method"] == "pushout"
+
+    @pytest.mark.parametrize("method", ["factorization", "pushout"])
+    def test_witness_without_ambient_matrix(self, method, capsys):
+        # N -> 2N (x -> 2x) factors the identity of N through h(2) = 1, which
+        # no integer matrix on Z induces
+        problem = json.dumps({"base": {"rank": 1, "generators": [[1]]},
+                              "components": [{"matrix": [[2]], "target": {
+                                  "rank": 1, "generators": [[2]]}}]})
+        assert main(["firm", "check", "--problem", problem, "--query",
+                     self._query(1), "--method", method]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["firm"] is True
+        if method == "factorization":
+            assert payload["witness"] == {
+                "component": 0, "matrix": None, "group_matrix": [[1]],
+                "source_group": [[2]], "target_group": [[1]]}
 
 
 class TestFirmamentCommands:
@@ -380,6 +405,15 @@ SHAPE_ERRORS = {
         "fan", "points", "--box", "2", "--fan",
         '{"ambient_rank":2,"scale":0,"cones":[{"rays":[[1,0],[0,1]]}]}'],
     "ragged lift matrix": ["lift", "primes", "--matrix", "[[1,2],[3]]"],
+    "subdivide vector too long": [
+        "fan", "subdivide", "--vector", "[1,1,1]",
+        "--fan", '{"ambient_rank":2,"cones":[{"rays":[[1,0],[0,1]]}]}'],
+    "boolean subdivide vector": [
+        "fan", "subdivide", "--vector", "[true,true]",
+        "--fan", '{"ambient_rank":2,"cones":[{"rays":[[1,0],[0,1]]}]}'],
+    "boolean lift chart": [
+        "lift", "solve", "--chart", "[[true]]", "--vals", "[1]"],
+    "boolean lift vals": ["lift", "solve", "--chart", "[[1]]", "--vals", "[true]"],
     "boolean monoid generator": [
         "monoid", "saturate", "--monoid", '{"rank":1,"generators":[[true]]}'],
 }

@@ -50,6 +50,32 @@ def hom(src, dst, matrix):
     return MonoidHom(src, dst, tuple(tuple(r) for r in matrix))
 
 
+def ambient_kept_monoid(rng):
+    """A nonzero monoid with generators in {0..3}^r, r <= 2, left in its
+    ambient lattice, so that its group is often a proper sublattice (2N in Z,
+    the parity monoid in Z^2); returned with its group-coordinate copy."""
+    while True:
+        r = rng.randint(1, 2)
+        gens = [tuple(rng.randint(0, 3) for _ in range(r))
+                for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if any(g)]
+        if gens:
+            m = saturate(r, gens)
+            return m, in_group_coordinates(m)
+
+
+def random_element(rng, m, terms):
+    """A sum of a number of Hilbert generators of m drawn from ``terms``."""
+    v = (0,) * m.ambient_rank
+    for _ in range(rng.randint(*terms)):
+        v = tuple(a + b for a, b in zip(v, rng.choice(m.hilbert)))
+    return v
+
+
+def columns_hom(src, dst, cols):
+    return hom(src, dst, [[c[i] for c in cols] for i in range(dst.ambient_rank)])
+
+
 # ---------------------------------------------------------------------------
 # saturation and Hilbert bases
 
@@ -112,6 +138,48 @@ def random_monoid(rng, rank):
         gens = [tuple(rng.randint(-2, 3) for _ in range(rank))
                 for _ in range(rng.randint(0, 4))]
     return saturate(rank, gens, group=group), group
+
+
+class TestExplicitGroup:
+    def test_saturate_keeps_the_group(self):
+        # (0,1) lies in the monoid, so a generating set must reach it
+        m = saturate(2, [(1, 0), (-1, 0), (0, 2)], group=[(1, 0), (0, 1)])
+        assert m.generating_set() == ((-1, 0), (0, 1), (1, 0))
+
+    def test_localizes_at_every_face(self):
+        m = saturate(2, [(1, 0), (1, 2)], group=[(1, 0), (0, 1)])
+        for f in faces(m):
+            loc, proj = face_localization(m, f)
+            assert all(not any(proj.apply(m.hilbert[i]))
+                       for i in f.generator_subset)
+
+    def test_generating_sets_and_localizations_on_corpus(self):
+        rng = random.Random(9091)
+        done = 0
+        while done < 60:
+            m, group = random_monoid(rng, rng.randint(1, 3))
+            if group is None:
+                continue
+            gens = m.generating_set()
+            # oracle: every point of m in a box is a sum of the generators
+            closure = {(0,) * m.ambient_rank}
+            frontier = list(closure)
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for g in gens:
+                        w = tuple(a + b for a, b in zip(v, g))
+                        if max(map(abs, w), default=0) <= 8 and w not in closure:
+                            closure.add(w)
+                            nxt.append(w)
+                frontier = nxt
+            for pt in itertools.product(range(-2, 3), repeat=m.ambient_rank):
+                if m.contains(pt):
+                    assert pt in closure, (m.generators, group, pt)
+            if m.sharp:
+                for f in faces(m):
+                    face_localization(m, f)
+            done += 1
 
 
 class TestNonSharp:
@@ -463,6 +531,68 @@ class TestPushout:
             assert brute_saturation_check(res)
             done += 1
 
+    def test_non_sharp_target_given_generators_fall_short(self):
+        # Z x N is not generated by (+-1,0), (1,2), (0,3), which miss (0,1);
+        # pushing out 2N <- N -> Z x N (x -> 4x and 0) gives the saturated
+        # Z/2 + Z x N
+        q = saturate(2, [(1, 0), (1, 2), (0, 3), (-1, 0)])
+        n = N()
+        res = fs_pushout(hom(n, saturate(1, [(2,)]), [[4]]), hom(n, q, [[0], [0]]))
+        assert res.torsion_orders == (2,)
+        assert res.amalgam_equals_saturation() is None
+
+    def test_presentation_corpus(self):
+        # a pushout depends on the monoids, not on their generators: a
+        # target presented by its generating set gives the same pushout
+        rng = random.Random(5772)
+        n = N()
+        done = 0
+        while done < 100:
+            q2, _ = random_monoid(rng, rng.randint(1, 2))
+            if q2.sharp:
+                continue
+            _, q1 = ambient_kept_monoid(rng)
+            gens = q2.generating_set()
+            again = saturate(q2.ambient_rank, gens, group=q2.group_basis)
+            img1 = random_element(rng, q1, (0, 1))
+            img2 = (0,) * q2.ambient_rank
+            for _ in range(rng.randint(0, 2)):
+                img2 = tuple(a + b for a, b in zip(img2, rng.choice(gens)))
+            f = columns_hom(n, q1, [img1])
+            res = [fs_pushout(f, columns_hom(n, m, [img2])) for m in (q2, again)]
+            assert res[0].free_rank == res[1].free_rank
+            assert res[0].torsion_orders == res[1].torsion_orders
+            assert (res[0].characteristic.canonical_key()
+                    == res[1].characteristic.canonical_key())
+            assert ((res[0].amalgam_equals_saturation() is None)
+                    == (res[1].amalgam_equals_saturation() is None))
+            done += 1
+
+    def test_ambient_lattice_corpus(self):
+        # the corpus above with the monoids left in their ambient lattices:
+        # each pushout is computed and matches that of the group-coordinate
+        # copies
+        rng = random.Random(314159)
+        n = N()
+        sublattices = 0
+        for _ in range(300):
+            (q1, c1), (q2, c2) = ambient_kept_monoid(rng), ambient_kept_monoid(rng)
+            img1 = random_element(rng, q1, (1, 1))
+            img2 = random_element(rng, q2, (1, 1))
+            f, g = columns_hom(n, q1, [img1]), columns_hom(n, q2, [img2])
+            res = fs_pushout(f, g)
+            ref = fs_pushout(columns_hom(n, c1, [q1.coords(img1)]),
+                             columns_hom(n, c2, [q2.coords(img2)]))
+            assert res.free_rank == ref.free_rank
+            assert res.torsion_orders == ref.torsion_orders
+            assert (res.characteristic.canonical_key()
+                    == ref.characteristic.canonical_key())
+            assert res.leg1.compose(f).equal_on_source(res.leg2.compose(g))
+            assert brute_saturation_check(res)
+            sublattices += any(m.group_rank and m.group_basis != c.group_basis
+                               for m, c in ((q1, c1), (q2, c2)))
+        assert sublattices > 100
+
 
 # ---------------------------------------------------------------------------
 # retraction / factorization
@@ -506,6 +636,35 @@ class TestFactorization:
     def test_odd_through_doubling_fails(self):
         n = N()
         assert find_factorization(hom(n, n, [[2]]), hom(n, n, [[3]])) is None
+
+    def test_ambient_lattice_corpus(self):
+        # monoids left in their ambient lattices: the verdict is that of the
+        # group-coordinate copies, and each witness composes exactly
+        rng = random.Random(161803)
+        found = 0
+        for _ in range(300):
+            p = N(rng.randint(1, 2))
+            (q, qc), (r, rc) = ambient_kept_monoid(rng), ambient_kept_monoid(rng)
+            theta_cols = [random_element(rng, q, (0, 2)) for _ in p.hilbert]
+            psi_cols = [random_element(rng, r, (1, 2)) for _ in p.hilbert]
+            theta, psi = columns_hom(p, q, theta_cols), columns_hom(p, r, psi_cols)
+            h = find_factorization(theta, psi)
+            ref = find_factorization(
+                columns_hom(p, qc, [q.coords(c) for c in theta_cols]),
+                columns_hom(p, rc, [r.coords(c) for c in psi_cols]))
+            assert (h is None) == (ref is None)
+            if h is not None:
+                for v in p.hilbert:
+                    assert h.apply(theta.apply(v)) == psi.apply(v)
+                found += 1
+        assert 30 < found < 270
+
+    def test_witness_without_ambient_matrix(self):
+        # h: 2N -> N with h(2) = 1 exists, but no integer w has 2w = 1
+        n, two_n = N(), saturate(1, [(2,)])
+        h = find_factorization(hom(n, two_n, [[2]]), hom(n, n, [[1]]))
+        assert h.local == ((1,),) and h.matrix is None
+        assert h.apply((4,)) == (2,)
 
     def test_trivial_source_always_factors(self):
         p = saturate(1, [])
