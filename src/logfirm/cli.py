@@ -176,19 +176,19 @@ def firmament_from_json(d) -> Firmament:
         return firmament_from_charts(base, thetas)
     source = fan_from_json(d["source"])
     target = fan_from_json(d["target"])
-    if len(d["cones"]) != len(source.cones):
+    if len(d["cones"]) != len(source.faces):
         raise ValueError(f"the map has {len(d['cones'])} cone assignments, "
-                         f"expected one per source cone ({len(source.cones)})")
+                         f"expected one per source cone ({len(source.faces)})")
     assignments = []
-    for cone, a in zip(source.cones, d["cones"]):
+    for rays, a in zip(source.faces, d["cones"]):
         t = a["target"]
-        if not isinstance(t, int) or not 0 <= t < len(target.cones):
+        if not isinstance(t, int) or not 0 <= t < len(target.faces):
             raise ValueError(f"target cone index {t!r} is not in "
-                             f"[0, {len(target.cones)})")
+                             f"[0, {len(target.faces)})")
         matrix = tuple(_rows(a["matrix"], source.ambient_rank, "cone matrix",
                              target.ambient_rank))
-        if not all(target.cones[t].contains(mat_vec(matrix, r)) for r in cone.rays):
-            raise InvalidMap(f"the matrix of cone {[list(r) for r in cone.rays]} "
+        if not all(target.cones[t].contains(mat_vec(matrix, r)) for r in rays):
+            raise InvalidMap(f"the matrix of cone {[list(r) for r in rays]} "
                              f"does not send it into target cone {t}")
         assignments.append((t, matrix))
     return Firmament(ConeComplexMap(source, target, tuple(assignments)))

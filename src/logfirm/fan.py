@@ -10,7 +10,11 @@ the geometric coordinates.
 A complex keys its cones by their sorted ray tuples.  The carrier of some
 vectors, the smallest cone containing them, is looked up by that key, and an
 overlay compares supports exactly by checking the walls of its pieces; both
-rely on pairwise intersections of cones being common faces.
+rely on pairwise intersections of cones being common faces.  That is checked
+once, at the boundary: :func:`cone_complex` checks the ray lists it is given,
+while overlays and stellar subdivisions of fans are fans and are assembled
+without a check.  A complex keeps only the ray tuples of its faces and builds
+the faces themselves when first asked for them.
 """
 
 from __future__ import annotations
@@ -84,11 +88,20 @@ def make_cone(ambient_rank: int, rays) -> Cone:
     primitive)."""
     rays = [primitive(tuple(r)) for r in rays if any(r)]
     if not rays:
+        return _extreme_cone(ambient_rank, ())
+    dd = dual_description(rays, ambient_rank)
+    return Cone(ambient_rank, tuple(sorted(dd.rays)), tuple(dd.facets))
+
+
+def _extreme_cone(ambient_rank: int, rays) -> Cone:
+    """The cone whose sorted primitive extreme rays are already known to be
+    ``rays``, as for a face or an intersection: one double description gives
+    its facets, and the result equals ``make_cone(ambient_rank, rays)``."""
+    if not rays:
         return Cone(ambient_rank, (),
                     tuple(tuple(r) for m in (identity(ambient_rank),)
                           for s in (1, -1) for r in [[s * x for x in row] for row in m]))
-    dd = dual_description(rays, ambient_rank)
-    return Cone(ambient_rank, tuple(sorted(dd.rays)), tuple(dd.facets))
+    return Cone(ambient_rank, tuple(rays), facets_to_rays(rays, ambient_rank))
 
 
 def _face_rays(c: Cone) -> set[tuple[Vec, ...]]:
@@ -99,7 +112,7 @@ def _face_rays(c: Cone) -> set[tuple[Vec, ...]]:
 
 def cone_faces(c: Cone) -> list[Cone]:
     """All faces of a cone (including the zero cone and the cone itself)."""
-    return [c if rays == c.rays else make_cone(c.ambient_rank, rays)
+    return [c if rays == c.rays else _extreme_cone(c.ambient_rank, rays)
             for rays in sorted(_face_rays(c))]
 
 
@@ -110,7 +123,7 @@ def cone_subset(a: Cone, b: Cone) -> bool:
 
 def cone_intersection(a: Cone, b: Cone) -> Cone:
     rays = facets_to_rays(list(a.facets) + list(b.facets), a.ambient_rank)
-    return make_cone(a.ambient_rank, rays)
+    return _extreme_cone(a.ambient_rank, rays)
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +134,27 @@ def cone_intersection(a: Cone, b: Cone) -> Cone:
 class ConeComplex:
     """An embedded fan: all cones share one ambient lattice and pairwise
     intersections of cones are faces of both, which :meth:`carrier` relies
-    on.  Cones are keyed by their sorted ray tuple."""
+    on.  Cones are keyed by their sorted ray tuple: ``faces`` holds the key
+    of every face of every maximal cone, and a cone's index is its place in
+    ``faces``.  The faces are built as ``Cone``s only when ``cones`` is first
+    read."""
 
     ambient_rank: int
     maximal: tuple[Cone, ...]
-    cones: tuple[Cone, ...]  # every face of every maximal cone, sorted
+    faces: tuple[tuple[Vec, ...], ...]  # sorted ray tuples of all cones
     scale: int = 1
 
     @cached_property
+    def cones(self) -> tuple[Cone, ...]:
+        """Every cone of the complex, in the order of ``faces``."""
+        built = {m.rays: m for m in self.maximal}
+        return tuple(built[rays] if rays in built
+                     else _extreme_cone(self.ambient_rank, rays)
+                     for rays in self.faces)
+
+    @cached_property
     def _index(self) -> dict[tuple[Vec, ...], int]:
-        return {c.rays: i for i, c in enumerate(self.cones)}
+        return {rays: i for i, rays in enumerate(self.faces)}
 
     def cone_index(self, c: Cone) -> int:
         return self._index[c.rays]
@@ -155,33 +179,37 @@ class ConeComplex:
 
 
 def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex:
-    """Build a complex from the ray lists of its maximal cones; raises
-    ValueError unless every two maximal cones meet in a common face, or
-    when the scale is below 1."""
+    """Build a complex from the ray lists of its cones, checking that they
+    form a fan: raises ValueError unless every two maximal cones meet in a
+    common face, or when the scale is below 1.  A cone listed together with
+    one of its faces is fine; the face is not maximal."""
     if scale < 1:
         raise ValueError("scale factor must be positive")
-    return _assemble(ambient_rank, [make_cone(ambient_rank, rays)
-                                     for rays in maximal_rays], scale)
-
-
-def _assemble(ambient_rank: int, cones, scale: int) -> ConeComplex:
-    """:func:`cone_complex` from already built maximal ``Cone``s."""
-    maximal = []
-    for c in cones:
-        if all(c.rays != m.rays for m in maximal):
-            maximal.append(c)
-    maximal = [c for c in maximal
-               if not any(c is not m and cone_subset(c, m) for m in maximal)]
-    face_rays = [_face_rays(m) for m in maximal]
-    for (a, fa), (b, fb) in itertools.combinations(zip(maximal, face_rays), 2):
+    c = _assemble(ambient_rank, [make_cone(ambient_rank, rays)
+                                 for rays in maximal_rays], scale)
+    face_rays = [_face_rays(m) for m in c.maximal]
+    for (a, fa), (b, fb) in itertools.combinations(zip(c.maximal, face_rays), 2):
         inter = facets_to_rays(a.facets + b.facets, ambient_rank)  # rays of a ∩ b
         if inter not in fa or inter not in fb:
             raise ValueError("cones do not meet along a common face")
-    built = {m.rays: m for m in maximal}
-    cones = tuple(built[rays] if rays in built else make_cone(ambient_rank, rays)
-                  for rays in sorted(set().union(*face_rays)))
-    return ConeComplex(ambient_rank, tuple(sorted(maximal, key=Cone.key)),
-                       cones, scale)
+    return c
+
+
+def _assemble(ambient_rank: int, cones, scale: int) -> ConeComplex:
+    """The complex of ``cones``, built ``Cone``s that form a fan.  Nothing is
+    checked here: :func:`cone_complex` checks its input, and an overlay or a
+    stellar subdivision of a fan is a fan.  A cone is maximal unless its ray
+    tuple repeats an earlier one or is a proper face of another cone; only
+    the ray tuples of the faces are computed."""
+    unique: dict[tuple[Vec, ...], Cone] = {}
+    for c in cones:
+        unique.setdefault(c.rays, c)
+    face_rays = {rays: _face_rays(c) for rays, c in unique.items()}
+    proper = set().union(*(f - {rays} for rays, f in face_rays.items()))
+    maximal = sorted((c for rays, c in unique.items() if rays not in proper),
+                     key=Cone.key)
+    faces = set().union(*(face_rays[m.rays] for m in maximal))
+    return ConeComplex(ambient_rank, tuple(maximal), tuple(sorted(faces)), scale)
 
 
 def orthant(rank: int) -> ConeComplex:
@@ -249,8 +277,7 @@ class ConeComplexMap:
 
     def compose(self, inner: "ConeComplexMap") -> "ConeComplexMap":
         assignments = []
-        for i, cone in enumerate(inner.source.cones):
-            mid_idx, m1 = inner.assignments[i]
+        for mid_idx, m1 in inner.assignments:
             out_idx, m2 = self.assignments[mid_idx]
             prod = tuple(tuple(dot(row, col) for col in zip(*m1))
                          for row in m2)
@@ -272,14 +299,13 @@ def complex_map(source: ConeComplex, target: ConeComplex,
         matrix = identity(source.ambient_rank)
     matrix = tuple(tuple(r) for r in matrix)
     assignments = []
-    for cone in source.cones:
+    for rays in source.faces:
         images = [tuple(mat_vec([list(r) for r in matrix], list(ray)))
-                  for ray in cone.rays]
+                  for ray in rays]
         sigma = next((tc for tc in target.maximal
                       if all(tc.contains(v) for v in images)), None)
         if sigma is None:
-            raise InvalidMap(
-                f"image of cone {cone.rays} lies in no target cone")
+            raise InvalidMap(f"image of cone {rays} lies in no target cone")
         assignments.append((target.carrier(sigma, images), matrix))
     return ConeComplexMap(source, target, tuple(assignments))
 
@@ -296,18 +322,17 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
         raise NotPrimitive(f"{v} is not primitive")
     if not c.supports(v):
         raise OutsideSupport(f"{v} outside the support")
-    new_maximal = []
+    pieces = []
     for sigma in c.maximal:
         if not sigma.contains(v):
-            new_maximal.append(list(sigma.rays))
+            pieces.append(sigma)
             continue
         for f in sigma.facets:
             if dot(f, v) > 0:
                 tight = [r for r in sigma.rays if dot(f, r) == 0]
-                new_maximal.append(tight + [v])
-    if not new_maximal:  # v generates every cone it meets (already a ray)
-        new_maximal = [list(m.rays) for m in c.maximal]
-    subdivided = cone_complex(c.ambient_rank, new_maximal, c.scale)
+                pieces.append(make_cone(c.ambient_rank, tight + [v]))
+    # no pieces: every cone holds v in its lineality space
+    subdivided = _assemble(c.ambient_rank, pieces or c.maximal, c.scale)
     return subdivided, complex_map(subdivided, c)
 
 
@@ -362,7 +387,7 @@ def root_rescale(c: ConeComplex, k: int) -> ConeComplex:
         raise ValueError("scale factor must be positive")
     if k == 1:
         return c
-    return ConeComplex(c.ambient_rank, c.maximal, c.cones, c.scale * k)
+    return ConeComplex(c.ambient_rank, c.maximal, c.faces, c.scale * k)
 
 
 def is_refinement(fine: ConeComplex, coarse: ConeComplex) -> bool:

@@ -1,10 +1,11 @@
 """Fine saturated monoids and their homomorphisms.
 
 An affine monoid is stored as (cone generated by its generators) intersected
-with (the subgroup generated by them, or an explicitly supplied subgroup) in
-an ambient lattice Z^d.  All structural computation happens in "local"
-coordinates on the group: the group basis is a Hermite-form lattice basis,
-and cones, facets, and Hilbert bases live in Z^g where g is the group rank.
+with (the subgroup generated by them, or an explicitly supplied subgroup cut
+down to their span) in an ambient lattice Z^d.  All structural computation
+happens in "local" coordinates on the group: the group basis is a
+Hermite-form lattice basis, and cones, facets, and Hilbert bases live in Z^g
+where g is the group rank.
 
 A homomorphism is a map of groups that carries the source monoid into the
 target monoid, stored as its matrix on group coordinates; an integer matrix
@@ -155,7 +156,9 @@ def e_j(n: int, j: int) -> Vec:
 
 def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     """The fs monoid cone(generators) intersected with the subgroup generated
-    by them (or an explicitly supplied subgroup).  Idempotent."""
+    by them, or with an explicitly supplied subgroup; the monoid's group is
+    then the supplied one cut down to the span of the generators.
+    Idempotent."""
     gens = [tuple(g) for g in generators if any(g)]
     if group is not None:
         basis = row_lattice_basis([tuple(r) for r in group], ambient_rank)
@@ -163,7 +166,7 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
         basis = row_lattice_basis(gens, ambient_rank)
     basis = tuple(tuple(r) for r in basis)
     g = len(basis)
-    if g == 0:
+    if g == 0 or not gens:
         return AffineMonoid(ambient_rank, tuple(gens), (), (), (), True, ())
     gens_local = []
     for v in gens:
@@ -171,12 +174,13 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
         if c is None:
             raise ValueError("generator outside the supplied group")
         gens_local.append(c)
-    if not gens_local:
-        # trivial monoid inside a nontrivial group: only unit is 0
-        facets = tuple(tuple(row) for row in identity(g)) + tuple(
-            tuple(-x for x in row) for row in identity(g))
-        return AffineMonoid(ambient_rank, tuple(gens), basis, facets, (), True, ())
     dd = dual_description(gens_local, g)
+    if any(tuple(-x for x in f) in dd.facets for f in dd.facets):
+        # the generators span less than the supplied group (the facets hold
+        # a line): the monoid's group is the part of it in their span
+        span = _saturated_span(gens_local, g)
+        return saturate(ambient_rank, gens,
+                        group=[mat_vec(transpose(basis), c) for c in span])
     facets = dd.facets
     rays = dd.rays
     # the rays list each line of the cone as a ray and its negation
@@ -401,15 +405,19 @@ def sharpen(m: AffineMonoid) -> tuple[AffineMonoid, MonoidHom]:
     return _quotient(m, m.unit_basis())
 
 
+def _saturated_span(vectors, d: int) -> tuple[Vec, ...]:
+    """Basis of the lattice points of Z^d in the span of ``vectors``."""
+    ker = kernel_and_cokernel([list(v) for v in vectors]).kernel_basis
+    if not ker:
+        return tuple(tuple(r) for r in identity(d))
+    return kernel_and_cokernel([list(v) for v in ker]).kernel_basis
+
+
 def _quotient(m: AffineMonoid, vectors) -> tuple[AffineMonoid, MonoidHom]:
     """Image of m modulo the saturation of the span of ``vectors`` (not all
     zero), with the projection hom onto the quotient lattice."""
     d = m.ambient_rank
-    ker = kernel_and_cokernel([list(v) for v in vectors]).kernel_basis
-    if ker:
-        sat_span = kernel_and_cokernel([list(v) for v in ker]).kernel_basis
-    else:
-        sat_span = tuple(tuple(r) for r in identity(d))
+    sat_span = _saturated_span(vectors, d)
     s = len(sat_span)
     snf = smith_normal_form([list(v) for v in sat_span])
     proj = tuple(tuple(snf.V[i][s + j] for i in range(d)) for j in range(d - s))

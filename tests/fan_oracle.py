@@ -1,0 +1,44 @@
+"""Test-only oracle for fans, independent of the face lattice in ``fan``.
+
+``cone_complex`` checks that its input cones form a fan; overlays and
+stellar subdivisions are assembled without that check, because the overlay
+and the stellar subdivision of a fan are fans.  ``fan_faults`` makes the
+pairwise common-face check on any complex, and also checks its maximal cones
+and face keys against faces found by brute force over subsets of rays."""
+
+import itertools
+
+from logfirm.intlinalg import dot, facets_to_rays
+
+
+def is_face(rays, cone) -> bool:
+    """Whether ``rays`` are the rays of a face of ``cone``: rays of the cone
+    that are all the rays on which the facets vanishing on them vanish."""
+    if not set(rays) <= set(cone.rays):
+        return False
+    tight = [f for f in cone.facets if all(dot(f, r) == 0 for r in rays)]
+    return set(rays) == {r for r in cone.rays
+                         if all(dot(f, r) == 0 for f in tight)}
+
+
+def brute_faces(cone) -> set:
+    """Sorted ray tuples of all faces, and the zero cone, by subsets."""
+    return {()} | {t for k in range(1, len(cone.rays) + 1)
+                   for t in itertools.combinations(cone.rays, k)
+                   if is_face(t, cone)}
+
+
+def fan_faults(c) -> list[str]:
+    """What is wrong with complex ``c`` as a fan; empty when nothing is."""
+    faults = []
+    for a, b in itertools.combinations(c.maximal, 2):
+        inter = facets_to_rays(a.facets + b.facets, c.ambient_rank)
+        if not (is_face(inter, a) and is_face(inter, b)):
+            faults.append(f"{a.rays} and {b.rays} meet in {inter}, not a common face")
+    for a, b in itertools.permutations(c.maximal, 2):
+        if is_face(a.rays, b):
+            faults.append(f"maximal cone {a.rays} is a face of {b.rays}")
+    faces = set().union(*(brute_faces(m) for m in c.maximal))
+    if list(c.faces) != sorted(faces):
+        faults.append(f"face keys {c.faces} are not the faces {sorted(faces)}")
+    return faults

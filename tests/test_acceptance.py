@@ -4,6 +4,7 @@ import itertools
 import random
 import xml.etree.ElementTree as ET
 
+from fan_oracle import fan_faults
 from logfirm.campana import (
     MonomialIdeal,
     IntPolynomial,
@@ -25,6 +26,7 @@ from logfirm.fan import (
     cone_complex,
     is_refinement,
     lattice_points_box,
+    make_cone,
     map_point,
     orthant,
     sigma_n,
@@ -208,6 +210,14 @@ class TestCriterion08SigmaTower:
             for v in order:
                 fan, _ = star_subdivision(fan, v)
             assert is_refinement(s2, fan), order
+
+    def test_rank_3_levels_are_fans(self):
+        # sigma_n assembles its overlays without the pairwise check
+        for n in (2, 3):
+            s = sigma_n(3, n)
+            assert not fan_faults(s)
+            for rays, cone in zip(s.faces, s.cones):
+                assert cone == make_cone(3, rays)
 
 
 class TestCriterion09CoverIdentity:

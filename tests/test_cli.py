@@ -47,6 +47,16 @@ class TestMonoidCommands:
         assert r.status == "ok"
         assert sorted(map(tuple, r.payload["generators"])) == [(0, 1), (1, 0)]
 
+    def test_dual_ignores_an_oversized_group(self, capsys):
+        # N·(1,1) ≅ N: the group Z^2 is cut down to the line through (1,1)
+        diagonal = {"rank": 2, "generators": [[1, 1]]}
+        assert main(["monoid", "dual", "--monoid", json.dumps(diagonal)]) == 0
+        alone = capsys.readouterr().out
+        diagonal["group"] = [[1, 0], [0, 1]]
+        assert main(["monoid", "dual", "--monoid", json.dumps(diagonal)]) == 0
+        assert capsys.readouterr().out == alone
+        assert json.loads(alone)["generators"] == [[1]]
+
     def test_faces(self):
         r = run(["monoid", "faces", "--monoid", json.dumps(ORTHANT2)])
         assert r.status == "ok"
@@ -370,6 +380,9 @@ SHAPE_ERRORS = {
     "fan ray too long": [
         "fan", "points", "--box", "1", "--fan",
         '{"ambient_rank":2,"cones":[{"rays":[[1,0,0],[0,1]]}]}'],
+    "fan ray inside a cone, not on a face": [
+        "fan", "points", "--box", "1", "--fan",
+        '{"ambient_rank":2,"cones":[{"rays":[[1,0],[0,1]]},{"rays":[[1,1]]}]}'],
     "non-sharp fan cone": [
         "fan", "points", "--box", "1", "--fan",
         '{"ambient_rank":2,"cones":[{"rays":[[1,0],[-1,0]]}]}'],

@@ -29,9 +29,11 @@ from logfirm.fan import (
     sigma_n,
     star_subdivision,
 )
-from logfirm.firmament import firmament_from_charts
+from logfirm.firmament import Firmament, firmament_from_charts
 from logfirm.intlinalg import mat_vec, primitive
-from logfirm.monoid import MonoidHom, saturate
+
+# overlays and subdivisions are assembled unchecked: the oracle checks them
+pytestmark = pytest.mark.usefixtures("every_fan_checked")
 
 
 def ray_sets(c):
@@ -264,6 +266,17 @@ class TestWellFormedness:
         with pytest.raises(ValueError):
             cone_complex(2, [[(1, 0), (1, 2)], [(1, 1), (0, 1)]])
 
+    def test_ray_inside_a_cone_rejected(self):
+        # the ray meets the 2-cone in itself, which is not a face of it
+        with pytest.raises(ValueError):
+            cone_complex(2, [[(1, 0), (0, 1)], [(1, 1)]])
+
+    def test_cone_listed_with_its_face_accepted(self):
+        e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+        c = cone_complex(3, [[e1, e2, e3], [e1, e2], [e3], []])
+        assert ray_sets(c) == {(e3, e2, e1)}
+        assert len(c.faces) == 8
+
 
 def smallest_containing(c, vectors):
     """Test-only oracle for ``ConeComplex.carrier``: scan every cone of the
@@ -278,11 +291,11 @@ def smallest_containing(c, vectors):
 
 
 def whole_plane_firmament():
-    """A chart into the trivial monoid of Z^2: its firmament source is a
-    single non-sharp cone, the whole plane."""
-    n = saturate(1, [(1,)])
-    q = saturate(2, [], group=[(1, 0), (0, 1)])
-    return firmament_from_charts(n, [MonoidHom(n, q, ((0,), (0,)))])
+    """A firmament whose source is a single non-sharp cone, the whole plane,
+    mapped to 0 in N.  Built by hand: the dual cone of a monoid is sharp,
+    because a monoid's cone spans its group."""
+    plane = cone_complex(2, [[(1, 0), (-1, 0), (0, 1), (0, -1)]])
+    return Firmament(complex_map(plane, orthant(1), [[0, 0]]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,6 +324,13 @@ def carrier_corpus():
 
 
 class TestCarrierOracle:
+    def test_cones_built_on_demand_equal_make_cone(self):
+        for c, maps, _ in carrier_corpus():
+            for d in [c] + [f.target for f in maps]:
+                assert [cone.rays for cone in d.cones] == list(d.faces)
+                for rays, cone in zip(d.faces, d.cones):
+                    assert cone == make_cone(d.ambient_rank, rays)
+
     def test_point_and_canonicalize_match_oracle(self):
         checked = 0
         for c, _, bound in carrier_corpus():

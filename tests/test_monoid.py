@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from logfirm.intlinalg import dot, kernel_and_cokernel, mat_vec
+from logfirm.intlinalg import dot, identity, kernel_and_cokernel, mat_vec
 import logfirm.intlinalg
 import logfirm.monoid
 from logfirm.monoid import (
@@ -145,6 +145,33 @@ class TestExplicitGroup:
         # (0,1) lies in the monoid, so a generating set must reach it
         m = saturate(2, [(1, 0), (-1, 0), (0, 2)], group=[(1, 0), (0, 1)])
         assert m.generating_set() == ((-1, 0), (0, 1), (1, 0))
+
+    def test_oversized_group_is_cut_to_the_span(self):
+        # rows b_i of a random unimodular matrix: the generators are
+        # combinations of a_i b_i for i < k, so the group a_i b_i (i < r)
+        # meets their span in the group a_i b_i (i < k)
+        rng = random.Random(6007)
+        cut = 0
+        for _ in range(60):
+            r = rng.randint(1, 4)
+            b = [list(row) for row in identity(r)]
+            for _ in range(8):
+                i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
+                if i != j:
+                    b[i] = [x + rng.randint(-2, 2) * y for x, y in zip(b[i], b[j])]
+            group = [tuple(rng.randint(1, 3) * x for x in row) for row in b]
+            k = rng.randint(1, r)
+            coeffs = [[rng.randint(0, 2) for _ in range(k)]
+                      for _ in range(rng.randint(k, k + 2))]
+            gens = [tuple(sum(c * g[j] for c, g in zip(cs, group)) for j in range(r))
+                    for cs in coeffs]
+            small = saturate(r, gens, group=group[:k])
+            if small.group_rank < k:
+                continue  # the generators span less than the k rows
+            assert saturate(r, gens, group=group) == small
+            assert saturate(r, gens, group=identity(r)).group_rank == k
+            cut += k < r
+        assert cut > 15
 
     def test_localizes_at_every_face(self):
         m = saturate(2, [(1, 0), (1, 2)], group=[(1, 0), (0, 1)])

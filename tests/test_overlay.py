@@ -6,6 +6,7 @@ the integer points of [-3, 3]^d as a one-sided check."""
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,9 @@ from logfirm.fan import (
     star_subdivision,
 )
 from logfirm.intlinalg import facets_to_rays, primitive
+
+# overlays and subdivisions are assembled unchecked: the oracle checks them
+pytestmark = pytest.mark.usefixtures("every_fan_checked")
 
 
 def assert_mismatch(f1, f2):
@@ -304,28 +308,42 @@ class TestPairwiseShortcut:
 class TestBuildCounts:
     @pytest.fixture
     def calls(self, monkeypatch):
-        counted = []
-
-        def counting(ambient_rank, rays):
-            counted.append(1)
-            return make_cone(ambient_rank, rays)
-        monkeypatch.setattr(fan, "make_cone", counting)
+        """Calls of make_cone, and of the one-double-description builder
+        for cones whose extreme rays are known."""
+        counted = Counter()
+        for name in ("make_cone", "_extreme_cone"):
+            def counting(ambient_rank, rays, build=getattr(fan, name), name=name):
+                counted[name] += 1
+                return build(ambient_rank, rays)
+            monkeypatch.setattr(fan, name, counting)
         return counted
 
     def test_pairwise_check_builds_nothing(self, calls):
-        # one make_cone per input ray list and per face that is not maximal
+        # one make_cone per input ray list; the faces that are not maximal
+        # are built only when asked for, each by one double description
         for c in corpus_fans()[::7]:
             calls.clear()
             rebuilt = cone_complex(c.ambient_rank, [m.rays for m in c.maximal])
-            assert len(calls) == (len(c.maximal) + len(rebuilt.cones)
-                                  - len(rebuilt.maximal))
+            assert calls == {"make_cone": len(c.maximal)}
+            assert len(rebuilt.cones) == len(rebuilt.faces)
+            assert calls == {"make_cone": len(c.maximal),
+                             "_extreme_cone": len(rebuilt.faces) - len(rebuilt.maximal)}
 
     def test_each_piece_is_built_once(self, calls):
         _, subdivisions, _ = rank3_corpus()
         for a, b in itertools.combinations(subdivisions[:4], 2):
             calls.clear()
-            r = common_refinement(a, b)
-            # one make_cone per pairwise piece, then one per face that is
-            # not maximal
-            assert len(calls) == (len(a.maximal) * len(b.maximal)
-                                  + len(r.cones) - len(r.maximal))
+            common_refinement(a, b)
+            # one double description per pairwise piece, and no make_cone
+            assert calls == {"_extreme_cone": len(a.maximal) * len(b.maximal)}
+
+
+class TestFacesOnDemand:
+    def test_faces_equal_make_cone(self):
+        _, subdivisions, _ = rank3_corpus()
+        overlays = [common_refinement(a, b)
+                    for a, b in itertools.combinations(subdivisions[:4], 2)]
+        for c in corpus_fans() + overlays:
+            assert len(c.cones) == len(c.faces)
+            for rays, cone in zip(c.faces, c.cones):
+                assert cone == make_cone(c.ambient_rank, rays)
