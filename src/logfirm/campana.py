@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import ilp_feasible, rational_inverse
+from .intlinalg import identity, ilp_feasible, rational_inverse
 from .lift import MonomialChart
 
 Exponent = tuple[int, ...]
@@ -255,17 +255,10 @@ def _power_contains(prime_gens, e: int, monomial: Exponent) -> bool:
     k = len(prime_gens)
     n = len(monomial)
     # find c >= 0 with c_1 + ... + c_k = e and sum c_t g_t <= monomial
-    # componentwise; the inequalities are made homogeneous with an auxiliary
-    # variable pinned to 1 by an equality
-    num = k + 1
-    eq = [[1] * k + [0], [0] * k + [1]]
-    rhs = [e, 1]
-    ineq = []
-    for j in range(n):
-        ineq.append([-prime_gens[t][j] for t in range(k)] + [monomial[j]])
-    for t in range(k):
-        ineq.append([1 if tt == t else 0 for tt in range(k)] + [0])
-    return ilp_feasible(num, eq, rhs, ineq) is not None
+    # componentwise
+    ineq = [[-g[j] for g in prime_gens] for j in range(n)] + identity(k)
+    ineq_rhs = [-x for x in monomial] + [0] * k
+    return ilp_feasible(k, [[1] * k], [e], ineq, ineq_rhs) is not None
 
 
 def variant_multiplicities(i: MonomialIdeal):

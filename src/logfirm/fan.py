@@ -1,11 +1,12 @@
 """Cone complexes: embedded fans, integral points, maps, and subdivisions.
 
-A cone complex is a collection of sharp rational polyhedral cones glued along
-faces.  This module works with embedded complexes: every cone lives in one
-ambient lattice Z^d, so face inclusions are identity maps and gluing is
-literal intersection.  A positive ``scale`` k means the working lattice is
-(1/k)·Z^d; stored coordinates are always the integer numerators, i.e. k times
-the geometric coordinates.
+A cone complex is a collection of sharp (strongly convex) rational polyhedral
+cones glued along faces; :func:`make_cone` rejects a cone with a line.  This
+module works with embedded complexes: every cone lives in one ambient lattice
+Z^d, so face inclusions are identity maps and gluing is literal intersection.
+A positive ``scale`` k means the working lattice is (1/k)·Z^d; stored
+coordinates are always the integer numerators, i.e. k times the geometric
+coordinates.
 
 A complex keys its cones by their sorted ray tuples.  The carrier of some
 vectors, the smallest cone containing them, is looked up by that key, and an
@@ -64,8 +65,10 @@ class InvalidMap(Exception):
 
 @dataclass(frozen=True)
 class Cone:
-    """A sharp rational polyhedral cone in Z^d, stored by extreme rays and a
-    complete facet description (membership is all ⟨facet, x⟩ >= 0)."""
+    """A sharp rational polyhedral cone in Z^d, stored by its sorted primitive
+    extreme rays and a complete facet description (membership is all
+    ⟨facet, x⟩ >= 0; an equation of a lower-dimensional cone is listed as f
+    and -f)."""
 
     ambient_rank: int
     rays: tuple[Vec, ...]
@@ -84,13 +87,16 @@ class Cone:
 
 
 def make_cone(ambient_rank: int, rays) -> Cone:
-    """Canonical cone from generating rays (extreme rays recomputed, sorted,
-    primitive)."""
+    """Canonical cone from generating rays: one double description gives its
+    facets and its sorted primitive extreme rays.  Raises ValueError when
+    the rays span a cone with a line, which is not sharp."""
     rays = [primitive(tuple(r)) for r in rays if any(r)]
     if not rays:
         return _extreme_cone(ambient_rank, ())
     dd = dual_description(rays, ambient_rank)
-    return Cone(ambient_rank, tuple(sorted(dd.rays)), tuple(dd.facets))
+    if not dd.rays:
+        raise ValueError(f"cone {[list(r) for r in sorted(set(rays))]} is not sharp")
+    return Cone(ambient_rank, dd.rays, dd.facets)
 
 
 def _extreme_cone(ambient_rank: int, rays) -> Cone:
@@ -161,9 +167,9 @@ class ConeComplex:
 
     def carrier(self, sigma: Cone, vectors) -> int:
         """Index of the smallest cone containing ``vectors``, given a cone
-        ``sigma`` of the complex that contains them all."""
-        if not any(any(v) for v in vectors):  # even if sigma is not sharp
-            return self._index[()]
+        ``sigma`` of the complex that contains them all: the rays of sigma on
+        which every facet vanishing on the vectors vanishes too.  Sigma is
+        sharp, so zero vectors get the zero cone."""
         tight = [f for f in sigma.facets
                  if all(dot(f, v) == 0 for v in vectors)]
         return self._index[tuple(r for r in sigma.rays
@@ -180,9 +186,10 @@ class ConeComplex:
 
 def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex:
     """Build a complex from the ray lists of its cones, checking that they
-    form a fan: raises ValueError unless every two maximal cones meet in a
-    common face, or when the scale is below 1.  A cone listed together with
-    one of its faces is fine; the face is not maximal."""
+    form a fan: raises ValueError when a cone has a line (see
+    :func:`make_cone`), when two maximal cones do not meet in a common face,
+    or when the scale is below 1.  A cone listed together with one of its
+    faces is fine; the face is not maximal."""
     if scale < 1:
         raise ValueError("scale factor must be positive")
     c = _assemble(ambient_rank, [make_cone(ambient_rank, rays)
@@ -331,8 +338,7 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
             if dot(f, v) > 0:
                 tight = [r for r in sigma.rays if dot(f, r) == 0]
                 pieces.append(make_cone(c.ambient_rank, tight + [v]))
-    # no pieces: every cone holds v in its lineality space
-    subdivided = _assemble(c.ambient_rank, pieces or c.maximal, c.scale)
+    subdivided = _assemble(c.ambient_rank, pieces, c.scale)
     return subdivided, complex_map(subdivided, c)
 
 

@@ -19,7 +19,7 @@ from .fan import (
     lattice_points_box,
     point,
 )
-from .intlinalg import DEFAULT_ILP_BUDGET, facets_to_rays, ilp_feasible, solve_lattice
+from .intlinalg import DEFAULT_ILP_BUDGET, ilp_feasible, solve_lattice
 from .monoid import AffineMonoid
 
 
@@ -41,13 +41,9 @@ class ContactOrder:
 
 
 def dual_cone_complex(m: AffineMonoid) -> ConeComplex:
-    """The cone of nonnegative functionals on a sharp monoid, as a one-cone
-    complex in the dual of gp(m)."""
-    g = m.group_rank
-    if g == 0:
-        return cone_complex(0, [[]])
-    rays = facets_to_rays([list(h) for h in m.hilbert_local], g)
-    return cone_complex(g, [rays])
+    """The cone of nonnegative functionals on a monoid, as a one-cone complex
+    in the dual of gp(m): its rays are the facets that m stores."""
+    return cone_complex(m.group_rank, [m.facets_local])
 
 
 def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
@@ -65,10 +61,8 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
     offset = 0
     columns: list[list[int]] = []
     for theta, width in zip(thetas, blocks):
-        q = theta.target
-        rays = facets_to_rays([list(h) for h in q.hilbert_local], width)
         embedded = []
-        for r in rays:
+        for r in theta.target.facets_local:
             v = [0] * total
             v[offset:offset + width] = list(r)
             embedded.append(v)

@@ -487,11 +487,16 @@ def _generators_with_lineality(lin, rays) -> tuple[Vec, ...]:
 
 
 def dual_description(rays, dim: int | None = None) -> DualDescription:
-    """Facet description of cone(rays), with canonicalized extreme rays.
+    """Facets and extreme rays of cone(rays) from one double description.
 
     ``facets`` are the minimal generators of the dual cone: the cone equals
-    {x : <f, x> >= 0 for all f in facets}.  ``rays`` are re-derived as the
-    minimal generators of that intersection, so both lists are irredundant.
+    {x : <f, x> >= 0 for all f in facets}, with an equation of a
+    lower-dimensional cone listed as f and -f.  ``rays`` are the sorted
+    primitive extreme rays, read off the generator-facet incidences: a
+    generator is extreme exactly when no other generator is tight on all of
+    its facets (Fukuda & Prodon, "Double description method revisited",
+    1996).  A cone with a line has no extreme rays, and ``rays`` is ``()``;
+    that is the case exactly when some generator is tight on every facet.
     """
     rays = [tuple(r) for r in rays]
     if dim is None:
@@ -500,9 +505,14 @@ def dual_description(rays, dim: int | None = None) -> DualDescription:
         dim = len(rays[0])
     lin_f, facet_rays = dual_rays(rays, dim)
     facets = _generators_with_lineality(lin_f, facet_rays)
-    lin_r, prim_rays = dual_rays(facets, dim)
-    out_rays = _generators_with_lineality(lin_r, prim_rays)
-    return DualDescription(rays=out_rays, facets=facets)
+    gens = sorted({primitive(r) for r in rays if any(r)})
+    tight = [frozenset(i for i, f in enumerate(facets) if dot(f, r) == 0)
+             for r in gens]
+    if any(len(t) == len(facets) for t in tight):
+        return DualDescription(rays=(), facets=facets)
+    extreme = tuple(r for i, (r, t) in enumerate(zip(gens, tight))
+                    if not any(j != i and u >= t for j, u in enumerate(tight)))
+    return DualDescription(rays=extreme, facets=facets)
 
 
 def facets_to_rays(facets, dim: int) -> tuple[Vec, ...]:
@@ -556,26 +566,21 @@ def _fm_eliminate(constraints, var):
     for (cp, bp), (cn, bn) in itertools.product(pos, neg):
         a, b = cp[var], -cn[var]
         coeffs = tuple(b * x + a * y for x, y in zip(cp, cn))
-        rhs_num, rhs_den = b * bp + a * bn, 1
+        rhs = b * bp + a * bn
         g = vec_gcd(coeffs)
         if g == 0:
-            if rhs_num > 0:
+            if rhs > 0:
                 return None  # 0 >= positive: infeasible projection
             continue
-        out.add((tuple(x // g for x in coeffs), _ceil_div_frac(rhs_num, g)))
+        out.add((tuple(x // g for x in coeffs), Fraction(rhs, g)))
     for coeffs, rhs in rest:
         if not any(coeffs):
             if rhs > 0:
                 return None
             continue
         g = vec_gcd(coeffs)
-        out.add((tuple(x // g for x in coeffs), _ceil_div_frac(rhs, g)))
+        out.add((tuple(x // g for x in coeffs), Fraction(rhs, g)))
     return list(out)
-
-
-def _ceil_div_frac(num, den):
-    # rational rhs kept exact as a Fraction
-    return Fraction(num, den)
 
 
 def _bounds_first_var(constraints, k):
@@ -627,21 +632,24 @@ class _Budget:
             raise ResourceLimit("integer feasibility search budget exhausted")
 
 
+def _nonzero_rows(g, h):
+    """The rows (coeffs, rhs) of G t >= h with a nonzero coefficient, or
+    None when a zero row demands 0 >= rhs > 0."""
+    rows = []
+    for coeffs, rhs in zip(g, h):
+        if any(coeffs):
+            rows.append((tuple(coeffs), rhs))
+        elif rhs > 0:
+            return None
+    return rows
+
+
 def _int_point(g, h, k, budget: _Budget):
     """Some integer t in Z^k with G t >= h, or None.  Complete."""
     budget.spend()
-    if k == 0:
-        return [] if all(x <= 0 for x in h) else None
-    # prune trivial rows
-    rows = []
-    for coeffs, rhs in zip(g, h):
-        if not any(coeffs):
-            if rhs > 0:
-                return None
-            continue
-        rows.append((tuple(coeffs), rhs))
+    rows = _nonzero_rows(g, h)
     if not rows:
-        return [0] * k
+        return None if rows is None else [0] * k
     gm = [list(c) for c, _ in rows]
     hv = [r for _, r in rows]
 
@@ -671,9 +679,15 @@ def _int_point(g, h, k, budget: _Budget):
             y0 = max(y0, cand)
         y = [y0] + list(sub)
         return list(mat_vec(t_mat, y))
+    return _bounded_point(rows, k, budget)
 
-    # bounded polytope: enumerate the first coordinate between exact bounds
-    bounds = _bounds_first_var([(c, r) for c, r in rows], k)
+
+def _bounded_point(rows, k, budget: _Budget):
+    """Some integer t in Z^k meeting ``rows``, nonzero rows (coeffs, rhs) of
+    G t >= h whose real solutions form a bounded set, or None.  The first
+    coordinate runs between its exact bounds.  A slice of a bounded set is
+    bounded, so no recession direction is looked for, here or below."""
+    bounds = _bounds_first_var(rows, k)
     if bounds == "infeasible":
         return None
     lo, hi = bounds
@@ -682,10 +696,12 @@ def _int_point(g, h, k, budget: _Budget):
     lo_i = -((-lo.numerator) // lo.denominator)  # ceil
     hi_i = hi.numerator // hi.denominator  # floor
     for val in range(lo_i, hi_i + 1):
-        budget.spend()
-        sub_g = [list(c[1:]) for c, _ in rows]
-        sub_h = [r - c[0] * val for c, r in rows]
-        sub = _int_point(sub_g, sub_h, k - 1, budget)
+        budget.spend(2)  # one unit for the value, one for the slice's node
+        sub_rows = _nonzero_rows([c[1:] for c, _ in rows],
+                                 [r - c[0] * val for c, r in rows])
+        if sub_rows is None:
+            continue
+        sub = _bounded_point(sub_rows, k - 1, budget) if sub_rows else [0] * (k - 1)
         if sub is not None:
             return [val] + sub
     return None

@@ -130,11 +130,7 @@ def root_orders(chart: MonomialChart) -> tuple[int, ...]:
 
 
 def ramification_primes(chart: MonomialChart) -> set[int]:
-    orders = root_orders(chart)
-    total = 1
-    for q in orders:
-        total = lcm(total, q)
-    return _primes_of(total)
+    return _primes_of(lcm(*root_orders(chart)))
 
 
 def log_smooth_primes(matrix) -> set[int]:
@@ -161,7 +157,7 @@ def describe_lift(chart: MonomialChart, p: DVRTargetPoint,
     if x is None:
         return NotInFirmament(tuple(p.valuations))
     c, orders, constraints = solve_units(chart)
-    primes = frozenset(ramification_primes(chart))
+    primes = frozenset(_primes_of(lcm(*orders)))
     etale = None if residue_char is None else residue_char not in primes
     return LiftSolution(
         exponents=tuple(x),

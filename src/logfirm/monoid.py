@@ -62,8 +62,8 @@ class AffineMonoid:
     ambient_rank: int
     generators: tuple[Vec, ...]
     group_basis: tuple[Vec, ...]       # Hermite-form rows spanning the group
-    facets_local: tuple[Vec, ...]      # halfspace normals in group coordinates
-    rays_local: tuple[Vec, ...]        # extreme rays in group coordinates
+    facets_local: tuple[Vec, ...]      # dual cone generators, group coords
+    rays_local: tuple[Vec, ...]        # extreme rays, group coords; () if not sharp
     sharp: bool
     # None when not sharp.  Sorted, which is also the order of ``hilbert``:
     # the group basis is echelon with positive pivots, so ``ambient`` keeps
@@ -181,12 +181,10 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
         span = _saturated_span(gens_local, g)
         return saturate(ambient_rank, gens,
                         group=[mat_vec(transpose(basis), c) for c in span])
-    facets = dd.facets
-    rays = dd.rays
-    # the rays list each line of the cone as a ray and its negation
-    pointed = not any(tuple(-x for x in r) in rays for r in rays)
-    hilbert = _hilbert_basis_local(rays, facets, g) if pointed else None
-    return AffineMonoid(ambient_rank, tuple(gens), basis, facets, rays,
+    # the cone spans the group, so it has extreme rays exactly when sharp
+    pointed = bool(dd.rays)
+    hilbert = _hilbert_basis_local(dd.rays, dd.facets, g) if pointed else None
+    return AffineMonoid(ambient_rank, tuple(gens), basis, dd.facets, dd.rays,
                         pointed, hilbert)
 
 

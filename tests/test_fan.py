@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import logfirm.intlinalg
 from logfirm import charts
 from logfirm.fan import (
     ConeComplexMap,
@@ -29,7 +30,7 @@ from logfirm.fan import (
     sigma_n,
     star_subdivision,
 )
-from logfirm.firmament import Firmament, firmament_from_charts
+from logfirm.firmament import firmament_from_charts
 from logfirm.intlinalg import mat_vec, primitive
 
 # overlays and subdivisions are assembled unchecked: the oracle checks them
@@ -250,6 +251,23 @@ class TestLatticePointsBox:
 
 
 class TestWellFormedness:
+    def test_make_cone_one_double_description(self, monkeypatch):
+        calls = []
+
+        def counting(normals, dim, real=logfirm.intlinalg.dual_rays):
+            calls.append(dim)
+            return real(normals, dim)
+
+        monkeypatch.setattr(logfirm.intlinalg, "dual_rays", counting)
+        for rank, rays in [(2, [(1, 0), (0, 1)]),
+                           (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0)]),
+                           (3, [(1, 1, 1)]),
+                           (4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                (1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)])]:
+            calls.clear()
+            make_cone(rank, rays)
+            assert calls == [rank]
+
     def test_intersections_are_faces_after_operations(self):
         complexes = [
             orthant(2),
@@ -290,14 +308,6 @@ def smallest_containing(c, vectors):
     return smallest[0]
 
 
-def whole_plane_firmament():
-    """A firmament whose source is a single non-sharp cone, the whole plane,
-    mapped to 0 in N.  Built by hand: the dual cone of a monoid is sharp,
-    because a monoid's cone spans its group."""
-    plane = cone_complex(2, [[(1, 0), (-1, 0), (0, 1), (0, -1)]])
-    return Firmament(complex_map(plane, orthant(1), [[0, 0]]))
-
-
 @functools.lru_cache(maxsize=None)
 def carrier_corpus():
     """(complex, maps out of it, box bound) on a seeded corpus."""
@@ -318,8 +328,6 @@ def carrier_corpus():
                 charts.monomial_x2y3_x, charts.diagonal_embedding):
         gamma = firmament_from_charts(*fam())
         corpus.append((gamma.map.source, (gamma.map,), 2))
-    gamma = whole_plane_firmament()
-    corpus.append((gamma.map.source, (gamma.map,), 0))
     return corpus
 
 
@@ -362,10 +370,13 @@ class TestCarrierOracle:
                     assert q.cone_index == smallest_containing(
                         f.target, [q.coordinates])
 
-    def test_non_sharp_source_keeps_zero_cone(self):
-        src = whole_plane_firmament().map.source
-        assert [cone.rays for cone in src.cones][0] == ()
-        assert src.cones[point(src, (0, 0)).cone_index].rays == ()
-        whole = src.cone_index(src.maximal[0])
-        assert canonicalize_point(src, IntegralPoint(whole, (0, 0))).cone_index == 0
-        assert point(src, (1, -1)).cone_index == whole
+    @pytest.mark.parametrize("rays", [
+        [(1, 0), (-1, 0), (0, 1), (0, -1)],   # the whole plane
+        [(1, 0), (-1, 0), (0, 1)],            # a half-plane
+        [(1, 1), (-1, -1)],                   # a line
+    ])
+    def test_cone_with_a_line_rejected(self, rays):
+        with pytest.raises(ValueError, match="is not sharp"):
+            cone_complex(2, [rays])
+        with pytest.raises(ValueError, match="is not sharp"):
+            make_cone(2, rays)

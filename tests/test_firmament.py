@@ -14,6 +14,7 @@ from logfirm.charts import (
 )
 from logfirm.fan import lattice_points_box, point, star_subdivision
 from logfirm.firm import FiberProblem, LogPointQuery, firm_check
+from logfirm.intlinalg import identity
 from logfirm.firmament import (
     ContactOrder,
     NotAdditive,
@@ -202,3 +203,23 @@ class TestTrivialFirmaments:
         n2 = orthant_monoid(2)
         gamma = firmament_from_charts(n2, [identity_hom(n2)])
         assert len(firmament_enumerate_box(gamma, 2)) == 9
+
+
+class TestDualCones:
+    def test_dual_cone_rays_are_the_stored_facets(self):
+        for chart_fn in (kummer_two_three, parity_root, parity_cover):
+            p, thetas = chart_fn()
+            for m in [p] + [t.target for t in thetas]:
+                assert dual_cone_complex(m).maximal[0].rays == m.facets_local
+
+    def test_chart_to_a_monoid_with_units(self):
+        # Hom(Z x N, R>=0) is the ray {0} x R>=0, a sharp cone
+        n2 = orthant_monoid(2)
+        q = saturate(2, [(1, 0), (-1, 0), (0, 1)])
+        gamma = firmament_from_charts(n2, [MonoidHom(n2, q, identity(2))])
+        assert {p.coordinates for p in firmament_enumerate_box(gamma, 2)} == {
+            (0, 0), (0, 1), (0, 2)}
+
+    def test_dual_of_a_group_is_the_zero_cone(self):
+        z2 = saturate(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+        assert [c.rays for c in dual_cone_complex(z2).cones] == [()]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logfirm.intlinalg
 from logfirm.intlinalg import (
     DualDescription,
     ResourceLimit,
@@ -287,6 +288,35 @@ class TestIlpFeasible:
         with pytest.raises(ResourceLimit):
             ilp_feasible(3, None, None, identity(3), [0, 0, 0], budget=1)
 
+    SLAB = [[1, 0], [0, 1], [-1, -1], [2, -2], [-2, 2]]
+
+    def slab_rhs(self, n):
+        # x, y >= 0, x + y <= n and 2x - 2y = 1: no integer point
+        return [0, 0, -n, 1, -1]
+
+    def test_bounded_slices_need_no_double_description(self, monkeypatch):
+        calls = []
+
+        def counting(normals, dim, real=logfirm.intlinalg.dual_rays):
+            calls.append(dim)
+            return real(normals, dim)
+
+        monkeypatch.setattr(logfirm.intlinalg, "dual_rays", counting)
+        assert ilp_feasible(2, ineq_lhs=self.SLAB,
+                            ineq_rhs=self.slab_rhs(1000)) is None
+        # the slab has no recession direction, so neither has any of its
+        # 501 slices: one search decides that for all of them
+        assert len(calls) <= 2
+
+    def test_slab_budget_boundary(self):
+        # one unit per node: the value of x and the slice it leaves, for
+        # each of the 501 values of x, less the budget left at the end
+        with pytest.raises(ResourceLimit):
+            ilp_feasible(2, ineq_lhs=self.SLAB, ineq_rhs=self.slab_rhs(1000),
+                         budget=1000)
+        assert ilp_feasible(2, ineq_lhs=self.SLAB, ineq_rhs=self.slab_rhs(1000),
+                            budget=1001) is None
+
     def test_against_enumeration_corpus(self):
         # >= 200 instances cross-checked against exhaustive enumeration
         rng = random.Random(20230817)
@@ -363,6 +393,39 @@ class TestDualDescription:
                 assert cone_contains(dd.facets, r)
             for r in back:
                 assert cone_contains(dd.facets, r)
+
+    def test_extreme_rays_match_second_double_description(self):
+        # oracle: the minimal generators of the facet description, by a
+        # second double description; it lists each line as r and -r
+        rng = random.Random(8086)
+        pointed = lined = 0
+        for _ in range(400):
+            d = rng.randint(1, 5)
+            span = [tuple(rng.randint(-2, 2) for _ in range(d))
+                    for _ in range(rng.randint(1, d))]
+            gens = [tuple(sum(rng.randint(0, 2) * x for x in col)
+                          for col in zip(*span))
+                    for _ in range(rng.randint(1, 6))]
+            gens += [tuple(2 * x for x in gens[0]),              # a multiple
+                     tuple(x + y for x, y in zip(gens[0], gens[-1]))]  # a sum
+            if rng.random() < 0.3:
+                gens.append(tuple(-x for x in gens[-1]))  # often a line
+            if not any(any(g) for g in gens):
+                continue
+            dd = dual_description(gens, d)
+            oracle = facets_to_rays(dd.facets, d)
+            if any(tuple(-x for x in r) in oracle for r in oracle):
+                assert dd.rays == ()
+                lined += 1
+            else:
+                assert dd.rays == oracle
+                pointed += 1
+        assert pointed > 150 and lined > 50
+
+    def test_line_has_no_extreme_rays(self):
+        assert dual_description([(1, 0), (-1, 0), (0, 1)]).rays == ()
+        assert dual_description([(1, 1), (-2, -2)]).rays == ()
+        assert dual_description([(1, 0), (0, 1), (-1, -1)]).facets == ()
 
     def test_rays_primitive_and_irredundant(self):
         dd = dual_description([(2, 0), (0, 3), (1, 1)])

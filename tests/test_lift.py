@@ -192,6 +192,19 @@ class TestRamification:
 
 
 class TestDescribeLift:
+    def test_units_solved_once(self, monkeypatch):
+        # the ramification primes come from the root orders already found
+        calls = []
+
+        def counting(chart, real=logfirm.lift.solve_units):
+            calls.append(chart)
+            return real(chart)
+
+        monkeypatch.setattr(logfirm.lift, "solve_units", counting)
+        out = describe_lift(CHART_23, DVRTargetPoint((5, 1)))
+        assert out.ramification_primes == ramification_primes(CHART_23) == {3}
+        assert len(calls) == 2  # describe_lift, then ramification_primes
+
     def test_chart23_good_residue_char(self):
         out = describe_lift(CHART_23, DVRTargetPoint((5, 1)), residue_char=5)
         assert isinstance(out, LiftSolution)

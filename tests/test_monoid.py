@@ -225,6 +225,39 @@ class TestNonSharp:
             seen["group"] += group is not None
         assert min(seen.values()) > 50
 
+    def test_rays_local_empty_iff_not_sharp(self):
+        rng = random.Random(76)
+        for _ in range(200):
+            m, _ = random_monoid(rng, rng.randint(1, 3))
+            if m.group_rank:
+                assert bool(m.rays_local) == m.sharp
+                assert all(m.contains(m.ambient(r)) for r in m.rays_local)
+
+    def test_one_double_description(self, monkeypatch):
+        # saturate reads the extreme rays and sharpness off the facets'
+        # double description; only cutting an explicit group down to the
+        # span of the generators takes a second one
+        calls = []
+
+        def counting(normals, dim, real=logfirm.intlinalg.dual_rays):
+            calls.append(dim)
+            return real(normals, dim)
+
+        monkeypatch.setattr(logfirm.intlinalg, "dual_rays", counting)
+        rng = random.Random(75)
+        for _ in range(200):
+            rank = rng.randint(1, 3)
+            gens = [tuple(rng.randint(-2, 3) for _ in range(rank))
+                    for _ in range(rng.randint(1, 4))]
+            if not any(any(g) for g in gens):
+                continue
+            calls.clear()
+            m = saturate(rank, gens)
+            assert len(calls) == 1, gens
+            calls.clear()
+            cut = saturate(rank, gens, group=identity(rank))
+            assert len(calls) == 1 + (0 < cut.group_rank < rank), gens
+
     def test_generating_set_lifts_without_ilp(self, monkeypatch):
         calls = []
         original = logfirm.intlinalg.ilp_feasible
