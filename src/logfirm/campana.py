@@ -3,7 +3,12 @@
 For a monomial ideal I, the multiplicity m(I) is the largest e with I
 contained in the e-th power of every isolated prime; variants use the
 primary decomposition (m_a), symbolic powers (m_b), and powers of the
-radical (m_c and the threshold companion of m_d).  Together with the
+radical (m_c and the threshold companion of m_d).  For a monomial ideal
+m_a = m_b = m: localizing at an isolated prime p = (x_v : v in T) inverts
+the other variables, so the p-primary component is generated by the
+generators restricted to T, and its order in p is min_g sum_{v in T} g_v,
+which is m's term for p (Miller & Sturmfels, Combinatorial Commutative
+Algebra, 2005, ch. 5).  Together with the
 intersection multiplicity of a DVR point, these decide membership in the
 Campana set: valuation zero, valuation at least m, or lying inside the
 subscheme outright.
@@ -78,9 +83,6 @@ class IntPolynomial:
     @staticmethod
     def monomial(exponent, coeff=1) -> "IntPolynomial":
         return IntPolynomial.from_dict(len(exponent), {tuple(exponent): coeff})
-
-    def as_dict(self):
-        return dict(self.terms)
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -186,70 +188,6 @@ def radical(i: MonomialIdeal) -> MonomialIdeal:
         i.num_vars, [tuple(1 if e else 0 for e in g) for g in i.generators])
 
 
-def irreducible_decomposition(i: MonomialIdeal) -> list[MonomialIdeal]:
-    """Write the ideal as an irredundant intersection of ideals generated by
-    pure variable powers (splitting algorithm)."""
-    _check_proper(i)
-    stack = [i]
-    irreducible = []
-    while stack:
-        j = stack.pop()
-        split = None
-        for g in j.generators:
-            support = [v for v, e in enumerate(g) if e]
-            if len(support) > 1:
-                v = support[0]
-                power = tuple(g[v] if k == v else 0 for k in range(j.num_vars))
-                rest = tuple(0 if k == v else g[k] for k in range(j.num_vars))
-                split = (g, power, rest)
-                break
-        if split is None:
-            irreducible.append(j)
-            continue
-        g, power, rest = split
-        others = [h for h in j.generators if h != g]
-        stack.append(MonomialIdeal.of(j.num_vars, others + [power]))
-        stack.append(MonomialIdeal.of(j.num_vars, others + [rest]))
-    # irredundancy: drop any component containing the intersection of the rest
-    out = []
-    uniq = {c.generators: c for c in irreducible}.values()
-    comps = list(uniq)
-    for k, c in enumerate(comps):
-        rest = [d for kk, d in enumerate(comps) if kk != k]
-        if rest and _intersection_contained_in(rest, c):
-            continue
-        out.append(c)
-    return out
-
-
-def _ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    gens = [tuple(max(x, y) for x, y in zip(g, h))
-            for g in a.generators for h in b.generators]
-    return MonomialIdeal.of(a.num_vars, gens)
-
-
-def _intersection_contained_in(parts, c: MonomialIdeal) -> bool:
-    inter = parts[0]
-    for p in parts[1:]:
-        inter = _ideal_intersection(inter, p)
-    return all(c.contains_monomial(g) for g in inter.generators)
-
-
-def primary_components(i: MonomialIdeal):
-    """Group the irreducible components by radical; returns
-    [(prime, primary ideal)]."""
-    comps = irreducible_decomposition(i)
-    by_radical: dict[frozenset[int], MonomialIdeal] = {}
-    for c in comps:
-        key = frozenset(v for g in c.generators for v, e in enumerate(g) if e)
-        if key in by_radical:
-            by_radical[key] = _ideal_intersection(by_radical[key], c)
-        else:
-            by_radical[key] = c
-    return [(MonomialPrime(k), v) for k, v in
-            sorted(by_radical.items(), key=lambda kv: sorted(kv[0]))]
-
-
 def _power_contains(prime_gens, e: int, monomial: Exponent) -> bool:
     """Monomial membership in (g_1, ..., g_k)^e via integer feasibility."""
     k = len(prime_gens)
@@ -262,25 +200,15 @@ def _power_contains(prime_gens, e: int, monomial: Exponent) -> bool:
 
 
 def variant_multiplicities(i: MonomialIdeal):
-    """(m_a, m_b, m_c, m_d_threshold) for a proper nonzero monomial ideal."""
-    _check_proper(i)
-    primes = minimal_primes(i)
-    isolated = {p.variables for p in primes}
+    """(m_a, m_b, m_c, m_d_threshold) for a proper nonzero monomial ideal.
 
-    # m_a: containment order of each isolated primary component in its prime
-    m_a = None
-    for prime, q in primary_components(i):
-        if prime.variables not in isolated:
-            continue
-        val = containment_order(q, prime)
-        m_a = val if m_a is None else min(m_a, val)
-
-    # m_b: symbolic order — restrict generators to the prime's variables and
-    # take the least total degree
-    m_b = None
-    for p in primes:
-        val = min(sum(g[v] for v in p.variables) for g in i.generators)
-        m_b = val if m_b is None else min(m_b, val)
+    m_a and m_b are m: localizing at an isolated prime p = (x_v : v in T)
+    inverts the other variables, so the p-primary component is generated by
+    the generators restricted to T.  Its order in p, which is also the
+    largest e with I inside the symbolic power p^(e), is therefore
+    min_g sum_{v in T} g_v: m's term for p.
+    """
+    m = m_multiplicity(i)
 
     # m_c: largest e with I inside radical(I)^e
     rad = radical(i).generators
@@ -308,7 +236,7 @@ def variant_multiplicities(i: MonomialIdeal):
             break
     if m_d_threshold is None:  # pragma: no cover - cap always suffices
         raise AssertionError("no power of the radical fits inside the ideal")
-    return m_a, m_b, m_c, m_d_threshold
+    return m, m, m_c, m_d_threshold
 
 
 # ---------------------------------------------------------------------------

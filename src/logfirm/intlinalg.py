@@ -300,16 +300,13 @@ def row_lattice_basis(vectors, dim: int) -> list[Vec]:
 def in_row_lattice(basis, v) -> Vec | None:
     """Coordinates of v in an HNF row basis, or None if v is outside.
 
-    The basis must be in row echelon form (as produced by
-    :func:`row_lattice_basis`).
+    The basis must be in row echelon form with no zero row, as produced by
+    :func:`row_lattice_basis`.
     """
     v = list(v)
     coords = []
     for row in basis:
-        piv = next((j for j, x in enumerate(row) if x), None)
-        if piv is None:
-            coords.append(0)
-            continue
+        piv = next(j for j, x in enumerate(row) if x)
         q, rem = divmod(v[piv], row[piv])
         if rem != 0:
             # echelon structure: no later row can fix this coordinate

@@ -189,15 +189,13 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
 
 
 def _hilbert_basis_local(rays, facets, g: int) -> tuple[Vec, ...]:
-    """Hilbert basis of a pointed full-dimensional cone in Z^g.
+    """Hilbert basis of a pointed full-dimensional cone in Z^g, g >= 1.
 
     Candidates are the lattice points of the zonotope spanned by the extreme
     rays (every irreducible element lies in the fundamental parallelepiped of
     some simplicial subcone); irreducibles are extracted by a graded greedy
     pass.
     """
-    if g == 0 or not rays:
-        return ()
     lo = [sum(min(0, r[j]) for r in rays) for j in range(g)]
     hi = [sum(max(0, r[j]) for r in rays) for j in range(g)]
     candidates = []
@@ -210,16 +208,9 @@ def _hilbert_basis_local(rays, facets, g: int) -> tuple[Vec, ...]:
     candidates.sort(key=lambda p: (degree[p], p))
     basis: list[Vec] = []
     for pt in candidates:
-        reducible = False
-        for h in basis:
-            rest = vec_sub(pt, h)
-            if any(rest) and all(dot(f, rest) >= 0 for f in facets):
-                reducible = True
-                break
-            if not any(rest):
-                reducible = True  # duplicate
-                break
-        if not reducible:
+        # the candidates are distinct, so pt - h is never zero
+        if not any(all(dot(f, vec_sub(pt, h)) >= 0 for f in facets)
+                   for h in basis):
             basis.append(pt)
     return tuple(sorted(basis))
 
@@ -265,23 +256,23 @@ class MonoidHom:
                  matrix=None, *, local=None):
         if local is None:
             matrix = tuple(tuple(r) for r in matrix)
-            gens = source.hilbert if source.sharp else source.generators
-            for v in gens:
-                if not target.contains(mat_vec(matrix, v)):
-                    raise ValueError(
-                        f"matrix does not map generator {v} into the target monoid")
             cols = [target.coords(mat_vec(matrix, b)) for b in source.group_basis]
             if None in cols:
                 raise ValueError(
                     "hom does not carry the source group into the target group")
             local = [[c[i] for c in cols] for i in range(target.group_rank)]
             object.__setattr__(self, "matrix", matrix)
-        else:
-            for c in source.local_generators:
-                image = mat_vec(local, c)
-                if not all(dot(f, image) >= 0 for f in target.facets_local):
-                    raise ValueError(f"hom does not map generator "
-                                     f"{source.ambient(c)} into the target monoid")
+        # the given generators span the source cone, so a group map that
+        # sends them into the saturated target sends the whole source there;
+        # local_generators of a source that is not sharp would call sharpen,
+        # whose projection this constructor builds
+        gens = (source.hilbert_local if source.sharp
+                else [source.coords(v) for v in source.generators])
+        for c in gens:
+            if not all(dot(f, mat_vec(local, c)) >= 0 for f in target.facets_local):
+                raise ValueError(f"{'hom' if matrix is None else 'matrix'} does "
+                                 f"not map generator {source.ambient(c)} into "
+                                 "the target monoid")
         local = tuple(tuple(r) for r in local)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)

@@ -51,21 +51,18 @@ def _axes(box: int) -> list[str]:
     ]
 
 
-def emit_point_grid(box: int, members, non_members=None) -> str:
+def emit_point_grid(box: int, members) -> str:
     """SVG of the lattice box [0, box]^2.
 
     Filled black circles mark members; hollow (white with black stroke)
-    circles mark the remaining points of the box, or the given non-members.
+    circles mark the remaining points of the box.
     """
     members = {tuple(p) for p in members}
     for p in members:
         if len(p) != 2:
             raise RankUnsupported("point grid drawing needs rank 2")
-    if non_members is None:
-        non_members = {(a, b) for a in range(box + 1) for b in range(box + 1)
-                       if (a, b) not in members}
-    else:
-        non_members = {tuple(p) for p in non_members}
+    non_members = {(a, b) for a in range(box + 1) for b in range(box + 1)
+                   if (a, b) not in members}
     lines = _header(
         box, "filled circles: members; hollow circles: non-members")
     lines += _axes(box)

@@ -16,16 +16,16 @@ from logfirm.campana import (
     campana_member,
     containment_order,
     intersection_multiplicity,
-    irreducible_decomposition,
     linear_substitution,
     m_multiplicity,
     minimal_primes,
-    primary_components,
     pullback_ideal,
     radical,
     variant_multiplicities,
 )
 from logfirm.lift import MonomialChart
+
+from campana_oracle import irreducible_decomposition, primary_components
 
 # u = x^2, v = y^2, w = y z
 CHART = MonomialChart(((2, 0, 0), (0, 2, 0), (0, 1, 1)))
@@ -172,6 +172,36 @@ class TestDecomposition:
         keys = sorted(sorted(p.variables) for p, _ in comps)
         assert keys == [[0], [0, 1]]
 
+    def test_primary_order_is_m(self):
+        """m_a computed the long way, as the least containment order of an
+        isolated primary component in its prime, is m, and is the m_a and
+        m_b that variant_multiplicities returns."""
+        rng = random.Random(61843)
+        redundant = non_squarefree = 0
+        for _ in range(320):
+            n = rng.randint(1, 5)
+            gens = [g for g in (tuple(rng.randint(0, 4) for _ in range(n))
+                                for _ in range(rng.randint(1, 7))) if any(g)]
+            if not gens:
+                gens = [tuple(rng.randint(1, 4) for _ in range(n))]
+            if rng.random() < 0.5:
+                # a multiple of a generator, which the minimal set drops
+                g = rng.choice(gens)
+                gens.append(tuple(e + rng.randint(0, 2) for e in g))
+            i = ideal(n, gens)
+            redundant += len(i.generators) < len(set(gens))
+            non_squarefree += any(e > 1 for g in i.generators for e in g)
+            comps = primary_components(i)
+            keys = [p.variables for p, _ in comps]
+            isolated = [(p, q) for p, q in comps
+                        if not any(o < p.variables for o in keys)]
+            assert (sorted((p.variables for p, _ in isolated), key=sorted)
+                    == brute_minimal_primes(i))
+            m_a = min(containment_order(q, p) for p, q in isolated)
+            assert m_a == m_multiplicity(i), i
+            assert variant_multiplicities(i)[:2] == (m_a, m_a), i
+        assert redundant >= 100 and non_squarefree >= 200
+
 
 class TestVariants:
     def test_square_pair_values(self):
@@ -203,9 +233,9 @@ class TestVariants:
             i = random_ideal(rng)
             m = m_multiplicity(i)
             m_a, m_b, m_c, m_d = variant_multiplicities(i)
-            assert m >= m_a
+            assert m == m_a
             assert m >= m_c
-            assert m_b >= m_a
+            assert m_b == m_a
             assert m_d >= m_c
 
     def test_threshold_is_genuine(self):

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +24,15 @@ TWO_THREE = json.dumps({
 })
 
 ORTHANT2 = {"rank": 2, "generators": [[1, 0], [0, 1]]}
+
+# the chart N^2 -> N^4, (a, b) -> (2a, 4a, b, a + b); the box the membership
+# ILP searches grows with the point
+THIN = json.dumps({
+    "base": ORTHANT2,
+    "charts": [{"matrix": [[2, 0], [4, 0], [0, 1], [1, 1]],
+                "target": {"rank": 4, "generators": [
+                    [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}],
+})
 
 
 def run(argv):
@@ -273,6 +285,17 @@ class TestLiftCommands:
         assert r.payload["unit_matrix"][1] == ["1/3", "-2/3"]
         assert r.payload["etale"] is True
 
+    def test_primes_of_a_composite(self):
+        # the trial division in lift._primes_of runs only past 3
+        r = run(["lift", "primes", "--mat", "[[12]]"])
+        assert r.payload == {"primes": [2, 3]}
+
+    def test_solve_composite_root_order(self):
+        r = run(["lift", "solve", "--chart", "[[6]]", "--vals", "[6]"])
+        assert r.status == "ok"
+        assert r.payload["root_orders"] == [6]
+        assert r.payload["ramification_primes"] == [2, 3]
+
     def test_solve_not_in_firmament(self):
         r = run(["lift", "solve", "--chart", "[[2,3],[1,0]]",
                  "--vals", "[1,0]"])
@@ -341,6 +364,25 @@ class TestPlumbing:
     def test_missing_file_is_input_error(self):
         r = run(["monoid", "saturate", "--monoid", "/nonexistent.json"])
         assert r.exit_code == 2
+
+    def test_spent_budget_exits_three(self):
+        """A spent ILP budget is exit 3 with a one-line diagnostic, never a
+        traceback; with the default budget the same query is a "no"."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        argv = ["firmament", "member", "--map", THIN, "--point", "[2001,0]"]
+        for bound, code, payload, stderr_lines in (
+                (["--bound", "50"], 3, {"error": "resource limit"}, 1),
+                ([], 1, {"member": False}, 0)):
+            out = subprocess.run(
+                [sys.executable, "-m", "logfirm.cli"] + bound + argv,
+                env=env, capture_output=True, text=True, timeout=120)
+            assert out.returncode == code, out.stderr
+            assert json.loads(out.stdout) == payload
+            assert len(out.stderr.splitlines()) == stderr_lines, out.stderr
+            assert "Traceback" not in out.stderr
 
 
 N1 = {"rank": 1, "generators": [[1]]}

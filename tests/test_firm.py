@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from logfirm.charts import kummer_two_three
 from logfirm.monoid import (
     MonoidHom,
     SemiDecision,
@@ -258,6 +259,24 @@ class TestWitnessStability:
         w2 = FirmnessWitness(w.component_index, rho.compose(w.hom),
                              w.induced_face)
         assert verify_witness(prob, q2, w2)
+
+    def test_recheck_refutes_bad_witnesses(self):
+        base, charts = kummer_two_three()
+        prob = FiberProblem(base, tuple(charts))
+        q = LogPointQuery(base, hom(base, base, [[6]]))
+        w = firm_check(prob, q)
+        assert verify_witness(prob, q, w)
+        i, q_i = w.component_index, w.hom.source
+        bad = [
+            FirmnessWitness(len(charts), w.hom, w.induced_face),
+            # 5 * theta_0 = 10, not psi = 6
+            FirmnessWitness(i, MonoidHom(q_i, base, local=((5,),)),
+                            w.induced_face),
+            # the whole of Q_i, on which every element of P vanishes
+            FirmnessWitness(i, w.hom, next(f for f in faces(q_i)
+                                           if not any(f.normal))),
+        ]
+        assert [verify_witness(prob, q, b) for b in bad] == [False] * 3
 
     def test_saturation_hypothesis_necessary(self):
         # the Kummer chart x -> x^2 with the identity query is not firm

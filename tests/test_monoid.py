@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from logfirm.intlinalg import dot, identity, kernel_and_cokernel, mat_vec
+from logfirm.intlinalg import (
+    dot, identity, kernel_and_cokernel, mat_vec, vec_add, vec_sub)
 import logfirm.intlinalg
 import logfirm.monoid
 from logfirm.monoid import (
@@ -757,6 +758,23 @@ class TestSemiDecisions:
         theta = hom(N(), N(2), [[1], [0]])
         assert is_integral(theta, bound=3)
         assert is_saturated(theta, bound=3)
+
+    def test_blow_up_chart_not_integral(self):
+        # (a, b) -> (a, a + b): theta(a1) + b1 = theta(a2) + b2 has no
+        # completion a3, a4, b
+        theta = hom(N(2), N(2), [[1, 0], [1, 1]])
+        out = is_integral(theta, bound=4)
+        assert out.verdict == "no"
+        a1, a2, b1, b2 = out.witness
+        assert (vec_add(theta.apply(a1), b1) == vec_add(theta.apply(a2), b2))
+        # b = b1 - theta(a3) = b2 - theta(a4) >= 0 bounds a3 and a4
+        box = list(itertools.product(range(max(b1 + b2) + 1), repeat=2))
+        below = {b: [a for a in box
+                     if all(x >= 0 for x in vec_sub(b, theta.apply(a)))]
+                 for b in (b1, b2)}
+        assert not [(a3, a4) for a3 in below[b1] for a4 in below[b2]
+                    if vec_sub(b1, theta.apply(a3)) == vec_sub(b2, theta.apply(a4))
+                    and vec_add(a1, a3) == vec_add(a2, a4)]
 
 
 class TestIsomorphismRegressions:
