@@ -220,22 +220,17 @@ def variant_multiplicities(i: MonomialIdeal):
         else:
             break
 
-    # threshold companion of m_d: least e with radical(I)^e inside I
-    m_d_threshold = None
-    cap = sum(max(g[v] for g in i.generators) for v in range(i.num_vars)) + 1
-    for e in range(1, cap + 1):
-        products = itertools.combinations_with_replacement(rad, e)
-        ok = True
-        for combo in products:
-            total = tuple(sum(g[v] for g in combo) for v in range(i.num_vars))
-            if not i.contains_monomial(total):
-                ok = False
-                break
-        if ok:
-            m_d_threshold = e
-            break
-    if m_d_threshold is None:  # pragma: no cover - cap always suffices
-        raise AssertionError("no power of the radical fits inside the ideal")
+    # threshold companion of m_d: least e with radical(I)^e inside I.  level
+    # holds the products of e radical generators outside I.  A multiple of a
+    # member of I is in I, so dropping the others is exact, and the walk ends
+    # because some power of radical(I) lies in I.
+    level = {(0,) * i.num_vars}
+    m_d_threshold = 0
+    while level:
+        m_d_threshold += 1
+        products = {tuple(x + y for x, y in zip(a, s))
+                    for a in level for s in rad}
+        level = {p for p in products if not i.contains_monomial(p)}
     return m, m, m_c, m_d_threshold
 
 

@@ -45,7 +45,7 @@ from .firmament import (
     firmament_from_charts,
     firmament_member,
 )
-from .intlinalg import DEFAULT_ILP_BUDGET, ResourceLimit, mat_vec
+from .intlinalg import DEFAULT_ILP_BUDGET, ResourceLimit, ilp_budget, mat_vec
 from .lift import (
     DVRTargetPoint,
     LiftSolution,
@@ -248,14 +248,14 @@ def _cmd_firm(args) -> CommandResult:
                                 point_monoid.ambient_rank)))
     q = LogPointQuery(point_monoid, psi)
     if args.method == "pushout":
-        res = firm_check_pushout(prob, q, budget=args.bound)
+        res = firm_check_pushout(prob, q)
         witness = None
         if res.firm:
             witness = {"component": res.component_index,
                        "face_normal": list(res.face.normal)}
         payload = {"firm": res.firm, "witness": witness, "method": "pushout"}
         return CommandResult("ok" if res.firm else "infeasible", payload)
-    w = firm_check(prob, q, budget=args.bound)
+    w = firm_check(prob, q)
     witness = None
     if w is not None:
         witness = {"component": w.component_index, **hom_to_json(w.hom)}
@@ -269,7 +269,7 @@ def _cmd_firmament(args) -> CommandResult:
         gamma = firmament_from_json(_load(args.map))
         coords, _cone = _parse_point(args.point)
         _rows([coords], gamma.map.target.ambient_rank, "point")
-        member = firmament_member(gamma, coords, budget=args.bound)
+        member = firmament_member(gamma, coords)
         return CommandResult("ok" if member else "infeasible",
                              {"member": member})
     if args.action == "contact":
@@ -368,7 +368,7 @@ def _cmd_campana(args) -> CommandResult:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="logfirm")
     parser.add_argument("--bound", type=int, default=DEFAULT_ILP_BUDGET,
-                        help="search/ILP budget")
+                        help="node budget of every integer program")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_monoid = sub.add_parser("monoid")
@@ -457,7 +457,8 @@ def dispatch(argv) -> CommandResult:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with ilp_budget(args.bound):
+            return args.func(args)
     except NotAdditive as exc:
         return CommandResult("infeasible", {"additive": False},
                              (str(exc),))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import DEFAULT_ILP_BUDGET, dot, mat_vec
+from .intlinalg import dot, mat_vec
 from .monoid import (
     AffineMonoid,
     Face,
@@ -93,12 +93,11 @@ def verify_witness(prob: FiberProblem, q: LogPointQuery,
     return True
 
 
-def firm_check(prob: FiberProblem, q: LogPointQuery,
-               budget: int = DEFAULT_ILP_BUDGET) -> FirmnessWitness | None:
+def firm_check(prob: FiberProblem, q: LogPointQuery) -> FirmnessWitness | None:
     """Complete factorization-criterion decision: the lowest-index witness
     h with h o theta_i = psi, or None when the query is not firm."""
     for i, theta in enumerate(prob.components):
-        h = find_factorization(theta, q.psi, budget=budget)
+        h = find_factorization(theta, q.psi)
         if h is not None:
             w = FirmnessWitness(i, h, _zero_preimage_face(h))
             if not verify_witness(prob, q, w):
@@ -115,8 +114,7 @@ class PushoutFirmness:
     retraction: MonoidHom | None = None
 
 
-def firm_check_pushout(prob: FiberProblem, q: LogPointQuery,
-                       budget: int = DEFAULT_ILP_BUDGET) -> PushoutFirmness:
+def firm_check_pushout(prob: FiberProblem, q: LogPointQuery) -> PushoutFirmness:
     """Literal base-change criterion: for each component, form the fs
     pushout of theta_i and psi, and look for a face G of its characteristic
     monoid N whose preimage in R is trivial such that the localized leg
@@ -132,7 +130,7 @@ def firm_check_pushout(prob: FiberProblem, q: LogPointQuery,
                 continue  # a nonzero element of R would land on the face
             loc, proj = face_localization(n, g_face)
             composite = proj.compose(leg_r)
-            t = find_factorization(composite, identity_hom(r), budget=budget)
+            t = find_factorization(composite, identity_hom(r))
             if t is not None:
                 return PushoutFirmness(True, i, g_face, t)
     return PushoutFirmness(False)

@@ -19,7 +19,7 @@ from .fan import (
     lattice_points_box,
     point,
 )
-from .intlinalg import DEFAULT_ILP_BUDGET, ilp_feasible, solve_lattice
+from .intlinalg import ilp_feasible, solve_lattice
 from .monoid import AffineMonoid
 
 
@@ -78,8 +78,7 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
     return Firmament(complex_map(source, target, matrix))
 
 
-def firmament_member(gamma: Firmament, n,
-                     budget: int = DEFAULT_ILP_BUDGET) -> bool:
+def firmament_member(gamma: Firmament, n) -> bool:
     """Exact membership: does some lattice point of a source cone map to n?"""
     coords = tuple(n.coordinates) if isinstance(n, IntegralPoint) else tuple(n)
     src = gamma.map.source
@@ -88,8 +87,7 @@ def firmament_member(gamma: Firmament, n,
         _, matrix = gamma.map.assignments[idx]
         eq = [list(row) for row in matrix]
         ineq = [list(f) for f in cone.facets]
-        if ilp_feasible(src.ambient_rank, eq, list(coords), ineq,
-                        budget=budget) is not None:
+        if ilp_feasible(src.ambient_rank, eq, list(coords), ineq) is not None:
             return True
     return False
 

@@ -13,6 +13,8 @@ lists of ints; functions return tuples for values meant to be hashable.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,6 +28,21 @@ class ResourceLimit(Exception):
 
 
 DEFAULT_ILP_BUDGET = 200_000
+
+_BUDGET = ContextVar("ilp_budget", default=DEFAULT_ILP_BUDGET)
+
+
+@contextmanager
+def ilp_budget(nodes: int):
+    """Give each :func:`ilp_feasible` call in the block ``nodes`` nodes, as
+    :func:`decimal.localcontext` scopes a precision.  The previous budget,
+    ``DEFAULT_ILP_BUDGET`` outside any block, comes back when the block
+    ends, also when it ends by :class:`ResourceLimit`."""
+    token = _BUDGET.set(nodes)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
 
 Vec = tuple[int, ...]
 Matrix = list[list[int]]
@@ -641,9 +658,9 @@ def _nonzero_rows(g, h):
     return rows
 
 
-def _int_point(g, h, k, budget: _Budget):
+def _int_point(g, h, k, charge: _Budget):
     """Some integer t in Z^k with G t >= h, or None.  Complete."""
-    budget.spend()
+    charge.spend()
     rows = _nonzero_rows(g, h)
     if not rows:
         return None if rows is None else [0] * k
@@ -664,7 +681,7 @@ def _int_point(g, h, k, budget: _Budget):
             else:
                 # row[0] > 0 because rec is a recession direction
                 deferred.append((row, rhs))
-        sub = _int_point([c for c, _ in kept], [r for _, r in kept], k - 1, budget)
+        sub = _int_point([c for c, _ in kept], [r for _, r in kept], k - 1, charge)
         if sub is None:
             return None
         y0 = 0
@@ -676,10 +693,10 @@ def _int_point(g, h, k, budget: _Budget):
             y0 = max(y0, cand)
         y = [y0] + list(sub)
         return list(mat_vec(t_mat, y))
-    return _bounded_point(rows, k, budget)
+    return _bounded_point(rows, k, charge)
 
 
-def _bounded_point(rows, k, budget: _Budget):
+def _bounded_point(rows, k, charge: _Budget):
     """Some integer t in Z^k meeting ``rows``, nonzero rows (coeffs, rhs) of
     G t >= h whose real solutions form a bounded set, or None.  The first
     coordinate runs between its exact bounds.  A slice of a bounded set is
@@ -693,19 +710,19 @@ def _bounded_point(rows, k, budget: _Budget):
     lo_i = -((-lo.numerator) // lo.denominator)  # ceil
     hi_i = hi.numerator // hi.denominator  # floor
     for val in range(lo_i, hi_i + 1):
-        budget.spend(2)  # one unit for the value, one for the slice's node
+        charge.spend(2)  # one unit for the value, one for the slice's node
         sub_rows = _nonzero_rows([c[1:] for c, _ in rows],
                                  [r - c[0] * val for c, r in rows])
         if sub_rows is None:
             continue
-        sub = _bounded_point(sub_rows, k - 1, budget) if sub_rows else [0] * (k - 1)
+        sub = _bounded_point(sub_rows, k - 1, charge) if sub_rows else [0] * (k - 1)
         if sub is not None:
             return [val] + sub
     return None
 
 
 def ilp_feasible(num_vars, eq_lhs=None, eq_rhs=None, ineq_lhs=None,
-                 ineq_rhs=None, budget: int = DEFAULT_ILP_BUDGET):
+                 ineq_rhs=None):
     """Some integer x with eq_lhs*x = eq_rhs and ineq_lhs*x >= ineq_rhs, or None.
 
     The decision is complete: a None return means no integer solution
@@ -713,7 +730,8 @@ def ilp_feasible(num_vars, eq_lhs=None, eq_rhs=None, ineq_lhs=None,
     the residual inequality system is searched by recession-direction
     splitting plus exact Fourier-Motzkin bounded enumeration.
 
-    Raises :class:`ResourceLimit` if the node budget is exhausted.
+    Raises :class:`ResourceLimit` if the node budget set by
+    :func:`ilp_budget` is exhausted.
     """
     if eq_lhs:
         sol = solve_lattice(eq_lhs, eq_rhs)
@@ -742,7 +760,7 @@ def ilp_feasible(num_vars, eq_lhs=None, eq_rhs=None, ineq_lhs=None,
     for row, rhs in zip(ineq_lhs, ineq_rhs):
         g.append([dot(row, kv) for kv in kernel])
         h.append(rhs - dot(row, x0))
-    t = _int_point(g, h, k, _Budget(budget))
+    t = _int_point(g, h, k, _Budget(_BUDGET.get()))
     if t is None:
         return None
     x = list(x0)

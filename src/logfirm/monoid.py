@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 
 from .intlinalg import (
-    DEFAULT_ILP_BUDGET,
     Vec,
     dual_description,
     face_lattice,
@@ -148,10 +147,6 @@ class AffineMonoid:
         if self.hilbert_local is None:
             raise NotSharp("canonical form is defined for sharp monoids only")
         return (self.group_rank, tuple(sorted(self.hilbert_local)))
-
-
-def e_j(n: int, j: int) -> Vec:
-    return tuple(1 if i == j else 0 for i in range(n))
 
 
 def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
@@ -556,51 +551,44 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
     p = f.source
     q1, q2 = f.target, g.target
     g1, g2 = q1.group_rank, q2.group_rank
-    m_dim = g1 + g2
+    # a zero row when P is trivial: its Smith form has V = identity
     relations = [list(mat_vec(f.local, c)) + [-x for x in mat_vec(g.local, c)]
-                 for c in p.local_generators]
-    if relations:
-        snf = smith_normal_form(relations)
-        v_mat = [list(r) for r in snf.V]
-        rank = sum(1 for dv in snf.divisors if dv != 0)
-        orders = [snf.divisors[i] for i in range(rank)]
-    else:
-        v_mat = identity(m_dim)
-        rank = 0
-        orders = []
-    torsion_pos = [i for i in range(rank) if orders[i] > 1]
-    torsion_orders = tuple(orders[i] for i in torsion_pos)
-    free_pos = list(range(rank, m_dim))
-    free_rank = len(free_pos)
+                 for c in p.local_generators] or [[0] * (g1 + g2)]
+    snf = smith_normal_form(relations)
+    rank = sum(1 for dv in snf.divisors if dv != 0)
+    # row i of coords is the i-th coordinate of the quotient on Z^{g1+g2}
+    coords = transpose(snf.V)
+    free_rows = coords[rank:]
+    torsion = [(coords[i], dv) for i, dv in enumerate(snf.divisors[:rank])
+               if dv > 1]
+    free_rank = len(free_rows)
 
-    def project(x):
-        y = [sum(x[i] * v_mat[i][j] for i in range(m_dim)) for j in range(m_dim)]
-        tor = tuple(y[i] % orders[i] for i in torsion_pos)
-        free = tuple(y[i] for i in free_pos)
-        return tor, free
+    def generator_images(q, lo):
+        hi = lo + q.group_rank
+        return [(tuple(dot(row[lo:hi], c) % dv for row, dv in torsion),
+                 tuple(dot(row[lo:hi], c) for row in free_rows))
+                for c in q.local_generators]
 
-    amalgam = ([project(list(c) + [0] * g2) for c in q1.local_generators]
-               + [project([0] * g1 + list(c)) for c in q2.local_generators])
+    amalgam = generator_images(q1, 0) + generator_images(q2, g1)
     # the group of the pushout projects onto all of Z^free_rank, so there the
     # saturation's group coordinates are its ambient coordinates
     sat_free = saturate(free_rank, [free for _, free in amalgam],
                         group=identity(free_rank))
     characteristic, sharp_proj = sharpen(sat_free)
 
-    def leg_for(q: AffineMonoid, offset: int) -> MonoidHom:
-        cols = [mat_vec(sharp_proj.local, project(e_j(m_dim, offset + j))[1])
-                for j in range(q.group_rank)]
-        return MonoidHom(q, characteristic, local=[
-            [c[i] for c in cols] for i in range(characteristic.group_rank)])
+    def leg(q, lo):
+        free_block = [row[lo:lo + q.group_rank] for row in free_rows]
+        return MonoidHom(q, characteristic,
+                         local=mat_mul(sharp_proj.local, free_block))
 
     return PushoutResult(
         free_rank=free_rank,
-        torsion_orders=torsion_orders,
+        torsion_orders=tuple(dv for _, dv in torsion),
         amalgam_generators=tuple(amalgam),
         saturation_free=sat_free,
         characteristic=characteristic,
-        leg1=leg_for(q1, 0),
-        leg2=leg_for(q2, g1),
+        leg1=leg(q1, 0),
+        leg2=leg(q2, g1),
     )
 
 
@@ -608,8 +596,7 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
 # factorization / retraction search
 
 
-def find_factorization(theta: MonoidHom, psi: MonoidHom,
-                       budget: int = DEFAULT_ILP_BUDGET) -> MonoidHom | None:
+def find_factorization(theta: MonoidHom, psi: MonoidHom) -> MonoidHom | None:
     """Some h: Q -> R with h o theta = psi, or None (complete decision).
 
     The unknown is the induced matrix on group coordinates; constraints are
@@ -645,17 +632,16 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom,
                 for j in range(gq):
                     row[var(i, j)] += fct[i] * u[j]
             ineq.append(row)
-    sol = ilp_feasible(num_vars, eq, rhs, ineq, budget=budget)
+    sol = ilp_feasible(num_vars, eq, rhs, ineq)
     if sol is None:
         return None
     return MonoidHom(q, r, local=[[sol[var(i, j)] for j in range(gq)]
                                   for i in range(gr)])
 
 
-def find_retraction(theta: MonoidHom,
-                    budget: int = DEFAULT_ILP_BUDGET) -> MonoidHom | None:
+def find_retraction(theta: MonoidHom) -> MonoidHom | None:
     """Some t: Q -> P with t o theta = id_P, or None (complete decision)."""
-    return find_factorization(theta, identity_hom(theta.source), budget=budget)
+    return find_factorization(theta, identity_hom(theta.source))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,15 @@ restricted to the variables of p.  This module finds the primary components
 the long way, by splitting the ideal into irreducible components generated
 by pure variable powers and grouping them by radical; the splitting is
 exponential in the number of variables.
+
+The threshold companion of m_d, the least e with radical(I)^e inside I, is
+found here by listing every product of e radical generators for
+e = 1, 2, ..., where ``campana`` walks only the products outside I.
 """
 
-from logfirm.campana import MonomialIdeal, MonomialPrime, _check_proper
+import itertools
+
+from logfirm.campana import MonomialIdeal, MonomialPrime, _check_proper, radical
 
 
 def irreducible_decomposition(i: MonomialIdeal) -> list[MonomialIdeal]:
@@ -75,3 +81,25 @@ def primary_components(i: MonomialIdeal):
             by_radical[key] = c
     return [(MonomialPrime(k), v) for k, v in
             sorted(by_radical.items(), key=lambda kv: sorted(kv[0]))]
+
+
+def radical_power_threshold(i: MonomialIdeal) -> int:
+    """The least e with radical(I)^e inside I, by listing every product of e
+    radical generators."""
+    rad = radical(i).generators
+    m_d_threshold = None
+    cap = sum(max(g[v] for g in i.generators) for v in range(i.num_vars)) + 1
+    for e in range(1, cap + 1):
+        products = itertools.combinations_with_replacement(rad, e)
+        ok = True
+        for combo in products:
+            total = tuple(sum(g[v] for g in combo) for v in range(i.num_vars))
+            if not i.contains_monomial(total):
+                ok = False
+                break
+        if ok:
+            m_d_threshold = e
+            break
+    if m_d_threshold is None:
+        raise AssertionError("no power of the radical fits inside the ideal")
+    return m_d_threshold

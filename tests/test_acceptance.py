@@ -4,6 +4,8 @@ import itertools
 import random
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from fan_oracle import fan_faults
 from logfirm.campana import (
     MonomialIdeal,
@@ -13,6 +15,7 @@ from logfirm.campana import (
     linear_substitution,
     m_multiplicity,
     pullback_ideal,
+    variant_multiplicities,
 )
 from logfirm.charts import (
     diagonal_embedding,
@@ -48,8 +51,10 @@ from logfirm.firmament import (
     lies_in_firmament,
 )
 from logfirm.intlinalg import (
+    ResourceLimit,
     dot,
     identity,
+    ilp_budget,
     ilp_feasible,
     kernel_and_cokernel,
     mat_mul,
@@ -428,3 +433,49 @@ class TestCriterion13GenerizationReverifies:
                 assert verify_witness(prob, LogPointQuery(loc, psi_loc), wit)
                 verified += 1
         assert verified >= 10
+
+
+class TestCriterion14OneBudget:
+    """``ilp_budget`` caps every integer program below it, in every layer,
+    and gives the previous budget back when its block ends."""
+
+    def calls(self):
+        n1, n2, n4 = N(1), N(2), N(4)
+        thin = firmament_from_charts(
+            n2, [hom(n2, n4, [[2, 0], [4, 0], [0, 1], [1, 1]])])
+        pushout = fs_pushout(hom(n1, n1, [[2]]), hom(n1, n1, [[3]]))
+        # (call, a budget it runs out of, its answer under the default)
+        return [
+            (lambda: describe_lift(MonomialChart(((3, 5, 7),)),
+                                   DVRTargetPoint((4000,))).exponents,
+             1, (0, 2, 570)),
+            (lambda: variant_multiplicities(
+                MonomialIdeal(2, ((40, 0), (0, 40)))), 1, (40, 40, 40, 79)),
+            (lambda: pushout.amalgam_equals_saturation(), 0, ((), (-1,))),
+            (lambda: len(firmament_enumerate_box(thin, 41)), 10, 1743),
+        ]
+
+    def test_budget_reaches_every_layer(self):
+        for call, spent, answer in self.calls():
+            with pytest.raises(ResourceLimit), ilp_budget(spent):
+                call()
+            # the default is back after a block left by ResourceLimit
+            assert call() == answer
+            with ilp_budget(spent + 1000):
+                assert call() == answer
+
+    def test_nested_blocks_restore(self):
+        lift, spent, answer = self.calls()[0]
+        with ilp_budget(spent + 1000):
+            with ilp_budget(spent):
+                with pytest.raises(ResourceLimit):
+                    lift()
+            assert lift() == answer
+            with pytest.raises(ResourceLimit), ilp_budget(spent):
+                lift()
+            assert lift() == answer
+        with ilp_budget(spent):
+            with ilp_budget(spent + 1000):
+                assert lift() == answer
+            with pytest.raises(ResourceLimit):
+                lift()

@@ -25,7 +25,11 @@ from logfirm.campana import (
 )
 from logfirm.lift import MonomialChart
 
-from campana_oracle import irreducible_decomposition, primary_components
+from campana_oracle import (
+    irreducible_decomposition,
+    primary_components,
+    radical_power_threshold,
+)
 
 # u = x^2, v = y^2, w = y z
 CHART = MonomialChart(((2, 0, 0), (0, 2, 0), (0, 1, 1)))
@@ -242,13 +246,36 @@ class TestVariants:
         # radical^e inside the ideal exactly from the threshold onward
         i = ideal(2, [(2, 0), (0, 2)])
         rad = radical(i).generators
-        assert not brute_power_member(rad, 2, (1, 1)) or True
+        # xy lies in rad^2 = (x, y)^2 but not in I, so rad^2 is not inside I
+        assert brute_power_member(rad, 2, (1, 1))
+        assert not i.contains_monomial((1, 1))
         for e in (1, 2):
             assert any(
                 not i.contains_monomial(
                     tuple(sum(g[v] for g in combo) for v in range(2)))
                 for combo in
                 itertools.combinations_with_replacement(rad, e))
+        # every product of three radical generators lies in I
+        assert all(
+            i.contains_monomial(
+                tuple(sum(g[v] for g in combo) for v in range(2)))
+            for combo in itertools.combinations_with_replacement(rad, 3))
+
+    def test_threshold_walk_matches_enumeration(self):
+        """The walk over products outside I finds the same least e with
+        radical(I)^e inside I as listing every product of e generators."""
+        rng = random.Random(27183)
+        many_vars = 0
+        for _ in range(340):
+            n = rng.randint(1, 5)
+            gens = [g for g in (tuple(rng.randint(0, 4) for _ in range(n))
+                                for _ in range(rng.randint(1, 6))) if any(g)]
+            if not gens:
+                gens = [tuple(rng.randint(1, 4) for _ in range(n))]
+            i = ideal(n, gens)
+            many_vars += n >= 4
+            assert variant_multiplicities(i)[3] == radical_power_threshold(i), i
+        assert many_vars >= 100
 
 
 class TestIntersectionMultiplicity:

@@ -366,23 +366,50 @@ class TestPlumbing:
         assert r.exit_code == 2
 
     def test_spent_budget_exits_three(self):
-        """A spent ILP budget is exit 3 with a one-line diagnostic, never a
-        traceback; with the default budget the same query is a "no"."""
+        """``--bound`` caps every integer program a command runs: a spent
+        budget is exit 3 with a one-line diagnostic, never a traceback; with
+        the default budget the same command answers."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        argv = ["firmament", "member", "--map", THIN, "--point", "[2001,0]"]
-        for bound, code, payload, stderr_lines in (
-                (["--bound", "50"], 3, {"error": "resource limit"}, 1),
-                ([], 1, {"member": False}, 0)):
-            out = subprocess.run(
-                [sys.executable, "-m", "logfirm.cli"] + bound + argv,
-                env=env, capture_output=True, text=True, timeout=120)
-            assert out.returncode == code, out.stderr
-            assert json.loads(out.stdout) == payload
-            assert len(out.stderr.splitlines()) == stderr_lines, out.stderr
-            assert "Traceback" not in out.stderr
+        n1 = {"rank": 1, "generators": [[1]]}
+        cases = [
+            ("50", ["firmament", "member", "--map", THIN, "--point",
+                    "[2001,0]"],
+             1, {"member": False}),
+            ("1", ["lift", "solve", "--chart", "[[3,5,7]]", "--vals",
+                   "[4000]"],
+             0, {"etale": None, "exponents": [0, 2, 570],
+                 "in_firmament": True, "ramification_primes": [],
+                 "root_orders": [1, 1, 1], "unit_constraints": [],
+                 "unit_matrix": [["3"], ["-3"], ["1"]]}),
+            ("1", ["campana", "mult", "--variants", "--ideal",
+                   '{"vars":2,"generators":[[40,0],[0,40]]}'],
+             0, {"m": 40, "m_a": 40, "m_b": 40, "m_c": 40,
+                 "m_d_threshold": 79}),
+            ("0", ["monoid", "pushout",
+                   "--theta", json.dumps({"matrix": [[2]], "source": n1,
+                                          "target": n1}),
+                   "--psi", json.dumps({"matrix": [[3]], "source": n1,
+                                        "target": n1})],
+             0, {"characteristic": {"generators": [[-1]], "rank": 1},
+                 "free_rank": 1, "saturated": False, "torsion_orders": []}),
+            ("10", ["firmament", "svg", "--map", THIN, "--box", "41",
+                    "-o", os.devnull],
+             0, {"box": 41, "members": 1743, "output": os.devnull}),
+        ]
+        for bound, argv, code, payload in cases:
+            for prefix, want_code, want, stderr_lines in (
+                    (["--bound", bound], 3, {"error": "resource limit"}, 1),
+                    ([], code, payload, 0)):
+                out = subprocess.run(
+                    [sys.executable, "-m", "logfirm.cli"] + prefix + argv,
+                    env=env, capture_output=True, text=True, timeout=120)
+                assert out.returncode == want_code, (argv, out.stderr)
+                assert json.loads(out.stdout) == want
+                assert len(out.stderr.splitlines()) == stderr_lines, out.stderr
+                assert "Traceback" not in out.stderr
 
 
 N1 = {"rank": 1, "generators": [[1]]}

@@ -240,7 +240,7 @@ class TestGenerization:
         w = firm_check(prob, q)
         out = generization_witnesses(prob, q, w)
         assert all(len(f.generator_subset) < len(faces(n)[-1].generator_subset)
-                   or not f.generator_subset for f in out) or True
+                   or not f.generator_subset for f in out)
         full = [f for f in out if len(f.generator_subset) == 1]
         assert not full  # R = N: the only nonzero face is R itself
 

@@ -23,6 +23,7 @@ from logfirm.intlinalg import (
     facets_to_rays,
     hermite_normal_form,
     identity,
+    ilp_budget,
     ilp_feasible,
     in_row_lattice,
     kernel_and_cokernel,
@@ -286,7 +287,8 @@ class TestIlpFeasible:
 
     def test_budget_raises(self):
         with pytest.raises(ResourceLimit):
-            ilp_feasible(3, None, None, identity(3), [0, 0, 0], budget=1)
+            with ilp_budget(1):
+                ilp_feasible(3, None, None, identity(3), [0, 0, 0])
 
     SLAB = [[1, 0], [0, 1], [-1, -1], [2, -2], [-2, 2]]
 
@@ -311,11 +313,11 @@ class TestIlpFeasible:
     def test_slab_budget_boundary(self):
         # one unit per node: the value of x and the slice it leaves, for
         # each of the 501 values of x, less the budget left at the end
-        with pytest.raises(ResourceLimit):
-            ilp_feasible(2, ineq_lhs=self.SLAB, ineq_rhs=self.slab_rhs(1000),
-                         budget=1000)
-        assert ilp_feasible(2, ineq_lhs=self.SLAB, ineq_rhs=self.slab_rhs(1000),
-                            budget=1001) is None
+        with pytest.raises(ResourceLimit), ilp_budget(1000):
+            ilp_feasible(2, ineq_lhs=self.SLAB, ineq_rhs=self.slab_rhs(1000))
+        with ilp_budget(1001):
+            assert ilp_feasible(2, ineq_lhs=self.SLAB,
+                                ineq_rhs=self.slab_rhs(1000)) is None
 
     def test_against_enumeration_corpus(self):
         # >= 200 instances cross-checked against exhaustive enumeration
