@@ -110,16 +110,23 @@ def _rows(rows, width: int, what: str, count=None) -> list[tuple[int, ...]]:
     return rows
 
 
+def _natural(x, what: str, least: int = 0) -> int:
+    """x, after checking that it is an integer (not a boolean) >= least."""
+    if type(x) is not int or x < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
+    return x
+
+
 def monoid_from_json(d) -> AffineMonoid:
-    rank = d["rank"]
+    rank = _natural(d["rank"], "rank")
     group = d.get("group")
     return saturate(rank, _rows(d["generators"], rank, "generators"),
                     group=None if group is None else _rows(group, rank, "group"))
 
 
 def monoid_to_json(m: AffineMonoid):
-    gens = m.hilbert if m.sharp else m.generating_set()
-    return {"rank": m.ambient_rank, "generators": [list(g) for g in gens]}
+    return {"rank": m.ambient_rank,
+            "generators": [list(g) for g in m.generating_set()]}
 
 
 def hom_from_json(d, default_source: AffineMonoid | None = None) -> MonoidHom:
@@ -146,10 +153,10 @@ def hom_to_json(h: MonoidHom):
 
 
 def fan_from_json(d):
-    rank = d["ambient_rank"]
+    rank = _natural(d["ambient_rank"], "ambient_rank")
     return cone_complex(rank, [_rows(c["rays"], rank, "cone rays")
                                for c in d["cones"]],
-                        scale=d.get("scale", 1))
+                        scale=_natural(d.get("scale", 1), "scale", 1))
 
 
 def fan_to_json(c):
@@ -189,25 +196,12 @@ def firmament_from_json(d) -> Firmament:
     return Firmament(ConeComplexMap(source, target, tuple(assignments)))
 
 
-def _parse_point(arg: str):
-    """Point syntax "[a,b,...]" with an optional "@cone_i" suffix."""
-    text = arg.strip()
-    cone = None
-    if "@" in text:
-        text, _, tail = text.partition("@")
-        tail = tail.strip()
-        if tail.startswith("cone_"):
-            tail = tail[len("cone_"):]
-        cone = int(tail)
-    coords = json.loads(text)
-    return tuple(coords), cone
-
-
 def ideal_from_json(d) -> MonomialIdeal:
-    gens = _rows(d["generators"], d["vars"], "ideal generators")
+    num_vars = _natural(d["vars"], "vars")
+    gens = _rows(d["generators"], num_vars, "ideal generators")
     if any(e < 0 for g in gens for e in g):
         raise ValueError("ideal exponents must be nonnegative")
-    return MonomialIdeal.of(d["vars"], gens)
+    return MonomialIdeal.of(num_vars, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +209,25 @@ def ideal_from_json(d) -> MonomialIdeal:
 
 
 def _cmd_monoid(args) -> CommandResult:
-    m = monoid_from_json(_load(args.monoid)) if args.monoid else None
+    if args.action == "pushout":
+        theta = hom_from_json(_load(args.theta))
+        psi = hom_from_json(_load(args.psi), theta.source)
+        res = fs_pushout(theta, psi)
+        payload = {
+            "free_rank": res.free_rank,
+            "torsion_orders": list(res.torsion_orders),
+            "characteristic": monoid_to_json(res.characteristic),
+            "saturated": res.amalgam_equals_saturation() is None,
+        }
+        return CommandResult("ok", payload)
+    m = monoid_from_json(_load(args.monoid))
     if args.action == "saturate":
         return CommandResult("ok", monoid_to_json(m))
     if args.action == "dual":
         return CommandResult("ok", monoid_to_json(dual(m)))
-    if args.action == "faces":
-        out = [{"generators": list(f.generator_subset),
-                "normal": list(f.normal)} for f in faces(m)]
-        return CommandResult("ok", {"faces": out})
-    theta = hom_from_json(_load(args.theta))
-    psi = hom_from_json(_load(args.psi), theta.source)
-    res = fs_pushout(theta, psi)
-    payload = {
-        "free_rank": res.free_rank,
-        "torsion_orders": list(res.torsion_orders),
-        "characteristic": monoid_to_json(res.characteristic),
-        "saturated": res.amalgam_equals_saturation() is None,
-    }
-    return CommandResult("ok", payload)
+    out = [{"generators": list(f.generator_subset),
+            "normal": list(f.normal)} for f in faces(m)]
+    return CommandResult("ok", {"faces": out})
 
 
 def _cmd_firm(args) -> CommandResult:
@@ -267,8 +261,8 @@ def _cmd_firm(args) -> CommandResult:
 def _cmd_firmament(args) -> CommandResult:
     if args.action == "member":
         gamma = firmament_from_json(_load(args.map))
-        coords, _cone = _parse_point(args.point)
-        _rows([coords], gamma.map.target.ambient_rank, "point")
+        coords = _rows([json.loads(args.point)],
+                       gamma.map.target.ambient_rank, "point")[0]
         member = firmament_member(gamma, coords)
         return CommandResult("ok" if member else "infeasible",
                              {"member": member})
@@ -277,13 +271,17 @@ def _cmd_firmament(args) -> CommandResult:
         vals = _load(args.vals)
         if isinstance(vals, dict):
             vals = {tuple(json.loads(k)): v for k, v in vals.items()}
-        else:
-            _rows([vals], len(m.hilbert), "vals")
+            missing = [list(h) for h in m.hilbert if h not in vals]
+            if missing:
+                raise ValueError(f"vals has no value for generator {missing[0]}")
+            vals = [vals[h] for h in m.hilbert]
+        _rows([vals], len(m.hilbert), "vals")
         c = contact_order(m, vals)
         return CommandResult("ok", {"coordinates": list(c.point.coordinates)})
     gamma = firmament_from_json(_load(args.map))
     if gamma.map.target.ambient_rank != 2:
         raise RankUnsupported("SVG output needs a rank-2 target")
+    _natural(args.box, "--box")
     members = {p.coordinates for p in firmament_enumerate_box(gamma, args.box)}
     doc = emit_point_grid(args.box, members)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -306,6 +304,7 @@ def _cmd_fan(args) -> CommandResult:
     if args.action == "sigma-n":
         return CommandResult("ok", fan_to_json(sigma_n(args.rank, args.n)))
     fan = fan_from_json(_load(args.fan))
+    _natural(args.box, "--box")
     pts = sorted((p.cone_index, p.coordinates)
                  for p in lattice_points_box(fan, args.box))
     return CommandResult("ok", {"points": [
@@ -379,8 +378,7 @@ def _build_parser() -> _Parser:
     p = sm.add_parser("pushout")
     p.add_argument("--theta", required=True)
     p.add_argument("--psi", required=True)
-    p.add_argument("--monoid")
-    p_monoid.set_defaults(func=_cmd_monoid, monoid=None)
+    p_monoid.set_defaults(func=_cmd_monoid)
 
     p_firm = sub.add_parser("firm")
     sf = p_firm.add_subparsers(dest="action", required=True)

@@ -122,11 +122,6 @@ def cone_faces(c: Cone) -> list[Cone]:
             for rays in sorted(_face_rays(c))]
 
 
-def cone_subset(a: Cone, b: Cone) -> bool:
-    """Whether cone a is contained in cone b."""
-    return all(b.contains(r) for r in a.rays)
-
-
 def cone_intersection(a: Cone, b: Cone) -> Cone:
     rays = facets_to_rays(list(a.facets) + list(b.facets), a.ambient_rank)
     return _extreme_cone(a.ambient_rank, rays)

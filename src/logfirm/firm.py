@@ -55,8 +55,6 @@ class LogPointQuery:
             raise ValueError("point monoid must be sharp")
         if not is_local(self.psi):
             raise ValueError("query hom must be local (psi^{-1}(0) = 0)")
-        if self.point_monoid.group_rank == 0 and self.psi.source.group_rank != 0:
-            raise ValueError("trivial point monoid requires a trivial base")
 
 
 @dataclass(frozen=True)

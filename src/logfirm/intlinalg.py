@@ -624,15 +624,10 @@ def _bounds_first_var(constraints, k):
 
 def _unit_extension(r: Vec) -> Matrix:
     """A unimodular matrix T with T * e_0 = r, for primitive r."""
-    k = len(r)
     h, u = hermite_normal_form([[x] for x in r])
-    # u * r = +-e_0 since r is primitive
-    sign = h[0][0]
-    if sign not in (1, -1):
+    # u * r = e_0 since r is primitive and Hermite pivots are positive
+    if h[0][0] != 1:
         raise ValueError("vector is not primitive")
-    u = [list(row) for row in u]
-    if sign == -1:
-        u[0] = [-x for x in u[0]]
     return mat_inverse_unimodular(u)
 
 

@@ -210,14 +210,6 @@ def _hilbert_basis_local(rays, facets, g: int) -> tuple[Vec, ...]:
     return tuple(sorted(basis))
 
 
-def hilbert_basis(m: AffineMonoid) -> list[Vec]:
-    """Unique minimal generating set of a sharp affine monoid (ambient
-    coordinates, sorted)."""
-    if not m.sharp:
-        raise NotSharp("monoid contains a line")
-    return list(m.hilbert)
-
-
 def in_group_coordinates(m: AffineMonoid) -> AffineMonoid:
     """Isomorphic copy of m whose ambient lattice is its own group, so that
     its group coordinates and its ambient coordinates agree."""
@@ -355,9 +347,13 @@ def faces(m: AffineMonoid) -> list[Face]:
     return out
 
 
-def _face_of(m: AffineMonoid, f: Face) -> None:
-    """Validate that f is a face of m (raises NotAFace)."""
-    hb = m.hilbert if m.sharp else m.generators
+def face_localization(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, MonoidHom]:
+    """Quotient of m by the subgroup spanned by the face; the image is
+    saturated and sharp.  Returns (localized monoid, projection hom).
+    Raises NotAFace when f is not a face of m."""
+    if not m.sharp:
+        raise NotSharp("localization implemented for sharp monoids")
+    hb = m.hilbert
     for idx in f.generator_subset:
         if idx >= len(hb):
             raise NotAFace("generator index out of range")
@@ -367,15 +363,6 @@ def _face_of(m: AffineMonoid, f: Face) -> None:
     for h in hb:
         if dot(f.normal, h) < 0:
             raise NotAFace("normal is not supporting")
-
-
-def face_localization(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, MonoidHom]:
-    """Quotient of m by the subgroup spanned by the face; the image is
-    saturated and sharp.  Returns (localized monoid, projection hom)."""
-    if not m.sharp:
-        raise NotSharp("localization implemented for sharp monoids")
-    _face_of(m, f)
-    hb = m.hilbert
     span_gens = [hb[i] for i in f.generator_subset]
     if not span_gens:
         return m, identity_hom(m)
@@ -515,9 +502,6 @@ class PushoutResult:
             rhs.append(torsion_part[j])
         ineq = [[1 if k == i else 0 for k in range(num_vars)] for i in range(n)]
         return ilp_feasible(num_vars, eq, rhs, ineq) is not None
-
-    def saturation_contains(self, torsion_part, free_part) -> bool:
-        return self.saturation_free.contains(free_part)
 
     def saturation_generators(self):
         """Group elements generating the saturation as a monoid."""

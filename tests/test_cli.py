@@ -163,10 +163,10 @@ class TestFirmamentCommands:
                  "--point", "[6]"])
         assert r.status == "ok" and r.payload == {"member": True}
 
-    def test_member_cone_suffix_accepted(self):
+    def test_member_cone_suffix_rejected(self):
         r = run(["firmament", "member", "--map", TWO_THREE,
                  "--point", "[4]@cone_0"])
-        assert r.payload == {"member": True}
+        assert r.exit_code == 2
 
     def test_contact(self):
         vals = {json.dumps([1, 0]): 2, json.dumps([0, 1]): 3}
@@ -361,6 +361,21 @@ class TestPlumbing:
         assert run(argv).payload == first.payload == {"primes": [3]}
         assert cli._build_parser() is cli._build_parser()
 
+    @pytest.mark.parametrize("argv", [
+        ["monoid", "saturate", "--monoid",
+         '{"rank":2,"generators":[[2,0],[0,2],[1,1]]}'],
+        ["fan", "points", "--box", "2", "--fan",
+         '{"ambient_rank":2,"cones":[{"rays":[[1,0],[1,2]]}]}'],
+    ])
+    def test_json_from_a_file(self, argv, tmp_path, capsys):
+        # every JSON argument may be a path to a file holding it
+        path = tmp_path / "input.json"
+        path.write_text(argv[-1], encoding="utf-8")
+        assert main(argv) == 0
+        inline = capsys.readouterr().out
+        assert main(argv[:-1] + [str(path)]) == 0
+        assert capsys.readouterr().out == inline
+
     def test_missing_file_is_input_error(self):
         r = run(["monoid", "saturate", "--monoid", "/nonexistent.json"])
         assert r.exit_code == 2
@@ -413,6 +428,7 @@ class TestPlumbing:
 
 
 N1 = {"rank": 1, "generators": [[1]]}
+Z1 = {"rank": 1, "generators": [[1], [-1]]}
 N1_PROBLEM = json.dumps({"base": N1, "components": [
     {"matrix": [[2]], "target": N1}]})
 N1_FAN = {"ambient_rank": 1, "cones": [{"rays": [[1]]}]}
@@ -498,6 +514,47 @@ SHAPE_ERRORS = {
     "boolean lift vals": ["lift", "solve", "--chart", "[[1]]", "--vals", "[true]"],
     "boolean monoid generator": [
         "monoid", "saturate", "--monoid", '{"rank":1,"generators":[[true]]}'],
+    "boolean monoid rank": [
+        "monoid", "saturate", "--monoid", '{"rank":true,"generators":[[1]]}'],
+    "negative monoid rank": [
+        "monoid", "saturate", "--monoid", '{"rank":-2,"generators":[]}'],
+    "boolean ideal vars": [
+        "campana", "mult", "--ideal", '{"vars":true,"generators":[[1]]}'],
+    "boolean fan rank": [
+        "fan", "points", "--box", "1", "--fan",
+        '{"ambient_rank":true,"cones":[{"rays":[[1]]}]}'],
+    "boolean fan scale": [
+        "fan", "points", "--box", "1", "--fan",
+        '{"ambient_rank":2,"scale":true,"cones":[{"rays":[[1,0],[0,1]]}]}'],
+    "negative points box": [
+        "fan", "points", "--box", "-1", "--fan", json.dumps(N2_FAN)],
+    "negative svg box": [
+        "firmament", "svg", "--box", "-1", "-o", os.devnull,
+        "--map", N2_IDENTITY_MAP],
+    "boolean contact value": [
+        "firmament", "contact", "--vals", '{"[1, 0]": true, "[0, 1]": 1}',
+        "--monoid", json.dumps(ORTHANT2)],
+    "contact value missing": [
+        "firmament", "contact", "--vals", '{"[1, 0]": 1}',
+        "--monoid", json.dumps(ORTHANT2)],
+    "non-sharp problem base": [
+        "firm", "check", "--query", json.dumps({"point_monoid": N1,
+                                                "matrix": [[1]]}),
+        "--problem", json.dumps({"base": Z1, "components": [
+            {"matrix": [[1]], "target": Z1}]})],
+    "chart from another source": [
+        "firm", "check", "--query", json.dumps({"point_monoid": N1,
+                                                "matrix": [[1]]}),
+        "--problem", json.dumps({"base": N1, "components": [
+            {"matrix": [[1, 0]], "source": ORTHANT2, "target": N1}]})],
+    "non-sharp point monoid": [
+        "firm", "check", "--problem", N1_PROBLEM, "--query",
+        json.dumps({"point_monoid": Z1, "matrix": [[1]]})],
+    "pushout legs from different sources": [
+        "monoid", "pushout",
+        "--theta", json.dumps({"matrix": [[2]], "source": N1, "target": N1}),
+        "--psi", json.dumps({"matrix": [[1, 1]], "source": ORTHANT2,
+                             "target": N1})],
 }
 
 

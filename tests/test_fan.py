@@ -19,7 +19,6 @@ from logfirm.fan import (
     complex_map,
     cone_complex,
     cone_intersection,
-    cone_subset,
     is_refinement,
     lattice_points_box,
     make_cone,
@@ -303,7 +302,8 @@ def smallest_containing(c, vectors):
     containing = [i for i, cone in enumerate(c.cones)
                   if all(cone.contains(v) for v in vectors)]
     smallest = [i for i in containing
-                if all(cone_subset(c.cones[i], c.cones[j]) for j in containing)]
+                if all(c.cones[j].contains(r) for j in containing
+                       for r in c.cones[i].rays)]
     assert len(smallest) == 1
     return smallest[0]
 

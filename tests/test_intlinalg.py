@@ -285,6 +285,16 @@ class TestIlpFeasible:
         assert x is not None
         assert x[0] - x[1] == 1 and x[0] >= 5 and x[1] >= 5
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_unbounded_strip(self, k):
+        # the rows cut out the line 2x - 2y = 1: unbounded along x = y (and
+        # z when k = 3), yet parity leaves it no lattice point
+        rows = [[2, -2] + [0] * (k - 2), [-2, 2] + [0] * (k - 2)]
+        assert ilp_feasible(k, ineq_lhs=rows, ineq_rhs=[1, -1]) is None
+        x = ilp_feasible(k, ineq_lhs=rows, ineq_rhs=[0, 0])
+        assert x is not None
+        assert all(sum(a * b for a, b in zip(row, x)) >= 0 for row in rows)
+
     def test_budget_raises(self):
         with pytest.raises(ResourceLimit):
             with ilp_budget(1):

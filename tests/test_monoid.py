@@ -18,6 +18,7 @@ from logfirm.monoid import (
     AffineMonoid,
     Face,
     MonoidHom,
+    NotAFace,
     NotSharp,
     dual,
     face_localization,
@@ -25,7 +26,6 @@ from logfirm.monoid import (
     find_factorization,
     find_retraction,
     fs_pushout,
-    hilbert_basis,
     in_group_coordinates,
     identity_hom,
     is_integral,
@@ -286,19 +286,19 @@ class TestNonSharp:
 
 class TestHilbertBasis:
     def test_q1(self):
-        assert hilbert_basis(q1_monoid()) == [(0, 2), (1, 1), (2, 0)]
+        assert q1_monoid().hilbert == ((0, 2), (1, 1), (2, 0))
 
     def test_n(self):
-        assert hilbert_basis(N()) == [(1,)]
+        assert N().hilbert == ((1,),)
 
     def test_wide_cone_full_lattice(self):
         m = saturate(2, [(1, 0), (1, 3)], group=[[1, 0], [0, 1]])
-        assert hilbert_basis(m) == [(1, 0), (1, 1), (1, 2), (1, 3)]
+        assert m.hilbert == ((1, 0), (1, 1), (1, 2), (1, 3))
 
     def test_not_sharp_raises(self):
         m = saturate(1, [(1,), (-1,)])
         with pytest.raises(NotSharp):
-            hilbert_basis(m)
+            list(m.hilbert)
 
     def test_minimality_on_corpus(self):
         # removing any basis element must fail to generate it from the rest
@@ -402,6 +402,15 @@ class TestFaceLocalization:
         assert loc.hilbert == ((1,),) or loc.hilbert == ((-1,),)
         assert not any(proj.apply((2, 0)))
         assert any(proj.apply((1, 1)))
+
+    @pytest.mark.parametrize("face, message", [
+        (Face((5,), (0, 1)), "out of range"),
+        (Face((0,), (1, 1)), "does not support"),
+        (Face((), (1, -1)), "not supporting"),
+    ])
+    def test_not_a_face_rejected(self, face, message):
+        with pytest.raises(NotAFace, match=message):
+            face_localization(N(2), face)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +522,7 @@ def brute_saturation_check(result, box=2, nmax=6, radius=12):
                 if (nt, nf) in closure:
                     brute = True
                     break
-            computed = result.saturation_contains(tor, free)
+            computed = result.saturation_free.contains(free)
             if brute:
                 assert computed, (tor, free)
             # the converse needs unbounded n, so only the sound direction
@@ -553,7 +562,7 @@ class TestPushout:
         assert witness is not None
         tor, free = witness
         # the witness is saturation-only: n * witness falls in the amalgam
-        assert res.saturation_contains(tor, free)
+        assert res.saturation_free.contains(free)
         assert not res.amalgam_contains(tor, free)
 
     def test_universal_square_commutes(self):
@@ -726,6 +735,10 @@ class TestFactorization:
         h = find_factorization(hom(n, two_n, [[2]]), hom(n, n, [[1]]))
         assert h.local == ((1,),) and h.matrix is None
         assert h.apply((4,)) == (2,)
+
+    def test_sources_must_agree(self):
+        with pytest.raises(ValueError, match="share their source"):
+            find_factorization(hom(N(), N(), [[2]]), hom(N(2), N(), [[1, 1]]))
 
     def test_trivial_source_always_factors(self):
         p = saturate(1, [])
