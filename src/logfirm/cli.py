@@ -302,7 +302,8 @@ def _cmd_fan(args) -> CommandResult:
         f2 = fan_from_json(_load(args.second))
         return CommandResult("ok", fan_to_json(common_refinement(f1, f2)))
     if args.action == "sigma-n":
-        return CommandResult("ok", fan_to_json(sigma_n(args.rank, args.n)))
+        tower = sigma_n(_natural(args.rank, "--rank", 1), _natural(args.n, "--n"))
+        return CommandResult("ok", fan_to_json(tower))
     fan = fan_from_json(_load(args.fan))
     _natural(args.box, "--box")
     pts = sorted((p.cone_index, p.coordinates)

@@ -16,6 +16,11 @@ once, at the boundary: :func:`cone_complex` checks the ray lists it is given,
 while overlays and stellar subdivisions of fans are fans and are assembled
 without a check.  A complex keeps only the ray tuples of its faces and builds
 the faces themselves when first asked for them.
+
+Both the fan check and the overlay first try to decide a pair of cones by
+exact integer sign tests on the rays and facets that each cone holds: one
+cone inside the other, or a facet of one that is <= 0 on the other.  Only
+the pairs these leave open take a double description.
 """
 
 from __future__ import annotations
@@ -191,10 +196,32 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex
                                  for rays in maximal_rays], scale)
     face_rays = [_face_rays(m) for m in c.maximal]
     for (a, fa), (b, fb) in itertools.combinations(zip(c.maximal, face_rays), 2):
+        if _common_face(a, b):
+            continue
         inter = facets_to_rays(a.facets + b.facets, ambient_rank)  # rays of a ∩ b
         if inter not in fa or inter not in fb:
             raise ValueError("cones do not meet along a common face")
     return c
+
+
+def _flat(f, c: Cone) -> bool:
+    return all(dot(f, r) == 0 for r in c.rays)
+
+
+def _below(f, c: Cone) -> bool:
+    """Whether f is <= 0 on all of ``c``: a cone on which the facet f is >= 0
+    meets c inside the hyperplane f = 0."""
+    return all(dot(f, r) <= 0 for r in c.rays)
+
+
+def _common_face(a: Cone, b: Cone) -> bool:
+    """Whether sign tests show that a ∩ b is a face of both cones.  A facet
+    of either cone that is <= 0 on the other vanishes on a ∩ b and cuts a
+    face from each cone.  When all such facets vanish on the same rays of a
+    as of b, a ∩ b is the face of both that those rays span."""
+    cuts = [f for f in a.facets if _below(f, b)] + [f for f in b.facets if _below(f, a)]
+    return ({r for r in a.rays if all(dot(f, r) == 0 for f in cuts)}
+            == {r for r in b.rays if all(dot(f, r) == 0 for f in cuts)})
 
 
 def _assemble(ambient_rank: int, cones, scale: int) -> ConeComplex:
@@ -341,31 +368,62 @@ def _covers(a: Cone, pieces) -> bool:
     """Whether ``pieces``, cones in ``a`` meeting in common faces, cover ``a``:
     some piece spans ``a``, and each facet (wall) of such a piece is shared by
     two of them or lies on a facet of ``a`` (one not vanishing on all of a)."""
-    def flat(f, c):
-        return all(dot(f, r) == 0 for r in c.rays)
     full = {p.rays: p for p in pieces
-            if all(flat(f, a) for f in p.facets if flat(f, p))}.values()
+            if all(_flat(f, a) for f in p.facets if _flat(f, p))}.values()
     walls = Counter(w for p in full for w in {
-        tuple(r for r in p.rays if dot(f, r) == 0) for f in p.facets if not flat(f, p)})
-    rims = [f for f in a.facets if not flat(f, a)]
+        tuple(r for r in p.rays if dot(f, r) == 0) for f in p.facets if not _flat(f, p)})
+    rims = [f for f in a.facets if not _flat(f, a)]
     return bool(full) and all(n > 1 or any(all(dot(f, r) == 0 for r in w) for f in rims)
                               for w, n in walls.items())
 
 
+def _inside(a: Cone, b: Cone) -> bool:
+    return all(b.contains(r) for r in a.rays)
+
+
+def _full(c: Cone) -> bool:
+    """Whether the cone is full-dimensional: no facet vanishes on all of it."""
+    return not any(_flat(f, c) for f in c.facets)
+
+
+def _piece(a: Cone, b: Cone, full: bool) -> Cone | None:
+    """The overlay piece a ∩ b, decided by sign tests where they suffice: it
+    is a when a ⊆ b and b when b ⊆ a.  When both cones are full-dimensional
+    (``full``) and a facet of one is <= 0 on the other, the piece lies in a
+    hyperplane and is None: if the supports agree, the full-dimensional
+    pieces cover a, and in the overlay fan a piece of lower dimension is then
+    a face of one of them.  Only the other pairs take a double description."""
+    if _inside(a, b):
+        return a
+    if _inside(b, a):
+        return b
+    if full and (any(_below(f, b) for f in a.facets)
+                 or any(_below(f, a) for f in b.facets)):
+        return None
+    return cone_intersection(a, b)
+
+
 def common_refinement(f1: ConeComplex, f2: ConeComplex) -> ConeComplex:
     """Overlay of two fans (sharp cones meeting in common faces, as the CLI
-    checks) on the lcm of their lattices: all pairwise intersections of their
-    maximal cones.  The supports must be equal: unless those intersections
-    cover every maximal cone of both fans, which is decided exactly, this
-    raises SupportMismatch naming a cone that they do not cover."""
+    checks) on the lcm of their lattices: the pairwise intersections of their
+    maximal cones, less those that are faces of others.  The supports must be
+    equal: unless those intersections cover every maximal cone of both fans,
+    which is decided exactly, this raises SupportMismatch naming a cone that
+    they do not cover.  Most pairs are decided by sign tests on the rays and
+    facets the cones hold (see :func:`_piece`); only pairs that cross take a
+    double description."""
     if f1.ambient_rank != f2.ambient_rank:
         raise SupportMismatch("different ambient lattices")
-    grid = [[cone_intersection(a, b) for b in f2.maximal] for a in f1.maximal]
+    full1, full2 = ([_full(c) for c in f.maximal] for f in (f1, f2))
+    grid = [[_piece(a, b, fa and fb) for b, fb in zip(f2.maximal, full2)]
+            for a, fa in zip(f1.maximal, full1)]
     columns = [[row[j] for row in grid] for j in range(len(f2.maximal))]
     for c, pieces in zip(f1.maximal + f2.maximal, grid + columns):
-        if not _covers(c, pieces):
+        # a row or column that holds its own cone is covered
+        if c not in pieces and not _covers(c, [p for p in pieces if p is not None]):
             raise SupportMismatch(f"cone {c.rays} is not covered by the other fan")
-    return _assemble(f1.ambient_rank, [p for row in grid for p in row if p.rays],
+    return _assemble(f1.ambient_rank,
+                     [p for row in grid for p in row if p is not None and p.rays],
                      lcm(f1.scale, f2.scale))
 
 

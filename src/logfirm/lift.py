@@ -152,7 +152,11 @@ def describe_lift(chart: MonomialChart, p: DVRTargetPoint,
                   residue_char: int | None = None):
     """Full lift description: NotInFirmament when the exponent system has no
     solution, else a LiftSolution; with a residue characteristic, reports
-    whether the required unit extension is etale there."""
+    whether the required unit extension is etale there.  Raises ValueError
+    unless the residue characteristic is 0 or a prime."""
+    if residue_char not in (None, 0) and _primes_of(residue_char) != {residue_char}:
+        raise ValueError("residue characteristic must be 0 or a prime, "
+                         f"got {residue_char}")
     x = solve_exponents(chart, p.valuations)
     if x is None:
         return NotInFirmament(tuple(p.valuations))

@@ -1,13 +1,18 @@
-"""Test-only oracle for fans, independent of the face lattice in ``fan``.
+"""Test-only oracles for fans, independent of the face lattice in ``fan``
+and of the sign tests that decide most pairs of cones there.
 
 ``cone_complex`` checks that its input cones form a fan; overlays and
 stellar subdivisions are assembled without that check, because the overlay
 and the stellar subdivision of a fan are fans.  ``fan_faults`` makes the
 pairwise common-face check on any complex, and also checks its maximal cones
-and face keys against faces found by brute force over subsets of rays."""
+and face keys against faces found by brute force over subsets of rays.
+``all_pairs_overlay`` is the overlay with one double description for every
+pair of maximal cones."""
 
 import itertools
+from math import lcm
 
+from logfirm.fan import SupportMismatch, _assemble, _covers, cone_intersection
 from logfirm.intlinalg import dot, facets_to_rays
 
 
@@ -42,3 +47,18 @@ def fan_faults(c) -> list[str]:
     if list(c.faces) != sorted(faces):
         faults.append(f"face keys {c.faces} are not the faces {sorted(faces)}")
     return faults
+
+
+def all_pairs_overlay(f1, f2):
+    """``common_refinement`` from every pairwise intersection of maximal
+    cones, each by a double description, and the walls check on every row
+    and column."""
+    if f1.ambient_rank != f2.ambient_rank:
+        raise SupportMismatch("different ambient lattices")
+    grid = [[cone_intersection(a, b) for b in f2.maximal] for a in f1.maximal]
+    columns = [[row[j] for row in grid] for j in range(len(f2.maximal))]
+    for c, pieces in zip(f1.maximal + f2.maximal, grid + columns):
+        if not _covers(c, pieces):
+            raise SupportMismatch(f"cone {c.rays} is not covered by the other fan")
+    return _assemble(f1.ambient_rank, [p for row in grid for p in row if p.rays],
+                     lcm(f1.scale, f2.scale))

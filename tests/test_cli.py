@@ -285,6 +285,18 @@ class TestLiftCommands:
         assert r.payload["unit_matrix"][1] == ["1/3", "-2/3"]
         assert r.payload["etale"] is True
 
+    @pytest.mark.parametrize("char, etale", [(0, True), (2, True), (3, False),
+                                             (5, True), (-4, None), (-3, None),
+                                             (1, None), (4, None), (9, None)])
+    def test_solve_residue_char_is_zero_or_prime(self, char, etale):
+        r = run(["lift", "solve", "--chart", "[[2,3],[1,0]]",
+                 "--vals", "[5,1]", "--residue-char", str(char)])
+        if etale is None:
+            assert r.exit_code == 2
+            assert r.payload["error"].startswith("ValueError: residue characteristic")
+        else:
+            assert r.exit_code == 0 and r.payload["etale"] is etale
+
     def test_primes_of_a_composite(self):
         # the trial division in lift._primes_of runs only past 3
         r = run(["lift", "primes", "--mat", "[[12]]"])
@@ -518,6 +530,9 @@ SHAPE_ERRORS = {
         "monoid", "saturate", "--monoid", '{"rank":true,"generators":[[1]]}'],
     "negative monoid rank": [
         "monoid", "saturate", "--monoid", '{"rank":-2,"generators":[]}'],
+    "negative sigma-n level": ["fan", "sigma-n", "--rank", "2", "--n", "-3"],
+    "negative sigma-n rank": ["fan", "sigma-n", "--rank", "-1", "--n", "2"],
+    "zero sigma-n rank": ["fan", "sigma-n", "--rank", "0", "--n", "2"],
     "boolean ideal vars": [
         "campana", "mult", "--ideal", '{"vars":true,"generators":[[1]]}'],
     "boolean fan rank": [

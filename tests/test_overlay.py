@@ -1,7 +1,8 @@
 """Exact support comparison in ``common_refinement`` and ``is_refinement``,
 checked against independent oracles: an exact merge of angular sectors in
-rank 2, known answers on star subdivisions in rank 3, and the old probe of
-the integer points of [-3, 3]^d as a one-sided check."""
+rank 2, known answers on star subdivisions in rank 3, the old probe of the
+integer points of [-3, 3]^d as a one-sided check, and the overlay with one
+double description per pair of maximal cones."""
 
 import functools
 import itertools
@@ -10,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from fan_oracle import all_pairs_overlay, is_face
 from logfirm import fan
 from logfirm.fan import (
     SupportMismatch,
@@ -20,7 +22,7 @@ from logfirm.fan import (
     orthant,
     star_subdivision,
 )
-from logfirm.intlinalg import facets_to_rays, primitive
+from logfirm.intlinalg import dot, facets_to_rays, primitive
 
 # overlays and subdivisions are assembled unchecked: the oracle checks them
 pytestmark = pytest.mark.usefixtures("every_fan_checked")
@@ -331,11 +333,32 @@ class TestBuildCounts:
 
     def test_each_piece_is_built_once(self, calls):
         _, subdivisions, _ = rank3_corpus()
+        pairs = Counter()
         for a, b in itertools.combinations(subdivisions[:4], 2):
             calls.clear()
             common_refinement(a, b)
-            # one double description per pairwise piece, and no make_cone
-            assert calls == {"_extreme_cone": len(a.maximal) * len(b.maximal)}
+            # one double description per pair that the sign tests leave
+            # open, none for the others, and no make_cone
+            open_pairs = sum(not sign_decided(x, y)
+                             for x in a.maximal for y in b.maximal)
+            assert calls == ({"_extreme_cone": open_pairs} if open_pairs else {})
+            pairs["open"] += open_pairs
+            pairs["all"] += len(a.maximal) * len(b.maximal)
+        assert 0 < pairs["open"] < pairs["all"]
+
+
+def sign_decided(x, y) -> bool:
+    """Whether one cone holds every ray of the other, or, both cones being
+    full-dimensional, a facet of one is <= 0 on every ray of the other."""
+    def holds(c, rays):
+        return all(dot(f, r) >= 0 for f in c.facets for r in rays)
+
+    def parted(c, d):
+        return any(all(dot(f, r) <= 0 for r in d.rays) for f in c.facets)
+    if holds(x, y.rays) or holds(y, x.rays):
+        return True
+    d = x.ambient_rank
+    return x.dim == y.dim == d and (parted(x, y) or parted(y, x))
 
 
 class TestFacesOnDemand:
@@ -347,3 +370,130 @@ class TestFacesOnDemand:
             assert len(c.cones) == len(c.faces)
             for rays, cone in zip(c.faces, c.cones):
                 assert cone == make_cone(c.ambient_rank, rays)
+
+
+# ---------------------------------------------------------------------------
+# the sign tests against the overlay with one double description per pair
+
+
+def _random_subcomplex(rng, rank):
+    """A fan of ``rank`` whose maximal cones, often of several dimensions,
+    are cones of one subdivision of the fan of the orthants or of the fan
+    over the faces of the cube [-1, 1]^rank, whose cones are not simplicial
+    in rank 3."""
+    corners = list(itertools.product((1, -1), repeat=rank))
+    if rng.random() < 0.5:
+        cones = [[tuple(s * int(i == j) for j in range(rank)) for i, s in enumerate(sg)]
+                 for sg in corners]
+    else:
+        cones = [[v for v in corners if v[i] == s] for i in range(rank) for s in (1, -1)]
+    c = cone_complex(rank, cones)
+    for _ in range(rng.randint(0, 2)):
+        c, _ = star_subdivision(c, _inner_vector(rng, c))
+    picked = rng.sample(c.faces[1:], rng.randint(1, 5))
+    return cone_complex(rank, picked)
+
+
+def _inner_vector(rng, c):
+    """A primitive vector of the support, a sum of rays of one cone, that is
+    not a ray of the complex."""
+    while True:
+        m = rng.choice(c.maximal)
+        rays = rng.sample(m.rays, rng.randint(1, len(m.rays)))
+        v = primitive(tuple(map(sum, zip(*rays))))
+        if (v,) not in c.faces:
+            return v
+
+
+def _subdivided(rng, c):
+    for _ in range(rng.randint(0, 2)):
+        if len(c.faces) > 1 and any(len(m.rays) > 1 for m in c.maximal):
+            c, _ = star_subdivision(c, _inner_vector(rng, c))
+    return c if rng.random() < 0.7 else fan.root_rescale(c, 2)
+
+
+def _dropped(rng, c):
+    """The fan without one of its maximal cones: a smaller support."""
+    keep = list(c.maximal)
+    del keep[rng.randrange(len(keep))]
+    return cone_complex(c.ambient_rank, [m.rays for m in keep]) if keep else None
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_corpus():
+    """Pairs of fans in rank 2 and rank 3: subdivisions of one fan, which
+    have equal supports, and subdivisions of a fan against those of the
+    same fan less one maximal cone or of another fan, which mostly do not."""
+    rng = random.Random(1212)
+    pairs = list(rank2_corpus()[:80])
+    for _ in range(200):
+        rank = rng.choice((2, 3, 3))
+        x = _random_subcomplex(rng, rank)
+        other = rng.choice((x, x, _dropped(rng, x), _random_subcomplex(rng, rank)))
+        if other is None:
+            continue
+        pair = [_subdivided(rng, x), _subdivided(rng, other)]
+        rng.shuffle(pair)
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def _overlay_or_mismatch(overlay, f1, f2):
+    try:
+        r = overlay(f1, f2)
+    except SupportMismatch as exc:
+        return str(exc)
+    return r.maximal, r.faces, r.scale
+
+
+class TestAllPairsOracle:
+    def test_overlay_matches_all_pairs(self):
+        verdicts = Counter()
+        shapes = Counter()
+        for f1, f2 in oracle_corpus():
+            for a, b in ((f1, f2), (f2, f1)):
+                want = _overlay_or_mismatch(all_pairs_overlay, a, b)
+                assert _overlay_or_mismatch(common_refinement, a, b) == want
+            verdicts[f1.ambient_rank, isinstance(want, str)] += 1
+            for c in (f1, f2):
+                dims = {m.dim for m in c.maximal}
+                shapes["non-pure"] += len(dims) > 1
+                shapes["lower-dimensional"] += any(d < c.ambient_rank for d in dims)
+        # both verdicts, in both ranks, and fans of every shape
+        assert min(verdicts[r, v] for r in (2, 3) for v in (True, False)) >= 50, verdicts
+        assert min(shapes.values()) >= 50, shapes
+
+    def test_fan_check_matches_common_faces(self):
+        """cone_complex on two cones, of different fans or spanned by some
+        rays of a cone, accepts them exactly when they meet in a common face;
+        whenever the sign certificate accepts a pair, the double description
+        gives a face of both."""
+        rng = random.Random(31)
+        pairs = []
+        for i, (f1, f2) in enumerate(oracle_corpus()[80:]):
+            d = f1.ambient_rank
+            for m in f1.maximal + f2.maximal:
+                some = rng.sample(m.rays, rng.randint(1, len(m.rays)))
+                pairs.append(("spanned", m, make_cone(d, some)))
+            if i % 3 == 0:
+                pairs += [("fans", a, b)
+                          for a, b in itertools.product(f1.maximal, f2.maximal)]
+        certified = Counter()
+        for kind, a, b in pairs:
+            d = a.ambient_rank
+            inter = facets_to_rays(a.facets + b.facets, d)
+            common = is_face(inter, a) and is_face(inter, b)
+            if fan._common_face(a, b) or fan._common_face(b, a):
+                assert common
+                certified["accepted"] += 1
+            try:
+                cone_complex(d, [a.rays, b.rays])
+            except ValueError:
+                assert not common
+            else:
+                assert common
+            certified[kind, common] += 1
+        # a cone spanned by rays of a non-simplicial cone need not be a face
+        assert certified["spanned", False] >= 10
+        del certified["spanned", False]
+        assert min(certified.values()) >= 50, certified
