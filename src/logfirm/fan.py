@@ -17,17 +17,31 @@ while overlays and stellar subdivisions of fans are fans and are assembled
 without a check.  A complex keeps only the ray tuples of its faces and builds
 the faces themselves when first asked for them.
 
+A cone keeps its ray-facet incidence: for each facet, the rays on which it
+vanishes.  Its builder sets it, most often straight from the double
+description that gave the facets, and the routines here read it where they
+would otherwise take those dot products again.  The face lattice of a cone
+is closed from the incidence once per cone (``intlinalg.face_closure``), and
+the test for a full-dimensional cone is read off it; an overlay piece that
+is one of its two cones keeps the faces already found.  The walls of an
+overlay's pieces, the facets that cut a face in the fan check, the facets
+of a stellar subdivision's new cones and the carrier of some vectors come
+from the incidence as well.
+
 Both the fan check and the overlay first try to decide a pair of cones by
 exact integer sign tests on the rays and facets that each cone holds: one
 cone inside the other, or a facet of one that is <= 0 on the other.  Only
-the pairs these leave open take a double description.
+the pairs these leave open take a double description, which gives the rays
+of the intersection.  When that is full-dimensional, its facets are the
+facets of the two cones that vanish on maximal sets of those rays, and no
+second double description is needed.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
@@ -35,10 +49,11 @@ from .intlinalg import (
     Vec,
     dot,
     dual_description,
-    face_lattice,
+    face_closure,
     facets_to_rays,
     hermite_normal_form,
     identity,
+    incidence,
     mat_vec,
     primitive,
 )
@@ -73,14 +88,28 @@ class Cone:
     """A sharp rational polyhedral cone in Z^d, stored by its sorted primitive
     extreme rays and a complete facet description (membership is all
     ⟨facet, x⟩ >= 0; an equation of a lower-dimensional cone is listed as f
-    and -f)."""
+    and -f).  ``incidence`` holds, for each facet, the indices of the rays on
+    which it vanishes; it follows from the rays and facets, so equality
+    ignores it."""
 
     ambient_rank: int
     rays: tuple[Vec, ...]
     facets: tuple[Vec, ...]
+    incidence: tuple[frozenset, ...] = field(compare=False, repr=False)
 
     def contains(self, v) -> bool:
         return all(dot(f, v) >= 0 for f in self.facets)
+
+    @cached_property
+    def faces(self) -> frozenset[tuple[Vec, ...]]:
+        """The ray tuple of every face, the zero cone included."""
+        return frozenset(tuple(self.rays[i] for i in sorted(on_face))
+                         for on_face in face_closure(self.incidence, len(self.rays))) | {()}
+
+    @cached_property
+    def full(self) -> bool:
+        """Whether the cone is full-dimensional: no facet vanishes on all of it."""
+        return not any(len(on) == len(self.rays) for on in self.incidence)
 
     @property
     def dim(self) -> int:
@@ -101,35 +130,44 @@ def make_cone(ambient_rank: int, rays) -> Cone:
     dd = dual_description(rays, ambient_rank)
     if not dd.rays:
         raise ValueError(f"cone {[list(r) for r in sorted(set(rays))]} is not sharp")
-    return Cone(ambient_rank, dd.rays, dd.facets)
+    return Cone(ambient_rank, dd.rays, dd.facets, dd.incidence)
 
 
 def _extreme_cone(ambient_rank: int, rays) -> Cone:
     """The cone whose sorted primitive extreme rays are already known to be
     ``rays``, as for a face or an intersection: one double description gives
     its facets, and the result equals ``make_cone(ambient_rank, rays)``."""
+    rays = tuple(rays)
     if not rays:
-        return Cone(ambient_rank, (),
-                    tuple(tuple(r) for m in (identity(ambient_rank),)
-                          for s in (1, -1) for r in [[s * x for x in row] for row in m]))
-    return Cone(ambient_rank, tuple(rays), facets_to_rays(rays, ambient_rank))
-
-
-def _face_rays(c: Cone) -> set[tuple[Vec, ...]]:
-    """The ray tuple of every face of a cone, the zero cone included."""
-    return {()} | {tuple(c.rays[i] for i in sorted(on_face))
-                   for on_face in face_lattice(c.rays, c.facets)}
+        facets = tuple(tuple(s * x for x in row)
+                       for s in (1, -1) for row in identity(ambient_rank))
+    else:
+        facets = facets_to_rays(rays, ambient_rank)
+    return Cone(ambient_rank, rays, facets, incidence(rays, facets))
 
 
 def cone_faces(c: Cone) -> list[Cone]:
     """All faces of a cone (including the zero cone and the cone itself)."""
     return [c if rays == c.rays else _extreme_cone(c.ambient_rank, rays)
-            for rays in sorted(_face_rays(c))]
+            for rays in sorted(c.faces)]
 
 
 def cone_intersection(a: Cone, b: Cone) -> Cone:
-    rays = facets_to_rays(list(a.facets) + list(b.facets), a.ambient_rank)
-    return _extreme_cone(a.ambient_rank, rays)
+    """a ∩ b, equal to ``make_cone`` of its rays.  One double description
+    gives the rays.  When no facet of a or b vanishes on all of them, a ∩ b
+    is full-dimensional, and its facets are the facets of a and b whose sets
+    of tight rays are maximal: every proper face lies in a facet, and
+    distinct facets of a full-dimensional cone vanish on distinct sets of
+    rays.  A lower-dimensional a ∩ b takes a second double description."""
+    d = a.ambient_rank
+    normals = a.facets + b.facets
+    rays = facets_to_rays(normals, d)
+    candidates = sorted(set(normals))
+    tight = incidence(rays, candidates)
+    if not rays or any(len(on) == len(rays) for on in tight):
+        return _extreme_cone(d, rays)
+    top = [i for i, on in enumerate(tight) if not any(on < other for other in tight)]
+    return Cone(d, rays, tuple(candidates[i] for i in top), tuple(tight[i] for i in top))
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +208,11 @@ class ConeComplex:
         ``sigma`` of the complex that contains them all: the rays of sigma on
         which every facet vanishing on the vectors vanishes too.  Sigma is
         sharp, so zero vectors get the zero cone."""
-        tight = [f for f in sigma.facets
-                 if all(dot(f, v) == 0 for v in vectors)]
-        return self._index[tuple(r for r in sigma.rays
-                                 if all(dot(f, r) == 0 for f in tight))]
+        on = frozenset(range(len(sigma.rays)))
+        for f, on_f in zip(sigma.facets, sigma.incidence):
+            if all(dot(f, v) == 0 for v in vectors):
+                on &= on_f
+        return self._index[tuple(sigma.rays[i] for i in sorted(on))]
 
     def supports(self, v) -> bool:
         return any(c.contains(v) for c in self.maximal)
@@ -194,12 +233,11 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex
         raise ValueError("scale factor must be positive")
     c = _assemble(ambient_rank, [make_cone(ambient_rank, rays)
                                  for rays in maximal_rays], scale)
-    face_rays = [_face_rays(m) for m in c.maximal]
-    for (a, fa), (b, fb) in itertools.combinations(zip(c.maximal, face_rays), 2):
+    for a, b in itertools.combinations(c.maximal, 2):
         if _common_face(a, b):
             continue
         inter = facets_to_rays(a.facets + b.facets, ambient_rank)  # rays of a ∩ b
-        if inter not in fa or inter not in fb:
+        if inter not in a.faces or inter not in b.faces:
             raise ValueError("cones do not meet along a common face")
     return c
 
@@ -208,20 +246,35 @@ def _flat(f, c: Cone) -> bool:
     return all(dot(f, r) == 0 for r in c.rays)
 
 
-def _below(f, c: Cone) -> bool:
-    """Whether f is <= 0 on all of ``c``: a cone on which the facet f is >= 0
-    meets c inside the hyperplane f = 0."""
-    return all(dot(f, r) <= 0 for r in c.rays)
+def _cut(f, c: Cone) -> list[int] | None:
+    """When f is <= 0 on all of ``c``, the indices of the rays of c on which
+    it vanishes, and None as soon as it is > 0 on a ray.  A cone on which f
+    is >= 0 meets c inside the hyperplane f = 0, in the face of c that those
+    rays span."""
+    zeros = []
+    for i, r in enumerate(c.rays):
+        s = dot(f, r)
+        if s > 0:
+            return None
+        if s == 0:
+            zeros.append(i)
+    return zeros
 
 
 def _common_face(a: Cone, b: Cone) -> bool:
     """Whether sign tests show that a ∩ b is a face of both cones.  A facet
     of either cone that is <= 0 on the other vanishes on a ∩ b and cuts a
-    face from each cone.  When all such facets vanish on the same rays of a
-    as of b, a ∩ b is the face of both that those rays span."""
-    cuts = [f for f in a.facets if _below(f, b)] + [f for f in b.facets if _below(f, a)]
-    return ({r for r in a.rays if all(dot(f, r) == 0 for f in cuts)}
-            == {r for r in b.rays if all(dot(f, r) == 0 for f in cuts)})
+    face from each cone: on its own cone the rays its incidence names, on the
+    other the rays :func:`_cut` finds.  When all such facets vanish on the
+    same rays of a as of b, a ∩ b is the face of both that those rays span."""
+    on_a, on_b = set(range(len(a.rays))), set(range(len(b.rays)))
+    for c, other, on_c, on_other in ((a, b, on_a, on_b), (b, a, on_b, on_a)):
+        for f, on_f in zip(c.facets, c.incidence):
+            zeros = _cut(f, other)
+            if zeros is not None:
+                on_c &= on_f
+                on_other.intersection_update(zeros)
+    return {a.rays[i] for i in on_a} == {b.rays[i] for i in on_b}
 
 
 def _assemble(ambient_rank: int, cones, scale: int) -> ConeComplex:
@@ -233,11 +286,10 @@ def _assemble(ambient_rank: int, cones, scale: int) -> ConeComplex:
     unique: dict[tuple[Vec, ...], Cone] = {}
     for c in cones:
         unique.setdefault(c.rays, c)
-    face_rays = {rays: _face_rays(c) for rays, c in unique.items()}
-    proper = set().union(*(f - {rays} for rays, f in face_rays.items()))
+    proper = set().union(*(c.faces - {rays} for rays, c in unique.items()))
     maximal = sorted((c for rays, c in unique.items() if rays not in proper),
                      key=Cone.key)
-    faces = set().union(*(face_rays[m.rays] for m in maximal))
+    faces = set().union(*(m.faces for m in maximal))
     return ConeComplex(ambient_rank, tuple(maximal), tuple(sorted(faces)), scale)
 
 
@@ -356,10 +408,10 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
         if not sigma.contains(v):
             pieces.append(sigma)
             continue
-        for f in sigma.facets:
+        for f, on in zip(sigma.facets, sigma.incidence):
             if dot(f, v) > 0:
-                tight = [r for r in sigma.rays if dot(f, r) == 0]
-                pieces.append(make_cone(c.ambient_rank, tight + [v]))
+                pieces.append(make_cone(c.ambient_rank,
+                                        [sigma.rays[i] for i in on] + [v]))
     subdivided = _assemble(c.ambient_rank, pieces, c.scale)
     return subdivided, complex_map(subdivided, c)
 
@@ -367,23 +419,21 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
 def _covers(a: Cone, pieces) -> bool:
     """Whether ``pieces``, cones in ``a`` meeting in common faces, cover ``a``:
     some piece spans ``a``, and each facet (wall) of such a piece is shared by
-    two of them or lies on a facet of ``a`` (one not vanishing on all of a)."""
+    two of them or lies on a facet of ``a`` (one not vanishing on all of a).
+    A piece spans ``a`` when its equations, the facets its incidence names
+    on all of its rays, vanish on ``a``."""
     full = {p.rays: p for p in pieces
-            if all(_flat(f, a) for f in p.facets if _flat(f, p))}.values()
+            if all(_flat(f, a) for f, on in zip(p.facets, p.incidence)
+                   if len(on) == len(p.rays))}.values()
     walls = Counter(w for p in full for w in {
-        tuple(r for r in p.rays if dot(f, r) == 0) for f in p.facets if not _flat(f, p)})
-    rims = [f for f in a.facets if not _flat(f, a)]
+        tuple(p.rays[i] for i in sorted(on)) for on in p.incidence if len(on) < len(p.rays)})
+    rims = [f for f, on in zip(a.facets, a.incidence) if len(on) < len(a.rays)]
     return bool(full) and all(n > 1 or any(all(dot(f, r) == 0 for r in w) for f in rims)
                               for w, n in walls.items())
 
 
 def _inside(a: Cone, b: Cone) -> bool:
     return all(b.contains(r) for r in a.rays)
-
-
-def _full(c: Cone) -> bool:
-    """Whether the cone is full-dimensional: no facet vanishes on all of it."""
-    return not any(_flat(f, c) for f in c.facets)
 
 
 def _piece(a: Cone, b: Cone, full: bool) -> Cone | None:
@@ -397,8 +447,8 @@ def _piece(a: Cone, b: Cone, full: bool) -> Cone | None:
         return a
     if _inside(b, a):
         return b
-    if full and (any(_below(f, b) for f in a.facets)
-                 or any(_below(f, a) for f in b.facets)):
+    if full and (any(_cut(f, b) is not None for f in a.facets)
+                 or any(_cut(f, a) is not None for f in b.facets)):
         return None
     return cone_intersection(a, b)
 
@@ -414,9 +464,8 @@ def common_refinement(f1: ConeComplex, f2: ConeComplex) -> ConeComplex:
     double description."""
     if f1.ambient_rank != f2.ambient_rank:
         raise SupportMismatch("different ambient lattices")
-    full1, full2 = ([_full(c) for c in f.maximal] for f in (f1, f2))
-    grid = [[_piece(a, b, fa and fb) for b, fb in zip(f2.maximal, full2)]
-            for a, fa in zip(f1.maximal, full1)]
+    grid = [[_piece(a, b, a.full and b.full) for b in f2.maximal]
+            for a in f1.maximal]
     columns = [[row[j] for row in grid] for j in range(len(f2.maximal))]
     for c, pieces in zip(f1.maximal + f2.maximal, grid + columns):
         # a row or column that holds its own cone is covered

@@ -490,6 +490,7 @@ def dual_rays(normals, dim: int) -> tuple[list[Vec], list[Vec]]:
 class DualDescription:
     rays: tuple[Vec, ...]
     facets: tuple[Vec, ...]
+    incidence: tuple[frozenset, ...]  # per facet, the indices of the rays it vanishes on
 
 
 def _generators_with_lineality(lin, rays) -> tuple[Vec, ...]:
@@ -509,8 +510,10 @@ def dual_description(rays, dim: int | None = None) -> DualDescription:
     primitive extreme rays, read off the generator-facet incidences: a
     generator is extreme exactly when no other generator is tight on all of
     its facets (Fukuda & Prodon, "Double description method revisited",
-    1996).  A cone with a line has no extreme rays, and ``rays`` is ``()``;
-    that is the case exactly when some generator is tight on every facet.
+    1996).  ``incidence`` holds, for each facet, the indices of the rays on
+    which it vanishes.  A cone with a line has no extreme rays, and ``rays``
+    is ``()``; that is the case exactly when some generator is tight on
+    every facet.
     """
     rays = [tuple(r) for r in rays]
     if dim is None:
@@ -523,10 +526,13 @@ def dual_description(rays, dim: int | None = None) -> DualDescription:
     tight = [frozenset(i for i, f in enumerate(facets) if dot(f, r) == 0)
              for r in gens]
     if any(len(t) == len(facets) for t in tight):
-        return DualDescription(rays=(), facets=facets)
-    extreme = tuple(r for i, (r, t) in enumerate(zip(gens, tight))
-                    if not any(j != i and u >= t for j, u in enumerate(tight)))
-    return DualDescription(rays=extreme, facets=facets)
+        return DualDescription((), facets, (frozenset(),) * len(facets))
+    extreme = [(r, t) for i, (r, t) in enumerate(zip(gens, tight))
+               if not any(j != i and u >= t for j, u in enumerate(tight))]
+    return DualDescription(
+        tuple(r for r, _ in extreme), facets,
+        tuple(frozenset(k for k, (_, t) in enumerate(extreme) if i in t)
+              for i in range(len(facets))))
 
 
 def facets_to_rays(facets, dim: int) -> tuple[Vec, ...]:
@@ -535,19 +541,21 @@ def facets_to_rays(facets, dim: int) -> tuple[Vec, ...]:
     return _generators_with_lineality(lin, rays)
 
 
-def face_lattice(points, normals) -> dict[frozenset, frozenset]:
-    """Every face of a cone from its point-normal incidences alone.
+def incidence(points, normals) -> tuple[frozenset, ...]:
+    """For each normal, the indices of the points on which it vanishes."""
+    return tuple(frozenset(i for i, p in enumerate(points) if dot(a, p) == 0)
+                 for a in normals)
 
-    ``points`` generate the cone and every normal is >= 0 on each of them.
-    A face is the set of points on which some subset of the normals
-    vanishes; the result maps it (as point indices) to the indices of all
-    normals vanishing on it.  The faces are found by closing the full point
-    set under intersection with each normal's tight set (Kaibel & Pfetsch),
-    so the cost follows the number of faces, not of normal subsets.
-    """
-    tight = [frozenset(i for i, p in enumerate(points) if dot(a, p) == 0)
-             for a in normals]
-    top = frozenset(range(len(points)))
+
+def face_closure(tight, n_points: int) -> set[frozenset]:
+    """Every face of a cone generated by ``n_points`` points, as point
+    indices, from its incidence alone: ``tight`` holds, for each normal that
+    is >= 0 on the cone, the points on which it vanishes.  A face is the set
+    of points on which some subset of the normals vanishes, so the faces are
+    found by closing the full point set under intersection with each tight
+    set (Kaibel & Pfetsch); the cost follows the number of faces, not of
+    normal subsets."""
+    top = frozenset(range(n_points))
     found = {top}
     queue = [top]
     while queue:
@@ -557,8 +565,17 @@ def face_lattice(points, normals) -> dict[frozenset, frozenset]:
             if sub not in found:
                 found.add(sub)
                 queue.append(sub)
+    return found
+
+
+def face_lattice(points, normals) -> dict[frozenset, frozenset]:
+    """Every face of a cone from its point-normal incidences: ``points``
+    generate the cone and every normal is >= 0 on each of them.  The result
+    maps each face (as point indices, see :func:`face_closure`) to the
+    indices of all normals vanishing on it."""
+    tight = incidence(points, normals)
     return {face: frozenset(j for j, t in enumerate(tight) if face <= t)
-            for face in found}
+            for face in face_closure(tight, len(points))}
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ stellar subdivisions are assembled without that check, because the overlay
 and the stellar subdivision of a fan are fans.  ``fan_faults`` makes the
 pairwise common-face check on any complex, and also checks its maximal cones
 and face keys against faces found by brute force over subsets of rays.
-``all_pairs_overlay`` is the overlay with one double description for every
-pair of maximal cones."""
+``all_pairs_overlay`` is the overlay that builds the piece of every pair of
+maximal cones from two double descriptions, one for its rays and one for its
+facets."""
 
 import itertools
 from math import lcm
 
-from logfirm.fan import SupportMismatch, _assemble, _covers, cone_intersection
+from logfirm.fan import SupportMismatch, _assemble, _covers, _extreme_cone
 from logfirm.intlinalg import dot, facets_to_rays
 
 
@@ -51,11 +52,13 @@ def fan_faults(c) -> list[str]:
 
 def all_pairs_overlay(f1, f2):
     """``common_refinement`` from every pairwise intersection of maximal
-    cones, each by a double description, and the walls check on every row
-    and column."""
+    cones, each by two double descriptions, and the walls check on every
+    row and column."""
     if f1.ambient_rank != f2.ambient_rank:
         raise SupportMismatch("different ambient lattices")
-    grid = [[cone_intersection(a, b) for b in f2.maximal] for a in f1.maximal]
+    d = f1.ambient_rank
+    grid = [[_extreme_cone(d, facets_to_rays(a.facets + b.facets, d)) for b in f2.maximal]
+            for a in f1.maximal]
     columns = [[row[j] for row in grid] for j in range(len(f2.maximal))]
     for c, pieces in zip(f1.maximal + f2.maximal, grid + columns):
         if not _covers(c, pieces):

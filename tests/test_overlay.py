@@ -11,8 +11,8 @@ from collections import Counter
 
 import pytest
 
-from fan_oracle import all_pairs_overlay, is_face
-from logfirm import fan
+from fan_oracle import all_pairs_overlay, fan_faults, is_face
+from logfirm import fan, intlinalg
 from logfirm.fan import (
     SupportMismatch,
     common_refinement,
@@ -22,10 +22,12 @@ from logfirm.fan import (
     orthant,
     star_subdivision,
 )
-from logfirm.intlinalg import dot, facets_to_rays, primitive
+from logfirm.intlinalg import dot, facets_to_rays, hermite_normal_form, primitive
 
 # overlays and subdivisions are assembled unchecked: the oracle checks them
 pytestmark = pytest.mark.usefixtures("every_fan_checked")
+# the overlay without that check, for counting the double descriptions it makes
+unchecked_refinement = common_refinement
 
 
 def assert_mismatch(f1, f2):
@@ -331,20 +333,47 @@ class TestBuildCounts:
             assert calls == {"make_cone": len(c.maximal),
                              "_extreme_cone": len(rebuilt.faces) - len(rebuilt.maximal)}
 
-    def test_each_piece_is_built_once(self, calls):
+    def test_each_piece_is_built_once(self, calls, monkeypatch):
+        def counting(normals, dim, run=intlinalg.dual_rays):
+            calls["dual_rays"] += 1
+            return run(normals, dim)
         _, subdivisions, _ = rank3_corpus()
+        # full-dimensional fans, whose open pairs cross, and fans with
+        # lower-dimensional maximal cones, which also meet inside a
+        # hyperplane or only at 0
+        corpus = list(itertools.combinations(subdivisions[:4], 2)) + oracle_corpus()[80:120]
         pairs = Counter()
-        for a, b in itertools.combinations(subdivisions[:4], 2):
+        for a, b in corpus:
+            want = Counter()
+            for x, y in itertools.product(a.maximal, b.maximal):
+                kind = "decided" if sign_decided(x, y) else piece_kind(x, y)
+                pairs[kind] += 1
+                # one double description for the rays of an open pair, one
+                # more for the equations of a piece of dimension 1 to d - 1,
+                # and none for the pairs the sign tests decide
+                want["dual_rays"] += {"decided": 0, "full": 1, "zero": 1, "lower": 2}[kind]
+                want["_extreme_cone"] += kind in ("zero", "lower")
             calls.clear()
-            common_refinement(a, b)
-            # one double description per pair that the sign tests leave
-            # open, none for the others, and no make_cone
-            open_pairs = sum(not sign_decided(x, y)
-                             for x in a.maximal for y in b.maximal)
-            assert calls == ({"_extreme_cone": open_pairs} if open_pairs else {})
-            pairs["open"] += open_pairs
-            pairs["all"] += len(a.maximal) * len(b.maximal)
-        assert 0 < pairs["open"] < pairs["all"]
+            with monkeypatch.context() as m:
+                m.setattr(intlinalg, "dual_rays", counting)
+                try:
+                    out = unchecked_refinement(a, b)
+                except SupportMismatch:
+                    out = None
+            assert calls == +want  # and no make_cone
+            # the fan oracle's own double descriptions are not counted
+            assert out is None or not fan_faults(out)
+        assert min(pairs[k] for k in ("decided", "full", "zero", "lower")) >= 5, pairs
+
+
+def piece_kind(x, y) -> str:
+    """Whether x ∩ y is full-dimensional, lower-dimensional or 0, from a
+    double description and the rank of its rays."""
+    rays = facets_to_rays(x.facets + y.facets, x.ambient_rank)
+    if not rays:
+        return "zero"
+    h, _ = hermite_normal_form([list(r) for r in rays])
+    return "full" if sum(map(any, h)) == x.ambient_rank else "lower"
 
 
 def sign_decided(x, y) -> bool:
