@@ -6,6 +6,19 @@ query is *firm* when ψ factors as h ∘ θᵢ for some component and some
 h: Qᵢ → R; equivalently, when the base change along ψ admits a retraction
 after localizing at a suitable face.  Both criteria are implemented and
 cross-checked.
+
+For the base change, let N be the characteristic monoid of the fs pushout
+of θᵢ and ψ, with leg ℓ: R → N.  The criterion asks for a face G of N whose
+preimage in R is trivial and a retraction t_G of proj_G ∘ ℓ: R → N_G.  It
+suffices to try G = {0}:
+
+- the preimage of every face G contains that of {0}, which is trivial
+  exactly when ℓ is local; so no face qualifies when ℓ is not local;
+- if t_G ∘ proj_G ∘ ℓ = id_R, then t = t_G ∘ proj_G is a retraction of ℓ
+  itself, which is the case G = {0} (N_{0} = N, proj_{0} = id).
+
+So one retraction search per chart decides the criterion, and a firm
+answer always names the zero face of N.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ from .monoid import (
     fs_pushout,
     identity_hom,
     is_local,
+    zero_face,
 )
 
 
@@ -116,21 +130,21 @@ def firm_check_pushout(prob: FiberProblem, q: LogPointQuery) -> PushoutFirmness:
     """Literal base-change criterion: for each component, form the fs
     pushout of theta_i and psi, and look for a face G of its characteristic
     monoid N whose preimage in R is trivial such that the localized leg
-    R -> (N_G)# admits a retraction."""
+    R -> (N_G)# admits a retraction.
+
+    Only G = {0} needs a search (see the module docstring): a retraction
+    t_G at any face gives the retraction t_G o proj_G of the leg itself, and
+    the preimage of {0} is trivial exactly when the leg is local.  So a
+    chart whose leg is not local is skipped, every other chart takes one
+    retraction search on N, and the face returned is the zero face of N."""
     r = q.point_monoid
     for i, theta in enumerate(prob.components):
         res = fs_pushout(theta, q.psi)
-        n = res.characteristic
-        leg_r = res.leg2
-        r_images = [n.ambient(mat_vec(leg_r.local, c)) for c in r.hilbert_local]
-        for g_face in faces(n):
-            if any(dot(g_face.normal, x) == 0 for x in r_images):
-                continue  # a nonzero element of R would land on the face
-            loc, proj = face_localization(n, g_face)
-            composite = proj.compose(leg_r)
-            t = find_factorization(composite, identity_hom(r))
-            if t is not None:
-                return PushoutFirmness(True, i, g_face, t)
+        if not is_local(res.leg2):
+            continue  # a nonzero element of R lands on every face of N
+        t = find_factorization(res.leg2, identity_hom(r))
+        if t is not None:
+            return PushoutFirmness(True, i, zero_face(res.characteristic), t)
     return PushoutFirmness(False)
 
 

@@ -64,10 +64,18 @@ class AffineMonoid:
     facets_local: tuple[Vec, ...]      # dual cone generators, group coords
     rays_local: tuple[Vec, ...]        # extreme rays, group coords; () if not sharp
     sharp: bool
-    # None when not sharp.  Sorted, which is also the order of ``hilbert``:
-    # the group basis is echelon with positive pivots, so ``ambient`` keeps
-    # the lexicographic order, and an index names the same element in both
-    hilbert_local: tuple[Vec, ...] | None
+
+    @functools.cached_property
+    def hilbert_local(self) -> tuple[Vec, ...] | None:
+        """Hilbert basis in group coordinates, or None when not sharp;
+        computed when first read.  Sorted, which is also the order of
+        ``hilbert``: the group basis is echelon with positive pivots, so
+        ``ambient`` keeps the lexicographic order, and an index names the
+        same element in both."""
+        if not self.sharp:
+            return None
+        return _hilbert_basis_local(self.rays_local, self.facets_local,
+                                    self.group_rank)
 
     # -- coordinates ------------------------------------------------------
 
@@ -162,7 +170,7 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     basis = tuple(tuple(r) for r in basis)
     g = len(basis)
     if g == 0 or not gens:
-        return AffineMonoid(ambient_rank, tuple(gens), (), (), (), True, ())
+        return AffineMonoid(ambient_rank, tuple(gens), (), (), (), True)
     gens_local = []
     for v in gens:
         c = in_row_lattice(basis, v)
@@ -177,14 +185,12 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
         return saturate(ambient_rank, gens,
                         group=[mat_vec(transpose(basis), c) for c in span])
     # the cone spans the group, so it has extreme rays exactly when sharp
-    pointed = bool(dd.rays)
-    hilbert = _hilbert_basis_local(dd.rays, dd.facets, g) if pointed else None
     return AffineMonoid(ambient_rank, tuple(gens), basis, dd.facets, dd.rays,
-                        pointed, hilbert)
+                        bool(dd.rays))
 
 
 def _hilbert_basis_local(rays, facets, g: int) -> tuple[Vec, ...]:
-    """Hilbert basis of a pointed full-dimensional cone in Z^g, g >= 1.
+    """Hilbert basis of a pointed full-dimensional cone in Z^g.
 
     Candidates are the lattice points of the zonotope spanned by the extreme
     rays (every irreducible element lies in the fundamental parallelepiped of
@@ -249,17 +255,25 @@ class MonoidHom:
                     "hom does not carry the source group into the target group")
             local = [[c[i] for c in cols] for i in range(target.group_rank)]
             object.__setattr__(self, "matrix", matrix)
-        # the given generators span the source cone, so a group map that
-        # sends them into the saturated target sends the whole source there;
-        # local_generators of a source that is not sharp would call sharpen,
-        # whose projection this constructor builds
-        gens = (source.hilbert_local if source.sharp
-                else [source.coords(v) for v in source.generators])
-        for c in gens:
-            if not all(dot(f, mat_vec(local, c)) >= 0 for f in target.facets_local):
-                raise ValueError(f"{'hom' if matrix is None else 'matrix'} does "
-                                 f"not map generator {source.ambient(c)} into "
-                                 "the target monoid")
+        def lands(c):
+            return all(dot(f, mat_vec(local, c)) >= 0 for f in target.facets_local)
+
+        # a group map that sends generators of the source cone into the
+        # saturated target sends the whole source there: for a sharp source
+        # its extreme rays, else the given generators (local_generators of a
+        # source that is not sharp would call sharpen, whose projection this
+        # constructor builds).  A sharp source is reported by its first
+        # Hilbert element that fails; an extreme ray is one, so one fails
+        if source.sharp:
+            bad = (None if all(lands(c) for c in source.rays_local)
+                   else next(c for c in source.hilbert_local if not lands(c)))
+        else:
+            bad = next((c for c in map(source.coords, source.generators)
+                        if not lands(c)), None)
+        if bad is not None:
+            raise ValueError(f"{'hom' if matrix is None else 'matrix'} does "
+                             f"not map generator {source.ambient(bad)} into "
+                             "the target monoid")
         local = tuple(tuple(r) for r in local)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -336,15 +350,32 @@ def faces(m: AffineMonoid) -> list[Face]:
         raise NotSharp("faces are enumerated for sharp monoids only")
     if m.group_rank == 0:
         return [Face((), (0,) * m.ambient_rank)]
-    # the normal w has <w, b_i> = t * lam_i on the group basis, t least
     snf = smith_normal_form(m.group_basis)
-    out = []
-    for on_face, vanishing in face_lattice(m.hilbert_local, m.facets_local).items():
-        lam = [sum(m.facets_local[i][j] for i in vanishing)
-               for j in range(m.group_rank)]
-        out.append(Face(tuple(sorted(on_face)), scaled_solution(snf, lam)[1]))
+    out = [Face(tuple(sorted(on_face)), _face_normal(m, snf, vanishing))
+           for on_face, vanishing
+           in face_lattice(m.hilbert_local, m.facets_local).items()]
     out.sort(key=lambda f: (len(f.generator_subset), f.generator_subset))
     return out
+
+
+def zero_face(m: AffineMonoid) -> Face:
+    """The face {0} of a sharp monoid, ``faces(m)[0]``, read off the facets
+    alone: every facet vanishes on it, and no Hilbert element lies in it."""
+    if not m.sharp:
+        raise NotSharp("faces are enumerated for sharp monoids only")
+    if m.group_rank == 0:
+        return Face((), (0,) * m.ambient_rank)
+    return Face((), _face_normal(m, smith_normal_form(m.group_basis),
+                                 range(len(m.facets_local))))
+
+
+def _face_normal(m: AffineMonoid, snf, vanishing) -> Vec:
+    """The normal of the face cut out by the facets ``vanishing``: the
+    least t >= 1 with <w, b_i> = t * lam_i on the group basis, where lam is
+    their sum and ``snf`` the Smith form of the group basis."""
+    lam = [sum(m.facets_local[i][j] for i in vanishing)
+           for j in range(m.group_rank)]
+    return scaled_solution(snf, lam)[1]
 
 
 def face_localization(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, MonoidHom]:
@@ -585,7 +616,8 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom) -> MonoidHom | None:
 
     The unknown is the induced matrix on group coordinates; constraints are
     the composite equalities on P's Hilbert generators plus cone membership
-    of the images of Q's Hilbert generators.
+    of the images of Q's extreme rays.  R is saturated, so a group map that
+    sends the extreme rays of Q into R's cone sends all of Q into R.
     """
     p, q, r = theta.source, theta.target, psi.target
     if psi.source is not p and psi.source.generators != p.generators:
@@ -609,7 +641,7 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom) -> MonoidHom | None:
             eq.append(row)
             rhs.append(w[i])
     ineq = []
-    for u in q.hilbert_local:
+    for u in q.rays_local:
         for fct in r.facets_local:
             row = [0] * num_vars
             for i in range(gr):

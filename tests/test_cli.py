@@ -134,6 +134,43 @@ class TestFirmCommand:
             assert r.payload["firm"] is expected, v
             assert r.payload["method"] == "pushout"
 
+    def test_pushout_witness_is_the_zero_face(self, capsys):
+        # the pushout of N -> N^3 and N -> N^2 has rank 4: a search over its
+        # faces enumerated its Hilbert basis box, which took seconds
+        problem = json.dumps({
+            "base": {"rank": 1, "generators": [[1]]},
+            "components": [{"matrix": [[6], [4], [5]], "target": {
+                "rank": 3, "generators": [[0, 2, 3], [0, 3, 3], [1, 0, 3],
+                                          [3, 1, 3], [3, 3, 2]]}}]})
+        query = json.dumps({"point_monoid": ORTHANT2, "matrix": [[2], [3]]})
+        assert main(["firm", "check", "--method", "pushout", "--problem",
+                     problem, "--query", query]) == 0
+        assert capsys.readouterr().out == (
+            '{"firm": true, "method": "pushout", "witness": '
+            '{"component": 0, "face_normal": [36, -66, 7, 54]}}\n')
+
+    @pytest.mark.parametrize("argv", [
+        ["monoid", "pushout", "--theta", json.dumps({
+            "source": {"rank": 2, "generators": [[1, 0], [1, 2], [1, 1]]},
+            "target": {"rank": 1, "generators": [[1]]}, "matrix": [[2, -3]]}),
+         "--psi", json.dumps({"target": {"rank": 1, "generators": [[1]]},
+                              "matrix": [[1, 1]]})],
+        ["firm", "check", "--method", "pushout", "--problem", json.dumps({
+            "base": {"rank": 2, "generators": [[1, 0], [1, 2], [1, 1]]},
+            "components": [{"matrix": [[2, -3]], "target": {
+                "rank": 1, "generators": [[1]]}}]}),
+         "--query", json.dumps({"point_monoid": {"rank": 1,
+                                                 "generators": [[1]]},
+                                "matrix": [[1, 1]]})],
+    ])
+    def test_rejected_hom_names_first_hilbert_element(self, argv, capsys):
+        # (1, 1) is the first Hilbert element of the source sent outside N,
+        # and no extreme ray of it: the rays are (1, 0) and (1, 2)
+        assert main(argv) == 2
+        assert capsys.readouterr().out == (
+            '{"error": "ValueError: matrix does not map generator (1, 1) '
+            'into the target monoid"}\n')
+
     @pytest.mark.parametrize("method", ["factorization", "pushout"])
     def test_witness_without_ambient_matrix(self, method, capsys):
         # N -> 2N (x -> 2x) factors the identity of N through h(2) = 1, which

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from firm_oracle import face_loop_pushout
 from logfirm.charts import kummer_two_three
 from logfirm.monoid import (
     MonoidHom,
     SemiDecision,
     faces,
+    fs_pushout,
     identity_hom,
     in_group_coordinates,
     is_integral,
@@ -159,6 +161,67 @@ class TestFirmCheckPushout:
             if w is not None:
                 assert verify_witness(prob, query, w)
             done += 1
+
+
+def random_fiber_problem(rng):
+    """P = N^p with p <= 2; R and each of one to three Q_i of rank <= 2, or
+    Q_i of rank 3 when R has rank 1, so that the pushouts the face loop
+    takes apart have rank <= 3.  About a third of the charts may send a
+    generator of P to 0, which often leaves the pushout leg R -> N not
+    local."""
+    p_rank = rng.randint(1, 2)
+    p = N(p_rank)
+    r_rank = rng.randint(1, 2)
+
+    def monoid(rank):
+        while True:
+            gens = [tuple(rng.randint(0, 3) for _ in range(rank))
+                    for _ in range(rng.randint(rank, rank + 2))]
+            m = saturate(rank, [g for g in gens if any(g)])
+            if m.sharp and m.group_rank == rank:
+                return m
+
+    def random_hom(m, terms):
+        cols = []
+        for _ in range(p_rank):
+            v = (0,) * m.ambient_rank
+            for _ in range(rng.randint(*terms)):
+                v = tuple(a + b for a, b in zip(v, rng.choice(m.generators)))
+            cols.append(v)
+        return hom(p, m, [[c[i] for c in cols] for i in range(m.ambient_rank)])
+
+    r = monoid(r_rank)
+    psi = random_hom(r, (1, 2))
+    while not is_local(psi):
+        psi = random_hom(r, (1, 2))
+    charts = tuple(random_hom(monoid(rng.randint(1, 3 if r_rank == 1 else 2)),
+                              (0, 2) if rng.random() < 0.3 else (1, 2))
+                   for _ in range(rng.randint(1, 3)))
+    return FiberProblem(p, charts), LogPointQuery(r, psi)
+
+
+def test_pushout_matches_face_loop_oracle():
+    # one retraction search at the zero face of N decides what the loop over
+    # every face of N decides, with the same chart, face and a retraction
+    rng = random.Random(1409)
+    seen = {"firm": 0, "not firm": 0, "rank 3": 0, "leg not local": 0}
+    for _ in range(320):
+        prob, q = random_fiber_problem(rng)
+        got = firm_check_pushout(prob, q)
+        want = face_loop_pushout(prob, q)
+        assert (got.firm, got.component_index) == (want.firm,
+                                                   want.component_index)
+        legs = [fs_pushout(theta, q.psi).leg2 for theta in prob.components]
+        if got.firm:
+            assert got.face == want.face
+            assert not got.face.generator_subset
+            leg = legs[got.component_index]
+            assert (got.retraction.compose(leg).local
+                    == identity_hom(q.point_monoid).local)
+        seen["firm" if got.firm else "not firm"] += 1
+        seen["rank 3"] += any(t.target.group_rank == 3 for t in prob.components)
+        seen["leg not local"] += sum(not is_local(leg) for leg in legs)
+    assert min(seen.values()) >= 80, seen
 
 
 class TestDichotomy:

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from logfirm.firm import FiberProblem, LogPointQuery, firm_check_pushout
 from logfirm.intlinalg import (
     dot, identity, kernel_and_cokernel, mat_vec, vec_add, vec_sub)
 import logfirm.intlinalg
@@ -328,6 +329,70 @@ class TestHilbertBasis:
             done += 1
 
 
+class TestLazyHilbertBasis:
+    @pytest.fixture
+    def box_calls(self, monkeypatch):
+        """The arguments of every bounding-box enumeration from now on."""
+        calls = []
+        original = logfirm.monoid._hilbert_basis_local
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(logfirm.monoid, "_hilbert_basis_local", counting)
+        return calls
+
+    def test_saturate_enumerates_only_when_read(self, box_calls):
+        m = saturate(2, [(1, 0), (1, 3)], group=[[1, 0], [0, 1]])
+        assert box_calls == []
+        assert m.hilbert == ((1, 0), (1, 1), (1, 2), (1, 3))
+        assert m.hilbert_local is m.hilbert_local
+        assert len(box_calls) == 1
+
+    def test_not_sharp_enumerates_nothing(self, box_calls):
+        assert saturate(1, [(1,), (-1,)]).hilbert_local is None
+        assert box_calls == []
+
+    def test_pushout_and_firmness_enumerate_only_when_read(self, box_calls):
+        p, q, r = N(), saturate(2, [(1, 0), (1, 1), (1, 2)]), N(2)
+        theta, psi = hom(p, q, [[1], [1]]), hom(p, r, [[1], [2]])
+        # the inputs' own bases, read by the pushout's amalgam
+        for m in (p, q, r):
+            m.hilbert_local
+        box_calls.clear()
+        res = fs_pushout(theta, psi)
+        firm = firm_check_pushout(FiberProblem(p, (theta,)),
+                                  LogPointQuery(r, psi))
+        assert firm.firm
+        assert box_calls == []
+        res.characteristic.hilbert_local
+        assert len(box_calls) == 1
+
+    def test_value_is_the_box_enumeration(self):
+        rng = random.Random(1411)
+        for _ in range(40):
+            rank = rng.randint(1, 3)
+            gens = [tuple(rng.randint(-1, 3) for _ in range(rank))
+                    for _ in range(rng.randint(1, 4))]
+            m = saturate(rank, gens)
+            box = (logfirm.monoid._hilbert_basis_local(
+                m.rays_local, m.facets_local, m.group_rank)
+                if m.sharp else None)
+            assert m.hilbert_local == box
+
+    def test_equality_and_hash_ignore_reads(self):
+        gens = [(2, 0), (1, 1), (0, 2)]
+        read, unread = saturate(2, gens), saturate(2, gens)
+        before = hash(read)
+        read.hilbert_local
+        assert hash(read) == before == hash(unread)
+        assert read == unread
+        assert read != saturate(2, [(1, 0), (0, 1)])
+        assert "hilbert_local" not in [f.name for f in
+                                       dataclasses.fields(AffineMonoid)]
+
+
 # ---------------------------------------------------------------------------
 # faces and localization
 
@@ -470,6 +535,39 @@ class TestHoms:
     def test_invalid_hom_rejected(self):
         with pytest.raises(ValueError):
             hom(N(), N(), [[-1]])
+
+    def test_rejection_names_first_failing_hilbert_element(self):
+        # the Hilbert basis is (1,0), (1,1), (1,2) and the extreme rays are
+        # (1,0), (1,2); (1,1) -> -1 is the first element outside N
+        src = saturate(2, [(1, 0), (1, 1), (1, 2)])
+        assert src.rays_local == ((1, 0), (1, 2))
+        with pytest.raises(ValueError, match=r"^matrix does not map "
+                           r"generator \(1, 1\) into the target monoid$"):
+            hom(src, N(), [[2, -3]])
+        with pytest.raises(ValueError, match=r"^hom does not map "
+                           r"generator \(1, 1\) into"):
+            MonoidHom(src, N(), local=[[2, -3]])
+
+    def test_ray_check_agrees_with_hilbert_check(self):
+        # a random group map is a hom exactly when it sends every Hilbert
+        # element into the target
+        rng = random.Random(1412)
+        for _ in range(200):
+            src, _ = ambient_kept_monoid(rng)
+            dst, _ = ambient_kept_monoid(rng)
+            matrix = [[rng.randint(-2, 3) for _ in range(src.ambient_rank)]
+                      for _ in range(dst.ambient_rank)]
+            images = [mat_vec(matrix, h) for h in src.hilbert]
+            try:
+                hom(src, dst, matrix)
+            except ValueError as exc:
+                if "group" in str(exc):
+                    continue
+                bad = next(h for h, v in zip(src.hilbert, images)
+                           if not dst.contains(v))
+                assert str(bad) in str(exc)
+            else:
+                assert all(dst.contains(v) for v in images)
 
     def test_compose(self):
         n = N()
