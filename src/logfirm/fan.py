@@ -14,8 +14,8 @@ overlay compares supports exactly by checking the walls of its pieces; both
 rely on pairwise intersections of cones being common faces.  That is checked
 once, at the boundary: :func:`cone_complex` checks the ray lists it is given,
 while overlays and stellar subdivisions of fans are fans and are assembled
-without a check.  A complex keeps only the ray tuples of its faces and builds
-the faces themselves when first asked for them.
+without a check.  A complex finds the ray tuples of its faces, and the faces
+themselves, only when first asked for them.
 
 A cone keeps its ray-facet incidence: for each facet, the rays on which it
 vanishes.  Its builder sets it, most often straight from the double
@@ -31,10 +31,12 @@ from the incidence as well.
 Both the fan check and the overlay first try to decide a pair of cones by
 exact integer sign tests on the rays and facets that each cone holds: one
 cone inside the other, or a facet of one that is <= 0 on the other.  Only
-the pairs these leave open take a double description, which gives the rays
-of the intersection.  When that is full-dimensional, its facets are the
-facets of the two cones that vanish on maximal sets of those rays, and no
-second double description is needed.
+the pairs these leave open take a double description.  It starts from the
+rays and incidence of one cone, adds the facets of the other, and gives the
+rays of the intersection with the facets vanishing on each.  When the
+intersection is full-dimensional, its facets are the facets of the two
+cones that vanish on maximal sets of those rays, and no second double
+description is needed.
 """
 
 from __future__ import annotations
@@ -45,15 +47,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
+from . import intlinalg
 from .intlinalg import (
     Vec,
     dot,
     dual_description,
     face_closure,
-    facets_to_rays,
     hermite_normal_form,
     identity,
-    incidence,
     mat_vec,
     primitive,
 )
@@ -107,6 +108,13 @@ class Cone:
                          for on_face in face_closure(self.incidence, len(self.rays))) | {()}
 
     @cached_property
+    def ray_facets(self) -> tuple[frozenset, ...]:
+        """The incidence read by ray: for each ray, the indices of the facets
+        vanishing on it."""
+        return tuple(frozenset(j for j, on in enumerate(self.incidence) if i in on)
+                     for i in range(len(self.rays)))
+
+    @cached_property
     def full(self) -> bool:
         """Whether the cone is full-dimensional: no facet vanishes on all of it."""
         return not any(len(on) == len(self.rays) for on in self.incidence)
@@ -136,14 +144,15 @@ def make_cone(ambient_rank: int, rays) -> Cone:
 def _extreme_cone(ambient_rank: int, rays) -> Cone:
     """The cone whose sorted primitive extreme rays are already known to be
     ``rays``, as for a face or an intersection: one double description gives
-    its facets, and the result equals ``make_cone(ambient_rank, rays)``."""
+    its facets and their incidence, and the result equals
+    ``make_cone(ambient_rank, rays)``."""
     rays = tuple(rays)
     if not rays:
         facets = tuple(tuple(s * x for x in row)
                        for s in (1, -1) for row in identity(ambient_rank))
-    else:
-        facets = facets_to_rays(rays, ambient_rank)
-    return Cone(ambient_rank, rays, facets, incidence(rays, facets))
+        return Cone(ambient_rank, rays, facets, (frozenset(),) * len(facets))
+    dd = dual_description(rays, ambient_rank)
+    return Cone(ambient_rank, rays, dd.facets, dd.incidence)
 
 
 def cone_faces(c: Cone) -> list[Cone]:
@@ -152,22 +161,37 @@ def cone_faces(c: Cone) -> list[Cone]:
             for rays in sorted(c.faces)]
 
 
+def _meet(a: Cone, b: Cone) -> tuple[list[Vec], list[frozenset]]:
+    """The extreme rays of a ∩ b, each with the indices into ``a.facets +
+    b.facets`` of the facets vanishing on it: one double description that
+    starts from a, whose rays and incidence are known, and adds the facets
+    of b.  It is looked up on ``intlinalg``, like every other double
+    description, so that a wrapper put there sees them all."""
+    _, rays, tight = intlinalg.dual_rays(a.facets + b.facets, a.ambient_rank,
+                                         (len(a.facets), a.rays, a.ray_facets))
+    return rays, tight
+
+
 def cone_intersection(a: Cone, b: Cone) -> Cone:
-    """a ∩ b, equal to ``make_cone`` of its rays.  One double description
-    gives the rays.  When no facet of a or b vanishes on all of them, a ∩ b
-    is full-dimensional, and its facets are the facets of a and b whose sets
-    of tight rays are maximal: every proper face lies in a facet, and
-    distinct facets of a full-dimensional cone vanish on distinct sets of
-    rays.  A lower-dimensional a ∩ b takes a second double description."""
+    """a ∩ b, equal to ``make_cone`` of its rays.  One double description,
+    started from a (see :func:`_meet`), gives the rays and the facets of a
+    and b that vanish on each.  When no facet vanishes on all of them, a ∩ b
+    is full-dimensional, and its facets and their incidence are those of a
+    and b whose sets of tight rays are maximal: every proper face lies in a
+    facet, and distinct facets of a full-dimensional cone vanish on distinct
+    sets of rays.  A lower-dimensional a ∩ b takes a second double
+    description, for its equations."""
     d = a.ambient_rank
-    normals = a.facets + b.facets
-    rays = facets_to_rays(normals, d)
-    candidates = sorted(set(normals))
-    tight = incidence(rays, candidates)
-    if not rays or any(len(on) == len(rays) for on in tight):
+    rays, tight = _meet(a, b)
+    if not rays or frozenset.intersection(*tight):
         return _extreme_cone(d, rays)
-    top = [i for i, on in enumerate(tight) if not any(on < other for other in tight)]
-    return Cone(d, rays, tuple(candidates[i] for i in top), tuple(tight[i] for i in top))
+    first: dict[Vec, int] = {}  # each facet, by its first place in the list
+    for j, f in enumerate(a.facets + b.facets):
+        first.setdefault(f, j)
+    candidates = sorted(first)
+    on = [frozenset(k for k, t in enumerate(tight) if first[f] in t) for f in candidates]
+    top = [i for i, o in enumerate(on) if not any(o < other for other in on)]
+    return Cone(d, tuple(rays), tuple(candidates[i] for i in top), tuple(on[i] for i in top))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +204,18 @@ class ConeComplex:
     intersections of cones are faces of both, which :meth:`carrier` relies
     on.  Cones are keyed by their sorted ray tuple: ``faces`` holds the key
     of every face of every maximal cone, and a cone's index is its place in
-    ``faces``.  The faces are built as ``Cone``s only when ``cones`` is first
-    read."""
+    ``faces``.  Both follow from ``maximal`` and are found when first read:
+    the keys from the face lattices of the maximal cones, and the faces as
+    ``Cone``s when ``cones`` is read."""
 
     ambient_rank: int
     maximal: tuple[Cone, ...]
-    faces: tuple[tuple[Vec, ...], ...]  # sorted ray tuples of all cones
     scale: int = 1
+
+    @cached_property
+    def faces(self) -> tuple[tuple[Vec, ...], ...]:
+        """The ray tuple of every cone, sorted."""
+        return tuple(sorted(set().union(*(m.faces for m in self.maximal))))
 
     @cached_property
     def cones(self) -> tuple[Cone, ...]:
@@ -236,7 +265,7 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex
     for a, b in itertools.combinations(c.maximal, 2):
         if _common_face(a, b):
             continue
-        inter = facets_to_rays(a.facets + b.facets, ambient_rank)  # rays of a ∩ b
+        inter = tuple(_meet(a, b)[0])  # rays of a ∩ b
         if inter not in a.faces or inter not in b.faces:
             raise ValueError("cones do not meet along a common face")
     return c
@@ -281,16 +310,18 @@ def _assemble(ambient_rank: int, cones, scale: int) -> ConeComplex:
     """The complex of ``cones``, built ``Cone``s that form a fan.  Nothing is
     checked here: :func:`cone_complex` checks its input, and an overlay or a
     stellar subdivision of a fan is a fan.  A cone is maximal unless its ray
-    tuple repeats an earlier one or is a proper face of another cone; only
-    the ray tuples of the faces are computed."""
+    tuple repeats an earlier one or is a proper face of another cone.  A
+    full-dimensional cone is a proper face of no cone, so the face lattices
+    are found only when some cone is lower-dimensional."""
     unique: dict[tuple[Vec, ...], Cone] = {}
     for c in cones:
         unique.setdefault(c.rays, c)
-    proper = set().union(*(c.faces - {rays} for rays, c in unique.items()))
+    proper = set()
+    if not all(c.full for c in unique.values()):
+        proper = set().union(*(c.faces - {rays} for rays, c in unique.items()))
     maximal = sorted((c for rays, c in unique.items() if rays not in proper),
                      key=Cone.key)
-    faces = set().union(*(m.faces for m in maximal))
-    return ConeComplex(ambient_rank, tuple(maximal), tuple(sorted(faces)), scale)
+    return ConeComplex(ambient_rank, tuple(maximal), scale)
 
 
 def orthant(rank: int) -> ConeComplex:
@@ -403,6 +434,13 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
         raise NotPrimitive(f"{v} is not primitive")
     if not c.supports(v):
         raise OutsideSupport(f"{v} outside the support")
+    subdivided = _star(c, v)
+    return subdivided, complex_map(subdivided, c)
+
+
+def _star(c: ConeComplex, v: Vec) -> ConeComplex:
+    """The stellar subdivision of ``c`` at ``v``, a primitive vector of its
+    support, without its map."""
     pieces = []
     for sigma in c.maximal:
         if not sigma.contains(v):
@@ -412,8 +450,7 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
             if dot(f, v) > 0:
                 pieces.append(make_cone(c.ambient_rank,
                                         [sigma.rays[i] for i in on] + [v]))
-    subdivided = _assemble(c.ambient_rank, pieces, c.scale)
-    return subdivided, complex_map(subdivided, c)
+    return _assemble(c.ambient_rank, pieces, c.scale)
 
 
 def _covers(a: Cone, pieces) -> bool:
@@ -464,13 +501,24 @@ def common_refinement(f1: ConeComplex, f2: ConeComplex) -> ConeComplex:
     double description."""
     if f1.ambient_rank != f2.ambient_rank:
         raise SupportMismatch("different ambient lattices")
-    grid = [[_piece(a, b, a.full and b.full) for b in f2.maximal]
-            for a in f1.maximal]
+    grid = _grid(f1, f2)
     columns = [[row[j] for row in grid] for j in range(len(f2.maximal))]
     for c, pieces in zip(f1.maximal + f2.maximal, grid + columns):
         # a row or column that holds its own cone is covered
         if c not in pieces and not _covers(c, [p for p in pieces if p is not None]):
             raise SupportMismatch(f"cone {c.rays} is not covered by the other fan")
+    return _overlay(f1, f2, grid)
+
+
+def _grid(f1: ConeComplex, f2: ConeComplex) -> list[list[Cone | None]]:
+    """The overlay piece of each pair of maximal cones, by rows of f1."""
+    return [[_piece(a, b, a.full and b.full) for b in f2.maximal]
+            for a in f1.maximal]
+
+
+def _overlay(f1: ConeComplex, f2: ConeComplex, grid) -> ConeComplex:
+    """The complex of the nonzero pieces in ``grid``, on the lcm of the
+    lattices, with no check that they cover both fans."""
     return _assemble(f1.ambient_rank,
                      [p for row in grid for p in row if p is not None and p.rays],
                      lcm(f1.scale, f2.scale))
@@ -478,14 +526,16 @@ def common_refinement(f1: ConeComplex, f2: ConeComplex) -> ConeComplex:
 
 def sigma_n(rank: int, n: int) -> ConeComplex:
     """Overlay of the stellar subdivisions of the positive orthant at every
-    primitive vector with coordinates in {0, ..., n}."""
-    result = orthant(rank)
-    base = orthant(rank)
+    primitive vector with coordinates in {0, ..., n}.  Every step overlays
+    two fans whose support is the orthant, so the pieces cover both by
+    construction and the overlay skips :func:`common_refinement`'s check;
+    no subdivision map is built."""
+    base = result = orthant(rank)
     for v in sorted(itertools.product(range(n + 1), repeat=rank)):
         if not any(v) or primitive(v) != v:
             continue
-        sub, _ = star_subdivision(base, v)
-        result = common_refinement(result, sub)
+        star = _star(base, v)
+        result = _overlay(result, star, _grid(result, star))
     return result
 
 
@@ -495,7 +545,7 @@ def root_rescale(c: ConeComplex, k: int) -> ConeComplex:
         raise ValueError("scale factor must be positive")
     if k == 1:
         return c
-    return ConeComplex(c.ambient_rank, c.maximal, c.faces, c.scale * k)
+    return ConeComplex(c.ambient_rank, c.maximal, c.scale * k)
 
 
 def is_refinement(fine: ConeComplex, coarse: ConeComplex) -> bool:

@@ -419,71 +419,76 @@ def solve_lattice(a, b) -> LatticeSolutionSet | None:
 # double description / cone duality
 
 
-def _adjacent(tight_a: frozenset, tight_b: frozenset, all_rays) -> bool:
-    common = tight_a & tight_b
-    for other_tight in all_rays:
-        if other_tight is tight_a or other_tight is tight_b:
-            continue
-        if common <= other_tight:
-            return False
-    return True
+def dual_rays(normals, dim: int, start: tuple | None = None
+              ) -> tuple[list[Vec], list[Vec], list[frozenset]]:
+    """Minimal generators of the cone {x in R^dim : <a, x> >= 0 for a in normals},
+    by the incremental double description method (Fukuda & Prodon, "Double
+    description method revisited", 1996).
 
-
-def dual_rays(normals, dim: int) -> tuple[list[Vec], list[Vec]]:
-    """Minimal generators of the cone {x in R^dim : <a, x> >= 0 for a in normals}.
-
-    Returns (lineality_basis, extreme_rays); the cone is the set of
+    Returns (lineality_basis, extreme_rays, tight): the cone is the set of
     nonnegative combinations of the rays plus arbitrary integer combinations
-    of the lineality basis.  All vectors are primitive integers.
+    of the lineality basis, and ``tight[k]`` holds the indices of the
+    normals that vanish on ``extreme_rays[k]``.  All vectors are primitive
+    integers.  The tight sets are carried along as the normals are added,
+    never recomputed: a ray on the new hyperplane gains its index, the ray
+    made from an adjacent pair (p, n) gets T_p ∩ T_n and that index, and a
+    step that cuts down the lineality gives every old ray the index and the
+    new ray, which was a lineality vector, every earlier index.
+
+    ``start``, when given, is ``(k, rays, tight)``: the extreme rays of the
+    sharp cone cut out by ``normals[:k]``, each with the indices of those
+    normals vanishing on it.  Only ``normals[k:]`` are then added.
     """
-    normals = [tuple(a) for a in normals if any(a)]
-    lin: list[Vec] = [tuple(row) for row in identity(dim)]
-    rays: list[Vec] = []
-
-    def tight_set(vec, upto):
-        return frozenset(i for i in range(upto) for a in [normals[i]] if dot(a, vec) == 0)
-
-    for idx, a in enumerate(normals):
+    normals = [tuple(a) for a in normals]
+    if start is None:
+        first, lin, rays, tight = 0, [tuple(row) for row in identity(dim)], [], []
+    else:
+        first, rays, tight = start
+        lin, rays, tight = [], list(rays), list(tight)
+    for idx in range(first, len(normals)):
+        a = normals[idx]
         s_lin = [dot(a, l) for l in lin]
         if any(s_lin):
             i0 = next(i for i, s in enumerate(s_lin) if s != 0)
             l0, s0 = lin[i0], s_lin[i0]
             if s0 < 0:
                 l0, s0 = tuple(-x for x in l0), -s0
-            new_lin = []
-            for i, (l, s) in enumerate(zip(lin, s_lin)):
-                if i == i0:
-                    continue
-                new_lin.append(primitive(vec_sub(vec_scale(s0, l), vec_scale(s, l0))))
-            new_rays = []
-            for r in rays:
-                s = dot(a, r)
-                new_rays.append(primitive(vec_sub(vec_scale(s0, r), vec_scale(s, l0))))
-            new_rays.append(l0)
-            lin = new_lin
-            rays = list(dict.fromkeys(new_rays))
-        else:
-            pos, zero, neg = [], [], []
-            for r in rays:
-                s = dot(a, r)
-                (pos if s > 0 else zero if s == 0 else neg).append((r, s))
-            if not neg:
+            lin = [primitive(vec_sub(vec_scale(s0, l), vec_scale(s, l0)))
+                   for i, (l, s) in enumerate(zip(lin, s_lin)) if i != i0]
+            rays = [primitive(vec_sub(vec_scale(s0, r), vec_scale(dot(a, r), l0)))
+                    for r in rays] + [l0]
+            tight = [t | {idx} for t in tight] + [frozenset(range(idx))]
+            continue
+        signs = [dot(a, r) for r in rays]
+        new_rays, new_tight, pos, neg = [], [], [], []
+        for r, t, s in zip(rays, tight, signs):
+            if s == 0:
+                new_rays.append(r)
+                new_tight.append(t | {idx})
+            elif s > 0:
+                new_rays.append(r)
+                new_tight.append(t)
+                pos.append((r, t, s))
+            else:
+                neg.append((r, t, s))
+        for (rp, tp, sp), (rn, tn, sn) in itertools.product(pos, neg):
+            common = tp & tn
+            # adjacent exactly when no third ray is tight on all of common
+            if len(rays) > 2 and any(common <= t and t is not tp and t is not tn
+                                     for t in tight):
                 continue
-            tights = {r: tight_set(r, idx) for r, _ in pos + neg + zero}
-            all_tights = list(tights.values())
-            new_rays = [r for r, _ in pos + zero]
-            for (rp, sp), (rn, sn) in itertools.product(pos, neg):
-                if len(rays) > 2 and not _adjacent(tights[rp], tights[rn], all_tights):
-                    continue
-                comb = vec_sub(vec_scale(sp, rn), vec_scale(sn, rp))
-                if any(comb):
-                    new_rays.append(primitive(comb))
-            rays = list(dict.fromkeys(new_rays))
+            comb = vec_sub(vec_scale(sp, rn), vec_scale(sn, rp))
+            if any(comb):
+                new_rays.append(primitive(comb))
+                new_tight.append(common | {idx})
+        rays, tight = new_rays, new_tight
 
     # canonical signs/order: lineality vectors sign-normalized
     lin = [l if next(x for x in l if x) > 0 else tuple(-x for x in l)
            for l in lin if any(l)]
-    return sorted(set(lin)), sorted(set(rays))
+    by_ray = dict(zip(rays, tight))
+    rays = sorted(by_ray)
+    return sorted(set(lin)), rays, [by_ray[r] for r in rays]
 
 
 @dataclass(frozen=True)
@@ -507,24 +512,35 @@ def dual_description(rays, dim: int | None = None) -> DualDescription:
     ``facets`` are the minimal generators of the dual cone: the cone equals
     {x : <f, x> >= 0 for all f in facets}, with an equation of a
     lower-dimensional cone listed as f and -f.  ``rays`` are the sorted
-    primitive extreme rays, read off the generator-facet incidences: a
-    generator is extreme exactly when no other generator is tight on all of
-    its facets (Fukuda & Prodon, "Double description method revisited",
-    1996).  ``incidence`` holds, for each facet, the indices of the rays on
-    which it vanishes.  A cone with a line has no extreme rays, and ``rays``
-    is ``()``; that is the case exactly when some generator is tight on
-    every facet.
+    primitive extreme rays, read off the generator-facet incidences that the
+    double description carries (see :func:`dual_rays`): a generator is
+    extreme exactly when no other generator is tight on all of its facets
+    (Fukuda & Prodon, "Double description method revisited", 1996).
+    ``incidence`` holds, for each facet, the indices of the rays on which
+    it vanishes.  A cone with a line has no extreme rays, and ``rays`` is
+    ``()``; that is the case exactly when some generator is tight on every
+    facet.
     """
     rays = [tuple(r) for r in rays]
     if dim is None:
         if not rays:
             raise ValueError("dim required for the empty ray list")
         dim = len(rays[0])
-    lin_f, facet_rays = dual_rays(rays, dim)
-    facets = _generators_with_lineality(lin_f, facet_rays)
-    gens = sorted({primitive(r) for r in rays if any(r)})
-    tight = [frozenset(i for i, f in enumerate(facets) if dot(f, r) == 0)
-             for r in gens]
+    lin_f, facet_rays, on = dual_rays(rays, dim)
+    # each facet with the indices of the given rays it vanishes on; an
+    # equation, a lineality vector of the dual and its negative, on all
+    on_facet = dict(zip(facet_rays, on))
+    every = frozenset(range(len(rays)))
+    for l in lin_f:
+        on_facet[l] = on_facet[tuple(-x for x in l)] = every
+    facets = tuple(sorted(on_facet))
+    ons = [on_facet[f] for f in facets]
+    first: dict[Vec, int] = {}  # each generator, by the first ray it is
+    for i, r in enumerate(rays):
+        if any(r):
+            first.setdefault(primitive(r), i)
+    gens = sorted(first)
+    tight = [frozenset(k for k, o in enumerate(ons) if first[g] in o) for g in gens]
     if any(len(t) == len(facets) for t in tight):
         return DualDescription((), facets, (frozenset(),) * len(facets))
     extreme = [(r, t) for i, (r, t) in enumerate(zip(gens, tight))
@@ -537,7 +553,7 @@ def dual_description(rays, dim: int | None = None) -> DualDescription:
 
 def facets_to_rays(facets, dim: int) -> tuple[Vec, ...]:
     """Minimal generators of {x : <f, x> >= 0 for all f in facets}."""
-    lin, rays = dual_rays(facets, dim)
+    lin, rays, _ = dual_rays(facets, dim)
     return _generators_with_lineality(lin, rays)
 
 
@@ -681,7 +697,7 @@ def _int_point(g, h, k, charge: _Budget):
 
     # recession direction: any nonzero r with G r >= 0 lets us split off a
     # coordinate that can always be pushed feasible.
-    lin, rays = dual_rays(gm, k)
+    lin, rays, _ = dual_rays(gm, k)
     rec = lin[0] if lin else (rays[0] if rays else None)
     if rec is not None:
         t_mat = _unit_extension(primitive(rec))

@@ -256,7 +256,8 @@ class MonoidHom:
             local = [[c[i] for c in cols] for i in range(target.group_rank)]
             object.__setattr__(self, "matrix", matrix)
         def lands(c):
-            return all(dot(f, mat_vec(local, c)) >= 0 for f in target.facets_local)
+            image = mat_vec(local, c)
+            return all(dot(f, image) >= 0 for f in target.facets_local)
 
         # a group map that sends generators of the source cone into the
         # saturated target sends the whole source there: for a sharp source

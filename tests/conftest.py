@@ -5,14 +5,13 @@ from logfirm import fan
 
 
 @pytest.fixture
-def every_fan_checked(monkeypatch, request):
+def every_fan_checked(monkeypatch):
     """Run the fan oracle on every overlay and stellar subdivision that the
-    test makes, directly or through ``sigma_n`` and ``is_refinement``."""
-    for name in ("star_subdivision", "common_refinement"):
+    test makes, directly or through ``sigma_n`` and ``is_refinement``: each
+    of them is assembled by ``fan._star`` or ``fan._overlay``."""
+    for name in ("_star", "_overlay"):
         def checked(*args, build=getattr(fan, name)):
             out = build(*args)
-            assert not fan_faults(out[0] if isinstance(out, tuple) else out)
+            assert not fan_faults(out)
             return out
         monkeypatch.setattr(fan, name, checked)
-        if hasattr(request.module, name):
-            monkeypatch.setattr(request.module, name, checked)

@@ -253,9 +253,9 @@ class TestWellFormedness:
     def test_make_cone_one_double_description(self, monkeypatch):
         calls = []
 
-        def counting(normals, dim, real=logfirm.intlinalg.dual_rays):
+        def counting(normals, dim, *start, real=logfirm.intlinalg.dual_rays):
             calls.append(dim)
-            return real(normals, dim)
+            return real(normals, dim, *start)
 
         monkeypatch.setattr(logfirm.intlinalg, "dual_rays", counting)
         for rank, rays in [(2, [(1, 0), (0, 1)]),

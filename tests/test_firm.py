@@ -30,6 +30,7 @@ from logfirm.firm import (
     LogPointQuery,
     PushoutFirmness,
     Retraction,
+    _zero_preimage_face,
     dichotomy,
     firm_check,
     firm_check_pushout,
@@ -222,6 +223,36 @@ def test_pushout_matches_face_loop_oracle():
         seen["rank 3"] += any(t.target.group_rank == 3 for t in prob.components)
         seen["leg not local"] += sum(not is_local(leg) for leg in legs)
     assert min(seen.values()) >= 80, seen
+
+
+def test_zero_preimage_face_matches_face_lattice():
+    # h^{-1}(0), read off the facets that vanish on the extreme rays h sends
+    # to 0, is the face with the same Hilbert elements in the whole lattice
+    rng = random.Random(2203)
+    seen = {"zero face": 0, "proper face": 0, "whole monoid": 0, "rank 3": 0}
+    for _ in range(240):
+        rank = rng.randint(1, 3)
+        gens = [tuple(rng.randint(0, 3) for _ in range(rank))
+                for _ in range(rng.randint(rank, rank + 2))]
+        q = saturate(rank, [g for g in gens if any(g)])
+        if not q.sharp or q.group_rank == 0:
+            continue
+        # h: Q -> N^k, each coordinate a sum of facets of Q (or 0), so that
+        # h sends to 0 the face on which the chosen facets vanish
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            chosen = rng.sample(q.facets_local, rng.randint(0, min(2, len(q.facets_local))))
+            rows.append(tuple(sum(col) for col in zip((0,) * q.group_rank, *chosen)))
+        h = MonoidHom(q, N(len(rows)), local=rows)
+        got = _zero_preimage_face(h)
+        killed = tuple(i for i, c in enumerate(q.hilbert_local)
+                       if not any(sum(a * b for a, b in zip(row, c)) for row in rows))
+        assert got.generator_subset == killed
+        assert got == next(f for f in faces(q) if f.generator_subset == killed)
+        seen["zero face" if not killed else "whole monoid"
+             if len(killed) == len(q.hilbert_local) else "proper face"] += 1
+        seen["rank 3"] += q.group_rank == 3
+    assert min(seen.values()) >= 30, seen
 
 
 class TestDichotomy:

@@ -309,9 +309,9 @@ class TestIlpFeasible:
     def test_bounded_slices_need_no_double_description(self, monkeypatch):
         calls = []
 
-        def counting(normals, dim, real=logfirm.intlinalg.dual_rays):
+        def counting(normals, dim, *start, real=logfirm.intlinalg.dual_rays):
             calls.append(dim)
-            return real(normals, dim)
+            return real(normals, dim, *start)
 
         monkeypatch.setattr(logfirm.intlinalg, "dual_rays", counting)
         assert ilp_feasible(2, ineq_lhs=self.SLAB,
@@ -433,6 +433,62 @@ class TestDualDescription:
                 assert dd.rays == oracle
                 pointed += 1
         assert pointed > 150 and lined > 50
+
+    @staticmethod
+    def normals_corpus():
+        """Seeded normal lists in ranks 1 to 5 with entries in -3..3, with
+        zero normals, repeated normals and lineality (a normal and its
+        negative) mixed in."""
+        rng = random.Random(1515)
+        corpus = []
+        for _ in range(1500):
+            d = rng.randint(1, 5)
+            normals = [tuple(rng.randint(-3, 3) for _ in range(d))
+                       for _ in range(rng.randint(0, d + 4))]
+            if normals and rng.random() < 0.3:
+                normals.append(rng.choice(normals))
+            if normals and rng.random() < 0.3:
+                normals.append(tuple(-x for x in rng.choice(normals)))
+            if rng.random() < 0.2:
+                normals.append((0,) * d)
+            rng.shuffle(normals)
+            corpus.append((d, normals))
+        return corpus
+
+    def test_tight_sets_match_dot_products(self):
+        # the tight sets carried through the double description are the
+        # normals that vanish on each ray, indices counting zero normals
+        seen = {"lineality": 0, "zero normal": 0, "repeated": 0, "rays": 0}
+        for d, normals in self.normals_corpus():
+            lin, rays, tight = dual_rays(normals, d)
+            assert len(tight) == len(rays)
+            for r, t in zip(rays, tight):
+                assert all(dot(a, r) >= 0 for a in normals)
+                assert t == frozenset(i for i, a in enumerate(normals) if dot(a, r) == 0)
+            for l in lin:
+                assert not any(dot(a, l) for a in normals)
+            seen["lineality"] += bool(lin) and bool(rays)
+            seen["zero normal"] += bool(rays) and (0,) * d in normals
+            seen["repeated"] += bool(rays) and len(set(normals)) < len(normals)
+            seen["rays"] += len(rays) > 2
+        assert min(seen.values()) >= 100, seen
+
+    def test_start_from_a_sharp_cone(self):
+        # the double description of normals[:k] handed in as the start, with
+        # its tight sets, and then the rest of the normals added, gives what
+        # the double description from scratch gives
+        seen = {"from a cone": 0, "cut": 0}
+        rng = random.Random(1516)
+        for d, normals in self.normals_corpus():
+            k = rng.randint(0, len(normals))
+            lin, rays, tight = dual_rays(normals[:k], d)
+            if lin or not rays:  # a cone with a line, or only 0
+                continue
+            got = dual_rays(normals, d, (k, rays, tight))
+            assert got == dual_rays(normals, d)
+            seen["from a cone"] += 1
+            seen["cut"] += got[1] != rays
+        assert min(seen.values()) >= 100, seen
 
     def test_line_has_no_extreme_rays(self):
         assert dual_description([(1, 0), (-1, 0), (0, 1)]).rays == ()

@@ -241,9 +241,9 @@ class TestNonSharp:
         # span of the generators takes a second one
         calls = []
 
-        def counting(normals, dim, real=logfirm.intlinalg.dual_rays):
+        def counting(normals, dim, *start, real=logfirm.intlinalg.dual_rays):
             calls.append(dim)
-            return real(normals, dim)
+            return real(normals, dim, *start)
 
         monkeypatch.setattr(logfirm.intlinalg, "dual_rays", counting)
         rng = random.Random(75)

@@ -26,8 +26,9 @@ from logfirm.intlinalg import dot, facets_to_rays, hermite_normal_form, primitiv
 
 # overlays and subdivisions are assembled unchecked: the oracle checks them
 pytestmark = pytest.mark.usefixtures("every_fan_checked")
-# the overlay without that check, for counting the double descriptions it makes
-unchecked_refinement = common_refinement
+# the overlay's assembly without that check, for counting the double
+# descriptions the overlay makes
+unchecked_overlay = fan._overlay
 
 
 def assert_mismatch(f1, f2):
@@ -334,9 +335,9 @@ class TestBuildCounts:
                              "_extreme_cone": len(rebuilt.faces) - len(rebuilt.maximal)}
 
     def test_each_piece_is_built_once(self, calls, monkeypatch):
-        def counting(normals, dim, run=intlinalg.dual_rays):
+        def counting(normals, dim, *start, run=intlinalg.dual_rays):
             calls["dual_rays"] += 1
-            return run(normals, dim)
+            return run(normals, dim, *start)
         _, subdivisions, _ = rank3_corpus()
         # full-dimensional fans, whose open pairs cross, and fans with
         # lower-dimensional maximal cones, which also meet inside a
@@ -356,8 +357,9 @@ class TestBuildCounts:
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(intlinalg, "dual_rays", counting)
+                m.setattr(fan, "_overlay", unchecked_overlay)
                 try:
-                    out = unchecked_refinement(a, b)
+                    out = common_refinement(a, b)
                 except SupportMismatch:
                     out = None
             assert calls == +want  # and no make_cone
@@ -491,6 +493,24 @@ class TestAllPairsOracle:
         # both verdicts, in both ranks, and fans of every shape
         assert min(verdicts[r, v] for r in (2, 3) for v in (True, False)) >= 50, verdicts
         assert min(shapes.values()) >= 50, shapes
+
+    def test_intersection_matches_make_cone(self):
+        """cone_intersection, whose double description starts from the rays
+        and incidence of its first cone, equals make_cone of its rays:
+        rays, facets and incidence alike, with the rays of the double
+        description from scratch."""
+        kinds = Counter()
+        for f1, f2 in oracle_corpus():
+            d = f1.ambient_rank
+            for a, b in itertools.product(f1.maximal, f2.maximal):
+                got = fan.cone_intersection(a, b)
+                want = make_cone(d, got.rays)
+                assert got.rays == facets_to_rays(a.facets + b.facets, d)
+                assert (got.rays, got.facets, got.incidence) == (
+                    want.rays, want.facets, want.incidence)
+                kinds["zero" if not got.rays else "full" if got.full else "lower"] += 1
+                kinds["lower-dimensional input"] += not (a.full and b.full)
+        assert min(kinds.values()) >= 100, kinds
 
     def test_fan_check_matches_common_faces(self):
         """cone_complex on two cones, of different fans or spanned by some
