@@ -13,9 +13,10 @@ vectors, the smallest cone containing them, is looked up by that key, and an
 overlay compares supports exactly by checking the walls of its pieces; both
 rely on pairwise intersections of cones being common faces.  That is checked
 once, at the boundary: :func:`cone_complex` checks the ray lists it is given,
-while overlays and stellar subdivisions of fans are fans and are assembled
-without a check.  A complex finds the ray tuples of its faces, and the faces
-themselves, only when first asked for them.
+while overlays and stellar subdivisions of fans, and the chambers of a
+hyperplane arrangement, are fans and are assembled without a check.  A
+complex finds the ray tuples of its faces, and the faces themselves, only
+when first asked for them.
 
 A cone keeps its ray-facet incidence: for each facet, the rays on which it
 vanishes.  Its builder sets it, most often straight from the double
@@ -31,12 +32,20 @@ from the incidence as well.
 Both the fan check and the overlay first try to decide a pair of cones by
 exact integer sign tests on the rays and facets that each cone holds: one
 cone inside the other, or a facet of one that is <= 0 on the other.  Only
-the pairs these leave open take a double description.  It starts from the
-rays and incidence of one cone, adds the facets of the other, and gives the
-rays of the intersection with the facets vanishing on each.  When the
-intersection is full-dimensional, its facets are the facets of the two
-cones that vanish on maximal sets of those rays, and no second double
-description is needed.
+the pairs these leave open take a double description.  One routine cuts a
+cone down by some more facets: a double description that starts from the
+rays and incidence of the cone, adds the facets, and gives the rays of the
+cut with the facets vanishing on each.  When the cut is full-dimensional,
+its facets are the candidates that vanish on maximal sets of those rays,
+and no second double description is needed.  The intersection of two
+cones is the first cut down by the facets of the second.
+
+The tower ``sigma_n`` is the positive orthant cut by the hyperplanes
+b·x_i = a·x_k (a hyperplane arrangement; Stanley, "An introduction to
+hyperplane arrangements", 2007, ch. 1), which is the same fan as the
+overlay of the stellar subdivisions of the orthant (Cox, Little & Schenck,
+*Toric Varieties*, §11.1).  A chamber that a hyperplane crosses splits in
+two by that cut routine, and one double description builds each half.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from . import intlinalg
 from .intlinalg import (
@@ -161,37 +170,45 @@ def cone_faces(c: Cone) -> list[Cone]:
             for rays in sorted(c.faces)]
 
 
-def _meet(a: Cone, b: Cone) -> tuple[list[Vec], list[frozenset]]:
-    """The extreme rays of a ∩ b, each with the indices into ``a.facets +
-    b.facets`` of the facets vanishing on it: one double description that
-    starts from a, whose rays and incidence are known, and adds the facets
-    of b.  It is looked up on ``intlinalg``, like every other double
-    description, so that a wrapper put there sees them all."""
-    _, rays, tight = intlinalg.dual_rays(a.facets + b.facets, a.ambient_rank,
+def _meet(a: Cone, facets: tuple[Vec, ...]) -> tuple[list[Vec], list[frozenset]]:
+    """The extreme rays of the part of a on which every vector of ``facets``
+    is >= 0, each with the indices into ``a.facets + facets`` of the facets
+    vanishing on it: one double description that starts from a, whose rays
+    and incidence are known, and adds ``facets``.  It is looked up on
+    ``intlinalg``, like every other double description, so that a wrapper
+    put there sees them all."""
+    _, rays, tight = intlinalg.dual_rays(a.facets + facets, a.ambient_rank,
                                          (len(a.facets), a.rays, a.ray_facets))
     return rays, tight
 
 
-def cone_intersection(a: Cone, b: Cone) -> Cone:
-    """a ∩ b, equal to ``make_cone`` of its rays.  One double description,
-    started from a (see :func:`_meet`), gives the rays and the facets of a
-    and b that vanish on each.  When no facet vanishes on all of them, a ∩ b
-    is full-dimensional, and its facets and their incidence are those of a
-    and b whose sets of tight rays are maximal: every proper face lies in a
-    facet, and distinct facets of a full-dimensional cone vanish on distinct
-    sets of rays.  A lower-dimensional a ∩ b takes a second double
-    description, for its equations."""
+def _cut_down(a: Cone, facets: tuple[Vec, ...]) -> Cone:
+    """The part of a on which every vector of ``facets`` is >= 0, equal to
+    ``make_cone`` of its rays.  One double description, started from a (see
+    :func:`_meet`), gives the rays and the facets of a and ``facets`` that
+    vanish on each.  When no facet vanishes on all of them, the cut is
+    full-dimensional, and its facets and their incidence are the candidates
+    whose sets of tight rays are maximal: every proper face lies in a facet,
+    and distinct facets of a full-dimensional cone vanish on distinct sets
+    of rays.  A lower-dimensional cut takes a second double description, for
+    its equations."""
     d = a.ambient_rank
-    rays, tight = _meet(a, b)
+    rays, tight = _meet(a, facets)
     if not rays or frozenset.intersection(*tight):
         return _extreme_cone(d, rays)
     first: dict[Vec, int] = {}  # each facet, by its first place in the list
-    for j, f in enumerate(a.facets + b.facets):
+    for j, f in enumerate(a.facets + facets):
         first.setdefault(f, j)
     candidates = sorted(first)
     on = [frozenset(k for k, t in enumerate(tight) if first[f] in t) for f in candidates]
     top = [i for i, o in enumerate(on) if not any(o < other for other in on)]
     return Cone(d, tuple(rays), tuple(candidates[i] for i in top), tuple(on[i] for i in top))
+
+
+def cone_intersection(a: Cone, b: Cone) -> Cone:
+    """a ∩ b, equal to ``make_cone`` of its rays: a cut down by the facets
+    of b (see :func:`_cut_down`)."""
+    return _cut_down(a, b.facets)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +282,7 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex
     for a, b in itertools.combinations(c.maximal, 2):
         if _common_face(a, b):
             continue
-        inter = tuple(_meet(a, b)[0])  # rays of a ∩ b
+        inter = tuple(_meet(a, b.facets)[0])  # rays of a ∩ b
         if inter not in a.faces or inter not in b.faces:
             raise ValueError("cones do not meet along a common face")
     return c
@@ -473,19 +490,19 @@ def _inside(a: Cone, b: Cone) -> bool:
     return all(b.contains(r) for r in a.rays)
 
 
-def _piece(a: Cone, b: Cone, full: bool) -> Cone | None:
+def _piece(a: Cone, b: Cone) -> Cone | None:
     """The overlay piece a ∩ b, decided by sign tests where they suffice: it
     is a when a ⊆ b and b when b ⊆ a.  When both cones are full-dimensional
-    (``full``) and a facet of one is <= 0 on the other, the piece lies in a
-    hyperplane and is None: if the supports agree, the full-dimensional
-    pieces cover a, and in the overlay fan a piece of lower dimension is then
-    a face of one of them.  Only the other pairs take a double description."""
+    and a facet of one is <= 0 on the other, the piece lies in a hyperplane
+    and is None: if the supports agree, the full-dimensional pieces cover a,
+    and in the overlay fan a piece of lower dimension is then a face of one
+    of them.  Only the other pairs take a double description."""
     if _inside(a, b):
         return a
     if _inside(b, a):
         return b
-    if full and (any(_cut(f, b) is not None for f in a.facets)
-                 or any(_cut(f, a) is not None for f in b.facets)):
+    if a.full and b.full and (any(_cut(f, b) is not None for f in a.facets)
+                              or any(_cut(f, a) is not None for f in b.facets)):
         return None
     return cone_intersection(a, b)
 
@@ -501,7 +518,7 @@ def common_refinement(f1: ConeComplex, f2: ConeComplex) -> ConeComplex:
     double description."""
     if f1.ambient_rank != f2.ambient_rank:
         raise SupportMismatch("different ambient lattices")
-    grid = _grid(f1, f2)
+    grid = [[_piece(a, b) for b in f2.maximal] for a in f1.maximal]
     columns = [[row[j] for row in grid] for j in range(len(f2.maximal))]
     for c, pieces in zip(f1.maximal + f2.maximal, grid + columns):
         # a row or column that holds its own cone is covered
@@ -510,14 +527,9 @@ def common_refinement(f1: ConeComplex, f2: ConeComplex) -> ConeComplex:
     return _overlay(f1, f2, grid)
 
 
-def _grid(f1: ConeComplex, f2: ConeComplex) -> list[list[Cone | None]]:
-    """The overlay piece of each pair of maximal cones, by rows of f1."""
-    return [[_piece(a, b, a.full and b.full) for b in f2.maximal]
-            for a in f1.maximal]
-
-
 def _overlay(f1: ConeComplex, f2: ConeComplex, grid) -> ConeComplex:
-    """The complex of the nonzero pieces in ``grid``, on the lcm of the
+    """The complex of the nonzero pieces in ``grid``, which holds the overlay
+    piece of each pair of maximal cones by rows of f1, on the lcm of the
     lattices, with no check that they cover both fans."""
     return _assemble(f1.ambient_rank,
                      [p for row in grid for p in row if p is not None and p.rays],
@@ -525,18 +537,43 @@ def _overlay(f1: ConeComplex, f2: ConeComplex, grid) -> ConeComplex:
 
 
 def sigma_n(rank: int, n: int) -> ConeComplex:
-    """Overlay of the stellar subdivisions of the positive orthant at every
-    primitive vector with coordinates in {0, ..., n}.  Every step overlays
-    two fans whose support is the orthant, so the pieces cover both by
-    construction and the overlay skips :func:`common_refinement`'s check;
-    no subdivision map is built."""
-    base = result = orthant(rank)
-    for v in sorted(itertools.product(range(n + 1), repeat=rank)):
-        if not any(v) or primitive(v) != v:
-            continue
-        star = _star(base, v)
-        result = _overlay(result, star, _grid(result, star))
-    return result
+    """The overlay of the stellar subdivisions of the positive orthant at
+    every primitive vector with coordinates in {0, ..., n}, built as the
+    orthant cut by the hyperplanes b·x_i = a·x_k for i < k and coprime
+    1 <= a, b <= n.  These are the same fan:
+
+    - Let v be such a vector and S = {i : v_i > 0}.  The star of the orthant
+      at v has one cone σ_i = cone(v, e_j : j ≠ i) for each i in S, and
+      σ_i = {x >= 0 : x_i/v_i <= x_k/v_k for all k in S}.  So each cone of
+      the star is cut out of the orthant by half-spaces of hyperplanes
+      v_k·x_i = v_i·x_k.  Divided by the gcd of v_i and v_k, each of these
+      is one of the hyperplanes above, so the cone is a union of chambers.
+    - When v = a·e_i + b·e_k with coprime a, b, the star has the two cones
+      on either side of b·x_i = a·x_k, so that whole section of the orthant
+      is a wall, and every chamber lies on one side of it.
+
+    So every cone of the overlay is a union of chambers that lies on one
+    side of every hyperplane, that is one chamber.  A chamber that a
+    hyperplane crosses, with rays strictly on both sides (:func:`_cut`),
+    splits into the two halves that ``_cut_down`` builds; both are
+    full-dimensional, so each takes one double description.  Chambers of a
+    hyperplane arrangement form a fan, which is assembled without a check,
+    and no subdivision map is built."""
+    chambers = list(orthant(rank).maximal)
+    for i, k in itertools.combinations(range(rank), 2):
+        for a, b in itertools.product(range(1, n + 1), repeat=2):
+            if gcd(a, b) > 1:
+                continue
+            h = tuple(b if j == i else -a if j == k else 0 for j in range(rank))
+            minus = tuple(-x for x in h)
+            cut = []
+            for c in chambers:
+                if _cut(h, c) is None and _cut(minus, c) is None:
+                    cut += [_cut_down(c, (h,)), _cut_down(c, (minus,))]
+                else:
+                    cut.append(c)
+            chambers = cut
+    return _assemble(rank, chambers, 1)
 
 
 def root_rescale(c: ConeComplex, k: int) -> ConeComplex:

@@ -498,14 +498,6 @@ class DualDescription:
     incidence: tuple[frozenset, ...]  # per facet, the indices of the rays it vanishes on
 
 
-def _generators_with_lineality(lin, rays) -> tuple[Vec, ...]:
-    out = set(rays)
-    for l in lin:
-        out.add(l)
-        out.add(tuple(-x for x in l))
-    return tuple(sorted(out))
-
-
 def dual_description(rays, dim: int | None = None) -> DualDescription:
     """Facets and extreme rays of cone(rays) from one double description.
 
@@ -549,12 +541,6 @@ def dual_description(rays, dim: int | None = None) -> DualDescription:
         tuple(r for r, _ in extreme), facets,
         tuple(frozenset(k for k, (_, t) in enumerate(extreme) if i in t)
               for i in range(len(facets))))
-
-
-def facets_to_rays(facets, dim: int) -> tuple[Vec, ...]:
-    """Minimal generators of {x : <f, x> >= 0 for all f in facets}."""
-    lin, rays, _ = dual_rays(facets, dim)
-    return _generators_with_lineality(lin, rays)
 
 
 def incidence(points, normals) -> tuple[frozenset, ...]:

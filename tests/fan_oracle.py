@@ -8,13 +8,25 @@ pairwise common-face check on any complex, and also checks its maximal cones
 and face keys against faces found by brute force over subsets of rays.
 ``all_pairs_overlay`` is the overlay that builds the piece of every pair of
 maximal cones from two double descriptions, one for its rays and one for its
-facets."""
+facets.  ``star_overlay_sigma_n`` is the tower as the definition reads: the
+overlay, with the exact support check, of the stellar subdivisions of the
+orthant at every primitive vector in {0, ..., n}^d.  ``facets_to_rays``
+gives the generators of a cone from its facets, lines included, by one
+double description."""
 
 import itertools
 from math import lcm
 
+from logfirm import fan
 from logfirm.fan import SupportMismatch, _assemble, _covers, _extreme_cone
-from logfirm.intlinalg import dot, facets_to_rays
+from logfirm.intlinalg import dot, dual_rays, primitive
+
+
+def facets_to_rays(facets, dim: int) -> tuple:
+    """Minimal generators of {x : <f, x> >= 0 for all f in facets}: the
+    extreme rays, and each lineality vector with its negative."""
+    lin, rays, _ = dual_rays(facets, dim)
+    return tuple(sorted({*rays, *lin, *(tuple(-x for x in l) for l in lin)}))
 
 
 def is_face(rays, cone) -> bool:
@@ -65,3 +77,15 @@ def all_pairs_overlay(f1, f2):
             raise SupportMismatch(f"cone {c.rays} is not covered by the other fan")
     return _assemble(f1.ambient_rank, [p for row in grid for p in row if p.rays],
                      lcm(f1.scale, f2.scale))
+
+
+def star_overlay_sigma_n(rank: int, n: int):
+    """``sigma_n`` as the overlay of the stellar subdivisions of the positive
+    orthant at every primitive vector with coordinates in {0, ..., n}, one
+    star at a time, each overlay with ``common_refinement``'s support check.
+    Both are looked up on ``fan``, so that a wrapper put there sees them."""
+    base = result = fan.orthant(rank)
+    for v in sorted(itertools.product(range(n + 1), repeat=rank)):
+        if any(v) and primitive(v) == v:
+            result = fan.common_refinement(result, fan._star(base, v))
+    return result

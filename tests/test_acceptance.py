@@ -217,7 +217,7 @@ class TestCriterion08SigmaTower:
             assert is_refinement(s2, fan), order
 
     def test_rank_3_levels_are_fans(self):
-        # sigma_n assembles its overlays without the pairwise check
+        # sigma_n assembles its chambers without the pairwise check
         for n in (2, 3):
             s = sigma_n(3, n)
             assert not fan_faults(s)

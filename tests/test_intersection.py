@@ -12,9 +12,9 @@ import functools
 import random
 from collections import Counter
 
-from fan_oracle import brute_faces
+from fan_oracle import brute_faces, facets_to_rays
 from logfirm.fan import _extreme_cone, cone_intersection, make_cone
-from logfirm.intlinalg import dot, facets_to_rays, mat_vec
+from logfirm.intlinalg import dot, mat_vec
 
 
 def _unimodular(rng, d):

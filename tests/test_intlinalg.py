@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logfirm.intlinalg
+from fan_oracle import facets_to_rays
 from logfirm.intlinalg import (
     DualDescription,
     ResourceLimit,
     dot,
     dual_description,
     dual_rays,
-    facets_to_rays,
     hermite_normal_form,
     identity,
     ilp_budget,

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from fan_oracle import all_pairs_overlay, fan_faults, is_face
+from fan_oracle import all_pairs_overlay, facets_to_rays, fan_faults, is_face
 from logfirm import fan, intlinalg
 from logfirm.fan import (
     SupportMismatch,
@@ -22,7 +22,7 @@ from logfirm.fan import (
     orthant,
     star_subdivision,
 )
-from logfirm.intlinalg import dot, facets_to_rays, hermite_normal_form, primitive
+from logfirm.intlinalg import dot, hermite_normal_form, primitive
 
 # overlays and subdivisions are assembled unchecked: the oracle checks them
 pytestmark = pytest.mark.usefixtures("every_fan_checked")
