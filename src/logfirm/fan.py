@@ -20,7 +20,10 @@ when first asked for them.
 
 A cone keeps its ray-facet incidence: for each facet, the rays on which it
 vanishes.  Its builder sets it, most often straight from the double
-description that gave the facets, and the routines here read it where they
+description that gave the facets; a simplicial cone, whose rays are as
+many as the ambient rank and independent, takes no double description, as
+its facets and incidence are read off one exact inverse
+(``intlinalg.dual_description``).  The routines here read it where they
 would otherwise take those dot products again.  The face lattice of a cone
 is closed from the incidence once per cone (``intlinalg.face_closure``), and
 the test for a full-dimensional cone is read off it; an overlay piece that
@@ -39,6 +42,10 @@ cut with the facets vanishing on each.  When the cut is full-dimensional,
 its facets are the candidates that vanish on maximal sets of those rays,
 and no second double description is needed.  The intersection of two
 cones is the first cut down by the facets of the second.
+
+A stellar subdivision knows the cone of the input that each of its pieces
+was cut from, so its map sends each face of a piece to the carrier of the
+face's rays in that cone, without a search over the cones of the input.
 
 The tower ``sigma_n`` is the positive orthant cut by the hyperplanes
 b·x_i = a·x_k (a hyperplane arrangement; Stanley, "An introduction to
@@ -138,9 +145,10 @@ class Cone:
 
 
 def make_cone(ambient_rank: int, rays) -> Cone:
-    """Canonical cone from generating rays: one double description gives its
-    facets and its sorted primitive extreme rays.  Raises ValueError when
-    the rays span a cone with a line, which is not sharp."""
+    """Canonical cone from generating rays: ``dual_description`` gives its
+    facets and its sorted primitive extreme rays, by one double description
+    or, for a simplicial cone, by none.  Raises ValueError when the rays
+    span a cone with a line, which is not sharp."""
     rays = [primitive(tuple(r)) for r in rays if any(r)]
     if not rays:
         return _extreme_cone(ambient_rank, ())
@@ -152,7 +160,7 @@ def make_cone(ambient_rank: int, rays) -> Cone:
 
 def _extreme_cone(ambient_rank: int, rays) -> Cone:
     """The cone whose sorted primitive extreme rays are already known to be
-    ``rays``, as for a face or an intersection: one double description gives
+    ``rays``, as for a face or an intersection: ``dual_description`` gives
     its facets and their incidence, and the result equals
     ``make_cone(ambient_rank, rays)``."""
     rays = tuple(rays)
@@ -445,29 +453,50 @@ def complex_map(source: ConeComplex, target: ConeComplex,
 
 def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
     """Stellar subdivision at a primitive vector in the support, with the
-    canonical subdivision map back to the input."""
+    canonical subdivision map back to the input, equal to
+    ``complex_map(subdivided, c)``.  Each maximal cone of the subdivision
+    lies in the cone of ``c`` it was cut from (see :func:`_star_pieces`), so
+    each of its faces maps to the carrier of its rays there, with no search
+    over the cones of ``c``."""
     v = tuple(v)
     if not any(v) or primitive(v) != v:
         raise NotPrimitive(f"{v} is not primitive")
     if not c.supports(v):
         raise OutsideSupport(f"{v} outside the support")
     subdivided = _star(c, v)
-    return subdivided, complex_map(subdivided, c)
+    source = {rays: sigma for sigma, rays in _star_pieces(c, v)}
+    carriers = {}
+    for m in subdivided.maximal:
+        for rays in m.faces - carriers.keys():
+            carriers[rays] = c.carrier(source[m.rays], rays)
+    matrix = tuple(tuple(r) for r in identity(c.ambient_rank))
+    return subdivided, ConeComplexMap(subdivided, c, tuple(
+        (carriers[rays], matrix) for rays in subdivided.faces))
+
+
+def _star_pieces(c: ConeComplex, v: Vec):
+    """The maximal cones of the stellar subdivision of ``c`` at ``v``, a
+    primitive vector of its support, each as (sigma, rays): sigma is the
+    maximal cone of ``c`` that holds it, and ``rays`` are its sorted extreme
+    rays.  A cone that does not contain v is kept; one that does is replaced
+    by the pyramids over v of its facets that v is not on.  No two pieces
+    repeat or contain one another, so each is maximal."""
+    for sigma in c.maximal:
+        if not sigma.contains(v):
+            yield sigma, sigma.rays
+            continue
+        for f, on in zip(sigma.facets, sigma.incidence):
+            if dot(f, v) > 0:
+                yield sigma, tuple(sorted([sigma.rays[i] for i in on] + [v]))
 
 
 def _star(c: ConeComplex, v: Vec) -> ConeComplex:
     """The stellar subdivision of ``c`` at ``v``, a primitive vector of its
-    support, without its map."""
-    pieces = []
-    for sigma in c.maximal:
-        if not sigma.contains(v):
-            pieces.append(sigma)
-            continue
-        for f, on in zip(sigma.facets, sigma.incidence):
-            if dot(f, v) > 0:
-                pieces.append(make_cone(c.ambient_rank,
-                                        [sigma.rays[i] for i in on] + [v]))
-    return _assemble(c.ambient_rank, pieces, c.scale)
+    support, without its map.  A piece with the rays of its cone, as when v
+    is a ray of a simplicial cone, is that cone."""
+    return _assemble(c.ambient_rank,
+                     [sigma if rays == sigma.rays else make_cone(c.ambient_rank, rays)
+                      for sigma, rays in _star_pieces(c, v)], c.scale)
 
 
 def _covers(a: Cone, pieces) -> bool:

@@ -114,29 +114,46 @@ def primitive(v) -> Vec:
     return tuple(x // g for x in v)
 
 
+def scaled_inverse(m) -> tuple[int, Matrix] | None:
+    """(p, W) with W = p·M⁻¹ an integer matrix and p = ±det M, or None when
+    the square integer matrix M is singular.
+
+    One fraction-free Gauss-Jordan elimination of [M | I] (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", 1968): each step replaces every other row i by
+    (a_kk·row_i − a_ik·row_k) / p_prev, a division that is exact, so every
+    entry stays an integer minor.  It ends at [p·I | W].
+    """
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if aug[r][k] != 0), None)
+        if piv is None:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pk, row_k = aug[k][k], aug[k]
+        for i in range(n):
+            if i != k:
+                a = aug[i][k]
+                aug[i] = [(pk * x - a * y) // prev for x, y in zip(aug[i], row_k)]
+        prev = pk
+    return prev, [row[n:] for row in aug]
+
+
 def rational_inverse(m) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix by Gauss-Jordan elimination over
-    the rationals.
+    """Exact inverse of a square matrix, read off :func:`scaled_inverse`.
 
     Raises ValueError when the matrix is not square or is singular.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    scaled = scaled_inverse(m)
+    if scaled is None:
+        raise ValueError("matrix is singular")
+    p, w = scaled
+    return [[Fraction(x, p) for x in row] for row in w]
 
 
 def mat_inverse_unimodular(u) -> Matrix:
@@ -499,25 +516,33 @@ class DualDescription:
 
 
 def dual_description(rays, dim: int | None = None) -> DualDescription:
-    """Facets and extreme rays of cone(rays) from one double description.
+    """Facets and extreme rays of cone(rays).
 
     ``facets`` are the minimal generators of the dual cone: the cone equals
     {x : <f, x> >= 0 for all f in facets}, with an equation of a
     lower-dimensional cone listed as f and -f.  ``rays`` are the sorted
-    primitive extreme rays, read off the generator-facet incidences that the
-    double description carries (see :func:`dual_rays`): a generator is
-    extreme exactly when no other generator is tight on all of its facets
-    (Fukuda & Prodon, "Double description method revisited", 1996).
-    ``incidence`` holds, for each facet, the indices of the rays on which
-    it vanishes.  A cone with a line has no extreme rays, and ``rays`` is
-    ``()``; that is the case exactly when some generator is tight on every
-    facet.
+    primitive extreme rays.  ``incidence`` holds, for each facet, the
+    indices of the rays on which it vanishes.  A cone with a line has no
+    extreme rays, and ``rays`` is ``()``.
+
+    The generators of the cone are the distinct primitive vectors of the
+    nonzero rays.  A simplicial cone, whose generators are ``dim`` linearly
+    independent vectors, needs no double description (see
+    :func:`_simplicial_description`).  Any other cone takes one: the rays
+    are read off the generator-facet incidences that it carries (see
+    :func:`dual_rays`), as a generator is extreme exactly when no other
+    generator is tight on all of its facets (Fukuda & Prodon, "Double
+    description method revisited", 1996), and the cone has a line exactly
+    when some generator is tight on every facet.
     """
     rays = [tuple(r) for r in rays]
     if dim is None:
         if not rays:
             raise ValueError("dim required for the empty ray list")
         dim = len(rays[0])
+    simplicial = _simplicial_description(rays, dim)
+    if simplicial is not None:
+        return simplicial
     lin_f, facet_rays, on = dual_rays(rays, dim)
     # each facet with the indices of the given rays it vanishes on; an
     # equation, a lineality vector of the dual and its negative, on all
@@ -541,6 +566,31 @@ def dual_description(rays, dim: int | None = None) -> DualDescription:
         tuple(r for r, _ in extreme), facets,
         tuple(frozenset(k for k, (_, t) in enumerate(extreme) if i in t)
               for i in range(len(facets))))
+
+
+def _simplicial_description(rays: list[Vec], dim: int) -> DualDescription | None:
+    """The :class:`DualDescription` of cone(rays) in closed form when its
+    generators, the distinct primitive vectors of the nonzero rays, are
+    ``dim`` linearly independent vectors, and None otherwise.  With the
+    sorted generators as the rows of R, R·R⁻¹ = I says that column i of R⁻¹
+    is 1 on generator i and 0 on every other one: it is the normal of the
+    facet spanned by the others.  Column i of W = p·R⁻¹ (see
+    :func:`scaled_inverse`), times the sign of p and made primitive, is
+    that facet, and its incidence is every generator but i.  The generators
+    are all extreme."""
+    gens = sorted({primitive(r) for r in rays if any(r)})
+    if len(gens) != dim:
+        return None
+    scaled = scaled_inverse(gens)
+    if scaled is None:
+        return None
+    p, w = scaled
+    sign = 1 if p > 0 else -1
+    every = frozenset(range(dim))
+    by_facet = sorted((primitive([sign * row[i] for row in w]), every - {i})
+                      for i in range(dim))
+    return DualDescription(tuple(gens), tuple(f for f, _ in by_facet),
+                           tuple(on for _, on in by_facet))
 
 
 def incidence(points, normals) -> tuple[frozenset, ...]:

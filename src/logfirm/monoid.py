@@ -514,7 +514,6 @@ class PushoutResult:
     amalgam_generators: tuple[tuple[Vec, Vec], ...]  # (torsion part, free part)
     saturation_free: AffineMonoid   # saturation of the free projection
     characteristic: AffineMonoid    # sharpening of the saturation
-    leg1: MonoidHom                 # Q1 -> characteristic
     leg2: MonoidHom                 # Q2 -> characteristic
 
     def amalgam_contains(self, torsion_part, free_part) -> bool:
@@ -561,6 +560,8 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
     The group is Z^{g1+g2} modulo the relations (f(p), -g(p)); torsion is
     made explicit via Smith normal form.  The saturation equals (saturation
     of the free projection of the amalgam) plus the full torsion subgroup.
+    The result holds the leg Q2 -> characteristic, the one firmness reads;
+    the leg from Q1 is the same map on the first g1 group coordinates.
     """
     if f.source is not g.source and f.source.generators != g.source.generators:
         raise ValueError("pushout legs must share their source")
@@ -591,20 +592,14 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
     sat_free = saturate(free_rank, [free for _, free in amalgam],
                         group=identity(free_rank))
     characteristic, sharp_proj = sharpen(sat_free)
-
-    def leg(q, lo):
-        free_block = [row[lo:lo + q.group_rank] for row in free_rows]
-        return MonoidHom(q, characteristic,
-                         local=mat_mul(sharp_proj.local, free_block))
-
+    free_block = [row[g1:] for row in free_rows]
     return PushoutResult(
         free_rank=free_rank,
         torsion_orders=tuple(dv for _, dv in torsion),
         amalgam_generators=tuple(amalgam),
         saturation_free=sat_free,
         characteristic=characteristic,
-        leg1=leg(q1, 0),
-        leg2=leg(q2, g1),
+        leg2=MonoidHom(q2, characteristic, local=mat_mul(sharp_proj.local, free_block)),
     )
 
 

@@ -258,8 +258,17 @@ class TestWellFormedness:
             return real(normals, dim, *start)
 
         monkeypatch.setattr(logfirm.intlinalg, "dual_rays", counting)
+        # a simplicial cone, rank-many independent rays, takes none
         for rank, rays in [(2, [(1, 0), (0, 1)]),
-                           (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0)]),
+                           (2, [(2, 0), (0, 1), (1, 0), (0, 0)]),
+                           (3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)]),
+                           (3, [(2, 0, 0), (0, 3, 0), (1, 1, 4)]),
+                           (4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                (1, 1, 0, 1)])]:
+            calls.clear()
+            make_cone(rank, rays)
+            assert calls == []
+        for rank, rays in [(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0)]),
                            (3, [(1, 1, 1)]),
                            (4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                                 (1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)])]:

@@ -7,6 +7,7 @@ defined in this file.
 
 import itertools
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -33,6 +34,7 @@ from logfirm.intlinalg import (
     primitive,
     rational_inverse,
     row_lattice_basis,
+    scaled_inverse,
     scaled_solution,
     smith_normal_form,
     solve_lattice,
@@ -502,6 +504,111 @@ class TestDualDescription:
             assert primitive(r) == r
 
 
+def independent(rays) -> bool:
+    return sum(1 for row in hermite_normal_form([list(r) for r in rays])[0] if any(row)) == len(rays)
+
+
+def described_by_double_description(rays, d):
+    """The oracle for a simplicial cone: its facets from one double
+    description of its rays, and the incidence by dot products with the
+    sorted rays."""
+    lin, facets, _ = dual_rays(rays, d)
+    assert not lin
+    rays = sorted(rays)
+    return DualDescription(tuple(rays), tuple(facets), tuple(
+        frozenset(i for i, r in enumerate(rays) if dot(f, r) == 0) for f in facets))
+
+
+class TestSimplicialClosedForm:
+    """``dual_description`` of a cone whose generators, the distinct
+    primitive vectors of its nonzero rays, are ``dim`` independent vectors
+    reads the facets off one exact inverse and makes no double
+    description; every other input takes one."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(normals, dim, *start, real=logfirm.intlinalg.dual_rays):
+            calls.append(dim)
+            return real(normals, dim, *start)
+
+        monkeypatch.setattr(logfirm.intlinalg, "dual_rays", counting)
+        return calls
+
+    @staticmethod
+    def simplicial_corpus():
+        """Seeded simplicial cones of ranks 1 to 5, entries in -3..3, as
+        primitive independent rays in random order."""
+        rng = random.Random(1968)
+        corpus = []
+        while len(corpus) < 400:
+            d = rng.randint(1, 5)
+            rays = [primitive(tuple(rng.randint(-3, 3) for _ in range(d))) for _ in range(d)]
+            if all(any(r) for r in rays) and independent(rays):
+                corpus.append((d, rays))
+        return corpus
+
+    def test_matches_the_double_description(self, calls):
+        negative = 0
+        for d, rays in self.simplicial_corpus():
+            calls.clear()
+            got = dual_description(rays, d)
+            assert calls == []
+            assert got == described_by_double_description(rays, d), rays
+            negative += det(sorted(rays)) < 0
+        assert 100 < negative < 300
+
+    def test_other_lists_of_the_same_generators(self, calls):
+        # zero, repeated and non-primitive rays of a simplicial cone give
+        # the same generators, and the same closed form
+        rng = random.Random(1969)
+        seen = Counter()
+        for d, rays in self.simplicial_corpus()[:300]:
+            kind = rng.choice(("zero", "repeated", "multiple"))
+            messy = list(rays)
+            if kind == "zero":
+                messy.append((0,) * d)
+            elif kind == "repeated":
+                messy.append(rng.choice(rays))
+            else:
+                i, k = rng.randrange(d), rng.randint(2, 3)
+                messy[i] = tuple(k * x for x in messy[i])
+            rng.shuffle(messy)
+            calls.clear()
+            got = dual_description(messy, d)
+            assert calls == []
+            assert got == described_by_double_description(rays, d), messy
+            seen[kind] += 1
+        assert min(seen.values()) >= 80, seen
+
+    def test_singular_generators_take_a_double_description(self, calls):
+        # dim generators in a hyperplane, with zero, repeated and
+        # non-primitive rays among them
+        rng = random.Random(1970)
+        done = 0
+        while done < 150:
+            d = rng.randint(1, 5)
+            span = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d - 1)]
+            rays = []
+            for _ in range(rng.randint(d, d + 2)):
+                coefficients = [rng.randint(-1, 2) for _ in span]
+                rays.append(tuple(sum(c * x for c, x in zip(coefficients, col))
+                                  for col in zip(*span)) if span else (0,))
+            gens = {primitive(r) for r in rays if any(r)}
+            if len(gens) != d:
+                continue
+            calls.clear()
+            got = dual_description(rays, d)
+            assert calls == [d]
+            # the equations come as f and -f, and every facet is >= 0 on the rays
+            assert any(tuple(-x for x in f) in got.facets for f in got.facets)
+            assert got.incidence == tuple(frozenset(
+                i for i, r in enumerate(got.rays) if dot(f, r) == 0) for f in got.facets)
+            assert all(dot(f, r) >= 0 for f in got.facets for r in rays)
+            done += 1
+
+
 class TestUnimodularInverse:
     def test_round_trip(self):
         m = [[2, 1], [1, 1]]
@@ -533,6 +640,26 @@ class TestRationalInverse:
 
     def test_empty_matrix(self):
         assert rational_inverse([]) == []
+        assert scaled_inverse([]) == (1, [])
+
+    def test_scaled_inverse_is_integral_200(self):
+        # W = p·M⁻¹ with p = ±det M, and None exactly when det M = 0
+        rng = random.Random(1968)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(n)]
+                 for _ in range(n)]
+            got = scaled_inverse(m)
+            if det(m) == 0:
+                assert got is None
+                singular += 1
+                continue
+            p, w = got
+            assert abs(p) == abs(det(m))
+            scaled = [[p * x for x in row] for row in identity(n)]
+            assert mat_mul(m, w) == scaled and mat_mul(w, m) == scaled
+        assert 30 < singular < 270
 
     @pytest.mark.parametrize("m", [[[0]], [[1, 2], [2, 4]],
                                    [[1, 0, 1], [0, 1, 1], [1, 1, 2]]])

@@ -546,3 +546,59 @@ class TestAllPairsOracle:
         assert certified["spanned", False] >= 10
         del certified["spanned", False]
         assert min(certified.values()) >= 50, certified
+
+
+# ---------------------------------------------------------------------------
+# the subdivision map, read off the cone each piece was cut from
+
+
+def star_map_corpus():
+    """Fans to subdivide: the rank-3 corpus, rank-3 fans of the overlay
+    corpus (non-simplicial cones and lower-dimensional maximal cones among
+    them), two levels of the tower and a 2-cone with a ray in Z^3."""
+    base, subdivisions, dropped = rank3_corpus()
+    overlay_fans = [c for pair in oracle_corpus()[80:] for c in pair if c.ambient_rank == 3]
+    return ([base] + subdivisions + dropped + overlay_fans[:40]
+            + [fan.sigma_n(2, 6), fan.sigma_n(3, 2), TestMixedDimensions.FAN])
+
+
+def star_vectors(rng, c):
+    """Primitive vectors of the support of ``c``, by kind: a ray of the fan,
+    one on a wall (the rays of a facet of a maximal cone, summed) and one in
+    the interior of a maximal cone (all its rays, summed)."""
+    out = {"ray": rng.choice(c.faces[1:])[0]}
+    m = rng.choice([m for m in c.maximal if len(m.rays) > 1] or [None])
+    if m is not None:
+        on = rng.choice([on for on in m.incidence if 1 < len(on) < len(m.rays)] or [None])
+        if on is not None:
+            out["wall"] = primitive(tuple(map(sum, zip(*(m.rays[i] for i in on)))))
+        out["interior"] = primitive(tuple(map(sum, zip(*m.rays))))
+    return out
+
+
+class TestStarMapOracle:
+    def test_map_equals_the_scan(self, monkeypatch):
+        """``star_subdivision``'s map, read off the cone each piece was cut
+        from, equals ``complex_map``'s scan over every cone of the input:
+        the assignments, and ``map_point`` on the lattice points of
+        [-2, 2]^d."""
+        def refuse(*args):
+            raise AssertionError("star_subdivision scanned the target cones")
+
+        scan = fan.complex_map
+        rng = random.Random(1806)
+        kinds = Counter()
+        for c in star_map_corpus():
+            for kind, v in star_vectors(rng, c).items():
+                monkeypatch.setattr(fan, "complex_map", refuse)
+                sub, f = star_subdivision(c, v)
+                monkeypatch.setattr(fan, "complex_map", scan)
+                want = scan(sub, c)
+                assert f == want, (c.maximal, v)
+                for x in itertools.product(range(-2, 3), repeat=c.ambient_rank):
+                    if sub.supports(x):
+                        p = fan.point(sub, x)
+                        assert fan.map_point(f, p) == fan.map_point(want, p)
+                kinds[kind] += 1
+                kinds["lower-dimensional"] += not all(m.full for m in c.maximal)
+        assert min(kinds.values()) >= 20, kinds

@@ -77,6 +77,7 @@ def test_each_split_takes_one_double_description_per_half(monkeypatch):
     monkeypatch.setattr(fan, "_overlay", refuse)
     monkeypatch.setattr(intlinalg, "dual_rays", counting)
     s = sigma_n(3, 3)
-    # one for the orthant, then two started ones for each chamber that splits
-    assert len(calls) == 1 + 2 * (len(s.maximal) - 1)
+    # none for the orthant, which is simplicial, then two started ones for
+    # each chamber that splits
+    assert len(calls) == 2 * (len(s.maximal) - 1)
     assert sum(1 for start in calls if start) == 2 * (len(s.maximal) - 1)
