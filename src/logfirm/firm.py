@@ -19,19 +19,22 @@ suffices to try G = {0}:
 
 So one retraction search per chart decides the criterion, and a firm
 answer always names the zero face of N.
+
+The faces an answer names, N's zero face and the face h^{-1}(0) of Qᵢ that
+a factorization h kills, are built in :mod:`logfirm.monoid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import dot, mat_vec, smith_normal_form
+from .intlinalg import dot, mat_vec
 from .monoid import (
     AffineMonoid,
     Face,
     MonoidHom,
     SemiDecision,
-    _face_normal,
+    _zero_preimage_face,
     face_localization,
     faces,
     find_factorization,
@@ -77,26 +80,6 @@ class FirmnessWitness:
     component_index: int
     hom: MonoidHom            # h: Q_i -> R with h o theta_i = psi
     induced_face: Face        # h^{-1}(0), a face of Q_i
-
-
-def _zero_preimage_face(h: MonoidHom) -> Face:
-    """The face h^{-1}(0) of the source of h, with no face lattice: its
-    Hilbert elements are those h sends to 0, and its normal is that of the
-    facets vanishing on every extreme ray h sends to 0, which cut out the
-    face those rays span (as ``zero_face`` reads the zero face off the
-    facets)."""
-    q = h.source
-    if q.group_rank == 0:
-        return Face((), (0,) * q.ambient_rank)
-    subset = tuple(i for i, c in enumerate(q.hilbert_local)
-                   if not any(mat_vec(h.local, c)))
-    killed = [c for c in q.rays_local if not any(mat_vec(h.local, c))]
-    vanishing = [j for j, f in enumerate(q.facets_local)
-                 if all(dot(f, c) == 0 for c in killed)]
-    if subset != tuple(i for i, c in enumerate(q.hilbert_local)
-                       if all(dot(q.facets_local[j], c) == 0 for j in vanishing)):
-        raise AssertionError("kernel of a monoid hom must be a face")
-    return Face(subset, _face_normal(q, smith_normal_form(q.group_basis), vanishing))
 
 
 def verify_witness(prob: FiberProblem, q: LogPointQuery,

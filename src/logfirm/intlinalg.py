@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
 Normal forms (Smith, Hermite), lattice equation solving, kernel/cokernel
-computation, cone duality via the double description method, and a complete
-integer-feasibility solver.  All arithmetic is on Python's unbounded
-integers (or :class:`fractions.Fraction` for intermediate bounds); nothing
-here ever rounds.
+computation, cone duality via the double description method, face lattices
+of cones, and a complete integer-feasibility solver.  All arithmetic is on
+Python's unbounded integers (or :class:`fractions.Fraction` for intermediate
+bounds); nothing here ever rounds.
 
 Matrices are lists of lists of ints, row-major.  Vectors are tuples or
 lists of ints; functions return tuples for values meant to be hashable.
@@ -618,16 +618,6 @@ def face_closure(tight, n_points: int) -> set[frozenset]:
                 found.add(sub)
                 queue.append(sub)
     return found
-
-
-def face_lattice(points, normals) -> dict[frozenset, frozenset]:
-    """Every face of a cone from its point-normal incidences: ``points``
-    generate the cone and every normal is >= 0 on each of them.  The result
-    maps each face (as point indices, see :func:`face_closure`) to the
-    indices of all normals vanishing on it."""
-    tight = incidence(points, normals)
-    return {face: frozenset(j for j, t in enumerate(tight) if face <= t)
-            for face in face_closure(tight, len(points))}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ with (the subgroup generated by them, or an explicitly supplied subgroup cut
 down to their span) in an ambient lattice Z^d.  All structural computation
 happens in "local" coordinates on the group: the group basis is a
 Hermite-form lattice basis, and cones, facets, and Hilbert bases live in Z^g
-where g is the group rank.
+where g is the group rank.  Duals, copies in group coordinates and faces are
+read off the facets and rays; one routine, ``_face``, builds every face.
 
 A homomorphism is a map of groups that carries the source monoid into the
 target monoid, stored as its matrix on group coordinates; an integer matrix
@@ -23,11 +24,12 @@ from dataclasses import dataclass
 from .intlinalg import (
     Vec,
     dual_description,
-    face_lattice,
+    face_closure,
     hermite_normal_form,
     identity,
     ilp_feasible,
     in_row_lattice,
+    incidence,
     kernel_and_cokernel,
     mat_inverse_unimodular,
     mat_mul,
@@ -63,7 +65,11 @@ class AffineMonoid:
     group_basis: tuple[Vec, ...]       # Hermite-form rows spanning the group
     facets_local: tuple[Vec, ...]      # dual cone generators, group coords
     rays_local: tuple[Vec, ...]        # extreme rays, group coords; () if not sharp
-    sharp: bool
+
+    @property
+    def sharp(self) -> bool:
+        """Only 0 is a unit: true iff the group is 0 or the cone has rays."""
+        return not self.group_basis or bool(self.rays_local)
 
     @functools.cached_property
     def hilbert_local(self) -> tuple[Vec, ...] | None:
@@ -111,7 +117,9 @@ class AffineMonoid:
             raise NotSharp("Hilbert basis is defined for sharp monoids only")
         return tuple(self.ambient(h) for h in self.hilbert_local)
 
-    @functools.cached_property
+    # a property, not cached: CPython's shared instance-dict keys have room
+    # for few late names, and each monoid past that gets a dict of its own
+    @property
     def local_generators(self) -> tuple[Vec, ...]:
         """Group coordinates of a generating set of the monoid: the Hilbert
         basis when sharp, else ``generating_set``.  The given generators of
@@ -170,7 +178,7 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     basis = tuple(tuple(r) for r in basis)
     g = len(basis)
     if g == 0 or not gens:
-        return AffineMonoid(ambient_rank, tuple(gens), (), (), (), True)
+        return AffineMonoid(ambient_rank, tuple(gens), (), (), ())
     gens_local = []
     for v in gens:
         c = in_row_lattice(basis, v)
@@ -184,9 +192,7 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
         span = _saturated_span(gens_local, g)
         return saturate(ambient_rank, gens,
                         group=[mat_vec(transpose(basis), c) for c in span])
-    # the cone spans the group, so it has extreme rays exactly when sharp
-    return AffineMonoid(ambient_rank, tuple(gens), basis, dd.facets, dd.rays,
-                        bool(dd.rays))
+    return AffineMonoid(ambient_rank, tuple(gens), basis, dd.facets, dd.rays)
 
 
 def _hilbert_basis_local(rays, facets, g: int) -> tuple[Vec, ...]:
@@ -220,9 +226,9 @@ def in_group_coordinates(m: AffineMonoid) -> AffineMonoid:
     """Isomorphic copy of m whose ambient lattice is its own group, so that
     its group coordinates and its ambient coordinates agree."""
     g = m.group_rank
-    gens = [m.coords(v) for v in m.generators]
-    return saturate(g, [c for c in gens if c is not None],
-                    group=identity(g))
+    gens = tuple(c for c in map(m.coords, m.generators) if c is not None)
+    return AffineMonoid(g, gens, tuple(map(tuple, identity(g))),
+                        m.facets_local, m.rays_local)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +332,16 @@ def identity_hom(m: AffineMonoid) -> MonoidHom:
 
 
 def is_local(h: MonoidHom) -> bool:
-    """True iff h^{-1}(0) = {0}: no nonzero Hilbert generator maps to zero."""
-    return all(any(mat_vec(h.local, c)) for c in h.source.local_generators)
+    """True iff h^{-1}(0) = {0}; the target must be sharp."""
+    return not _killed_rays(h) and h.source.sharp
+
+
+def _killed_rays(h: MonoidHom) -> list[Vec]:
+    """The extreme rays of h's source that h sends to 0.  Over a sharp
+    target h^{-1}(0) is a face, spanned by them when the source is sharp."""
+    if not h.target.sharp:
+        raise NotSharp("h^{-1}(0) is a face only when the target is sharp")
+    return [c for c in h.source.rays_local if not any(mat_vec(h.local, c))]
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +361,10 @@ class Face:
 
 def faces(m: AffineMonoid) -> list[Face]:
     """The full face lattice of a sharp monoid, from {0} to m itself."""
-    if not m.sharp:
-        raise NotSharp("faces are enumerated for sharp monoids only")
-    if m.group_rank == 0:
-        return [Face((), (0,) * m.ambient_rank)]
+    tight = incidence(m.rays_local, m.facets_local)
     snf = smith_normal_form(m.group_basis)
-    out = [Face(tuple(sorted(on_face)), _face_normal(m, snf, vanishing))
-           for on_face, vanishing
-           in face_lattice(m.hilbert_local, m.facets_local).items()]
+    out = [_face(m, [j for j, t in enumerate(tight) if on_face <= t], snf=snf)
+           for on_face in face_closure(tight, len(m.rays_local))]
     out.sort(key=lambda f: (len(f.generator_subset), f.generator_subset))
     return out
 
@@ -362,21 +372,37 @@ def faces(m: AffineMonoid) -> list[Face]:
 def zero_face(m: AffineMonoid) -> Face:
     """The face {0} of a sharp monoid, ``faces(m)[0]``, read off the facets
     alone: every facet vanishes on it, and no Hilbert element lies in it."""
+    return _face(m, range(len(m.facets_local)), subset=())
+
+
+def _zero_preimage_face(h: MonoidHom) -> Face:
+    """The face h^{-1}(0) of the sharp source of h: the one cut out by the
+    facets vanishing on every extreme ray h sends to 0."""
+    q = h.source
+    killed = _killed_rays(h)
+    face = _face(q, [j for j, f in enumerate(q.facets_local)
+                     if all(dot(f, c) == 0 for c in killed)])
+    if face.generator_subset != tuple(i for i, c in enumerate(q.hilbert_local)
+                                      if not any(mat_vec(h.local, c))):
+        raise AssertionError("kernel of a monoid hom must be a face")
+    return face
+
+
+def _face(m: AffineMonoid, vanishing, subset=None, snf=None) -> Face:
+    """The face of m cut out by the facets ``vanishing``: its Hilbert elements
+    (``subset``, if known) and its normal, the least t >= 1 with <w, b_i> =
+    t * lam_i on the group basis (Smith form ``snf``), lam the facets' sum."""
     if not m.sharp:
         raise NotSharp("faces are enumerated for sharp monoids only")
     if m.group_rank == 0:
         return Face((), (0,) * m.ambient_rank)
-    return Face((), _face_normal(m, smith_normal_form(m.group_basis),
-                                 range(len(m.facets_local))))
-
-
-def _face_normal(m: AffineMonoid, snf, vanishing) -> Vec:
-    """The normal of the face cut out by the facets ``vanishing``: the
-    least t >= 1 with <w, b_i> = t * lam_i on the group basis, where lam is
-    their sum and ``snf`` the Smith form of the group basis."""
+    if subset is None:
+        subset = tuple(i for i, c in enumerate(m.hilbert_local)
+                       if all(dot(m.facets_local[j], c) == 0 for j in vanishing))
     lam = [sum(m.facets_local[i][j] for i in vanishing)
            for j in range(m.group_rank)]
-    return scaled_solution(snf, lam)[1]
+    return Face(subset, scaled_solution(snf or smith_normal_form(m.group_basis),
+                                        lam)[1])
 
 
 def face_localization(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, MonoidHom]:
@@ -434,13 +460,13 @@ def _quotient(m: AffineMonoid, vectors) -> tuple[AffineMonoid, MonoidHom]:
 
 
 def dual(m: AffineMonoid) -> AffineMonoid:
-    """Hom(m, N) as an affine monoid in the dual lattice of gp(m)."""
+    """Hom(m, N) as an affine monoid in the dual lattice of gp(m): m's cone
+    spans gp(m) and is pointed, so its facets are the dual's rays."""
     if not m.sharp:
         raise NotSharp("dual is defined for sharp monoids")
     g = m.group_rank
-    if g == 0:
-        return saturate(0, [])
-    return saturate(g, [list(f) for f in m.facets_local], group=identity(g))
+    return AffineMonoid(g, m.facets_local, tuple(map(tuple, identity(g))),
+                        m.rays_local, m.facets_local)
 
 
 def is_isomorphic(m1: AffineMonoid, m2: AffineMonoid) -> bool:

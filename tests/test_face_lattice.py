@@ -1,9 +1,10 @@
 """Face lattices from incidences, checked against subset enumeration.
 
-``_subset_faces`` is the enumeration the library used before
-``intlinalg.face_lattice``: every subset of the normals, and the points on
-which all of them vanish.  It is exponential in the number of normals and
-is kept here as an oracle only.
+The library closes a cone's ray-facet incidence under intersection
+(``intlinalg.face_closure``), for the cones of fans and of monoids alike.
+``_subset_faces`` is the enumeration it used before: every subset of the
+normals, and the points on which all of them vanish.  It is exponential in
+the number of normals and is kept here as an oracle only.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import pytest
 from logfirm.charts import parity_cover
 from logfirm.fan import cone_faces, make_cone
 from logfirm.firmament import firmament_from_charts
-from logfirm.intlinalg import dot, face_lattice, solve_lattice
+from logfirm.intlinalg import dot, face_closure, solve_lattice
 from logfirm.monoid import faces, saturate
 
 
@@ -69,11 +70,10 @@ def test_corpus_has_non_simplicial_and_lower_dimensional_cones():
 
 @pytest.mark.parametrize("c", CONES, ids=lambda c: str(c.rays))
 def test_face_lattice_matches_subset_enumeration(c):
-    lattice = face_lattice(c.rays, c.facets)
-    assert set(lattice) == _subset_faces(c.rays, c.facets)
-    for face, vanishing in lattice.items():
-        assert vanishing == {j for j, a in enumerate(c.facets)
-                             if all(dot(a, c.rays[i]) == 0 for i in face)}
+    assert face_closure(c.incidence, len(c.rays)) == _subset_faces(c.rays, c.facets)
+    assert c.incidence == tuple(
+        frozenset(i for i, r in enumerate(c.rays) if dot(a, r) == 0)
+        for a in c.facets)
 
 
 @pytest.mark.parametrize("c", CONES, ids=lambda c: str(c.rays))

@@ -12,7 +12,9 @@ from firm_oracle import face_loop_pushout
 from logfirm.charts import kummer_two_three
 from logfirm.monoid import (
     MonoidHom,
+    NotSharp,
     SemiDecision,
+    _zero_preimage_face,
     faces,
     fs_pushout,
     identity_hom,
@@ -30,7 +32,6 @@ from logfirm.firm import (
     LogPointQuery,
     PushoutFirmness,
     Retraction,
-    _zero_preimage_face,
     dichotomy,
     firm_check,
     firm_check_pushout,
@@ -274,6 +275,17 @@ class TestDichotomy:
         out = dichotomy(identity_hom(N(2)), "constructed")
         assert isinstance(out, Retraction)
         assert out.hom.matrix == ((1, 0), (0, 1))
+
+    def test_monoids_that_are_not_sharp(self):
+        # a target with units: h^{-1}(0) need not be a face
+        z = saturate(1, [(1,), (-1,)])
+        with pytest.raises(NotSharp):
+            dichotomy(hom(N(2), z, [[1, -1]]), "constructed")
+        # a source with units: (a, b) -> b kills the units, not a face of
+        # a sharp monoid
+        zn = saturate(2, [(1, 0), (-1, 0), (0, 1)])
+        with pytest.raises(NotSharp):
+            dichotomy(hom(zn, N(), [[0, 1]]), "constructed")
 
     def test_semidecision_evidence(self):
         n, n2 = N(), N(2)

@@ -412,14 +412,17 @@ class TestDualDescription:
         # oracle: the minimal generators of the facet description, by a
         # second double description; it lists each line as r and -r
         rng = random.Random(8086)
-        pointed = lined = 0
+        pointed = lined = flat = 0
         for _ in range(400):
             d = rng.randint(1, 5)
             span = [tuple(rng.randint(-2, 2) for _ in range(d))
                     for _ in range(rng.randint(1, d))]
-            gens = [tuple(sum(rng.randint(0, 2) * x for x in col)
-                          for col in zip(*span))
-                    for _ in range(rng.randint(1, 6))]
+            # one coefficient per span vector, so each generator is in the span
+            gens = []
+            for _ in range(rng.randint(1, 6)):
+                coeffs = [rng.randint(0, 2) for _ in span]
+                gens.append(tuple(sum(c * x for c, x in zip(coeffs, col))
+                                  for col in zip(*span)))
             gens += [tuple(2 * x for x in gens[0]),              # a multiple
                      tuple(x + y for x, y in zip(gens[0], gens[-1]))]  # a sum
             if rng.random() < 0.3:
@@ -434,7 +437,9 @@ class TestDualDescription:
             else:
                 assert dd.rays == oracle
                 pointed += 1
-        assert pointed > 150 and lined > 50
+                # an equation, listed as f and -f: not full-dimensional
+                flat += any(tuple(-x for x in f) in dd.facets for f in dd.facets)
+        assert pointed > 150 and lined > 50 and flat >= 150, (pointed, lined, flat)
 
     @staticmethod
     def normals_corpus():

@@ -36,6 +36,7 @@ from logfirm.monoid import (
     is_saturated,
     saturate,
     sharpen,
+    zero_face,
 )
 
 
@@ -159,6 +160,29 @@ def random_monoid(rng, rank):
     return saturate(rank, gens, group=group), group
 
 
+def sharp_corpus(rng):
+    """Sharp monoids of ranks 0 to 3 from ``random_monoid``, and cones over
+    random polygons, mostly not simplicial, half of them carried by
+    (x, y) -> (x + y, x - y) into a group of index 2."""
+    out = []
+    while len(out) < 40:
+        m, _ = random_monoid(rng, rng.randint(1, 3))
+        if m.sharp:
+            out.append(m)
+    for _ in range(40):
+        points = [(rng.randint(-2, 2), rng.randint(-2, 2))
+                  for _ in range(rng.randint(3, 6))]
+        if rng.random() < 0.5:
+            points = [(x + y, x - y) for x, y in points]
+        out.append(saturate(3, [p + (1,) for p in points]))
+    return out
+
+
+def proper_sublattice(m):
+    """Whether m's group has finite index > 1 in its saturation."""
+    return any(d > 1 for d in smith_normal_form(m.group_basis).divisors)
+
+
 class TestExplicitGroup:
     def test_saturate_keeps_the_group(self):
         # (0,1) lies in the monoid, so a generating set must reach it
@@ -246,11 +270,13 @@ class TestNonSharp:
 
     def test_rays_local_empty_iff_not_sharp(self):
         rng = random.Random(76)
+        ranks = set()
         for _ in range(200):
             m, _ = random_monoid(rng, rng.randint(1, 3))
-            if m.group_rank:
-                assert bool(m.rays_local) == m.sharp
-                assert all(m.contains(m.ambient(r)) for r in m.rays_local)
+            assert m.sharp == (bool(m.rays_local) or m.group_rank == 0)
+            assert all(m.contains(m.ambient(r)) for r in m.rays_local)
+            ranks.add(m.group_rank)
+        assert 0 in ranks
 
     def test_one_double_description(self, monkeypatch):
         # saturate reads the extreme rays and sharpness off the facets'
@@ -421,8 +447,9 @@ class TestLazyHilbertBasis:
         assert hash(read) == before == hash(unread)
         assert read == unread
         assert read != saturate(2, [(1, 0), (0, 1)])
-        assert "hilbert_local" not in [f.name for f in
-                                       dataclasses.fields(AffineMonoid)]
+        # sharpness is read off the cone, not stored
+        assert {"hilbert_local", "sharp"}.isdisjoint(
+            f.name for f in dataclasses.fields(AffineMonoid))
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +497,19 @@ class TestFaces:
     def test_face_fields(self):
         assert [f.name for f in dataclasses.fields(Face)] == [
             "generator_subset", "normal"]
+
+    def test_zero_face_reads_no_hilbert_basis(self):
+        rng = random.Random(1913)
+        seen = {"rank 0": 0, "non-simplicial": 0, "sublattice": 0}
+        for m in sharp_corpus(rng):
+            zero = zero_face(m)
+            assert "hilbert_local" not in vars(m)
+            assert zero == faces(m)[0]
+            assert zero.generator_subset == ()
+            seen["rank 0"] += m.group_rank == 0
+            seen["non-simplicial"] += len(m.rays_local) > m.group_rank
+            seen["sublattice"] += proper_sublattice(m)
+        assert min(seen.values()) >= 5, seen
 
 
 class TestFaceLocalization:
@@ -543,6 +583,49 @@ class TestDual:
             assert is_isomorphic(dual(dual(m)), m)
             done += 1
 
+    def test_dual_and_group_copy_are_read_off(self, monkeypatch):
+        # oracle: saturating again, the facets for the dual and m's own
+        # group coordinates for the copy; the library reads both off m
+        rng = random.Random(1914)
+        corpus = sharp_corpus(rng) + [
+            m for m, _ in (random_monoid(rng, rng.randint(1, 3))
+                           for _ in range(60)) if not m.sharp]
+        oracles = []
+        for m in corpus:
+            g = m.group_rank
+            gens = [c for c in map(m.coords, m.generators) if c is not None]
+            oracles.append((saturate(g, gens, group=identity(g)),
+                            saturate(g, m.facets_local, group=identity(g))
+                            if m.sharp else None))
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (logfirm.monoid, logfirm.intlinalg):
+            monkeypatch.setattr(module, "dual_description", counting(
+                "dual_description", logfirm.intlinalg.dual_description))
+        monkeypatch.setattr(logfirm.monoid, "saturate",
+                            counting("saturate", logfirm.monoid.saturate))
+        seen = {"rank 0": 0, "non-simplicial": 0, "sublattice": 0,
+                "not sharp": 0}
+        for m, (copy, dual_m) in zip(corpus, oracles):
+            assert in_group_coordinates(m) == copy
+            if m.sharp:
+                assert dual(m) == dual_m
+            else:
+                with pytest.raises(NotSharp):
+                    dual(m)
+            seen["rank 0"] += m.group_rank == 0
+            seen["non-simplicial"] += len(m.rays_local) > m.group_rank
+            seen["sublattice"] += proper_sublattice(m)
+            seen["not sharp"] += not m.sharp
+        assert calls == []
+        assert min(seen.values()) >= 5, seen
+
     def test_dual_hilbert_members_are_functionals(self):
         m = q1_monoid()
         d = dual(m)
@@ -563,6 +646,33 @@ class TestHoms:
         assert not is_local(hom(n, n, [[0]]))
         n2 = N(2)
         assert not is_local(hom(n2, n, [[1, 0]]))
+
+    def test_is_local_needs_a_sharp_target(self):
+        # (a, b) -> a - b kills (1, 1), but h^{-1}(0) is no face of N^2
+        z = saturate(1, [(1,), (-1,)])
+        with pytest.raises(NotSharp):
+            is_local(hom(N(2), z, [[1, -1]]))
+        # a source with units is never local: units map to units
+        zn = saturate(2, [(1, 0), (-1, 0), (0, 1)])
+        assert not is_local(hom(zn, N(), [[0, 1]]))
+
+    def test_is_local_matches_hilbert_elements(self):
+        # oracle: no Hilbert element of the source maps to 0; the library
+        # reads only the extreme rays
+        rng = random.Random(1915)
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 40:
+            src, _ = ambient_kept_monoid(rng)
+            dst, _ = ambient_kept_monoid(rng)
+            matrix = [[rng.randint(-1, 2) for _ in range(src.ambient_rank)]
+                      for _ in range(dst.ambient_rank)]
+            try:
+                h = hom(src, dst, matrix)
+            except ValueError:
+                continue
+            local = all(any(mat_vec(h.local, c)) for c in src.hilbert_local)
+            assert is_local(h) == local, (src.generators, dst.generators, matrix)
+            seen[local] += 1
 
     def test_invalid_hom_rejected(self):
         with pytest.raises(ValueError):
