@@ -3,12 +3,13 @@
 Given charts θᵢ: P → Qᵢ, each dual cone Hom(Qᵢ, R≥0) maps to the dual cone
 of P by precomposition; the firmament is the image of the lattice points of
 the sources.  Membership is decided exactly, one integer program per source
-cone.
+cone, each prepared once per firmament and solved at every query point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fan import (
     ConeComplex,
@@ -19,7 +20,7 @@ from .fan import (
     lattice_points_box,
     point,
 )
-from .intlinalg import ilp_feasible, solve_lattice
+from .intlinalg import IntegerSystem, solve_lattice
 from .monoid import AffineMonoid
 
 
@@ -30,6 +31,20 @@ class NotAdditive(Exception):
 @dataclass(frozen=True)
 class Firmament:
     map: ConeComplexMap
+
+    @cached_property
+    def systems(self) -> tuple[IntegerSystem, ...]:
+        """One prepared :class:`IntegerSystem` per maximal source cone, in
+        the order of ``map.source.maximal``: the cone's chart matrix as the
+        equations and its facets as the inequalities, in the source's
+        coordinates.  Built on the first query and kept for every later one."""
+        src = self.map.source
+        systems = []
+        for cone in src.maximal:
+            _, matrix = self.map.assignments[src.cone_index(cone)]
+            systems.append(IntegerSystem(src.ambient_rank, [list(r) for r in matrix],
+                                         [list(f) for f in cone.facets]))
+        return tuple(systems)
 
 
 @dataclass(frozen=True)
@@ -79,17 +94,14 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
 
 
 def firmament_member(gamma: Firmament, n) -> bool:
-    """Exact membership: does some lattice point of a source cone map to n?"""
-    coords = tuple(n.coordinates) if isinstance(n, IntegralPoint) else tuple(n)
-    src = gamma.map.source
-    for cone in src.maximal:
-        idx = src.cone_index(cone)
-        _, matrix = gamma.map.assignments[idx]
-        eq = [list(row) for row in matrix]
-        ineq = [list(f) for f in cone.facets]
-        if ilp_feasible(src.ambient_rank, eq, list(coords), ineq) is not None:
-            return True
-    return False
+    """Exact membership: does some lattice point of a source cone map to n?
+
+    Solves n against each of ``gamma.systems`` in turn, so the Smith
+    forms and recession splits of a cone's integer program are found once
+    per firmament, not once per point.  Each solve gets the whole node
+    budget of :func:`~logfirm.intlinalg.ilp_budget`."""
+    coords = list(n.coordinates) if isinstance(n, IntegralPoint) else list(n)
+    return any(system.solve(coords) is not None for system in gamma.systems)
 
 
 def firmament_enumerate_box(gamma: Firmament, bound: int) -> set[IntegralPoint]:

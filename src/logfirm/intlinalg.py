@@ -34,7 +34,8 @@ _BUDGET = ContextVar("ilp_budget", default=DEFAULT_ILP_BUDGET)
 
 @contextmanager
 def ilp_budget(nodes: int):
-    """Give each :func:`ilp_feasible` call in the block ``nodes`` nodes, as
+    """Give each :func:`ilp_feasible` call and each
+    :meth:`IntegerSystem.solve` in the block ``nodes`` nodes, as
     :func:`decimal.localcontext` scopes a precision.  The previous budget,
     ``DEFAULT_ILP_BUDGET`` outside any block, comes back when the block
     ends, also when it ends by :class:`ResourceLimit`."""
@@ -426,10 +427,20 @@ def solve_lattice(a, b) -> LatticeSolutionSet | None:
         return LatticeSolutionSet((), ())
     snf = smith_normal_form(a)
     rank = sum(1 for dv in snf.divisors if dv != 0)
+    x0 = _particular(snf, rank, b)
+    if x0 is None:
+        return None
+    return LatticeSolutionSet(x0, _kernel(snf, rank))
+
+
+def _particular(snf: SmithDecomposition, rank: int, b) -> Vec | None:
+    """An integer x with M*x = b, read off the Smith form of M of the given
+    rank by :func:`scaled_solution`, or None when there is none: when the
+    solution needs scaling (t > 1) or U*b does not vanish past the rank."""
     t, x0 = scaled_solution(snf, b)
     if t != 1 or any(mat_vec(snf.U, b)[rank:]):
         return None
-    return LatticeSolutionSet(x0, _kernel(snf, rank))
+    return x0
 
 
 # ---------------------------------------------------------------------------
@@ -712,42 +723,78 @@ def _nonzero_rows(g, h):
     return rows
 
 
-def _int_point(g, h, k, charge: _Budget):
-    """Some integer t in Z^k with G t >= h, or None.  Complete."""
-    charge.spend()
-    rows = _nonzero_rows(g, h)
-    if not rows:
-        return None if rows is None else [0] * k
-    gm = [list(c) for c, _ in rows]
-    hv = [r for _, r in rows]
+_UNSEARCHED = object()  # a recession split no search has reached yet
 
-    # recession direction: any nonzero r with G r >= 0 lets us split off a
-    # coordinate that can always be pushed feasible.
-    lin, rays, _ = dual_rays(gm, k)
-    rec = lin[0] if lin else (rays[0] if rays else None)
-    if rec is not None:
-        t_mat = _unit_extension(primitive(rec))
-        gt = mat_mul(gm, t_mat)
-        kept, deferred = [], []
-        for row, rhs in zip(gt, hv):
-            if row[0] == 0:
-                kept.append((tuple(row[1:]), rhs))
-            else:
-                # row[0] > 0 because rec is a recession direction
-                deferred.append((row, rhs))
-        sub = _int_point([c for c, _ in kept], [r for _, r in kept], k - 1, charge)
-        if sub is None:
+
+class _Recession:
+    """One node of :func:`_int_point`'s search for a fixed matrix G with k
+    columns.  Its zero rows and its nonzero rows are told apart at once; the
+    recession split of the nonzero rows is found the first time a search
+    reaches it, and then kept for every right-hand side h."""
+
+    __slots__ = ("k", "zero", "nonzero", "rows", "_split")
+
+    def __init__(self, g, k: int):
+        self.k = k
+        self.zero, self.nonzero = [], []
+        for i, c in enumerate(g):
+            (self.nonzero if any(c) else self.zero).append(i)
+        self.rows = [tuple(g[i]) for i in self.nonzero]
+        self._split = _UNSEARCHED
+
+    def split(self):
+        """None when the nonzero rows R have no recession direction, that is
+        no nonzero r with R r >= 0.  Otherwise (T, kept, deferred, child):
+        T is unimodular with T e_0 = r, ``kept`` indexes the rows of R T
+        with a zero first entry, ``deferred`` holds each other row of R T
+        with its index, and ``child`` is the node of the kept rows without
+        their first column."""
+        if self._split is _UNSEARCHED:
+            lin, rays, _ = dual_rays([list(c) for c in self.rows], self.k)
+            rec = lin[0] if lin else (rays[0] if rays else None)
+            split = None
+            if rec is not None:
+                t_mat = _unit_extension(primitive(rec))
+                gt = mat_mul(self.rows, t_mat)
+                kept = [i for i, row in enumerate(gt) if row[0] == 0]
+                # row[0] > 0 on the others because rec is a recession direction
+                deferred = [(row, i) for i, row in enumerate(gt) if row[0] != 0]
+                child = _Recession([gt[i][1:] for i in kept], self.k - 1)
+                split = t_mat, kept, deferred, child
+            self._split = split
+        return self._split
+
+
+def _int_point(node: _Recession, h, charge: _Budget):
+    """Some integer t in Z^k with G t >= h, for the G and k of ``node``, or
+    None.  Complete.
+
+    A recession direction r of G's nonzero rows lets a coordinate be split
+    off that can always be pushed feasible: in the coordinates of T, with
+    T e_0 = r, the rows that do not see that coordinate are solved first,
+    and the coordinate is then raised until every other row holds.  With
+    no recession direction the rows bound a polytope, searched by
+    :func:`_bounded_point`."""
+    charge.spend()
+    for i in node.zero:
+        if h[i] > 0:
             return None
-        y0 = 0
-        for row, rhs in deferred:
-            rest = sum(row[j + 1] * sub[j] for j in range(k - 1))
-            need = rhs - rest
-            # smallest integer y0 with row[0] * y0 >= need
-            cand = -((-need) // row[0])
-            y0 = max(y0, cand)
-        y = [y0] + list(sub)
-        return list(mat_vec(t_mat, y))
-    return _bounded_point(rows, k, charge)
+    if not node.rows:
+        return [0] * node.k
+    hv = [h[i] for i in node.nonzero]
+    split = node.split()
+    if split is None:
+        return _bounded_point(list(zip(node.rows, hv)), node.k, charge)
+    t_mat, kept, deferred, child = split
+    sub = _int_point(child, [hv[i] for i in kept], charge)
+    if sub is None:
+        return None
+    y0 = 0
+    for row, i in deferred:
+        need = hv[i] - sum(row[j + 1] * sub[j] for j in range(child.k))
+        # smallest integer y0 with row[0] * y0 >= need
+        y0 = max(y0, -((-need) // row[0]))
+    return list(mat_vec(t_mat, [y0] + list(sub)))
 
 
 def _bounded_point(rows, k, charge: _Budget):
@@ -775,49 +822,90 @@ def _bounded_point(rows, k, charge: _Budget):
     return None
 
 
+class IntegerSystem:
+    """The integer programs eq_lhs*x = b, ineq_lhs*x >= c in x in Z^num_vars
+    for one left-hand side and any right-hand side (b, c), prepared once and
+    solved by :meth:`solve` for each (b, c): a fixed matrix with varying
+    right-hand sides, as in Eisenbrand & Shmonin, "Parametric integer
+    programming in fixed dimension" (2008).
+
+    Preparing takes the Smith form of the equations.  The first solve whose
+    equations have an integer solution adds what depends on the matrices
+    alone: the kernel basis of the equations and the inequality rows in
+    kernel coordinates.  The search's recession splits (their double
+    descriptions and unimodular changes of variables) are built along the
+    path that a solve first takes, and kept.  So solving many right-hand
+    sides does each of these once, and one solve does the work of one
+    :func:`ilp_feasible` call, which is this class prepared and solved once.
+    The system reads the rows it is given, not copies of them, so they
+    must not change while it is in use.
+    """
+
+    def __init__(self, num_vars, eq_lhs=None, ineq_lhs=None):
+        self.num_vars = num_vars
+        self.ineq_lhs = tuple(ineq_lhs or ())
+        self.snf = smith_normal_form(eq_lhs) if eq_lhs else None
+        self.rank = sum(1 for dv in self.snf.divisors if dv != 0) if eq_lhs else 0
+        self._search = None
+
+    def _kernel_and_root(self):
+        """The kernel basis, and the root of the search over the inequality
+        rows in kernel coordinates t, for x = x0 + sum_i t_i * kernel[i]
+        (None when the kernel is 0 and there is nothing to search)."""
+        if self.snf is None:
+            kernel = identity(self.num_vars)
+        else:
+            kernel = _kernel(self.snf, self.rank)
+        if not kernel:
+            return kernel, None
+        g = [[dot(row, kv) for kv in kernel] for row in self.ineq_lhs]
+        return kernel, _Recession(g, len(kernel))
+
+    def solve(self, eq_rhs=None, ineq_rhs=None):
+        """Some integer x with eq_lhs*x = eq_rhs and ineq_lhs*x >= ineq_rhs
+        (0 when ``ineq_rhs`` is None), or None.  Complete, as
+        :func:`ilp_feasible`.
+
+        Each solve gets the whole node budget that :func:`ilp_budget` sets,
+        and raises :class:`ResourceLimit` when it spends it."""
+        if self.snf is None:
+            x0 = (0,) * self.num_vars
+        else:
+            x0 = _particular(self.snf, self.rank, eq_rhs)
+            if x0 is None:
+                return None
+        if ineq_rhs is None:
+            ineq_rhs = [0] * len(self.ineq_lhs)
+        if self._search is None:
+            self._search = self._kernel_and_root()
+        kernel, root = self._search
+        if not kernel:
+            if any(dot(row, x0) < rhs for row, rhs in zip(self.ineq_lhs, ineq_rhs)):
+                return None
+            return tuple(x0)
+        h = [rhs - dot(row, x0) for row, rhs in zip(self.ineq_lhs, ineq_rhs)]
+        t = _int_point(root, h, _Budget(_BUDGET.get()))
+        if t is None:
+            return None
+        x = list(x0)
+        for ti, kv in zip(t, kernel):
+            x = [a + ti * b for a, b in zip(x, kv)]
+        return tuple(x)
+
+
 def ilp_feasible(num_vars, eq_lhs=None, eq_rhs=None, ineq_lhs=None,
                  ineq_rhs=None):
     """Some integer x with eq_lhs*x = eq_rhs and ineq_lhs*x >= ineq_rhs, or None.
 
     The decision is complete: a None return means no integer solution
-    exists.  Equalities are eliminated exactly via :func:`solve_lattice`;
+    exists.  Equalities are eliminated exactly through their Smith form;
     the residual inequality system is searched by recession-direction
-    splitting plus exact Fourier-Motzkin bounded enumeration.
+    splitting plus exact Fourier-Motzkin bounded enumeration.  This is
+    :class:`IntegerSystem` prepared and solved once; a caller with one
+    matrix and many right-hand sides keeps the system and calls its
+    :meth:`~IntegerSystem.solve`.
 
     Raises :class:`ResourceLimit` if the node budget set by
     :func:`ilp_budget` is exhausted.
     """
-    if eq_lhs:
-        sol = solve_lattice(eq_lhs, eq_rhs)
-        if sol is None:
-            return None
-        x0 = list(sol.particular)
-        kernel = [list(kv) for kv in sol.kernel_basis]
-    else:
-        x0 = [0] * num_vars
-        kernel = [list(row) for row in identity(num_vars)]
-
-    ineq_lhs = [list(r) for r in (ineq_lhs or [])]
-    if ineq_rhs is None:
-        ineq_rhs = [0] * len(ineq_lhs)
-
-    k = len(kernel)
-    if k == 0:
-        for row, rhs in zip(ineq_lhs, ineq_rhs):
-            if dot(row, x0) < rhs:
-                return None
-        return tuple(x0)
-
-    # constraints on kernel coordinates t:  x = x0 + sum_i t_i * kernel[i]
-    g = []
-    h = []
-    for row, rhs in zip(ineq_lhs, ineq_rhs):
-        g.append([dot(row, kv) for kv in kernel])
-        h.append(rhs - dot(row, x0))
-    t = _int_point(g, h, k, _Budget(_BUDGET.get()))
-    if t is None:
-        return None
-    x = list(x0)
-    for ti, kv in zip(t, kernel):
-        x = [a + ti * b for a, b in zip(x, kv)]
-    return tuple(x)
+    return IntegerSystem(num_vars, eq_lhs, ineq_lhs).solve(eq_rhs, ineq_rhs)

@@ -169,7 +169,8 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     """The fs monoid cone(generators) intersected with the subgroup generated
     by them, or with an explicitly supplied subgroup; the monoid's group is
     then the supplied one cut down to the span of the generators.
-    Idempotent."""
+    Idempotent.  Raises ValueError when a generator lies outside the
+    supplied group, the zero group included."""
     gens = [tuple(g) for g in generators if any(g)]
     if group is not None:
         basis = row_lattice_basis([tuple(r) for r in group], ambient_rank)
@@ -177,14 +178,14 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
         basis = row_lattice_basis(gens, ambient_rank)
     basis = tuple(tuple(r) for r in basis)
     g = len(basis)
-    if g == 0 or not gens:
-        return AffineMonoid(ambient_rank, tuple(gens), (), (), ())
     gens_local = []
     for v in gens:
         c = in_row_lattice(basis, v)
         if c is None:
             raise ValueError("generator outside the supplied group")
         gens_local.append(c)
+    if not gens:
+        return AffineMonoid(ambient_rank, (), (), (), ())
     dd = dual_description(gens_local, g)
     if any(tuple(-x for x in f) in dd.facets for f in dd.facets):
         # the generators span less than the supplied group (the facets hold

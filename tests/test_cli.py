@@ -511,6 +511,9 @@ SHAPE_ERRORS = {
     "ragged monoid group": [
         "monoid", "saturate", "--monoid",
         '{"rank":2,"generators":[[1,0]],"group":[[1]]}'],
+    "generator outside a zero group": [
+        "monoid", "saturate", "--monoid",
+        '{"rank":2,"generators":[[1,0]],"group":[[0,0]]}'],
     "fan ray too long": [
         "fan", "points", "--box", "1", "--fan",
         '{"ambient_rank":2,"cones":[{"rays":[[1,0,0],[0,1]]}]}'],

@@ -1,9 +1,11 @@
 """Tests for firmament construction, membership, and contact orders."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+import logfirm.intlinalg
 from logfirm.charts import (
     diagonal_embedding,
     kummer_two_three,
@@ -14,7 +16,7 @@ from logfirm.charts import (
 )
 from logfirm.fan import lattice_points_box, point, star_subdivision
 from logfirm.firm import FiberProblem, LogPointQuery, firm_check
-from logfirm.intlinalg import identity
+from logfirm.intlinalg import identity, ilp_feasible
 from logfirm.firmament import (
     ContactOrder,
     NotAdditive,
@@ -223,3 +225,71 @@ class TestDualCones:
     def test_dual_of_a_group_is_the_zero_cone(self):
         z2 = saturate(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
         assert [c.rays for c in dual_cone_complex(z2).cones] == [()]
+
+
+CHART_FAMILIES = (parity_cover, kummer_two_three, parity_root, monomial_x2y3_x,
+                  diagonal_embedding)
+
+
+def thin_chart():
+    """The chart N^2 -> N^4 with rows (2,0), (4,0), (0,1), (1,1): (x, 0) is
+    a member only for even x, and refuting odd x takes a search in x."""
+    n2 = orthant_monoid(2)
+    return n2, [MonoidHom(n2, orthant_monoid(4), [[2, 0], [4, 0], [0, 1], [1, 1]])]
+
+
+def fresh_programs(gamma, coords):
+    """The answer of one fresh ``ilp_feasible`` call per maximal source
+    cone, in the order of ``gamma.map.source.maximal``."""
+    src = gamma.map.source
+    out = []
+    for cone in src.maximal:
+        _, matrix = gamma.map.assignments[src.cone_index(cone)]
+        out.append(ilp_feasible(src.ambient_rank, [list(r) for r in matrix],
+                                list(coords), [list(f) for f in cone.facets]))
+    return out
+
+
+class TestPreparedSystems:
+    """``firmament_member`` solves each point against one integer system per
+    source cone, prepared once per firmament."""
+
+    THIN_POINTS = [(x, y) for x in (1, 2, 3, 7, 64, 101, 257, 1000, 1001)
+                   for y in (0, 1, 2)]
+
+    def test_same_answers_as_fresh_programs(self):
+        checked = 0
+        for chart_fn in CHART_FAMILIES + (thin_chart,):
+            gamma = firmament_from_charts(*chart_fn())
+            points = [p.coordinates for p in lattice_points_box(gamma.map.target, 6)]
+            if chart_fn is thin_chart:
+                points += self.THIN_POINTS
+            for coords in points:
+                fresh = fresh_programs(gamma, coords)
+                assert [s.solve(list(coords)) for s in gamma.systems] == fresh
+                assert firmament_member(gamma, coords) == any(
+                    x is not None for x in fresh), (chart_fn.__name__, coords)
+                checked += 1
+        assert checked >= 200
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("smith_normal_form", "dual_rays"):
+            def counting(*args, name=name, real=getattr(logfirm.intlinalg, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(logfirm.intlinalg, name, counting)
+        return calls
+
+    def test_box_work_does_not_grow(self, calls):
+        for chart_fn in CHART_FAMILIES + (thin_chart,):
+            per_box = []
+            for bound in (3, 6, 12):
+                gamma = firmament_from_charts(*chart_fn())
+                calls.clear()
+                firmament_enumerate_box(gamma, bound)
+                per_box.append(dict(calls))
+                # one Smith form per source cone
+                assert calls["smith_normal_form"] == len(gamma.map.source.maximal)
+            assert per_box[0] == per_box[1] == per_box[2], chart_fn.__name__

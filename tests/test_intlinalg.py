@@ -18,6 +18,7 @@ import logfirm.intlinalg
 from fan_oracle import facets_to_rays
 from logfirm.intlinalg import (
     DualDescription,
+    IntegerSystem,
     ResourceLimit,
     dot,
     dual_description,
@@ -351,6 +352,81 @@ class TestIlpFeasible:
                 assert all(dot(row, got) >= 0 for row in ineq)
             agree += 1
         assert agree >= 200
+
+
+class TestIntegerSystem:
+    """One matrix prepared once and solved at many right-hand sides gives,
+    at each, the x that a fresh :func:`ilp_feasible` call gives."""
+
+    @staticmethod
+    def enumeration_corpus():
+        """The systems of ``test_ilp_vs_enumeration_200``: equations with
+        their right-hand side, and the rows x >= 0, -sum(x) >= 0."""
+        rng = random.Random(97)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            rows = rng.randint(1, 2)
+            eq = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rows)]
+            target = [rng.randint(-4, 4) for _ in range(n)]
+            yield n, eq, list(mat_vec(eq, target)), identity(n) + [[-1] * n]
+
+    def test_prepared_corpus_against_enumeration(self):
+        # each system is also solved at three more right-hand sides: x_i >=
+        # -a_i and sum(x) <= s, with equations met by a random point or not
+        rng = random.Random(98)
+        solved = feasible = 0
+        for n, eq, b, ineq in self.enumeration_corpus():
+            system = IntegerSystem(n, eq, ineq)
+            rhs = [(b, [0] * (n + 1))]
+            for _ in range(3):
+                point = [rng.randint(-2, 4) for _ in range(n)]
+                b2 = [v + rng.randint(0, 1) for v in mat_vec(eq, point)]
+                rhs.append((b2, [-rng.randint(0, 2) for _ in range(n)]
+                            + [-rng.randint(0, 4)]))
+            for eq_rhs, ineq_rhs in rhs:
+                got = system.solve(eq_rhs, ineq_rhs)
+                assert got == ilp_feasible(n, eq, eq_rhs, ineq, ineq_rhs)
+                lo, cap = ineq_rhs[:n], -ineq_rhs[n]
+                box = [range(l, cap - sum(lo) + l + 1) for l in lo]
+                oracle = next((x for x in itertools.product(*box)
+                               if sum(x) <= cap and list(mat_vec(eq, x)) == eq_rhs),
+                              None)
+                assert (got is None) == (oracle is None), (eq, eq_rhs, ineq_rhs)
+                if got is not None:
+                    assert list(mat_vec(eq, got)) == eq_rhs
+                    assert all(dot(r, got) >= c for r, c in zip(ineq, ineq_rhs))
+                    feasible += 1
+                solved += 1
+        assert solved == 800 and 200 < feasible < 700
+
+    def test_one_shot_work(self, monkeypatch):
+        # ilp_feasible prepares and solves once: one Smith form per call with
+        # equations, and one double description per recession step, 89 on
+        # this corpus
+        calls = Counter()
+        for name in ("smith_normal_form", "dual_rays"):
+            def counting(*args, name=name, real=getattr(logfirm.intlinalg, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(logfirm.intlinalg, name, counting)
+        for n, eq, b, ineq in self.enumeration_corpus():
+            ilp_feasible(n, eq, b, ineq)
+        assert calls == {"smith_normal_form": 200, "dual_rays": 89}
+
+    def test_each_solve_gets_the_whole_budget(self):
+        # the thin slab of TestIlpFeasible: 1000 nodes raise, 1001 decide
+        slab = TestIlpFeasible.SLAB
+        rhs = TestIlpFeasible().slab_rhs(1000)
+        system = IntegerSystem(2, ineq_lhs=slab)
+        with pytest.raises(ResourceLimit), ilp_budget(1000):
+            system.solve(ineq_rhs=rhs)
+        with ilp_budget(1001):
+            # a budget shared by the two solves would run out in the second
+            assert system.solve(ineq_rhs=rhs) is None
+            assert system.solve(ineq_rhs=rhs) is None
+        with pytest.raises(ResourceLimit), ilp_budget(1000):
+            system.solve(ineq_rhs=rhs)
+        assert system.solve(ineq_rhs=rhs) is None
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,13 @@ class TestExplicitGroup:
             cut += k < r
         assert cut > 15
 
+    def test_generators_must_lie_in_the_group(self):
+        # the zero group, given by a zero row or by none, holds no generator
+        for group in ([(0, 1)], [(0, 0)], []):
+            with pytest.raises(ValueError, match="outside the supplied group"):
+                saturate(2, [(1, 0)], group=group)
+        assert saturate(2, [(0, 0)], group=[(0, 0)]).generators == ()
+
     def test_localizes_at_every_face(self):
         m = saturate(2, [(1, 0), (1, 2)], group=[(1, 0), (0, 1)])
         for f in faces(m):
