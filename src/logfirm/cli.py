@@ -189,7 +189,7 @@ def firmament_from_json(d) -> Firmament:
                              f"[0, {len(target.faces)})")
         matrix = tuple(_rows(a["matrix"], source.ambient_rank, "cone matrix",
                              target.ambient_rank))
-        if not all(target.cones[t].contains(mat_vec(matrix, r)) for r in rays):
+        if target.carrier_in(t, [mat_vec(matrix, r) for r in rays]) is None:
             raise InvalidMap(f"the matrix of cone {[list(r) for r in rays]} "
                              f"does not send it into target cone {t}")
         assignments.append((t, matrix))
@@ -456,7 +456,7 @@ def dispatch(argv) -> CommandResult:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        with ilp_budget(args.bound):
+        with ilp_budget(_natural(args.bound, "--bound")):
             return args.func(args)
     except NotAdditive as exc:
         return CommandResult("infeasible", {"additive": False},

@@ -8,15 +8,19 @@ A positive ``scale`` k means the working lattice is (1/k)·Z^d; stored
 coordinates are always the integer numerators, i.e. k times the geometric
 coordinates.
 
-A complex keys its cones by their sorted ray tuples.  The carrier of some
-vectors, the smallest cone containing them, is looked up by that key, and an
-overlay compares supports exactly by checking the walls of its pieces; both
-rely on pairwise intersections of cones being common faces.  That is checked
-once, at the boundary: :func:`cone_complex` checks the ray lists it is given,
-while overlays and stellar subdivisions of fans, and the chambers of a
-hyperplane arrangement, are fans and are assembled without a check.  A
-complex finds the ray tuples of its faces, and the faces themselves, only
-when first asked for them.
+A complex builds only its maximal cones as ``Cone``s; every other cone is a
+key, its sorted ray tuple, found only when first asked for.  Which cone
+holds some vectors is read from a maximal cone that holds them, and one
+routine finds it (``ConeComplex.locate``).  The carrier of the vectors, the
+smallest cone containing them, is the face of that cone on which the facets
+vanishing on them vanish.  It is the cone whose relative interior holds
+their sum, so the vectors lie in a given cone exactly when the carrier's
+rays are rays of it.  An overlay compares supports exactly by checking the
+walls of its pieces.  All of this relies on pairwise intersections of cones
+being common faces.  That is checked once, at the boundary:
+:func:`cone_complex` checks the ray lists it is given, while overlays and
+stellar subdivisions of fans, and the chambers of a hyperplane arrangement,
+are fans and are assembled without a check.
 
 A cone keeps its ray-facet incidence: for each facet, the rays on which it
 vanishes.  Its builder sets it, most often straight from the double
@@ -43,9 +47,10 @@ its facets are the candidates that vanish on maximal sets of those rays,
 and no second double description is needed.  The intersection of two
 cones is the first cut down by the facets of the second.
 
-A stellar subdivision knows the cone of the input that each of its pieces
-was cut from, so its map sends each face of a piece to the carrier of the
-face's rays in that cone, without a search over the cones of the input.
+A map of complexes assigns the faces of each maximal source cone the
+carriers of their images in one target cone that holds that cone's image:
+the one ``locate`` finds, or, for a stellar subdivision's map, the cone of
+the input the piece was cut from, which needs no search.
 
 The tower ``sigma_n`` is the positive orthant cut by the hyperplanes
 b·x_i = a·x_k (a hyperplane arrangement; Stanley, "An introduction to
@@ -147,34 +152,23 @@ class Cone:
 def make_cone(ambient_rank: int, rays) -> Cone:
     """Canonical cone from generating rays: ``dual_description`` gives its
     facets and its sorted primitive extreme rays, by one double description
-    or, for a simplicial cone, by none.  Raises ValueError when the rays
-    span a cone with a line, which is not sharp."""
+    or, for a simplicial cone, by none.  The zero cone, from no nonzero ray,
+    takes none: each coordinate vector and its negative is a facet.  Raises
+    ValueError when the rays span a cone with a line, which is not sharp."""
     rays = [primitive(tuple(r)) for r in rays if any(r)]
     if not rays:
-        return _extreme_cone(ambient_rank, ())
+        facets = tuple(tuple(s * x for x in row)
+                       for s in (1, -1) for row in identity(ambient_rank))
+        return Cone(ambient_rank, (), facets, (frozenset(),) * len(facets))
     dd = dual_description(rays, ambient_rank)
     if not dd.rays:
         raise ValueError(f"cone {[list(r) for r in sorted(set(rays))]} is not sharp")
     return Cone(ambient_rank, dd.rays, dd.facets, dd.incidence)
 
 
-def _extreme_cone(ambient_rank: int, rays) -> Cone:
-    """The cone whose sorted primitive extreme rays are already known to be
-    ``rays``, as for a face or an intersection: ``dual_description`` gives
-    its facets and their incidence, and the result equals
-    ``make_cone(ambient_rank, rays)``."""
-    rays = tuple(rays)
-    if not rays:
-        facets = tuple(tuple(s * x for x in row)
-                       for s in (1, -1) for row in identity(ambient_rank))
-        return Cone(ambient_rank, rays, facets, (frozenset(),) * len(facets))
-    dd = dual_description(rays, ambient_rank)
-    return Cone(ambient_rank, rays, dd.facets, dd.incidence)
-
-
 def cone_faces(c: Cone) -> list[Cone]:
     """All faces of a cone (including the zero cone and the cone itself)."""
-    return [c if rays == c.rays else _extreme_cone(c.ambient_rank, rays)
+    return [c if rays == c.rays else make_cone(c.ambient_rank, rays)
             for rays in sorted(c.faces)]
 
 
@@ -203,7 +197,7 @@ def _cut_down(a: Cone, facets: tuple[Vec, ...]) -> Cone:
     d = a.ambient_rank
     rays, tight = _meet(a, facets)
     if not rays or frozenset.intersection(*tight):
-        return _extreme_cone(d, rays)
+        return make_cone(d, rays)
     first: dict[Vec, int] = {}  # each facet, by its first place in the list
     for j, f in enumerate(a.facets + facets):
         first.setdefault(f, j)
@@ -227,11 +221,11 @@ def cone_intersection(a: Cone, b: Cone) -> Cone:
 class ConeComplex:
     """An embedded fan: all cones share one ambient lattice and pairwise
     intersections of cones are faces of both, which :meth:`carrier` relies
-    on.  Cones are keyed by their sorted ray tuple: ``faces`` holds the key
-    of every face of every maximal cone, and a cone's index is its place in
-    ``faces``.  Both follow from ``maximal`` and are found when first read:
-    the keys from the face lattices of the maximal cones, and the faces as
-    ``Cone``s when ``cones`` is read."""
+    on.  Only the maximal cones are built as ``Cone``s.  Every other cone is
+    a key, its sorted ray tuple: ``faces`` holds the key of every face of
+    every maximal cone, found from their face lattices when first read, and
+    a cone's index is its place in ``faces``.  Whether some vectors lie in a
+    cone is read from a maximal cone that holds them (:meth:`locate`)."""
 
     ambient_rank: int
     maximal: tuple[Cone, ...]
@@ -243,19 +237,21 @@ class ConeComplex:
         return tuple(sorted(set().union(*(m.faces for m in self.maximal))))
 
     @cached_property
-    def cones(self) -> tuple[Cone, ...]:
-        """Every cone of the complex, in the order of ``faces``."""
-        built = {m.rays: m for m in self.maximal}
-        return tuple(built[rays] if rays in built
-                     else _extreme_cone(self.ambient_rank, rays)
-                     for rays in self.faces)
-
-    @cached_property
     def _index(self) -> dict[tuple[Vec, ...], int]:
         return {rays: i for i, rays in enumerate(self.faces)}
 
     def cone_index(self, c: Cone) -> int:
         return self._index[c.rays]
+
+    def locate(self, vectors) -> Cone | None:
+        """The first maximal cone that holds every one of ``vectors``, or
+        None when no maximal cone does.  Every question of which cone holds
+        some vectors is answered from the cone this returns, so a faster
+        search changes this body alone."""
+        for m in self.maximal:
+            if all(map(m.contains, vectors)):
+                return m
+        return None
 
     def carrier(self, sigma: Cone, vectors) -> int:
         """Index of the smallest cone containing ``vectors``, given a cone
@@ -268,8 +264,21 @@ class ConeComplex:
                 on &= on_f
         return self._index[tuple(sigma.rays[i] for i in sorted(on))]
 
+    def carrier_in(self, j: int, vectors) -> int | None:
+        """Index of the smallest cone containing ``vectors`` when they all
+        lie in cone ``j``, and None when they do not.  That cone is the one
+        whose relative interior holds their sum, so it lies in cone j
+        exactly when it is a face of cone j, that is when its rays are rays
+        of cone j: no face is built to answer."""
+        rays = set(self.faces[j])
+        sigma = self.locate(vectors)
+        if sigma is None:
+            return None
+        k = self.carrier(sigma, vectors)
+        return k if rays.issuperset(self.faces[k]) else None
+
     def supports(self, v) -> bool:
-        return any(c.contains(v) for c in self.maximal)
+        return self.locate([v]) is not None
 
     def same_cones(self, other: "ConeComplex") -> bool:
         return (self.ambient_rank == other.ambient_rank
@@ -369,31 +378,34 @@ class IntegralPoint:
 
 def canonicalize_point(c: ConeComplex, p: IntegralPoint) -> IntegralPoint:
     """Representative in the minimal cone containing the point; equality of
-    integral points of the complex is equality of canonical forms."""
+    integral points of the complex is equality of canonical forms.  Raises
+    PointOutsideCone when the point is not in the cone it names."""
     v = tuple(p.coordinates)
-    sigma = c.cones[p.cone_index]
-    if not sigma.contains(v):
-        raise PointOutsideCone(f"{v} not in cone {sigma.rays}")
-    return IntegralPoint(c.carrier(sigma, [v]), v)
+    k = c.carrier_in(p.cone_index, [v])
+    if k is None:
+        raise PointOutsideCone(f"{v} not in cone {c.faces[p.cone_index]}")
+    return IntegralPoint(k, v)
 
 
 def point(c: ConeComplex, coordinates) -> IntegralPoint:
     """Canonical integral point of an embedded complex from raw coordinates."""
     v = tuple(coordinates)
-    for sigma in c.maximal:
-        if sigma.contains(v):
-            return IntegralPoint(c.carrier(sigma, [v]), v)
-    raise OutsideSupport(f"{v} outside the support")
+    sigma = c.locate([v])
+    if sigma is None:
+        raise OutsideSupport(f"{v} outside the support")
+    return IntegralPoint(c.carrier(sigma, [v]), v)
 
 
 def lattice_points_box(c: ConeComplex, bound: int) -> set[IntegralPoint]:
     """All canonical integral points with geometric coordinates in [0, B]^d.
-    With scale k these are the numerator vectors in [0, B*k]^d."""
+    With scale k these are the numerator vectors in [0, B*k]^d.  Each point
+    is located once, and its cone is read from the maximal cone found."""
     out = set()
     top = bound * c.scale
     for v in itertools.product(range(top + 1), repeat=c.ambient_rank):
-        if c.supports(v):
-            out.add(point(c, v))
+        sigma = c.locate([v])
+        if sigma is not None:
+            out.add(IntegralPoint(c.carrier(sigma, [v]), v))
     return out
 
 
@@ -424,27 +436,45 @@ class ConeComplexMap:
 
 def map_point(f: ConeComplexMap, p: IntegralPoint) -> IntegralPoint:
     idx, matrix = f.assignments[p.cone_index]
-    image = tuple(mat_vec([list(r) for r in matrix], list(p.coordinates)))
+    image = mat_vec(matrix, p.coordinates)
     return canonicalize_point(f.target, IntegralPoint(idx, image))
 
 
 def complex_map(source: ConeComplex, target: ConeComplex,
                 matrix=None) -> ConeComplexMap:
     """Map induced by one ambient matrix (default identity), assigning each
-    source cone to a target cone containing its image."""
+    source cone to the smallest target cone containing its image.  Raises
+    InvalidMap when the image of a maximal source cone lies in no target
+    cone.  The target is searched once per maximal source cone (see
+    :func:`_map_faces`)."""
     if matrix is None:
         matrix = identity(source.ambient_rank)
-    matrix = tuple(tuple(r) for r in matrix)
-    assignments = []
-    for rays in source.faces:
-        images = [tuple(mat_vec([list(r) for r in matrix], list(ray)))
-                  for ray in rays]
-        sigma = next((tc for tc in target.maximal
-                      if all(tc.contains(v) for v in images)), None)
+
+    def holder(m: Cone, images) -> Cone:
+        sigma = target.locate(images)
         if sigma is None:
-            raise InvalidMap(f"image of cone {rays} lies in no target cone")
-        assignments.append((target.carrier(sigma, images), matrix))
-    return ConeComplexMap(source, target, tuple(assignments))
+            raise InvalidMap(f"image of cone {m.rays} lies in no target cone")
+        return sigma
+    return _map_faces(source, target, matrix, holder)
+
+
+def _map_faces(source: ConeComplex, target: ConeComplex, matrix,
+               holder) -> ConeComplexMap:
+    """The map of complexes induced by ``matrix``, given
+    ``holder(m, images)``: a cone of ``target`` that holds the images of
+    the rays of the maximal source cone m.  Each face of m is assigned the
+    carrier of its images in that cone.  In a fan that carrier is the
+    smallest target cone containing them, whichever cone holds them, so a
+    face of two maximal cones gets one answer."""
+    matrix = tuple(tuple(r) for r in matrix)
+    carriers: dict[tuple[Vec, ...], int] = {}
+    for m in source.maximal:
+        image = {r: mat_vec(matrix, r) for r in m.rays}
+        sigma = holder(m, list(image.values()))
+        for rays in m.faces - carriers.keys():
+            carriers[rays] = target.carrier(sigma, [image[r] for r in rays])
+    return ConeComplexMap(source, target, tuple(
+        (carriers[rays], matrix) for rays in source.faces))
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +485,9 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
     """Stellar subdivision at a primitive vector in the support, with the
     canonical subdivision map back to the input, equal to
     ``complex_map(subdivided, c)``.  Each maximal cone of the subdivision
-    lies in the cone of ``c`` it was cut from (see :func:`_star_pieces`), so
-    each of its faces maps to the carrier of its rays there, with no search
-    over the cones of ``c``."""
+    lies in the cone of ``c`` it was cut from (see :func:`_star_pieces`),
+    which is the cone :func:`_map_faces` reads its faces' carriers from,
+    with no search over the cones of ``c``."""
     v = tuple(v)
     if not any(v) or primitive(v) != v:
         raise NotPrimitive(f"{v} is not primitive")
@@ -465,13 +495,8 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
         raise OutsideSupport(f"{v} outside the support")
     subdivided = _star(c, v)
     source = {rays: sigma for sigma, rays in _star_pieces(c, v)}
-    carriers = {}
-    for m in subdivided.maximal:
-        for rays in m.faces - carriers.keys():
-            carriers[rays] = c.carrier(source[m.rays], rays)
-    matrix = tuple(tuple(r) for r in identity(c.ambient_rank))
-    return subdivided, ConeComplexMap(subdivided, c, tuple(
-        (carriers[rays], matrix) for rays in subdivided.faces))
+    return subdivided, _map_faces(subdivided, c, identity(c.ambient_rank),
+                                  lambda m, _: source[m.rays])
 
 
 def _star_pieces(c: ConeComplex, v: Vec):

@@ -1,11 +1,11 @@
 """Firmness decisions for maps presented by monoid charts.
 
-A fiber problem is a sharp base monoid P with chart homs θᵢ: P → Qᵢ, one per
-component of the source.  A log point query is a local hom ψ: P → R.  The
-query is *firm* when ψ factors as h ∘ θᵢ for some component and some
-h: Qᵢ → R; equivalently, when the base change along ψ admits a retraction
-after localizing at a suitable face.  Both criteria are implemented and
-cross-checked.
+A fiber problem is a sharp base monoid P with chart homs θᵢ: P → Qᵢ into
+sharp monoids, one per component of the source.  A log point query is a
+local hom ψ: P → R.  The query is *firm* when ψ factors as h ∘ θᵢ for some
+component and some h: Qᵢ → R; equivalently, when the base change along ψ
+admits a retraction after localizing at a suitable face.  Both criteria are
+implemented and cross-checked.
 
 For the base change, let N be the characteristic monoid of the fs pushout
 of θᵢ and ψ, with leg ℓ: R → N.  The criterion asks for a face G of N whose
@@ -61,6 +61,8 @@ class FiberProblem:
         for theta in self.components:
             if theta.source.generators != self.base.generators:
                 raise ValueError("every chart must start at the base monoid")
+            if not theta.target.sharp:
+                raise ValueError("every chart must end at a sharp monoid")
 
 
 @dataclass(frozen=True)

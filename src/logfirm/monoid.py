@@ -25,16 +25,13 @@ from .intlinalg import (
     Vec,
     dual_description,
     face_closure,
-    hermite_normal_form,
     identity,
     ilp_feasible,
     in_row_lattice,
     incidence,
     kernel_and_cokernel,
-    mat_inverse_unimodular,
     mat_mul,
     mat_vec,
-    rational_inverse,
     row_lattice_basis,
     scaled_solution,
     smith_normal_form,
@@ -468,66 +465,6 @@ def dual(m: AffineMonoid) -> AffineMonoid:
     g = m.group_rank
     return AffineMonoid(g, m.facets_local, tuple(map(tuple, identity(g))),
                         m.rays_local, m.facets_local)
-
-
-def is_isomorphic(m1: AffineMonoid, m2: AffineMonoid) -> bool:
-    """Decide isomorphism of sharp monoids by searching unimodular matches
-    between Hilbert bases (any isomorphism permutes Hilbert bases)."""
-    if not (m1.sharp and m2.sharp):
-        raise NotSharp("isomorphism test implemented for sharp monoids")
-    if m1.group_rank != m2.group_rank:
-        return False
-    if m1.canonical_key() == m2.canonical_key():
-        return True
-    g = m1.group_rank
-    hb1 = sorted(m1.hilbert_local)
-    hb2 = sorted(m2.hilbert_local)
-    if len(hb1) != len(hb2):
-        return False
-    if g == 0:
-        return True
-    # pick g linearly independent elements of hb1
-    base_idx = _independent_subset(hb1, g)
-    if base_idx is None:
-        return False
-    base = [hb1[i] for i in base_idx]
-    for images in itertools.permutations(range(len(hb2)), g):
-        targets = [hb2[i] for i in images]
-        u = _solve_linear_map(base, targets)
-        if u is None:
-            continue
-        mapped = sorted(tuple(mat_vec(u, h)) for h in hb1)
-        if mapped == hb2:
-            return True
-    return False
-
-
-def _independent_subset(vectors, g):
-    idx = []
-    rows = []
-    for i, v in enumerate(vectors):
-        trial = rows + [list(v)]
-        h, _ = hermite_normal_form(trial)
-        if sum(1 for r in h if any(r)) == len(trial):
-            rows = trial
-            idx.append(i)
-            if len(idx) == g:
-                return idx
-    return None
-
-
-def _solve_linear_map(base, targets):
-    """Integer matrix u with u*base_j = targets_j, unimodular, or None."""
-    # u = T * B^{-1}, with the base and target vectors as columns
-    u = mat_mul(transpose(targets), rational_inverse(transpose(base)))
-    if any(x.denominator != 1 for row in u for x in row):
-        return None
-    out = [[int(x) for x in row] for row in u]
-    try:
-        mat_inverse_unimodular(out)
-    except ValueError:
-        return None
-    return out
 
 
 # ---------------------------------------------------------------------------

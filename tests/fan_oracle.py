@@ -12,14 +12,31 @@ facets.  ``star_overlay_sigma_n`` is the tower as the definition reads: the
 overlay, with the exact support check, of the stellar subdivisions of the
 orthant at every primitive vector in {0, ..., n}^d.  ``facets_to_rays``
 gives the generators of a cone from its facets, lines included, by one
-double description."""
+double description.
+
+The point-location oracles are the scans that ``fan`` ran before
+``ConeComplex.locate``: ``scan_point`` scans the maximal cones twice, once
+for the support and once for the cone to read the carrier in,
+``scan_canonicalize`` tests a point against its named cone built as a
+``Cone``, and ``scan_map`` scans the target for every face of the source.
+``smallest_containing`` finds the carrier with no face lattice, among every
+cone of the complex built by ``make_cone`` (``face_cones``)."""
 
 import itertools
 from math import lcm
 
 from logfirm import fan
-from logfirm.fan import SupportMismatch, _assemble, _covers, _extreme_cone
-from logfirm.intlinalg import dot, dual_rays, primitive
+from logfirm.fan import (
+    ConeComplexMap,
+    IntegralPoint,
+    InvalidMap,
+    PointOutsideCone,
+    SupportMismatch,
+    _assemble,
+    _covers,
+    make_cone,
+)
+from logfirm.intlinalg import dot, dual_rays, identity, mat_vec, primitive
 
 
 def facets_to_rays(facets, dim: int) -> tuple:
@@ -69,7 +86,7 @@ def all_pairs_overlay(f1, f2):
     if f1.ambient_rank != f2.ambient_rank:
         raise SupportMismatch("different ambient lattices")
     d = f1.ambient_rank
-    grid = [[_extreme_cone(d, facets_to_rays(a.facets + b.facets, d)) for b in f2.maximal]
+    grid = [[make_cone(d, facets_to_rays(a.facets + b.facets, d)) for b in f2.maximal]
             for a in f1.maximal]
     columns = [[row[j] for row in grid] for j in range(len(f2.maximal))]
     for c, pieces in zip(f1.maximal + f2.maximal, grid + columns):
@@ -89,3 +106,57 @@ def star_overlay_sigma_n(rank: int, n: int):
         if any(v) and primitive(v) == v:
             result = fan.common_refinement(result, fan._star(base, v))
     return result
+
+
+def face_cones(c) -> list:
+    """Every cone of ``c`` built by ``make_cone``, in the order of ``c.faces``."""
+    return [make_cone(c.ambient_rank, rays) for rays in c.faces]
+
+
+def smallest_containing(cones, vectors) -> int:
+    """The index, in ``cones`` (see :func:`face_cones`), of the cone that
+    contains the vectors and lies inside every other cone containing them."""
+    containing = [i for i, cone in enumerate(cones)
+                  if all(cone.contains(v) for v in vectors)]
+    smallest = [i for i in containing
+                if all(cones[j].contains(r) for j in containing for r in cones[i].rays)]
+    if len(smallest) != 1:
+        raise AssertionError(f"{len(smallest)} smallest cones hold {vectors}")
+    return smallest[0]
+
+
+def scan_point(c, v):
+    """The canonical point at v, or None outside the support: a scan of the
+    maximal cones for the support, and a second for the first cone that
+    holds v, where the carrier is read."""
+    if not any(m.contains(v) for m in c.maximal):
+        return None
+    sigma = next(m for m in c.maximal if m.contains(v))
+    return IntegralPoint(c.carrier(sigma, [v]), v)
+
+
+def scan_canonicalize(c, cones, p):
+    """``canonicalize_point`` with the named cone built as a ``Cone`` (one
+    of ``cones``, see :func:`face_cones`) and the carrier read in it."""
+    v = tuple(p.coordinates)
+    sigma = cones[p.cone_index]
+    if not sigma.contains(v):
+        raise PointOutsideCone(f"{v} not in cone {sigma.rays}")
+    return IntegralPoint(c.carrier(sigma, [v]), v)
+
+
+def scan_map(source, target, matrix=None):
+    """``complex_map`` by a scan of the target's maximal cones for the images
+    of the rays of every source cone, faces included."""
+    if matrix is None:
+        matrix = identity(source.ambient_rank)
+    matrix = tuple(tuple(r) for r in matrix)
+    assignments = []
+    for rays in source.faces:
+        images = [mat_vec(matrix, r) for r in rays]
+        sigma = next((tc for tc in target.maximal
+                      if all(tc.contains(v) for v in images)), None)
+        if sigma is None:
+            raise InvalidMap(f"image of cone {rays} lies in no target cone")
+        assignments.append((target.carrier(sigma, images), matrix))
+    return ConeComplexMap(source, target, tuple(assignments))

@@ -172,6 +172,19 @@ class TestFirmCommand:
             'into the target monoid"}\n')
 
     @pytest.mark.parametrize("method", ["factorization", "pushout"])
+    def test_chart_into_a_monoid_with_units_rejected(self, method, capsys):
+        # Q = Z x N is not sharp: the factorization search needs a sharp
+        # target, and both methods must reject the problem alike
+        problem = json.dumps({"base": {"rank": 1, "generators": [[1]]},
+                              "components": [{"matrix": [[0], [1]], "target": {
+                                  "rank": 2,
+                                  "generators": [[1, 0], [-1, 0], [0, 1]]}}]})
+        assert main(["firm", "check", "--problem", problem, "--query",
+                     self._query(1), "--method", method]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ValueError: every chart must end at a sharp monoid"}
+
+    @pytest.mark.parametrize("method", ["factorization", "pushout"])
     def test_witness_without_ambient_matrix(self, method, capsys):
         # N -> 2N (x -> 2x) factors the identity of N through h(2) = 1, which
         # no integer matrix on Z induces
@@ -605,6 +618,10 @@ SHAPE_ERRORS = {
     "non-sharp point monoid": [
         "firm", "check", "--problem", N1_PROBLEM, "--query",
         json.dumps({"point_monoid": Z1, "matrix": [[1]]})],
+    "negative bound": [
+        "--bound", "-5", "firmament", "member", "--point", "[3]",
+        "--map", json.dumps({"base": N1, "charts": [
+            {"matrix": [[1], [1]], "target": ORTHANT2}]})],
     "pushout legs from different sources": [
         "monoid", "pushout",
         "--theta", json.dumps({"matrix": [[2]], "source": N1, "target": N1}),

@@ -3,16 +3,27 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from fan_oracle import (
+    face_cones,
+    scan_canonicalize,
+    scan_map,
+    scan_point,
+    smallest_containing,
+)
 import logfirm.intlinalg
 from logfirm import charts
 from logfirm.fan import (
+    Cone,
     ConeComplexMap,
     IntegralPoint,
+    InvalidMap,
     NotPrimitive,
     OutsideSupport,
+    PointOutsideCone,
     SupportMismatch,
     canonicalize_point,
     common_refinement,
@@ -30,7 +41,7 @@ from logfirm.fan import (
     star_subdivision,
 )
 from logfirm.firmament import firmament_from_charts
-from logfirm.intlinalg import mat_vec, primitive
+from logfirm.intlinalg import identity, mat_vec, primitive
 
 # overlays and subdivisions are assembled unchecked: the oracle checks them
 pytestmark = pytest.mark.usefixtures("every_fan_checked")
@@ -44,18 +55,18 @@ class TestCanonicalizePoint:
     def test_boundary_point_moves_to_axis_ray(self):
         c = orthant(2)
         p = point(c, (0, 3))
-        assert c.cones[p.cone_index].rays == ((0, 1),)
+        assert c.faces[p.cone_index] == ((0, 1),)
 
     def test_interior_point_stays(self):
         c = orthant(2)
         p = point(c, (1, 2))
-        assert c.cones[p.cone_index].rays == ((0, 1), (1, 0))
+        assert c.faces[p.cone_index] == ((0, 1), (1, 0))
         assert p.coordinates == (1, 2)
 
     def test_origin_lands_in_zero_cone(self):
         c = orthant(2)
         p = point(c, (0, 0))
-        assert c.cones[p.cone_index].rays == ()
+        assert c.faces[p.cone_index] == ()
 
     def test_outside_raises(self):
         c = orthant(2)
@@ -77,7 +88,7 @@ class TestMapPoint:
         sub, f = star_subdivision(c, (1, 1))
         q = map_point(f, point(sub, (0, 0)))
         assert q.coordinates == (0, 0)
-        assert f.target.cones[q.cone_index].rays == ()
+        assert f.target.faces[q.cone_index] == ()
 
     def test_doubling_map_on_ray(self):
         n = orthant(1)
@@ -286,7 +297,7 @@ class TestWellFormedness:
         for c in complexes:
             for a, b in itertools.combinations(c.maximal, 2):
                 inter = cone_intersection(a, b)
-                assert any(inter.rays == f.rays for f in c.cones)
+                assert inter.rays in c.faces
 
     def test_bad_complex_rejected(self):
         with pytest.raises(ValueError):
@@ -302,19 +313,6 @@ class TestWellFormedness:
         c = cone_complex(3, [[e1, e2, e3], [e1, e2], [e3], []])
         assert ray_sets(c) == {(e3, e2, e1)}
         assert len(c.faces) == 8
-
-
-def smallest_containing(c, vectors):
-    """Test-only oracle for ``ConeComplex.carrier``: scan every cone of the
-    complex and return the index of the one containing the vectors that
-    lies inside every other cone containing them."""
-    containing = [i for i, cone in enumerate(c.cones)
-                  if all(cone.contains(v) for v in vectors)]
-    smallest = [i for i in containing
-                if all(c.cones[j].contains(r) for j in containing
-                       for r in c.cones[i].rays)]
-    assert len(smallest) == 1
-    return smallest[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,22 +339,21 @@ def carrier_corpus():
 
 
 class TestCarrierOracle:
-    def test_cones_built_on_demand_equal_make_cone(self):
+    def test_face_keys_are_make_cone_rays(self):
         for c, maps, _ in carrier_corpus():
             for d in [c] + [f.target for f in maps]:
-                assert [cone.rays for cone in d.cones] == list(d.faces)
-                for rays, cone in zip(d.faces, d.cones):
-                    assert cone == make_cone(d.ambient_rank, rays)
+                assert [cone.rays for cone in face_cones(d)] == list(d.faces)
 
     def test_point_and_canonicalize_match_oracle(self):
         checked = 0
         for c, _, bound in carrier_corpus():
+            cones = face_cones(c)
             for v in itertools.product(range(bound + 1), repeat=c.ambient_rank):
                 if not c.supports(v):
                     continue
-                expected = smallest_containing(c, [v])
+                expected = smallest_containing(cones, [v])
                 assert point(c, v) == IntegralPoint(expected, v)
-                for j, cone in enumerate(c.cones):
+                for j, cone in enumerate(cones):
                     if cone.contains(v):
                         p = canonicalize_point(c, IntegralPoint(j, v))
                         assert p.cone_index == expected
@@ -366,18 +363,17 @@ class TestCarrierOracle:
     def test_complex_map_and_map_point_match_oracle(self):
         for _, maps, bound in carrier_corpus():
             for f in maps:
-                matrix = [list(r) for r in f.assignments[0][1]]
-                for i, cone in enumerate(f.source.cones):
-                    images = [tuple(mat_vec(matrix, list(r))) for r in cone.rays]
-                    assert f.assignments[i][0] == smallest_containing(
-                        f.target, images)
+                matrix = f.assignments[0][1]
+                targets = face_cones(f.target)
+                for i, cone in enumerate(face_cones(f.source)):
+                    images = [mat_vec(matrix, r) for r in cone.rays]
+                    assert f.assignments[i][0] == smallest_containing(targets, images)
                 for v in itertools.product(range(bound + 1),
                                            repeat=f.source.ambient_rank):
                     if not f.source.supports(v):
                         continue
                     q = map_point(f, point(f.source, v))
-                    assert q.cone_index == smallest_containing(
-                        f.target, [q.coordinates])
+                    assert q.cone_index == smallest_containing(targets, [q.coordinates])
 
     @pytest.mark.parametrize("rays", [
         [(1, 0), (-1, 0), (0, 1), (0, -1)],   # the whole plane
@@ -389,3 +385,145 @@ class TestCarrierOracle:
             cone_complex(2, [rays])
         with pytest.raises(ValueError, match="is not sharp"):
             make_cone(2, rays)
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+# maximal cones of dimensions 2, 1 and 3
+MIXED = cone_complex(3, [[E1, E2], [E3], [E1, (0, -1, 0), (0, 0, -1)]])
+# supports that are not convex: cones that meet only at 0, or along a ray
+AT_ZERO = cone_complex(2, [[(1, 0), (1, 1)], [(-1, 0), (-1, -2)]])
+AT_ZERO_3 = cone_complex(3, [[E1, E2, E3], [(-1, 0, 0), (0, -1, 0), (-1, -1, -1)]])
+ALONG_RAY = cone_complex(3, [[E1, E2, E3], [E1, (0, -1, 0), (0, 0, -1)]])
+
+
+@functools.lru_cache(maxsize=None)
+def locate_corpus():
+    """(complex, bound) pairs, without repeats: the complexes of
+    ``carrier_corpus`` and the targets of its maps, sigma_n(3, 3), a
+    rescaled tower, a fan with lower-dimensional maximal cones, and supports
+    that meet only at 0 or along a ray.  The box [-1, bound]^d holds points
+    on rays, on walls, at 0 and outside the support."""
+    out = {}
+    for c, maps, bound in carrier_corpus():
+        for d in [c] + [f.target for f in maps]:
+            out.setdefault(d, max(bound, 1))
+    for c, bound in [(sigma_n(3, 3), 3), (root_rescale(sigma_n(2, 3), 2), 2),
+                     (MIXED, 2), (AT_ZERO, 3), (AT_ZERO_3, 2), (ALONG_RAY, 2)]:
+        out[c] = bound
+    return list(out.items())
+
+
+def box(c, bound):
+    return itertools.product(range(-1, bound * c.scale + 1), repeat=c.ambient_rank)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (IndexError, InvalidMap, OutsideSupport, PointOutsideCone) as exc:
+        return type(exc)
+
+
+class TestLocateOracle:
+    """``locate`` and everything read from it against the scans it
+    replaced (``fan_oracle``), and against ``smallest_containing``."""
+
+    def test_locate_point_and_box(self):
+        seen = Counter()
+        for c, bound in locate_corpus():
+            cones = face_cones(c)
+            for v in box(c, bound):
+                sigma = c.locate([v])
+                want = scan_point(c, v)
+                assert (sigma is None) == (want is None)
+                assert c.supports(v) == (want is not None)
+                assert outcome(point, c, v) == (want or OutsideSupport)
+                if want is not None:
+                    assert sigma in c.maximal and sigma.contains(v)
+                    assert want.cone_index == smallest_containing(cones, [v])
+                    seen[len(c.faces[want.cone_index])] += 1
+                seen["outside"] += want is None
+            top = range(bound * c.scale + 1)
+            assert lattice_points_box(c, bound) == {
+                p for v in itertools.product(top, repeat=c.ambient_rank)
+                if (p := scan_point(c, v)) is not None}
+        # points at 0, on rays, on walls, inside, and outside the support
+        assert min(seen[k] for k in (0, 1, 2, 3, "outside")) >= 20, seen
+
+    def test_canonicalize_point(self):
+        rng = random.Random(2102)
+        seen = Counter()
+        for c, bound in locate_corpus():
+            cones = face_cones(c)
+            n = len(cones)
+            for v in box(c, bound):
+                holding = [j for j, cone in enumerate(cones) if cone.contains(v)]
+                # every cone that holds v, some that do not, and wrong indices
+                for j in holding + rng.sample(range(n), min(n, 4)) + [n, n + 3, -1]:
+                    p = IntegralPoint(j, v)
+                    got = outcome(canonicalize_point, c, p)
+                    assert got == outcome(scan_canonicalize, c, cones, p), (c, p)
+                    seen[got if isinstance(got, type) else "ok"] += 1
+        assert min(seen.values()) >= 200, seen
+        assert set(seen) == {"ok", PointOutsideCone, IndexError}
+
+    def test_complex_map_and_map_point(self):
+        rng = random.Random(2103)
+        seen = Counter()
+        complexes = [c for c, _ in locate_corpus()]
+        for source, target in itertools.product(complexes, repeat=2):
+            if source.ambient_rank != target.ambient_rank or source.scale != target.scale:
+                continue
+            d = source.ambient_rank
+            matrices = [identity(d), [[2 * x for x in row] for row in identity(d)],
+                        [[rng.randint(0, 2) for _ in range(d)] for _ in range(d)],
+                        [[rng.randint(-1, 2) for _ in range(d)] for _ in range(d)]]
+            for matrix in matrices:
+                got = outcome(complex_map, source, target, matrix)
+                assert got == outcome(scan_map, source, target, matrix)
+                if got is InvalidMap:
+                    seen["invalid"] += 1
+                    continue
+                seen["maps"] += 1
+                targets = face_cones(target)
+                for v in box(source, 1):
+                    if source.supports(v):
+                        p = point(source, v)
+                        idx, m = got.assignments[p.cone_index]
+                        q = map_point(got, p)
+                        assert q == scan_canonicalize(
+                            target, targets, IntegralPoint(idx, mat_vec(m, v)))
+                        assert q.cone_index == smallest_containing(targets, [q.coordinates])
+                        seen["points"] += 1
+        assert seen["invalid"] >= 50 and seen["maps"] >= 50, seen
+
+
+class TestLocateCounts:
+    def test_box_tests_each_cone_once_per_point(self, monkeypatch):
+        c = sigma_n(3, 4)
+        tested = Counter()
+
+        def contains(cone, v, real=Cone.contains):
+            tested[cone.rays, tuple(v)] += 1
+            return real(cone, v)
+
+        monkeypatch.setattr(Cone, "contains", contains)
+        assert len(lattice_points_box(c, 4)) == 125
+        assert max(tested.values()) == 1
+
+    @pytest.mark.parametrize("how", ["canonicalize_point", "map_point"])
+    def test_no_face_is_built(self, how, monkeypatch):
+        c = sigma_n(3, 4)
+        f = complex_map(c, c)
+        p = point(c, (1, 2, 3))
+        calls = []
+
+        def counting(normals, dim, *start, real=logfirm.intlinalg.dual_rays):
+            calls.append(dim)
+            return real(normals, dim, *start)
+
+        monkeypatch.setattr(logfirm.intlinalg, "dual_rays", counting)
+        q = canonicalize_point(c, p) if how == "canonicalize_point" else map_point(f, p)
+        assert q == p
+        assert calls == []

@@ -224,7 +224,7 @@ class TestDualCones:
 
     def test_dual_of_a_group_is_the_zero_cone(self):
         z2 = saturate(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-        assert [c.rays for c in dual_cone_complex(z2).cones] == [()]
+        assert dual_cone_complex(z2).faces == ((),)
 
 
 CHART_FAMILIES = (parity_cover, kummer_two_three, parity_root, monomial_x2y3_x,

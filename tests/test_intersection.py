@@ -13,7 +13,7 @@ import random
 from collections import Counter
 
 from fan_oracle import brute_faces, facets_to_rays
-from logfirm.fan import _extreme_cone, cone_intersection, make_cone
+from logfirm.fan import cone_intersection, make_cone
 from logfirm.intlinalg import dot, mat_vec
 
 
@@ -84,7 +84,7 @@ def test_intersection_matches_two_double_descriptions():
     for a, b in pair_corpus():
         d = a.ambient_rank
         got = cone_intersection(a, b)
-        want = _extreme_cone(d, facets_to_rays(a.facets + b.facets, d))
+        want = make_cone(d, facets_to_rays(a.facets + b.facets, d))
         assert got == want
         assert (got.rays, got.facets) == (want.rays, want.facets)
         for c in (a, b, got):

@@ -31,7 +31,6 @@ from logfirm.monoid import (
     in_group_coordinates,
     identity_hom,
     is_integral,
-    is_isomorphic,
     is_local,
     is_saturated,
     saturate,
@@ -48,6 +47,19 @@ def N(rank=1):
 def q1_monoid():
     """The index-2 parity monoid {(a,b) in N^2 : 2 | a+b}."""
     return saturate(2, [(2, 0), (1, 1), (0, 2)])
+
+
+def double_dual_saturated(m):
+    """dual(dual(m)) saturated again from its generators in Z^g, g the
+    group rank of m, as an oracle independent of the facets it holds."""
+    g = m.group_rank
+    return saturate(g, dual(dual(m)).generators, group=identity(g))
+
+
+def is_free(m, k) -> bool:
+    """Whether the sharp monoid m is isomorphic to N^k: k Hilbert elements
+    spanning a group of rank k."""
+    return m.group_rank == k and len(m.hilbert) == k
 
 
 def hom(src, dst, matrix):
@@ -571,8 +583,7 @@ class TestDual:
 
     def test_double_dual_q1(self):
         m = q1_monoid()
-        dd = dual(dual(m))
-        assert is_isomorphic(dd, m)
+        assert double_dual_saturated(m).hilbert_local == m.hilbert_local
 
     def test_double_dual_corpus(self):
         rng = random.Random(11)
@@ -587,7 +598,7 @@ class TestDual:
             m = saturate(rank, gens)
             if not m.sharp:
                 continue
-            assert is_isomorphic(dual(dual(m)), m)
+            assert double_dual_saturated(m).hilbert_local == m.hilbert_local
             done += 1
 
     def test_dual_and_group_copy_are_read_off(self, monkeypatch):
@@ -785,7 +796,7 @@ class TestPushout:
         res = fs_pushout(f, g)
         assert res.torsion_orders == ()
         assert res.free_rank == 1
-        assert is_isomorphic(res.characteristic, N())
+        assert is_free(res.characteristic, 1)
         # legs: x3 and x2 up to the sign convention of the quotient coordinate
         one = res.characteristic.hilbert[0]
         assert pushout_leg1(f, g, res).apply((1,)) == tuple(3 * x for x in one)
@@ -795,12 +806,12 @@ class TestPushout:
         n = N()
         g = hom(n, N(2), [[1], [1]])
         res = fs_pushout(identity_hom(n), g)
-        assert is_isomorphic(res.characteristic, N(2))
+        assert is_free(res.characteristic, 2)
 
     def test_diagonal_pushout(self):
         n = N()
         res = fs_pushout(hom(n, N(2), [[1], [1]]), identity_hom(n))
-        assert is_isomorphic(res.characteristic, N(2))
+        assert is_free(res.characteristic, 2)
 
     def test_self_pushout_of_times_two_gains_torsion(self):
         n = N()
@@ -1037,13 +1048,3 @@ class TestSemiDecisions:
                     if vec_sub(b1, theta.apply(a3)) == vec_sub(b2, theta.apply(a4))
                     and vec_add(a1, a3) == vec_add(a2, a4)]
 
-
-class TestIsomorphismRegressions:
-    def test_singular_candidate_map_is_not_an_isomorphism(self):
-        # matching N^3's basis with dependent Hilbert elements of the other
-        # monoid gives a singular candidate map, which must be skipped
-        free = saturate(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        flat = saturate(3, [(1, 0, 0), (1, 2, 0)],
-                        group=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert is_isomorphic(free, flat) is False
-        assert is_isomorphic(flat, free) is False

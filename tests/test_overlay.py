@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from fan_oracle import all_pairs_overlay, facets_to_rays, fan_faults, is_face
+from fan_oracle import all_pairs_overlay, facets_to_rays, fan_faults, is_face, scan_map
 from logfirm import fan, intlinalg
 from logfirm.fan import (
     SupportMismatch,
@@ -313,26 +313,27 @@ class TestPairwiseShortcut:
 class TestBuildCounts:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls of make_cone, and of the one-double-description builder
-        for cones whose extreme rays are known."""
+        """Calls of make_cone, the one cone builder."""
         counted = Counter()
-        for name in ("make_cone", "_extreme_cone"):
-            def counting(ambient_rank, rays, build=getattr(fan, name), name=name):
-                counted[name] += 1
-                return build(ambient_rank, rays)
-            monkeypatch.setattr(fan, name, counting)
+
+        def counting(ambient_rank, rays, build=fan.make_cone):
+            counted["make_cone"] += 1
+            return build(ambient_rank, rays)
+        monkeypatch.setattr(fan, "make_cone", counting)
         return counted
 
     def test_pairwise_check_builds_nothing(self, calls):
         # one make_cone per input ray list; the faces that are not maximal
-        # are built only when asked for, each by one double description
+        # are keys only, and locating points builds none of them
         for c in corpus_fans()[::7]:
             calls.clear()
             rebuilt = cone_complex(c.ambient_rank, [m.rays for m in c.maximal])
             assert calls == {"make_cone": len(c.maximal)}
-            assert len(rebuilt.cones) == len(rebuilt.faces)
-            assert calls == {"make_cone": len(c.maximal),
-                             "_extreme_cone": len(rebuilt.faces) - len(rebuilt.maximal)}
+            for j, rays in enumerate(rebuilt.faces):
+                v = tuple(sum(r[i] for r in rays) for i in range(c.ambient_rank))
+                p = fan.canonicalize_point(rebuilt, fan.IntegralPoint(j, v))
+                assert p.cone_index == j
+            assert calls == {"make_cone": len(c.maximal)}
 
     def test_each_piece_is_built_once(self, calls, monkeypatch):
         def counting(normals, dim, *start, run=intlinalg.dual_rays):
@@ -353,7 +354,7 @@ class TestBuildCounts:
                 # more for the equations of a piece of dimension 1 to d - 1,
                 # and none for the pairs the sign tests decide
                 want["dual_rays"] += {"decided": 0, "full": 1, "zero": 1, "lower": 2}[kind]
-                want["_extreme_cone"] += kind in ("zero", "lower")
+                want["make_cone"] += kind in ("zero", "lower")
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(intlinalg, "dual_rays", counting)
@@ -362,7 +363,7 @@ class TestBuildCounts:
                     out = common_refinement(a, b)
                 except SupportMismatch:
                     out = None
-            assert calls == +want  # and no make_cone
+            assert calls == +want  # and no other make_cone
             # the fan oracle's own double descriptions are not counted
             assert out is None or not fan_faults(out)
         assert min(pairs[k] for k in ("decided", "full", "zero", "lower")) >= 5, pairs
@@ -398,9 +399,8 @@ class TestFacesOnDemand:
         overlays = [common_refinement(a, b)
                     for a, b in itertools.combinations(subdivisions[:4], 2)]
         for c in corpus_fans() + overlays:
-            assert len(c.cones) == len(c.faces)
-            for rays, cone in zip(c.faces, c.cones):
-                assert cone == make_cone(c.ambient_rank, rays)
+            for rays in c.faces:
+                assert make_cone(c.ambient_rank, rays).rays == rays
 
 
 # ---------------------------------------------------------------------------
@@ -579,21 +579,30 @@ def star_vectors(rng, c):
 class TestStarMapOracle:
     def test_map_equals_the_scan(self, monkeypatch):
         """``star_subdivision``'s map, read off the cone each piece was cut
-        from, equals ``complex_map``'s scan over every cone of the input:
-        the assignments, and ``map_point`` on the lattice points of
-        [-2, 2]^d."""
+        from, equals the scan of every cone of the input for every face
+        (``fan_oracle.scan_map``): the assignments, and ``map_point`` on the
+        lattice points of [-2, 2]^d.  The input is located once, for the
+        support check."""
         def refuse(*args):
-            raise AssertionError("star_subdivision scanned the target cones")
+            raise AssertionError("star_subdivision built its map by complex_map")
 
-        scan = fan.complex_map
+        located = []
+
+        def locate(c, vectors, real=fan.ConeComplex.locate):
+            located.append(c)
+            return real(c, vectors)
+
         rng = random.Random(1806)
         kinds = Counter()
         for c in star_map_corpus():
             for kind, v in star_vectors(rng, c).items():
-                monkeypatch.setattr(fan, "complex_map", refuse)
-                sub, f = star_subdivision(c, v)
-                monkeypatch.setattr(fan, "complex_map", scan)
-                want = scan(sub, c)
+                located.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(fan, "complex_map", refuse)
+                    m.setattr(fan.ConeComplex, "locate", locate)
+                    sub, f = star_subdivision(c, v)
+                assert located == [c]
+                want = scan_map(sub, c)
                 assert f == want, (c.maximal, v)
                 for x in itertools.product(range(-2, 3), repeat=c.ambient_rank):
                     if sub.supports(x):
