@@ -269,8 +269,9 @@ class ConeComplex:
         lie in cone ``j``, and None when they do not.  That cone is the one
         whose relative interior holds their sum, so it lies in cone j
         exactly when it is a face of cone j, that is when its rays are rays
-        of cone j: no face is built to answer."""
-        rays = set(self.faces[j])
+        of cone j: no face is built to answer.  Raises PointOutsideCone
+        when j is not the index of a cone."""
+        rays = set(_named(self.faces, j))
         sigma = self.locate(vectors)
         if sigma is None:
             return None
@@ -387,6 +388,16 @@ def canonicalize_point(c: ConeComplex, p: IntegralPoint) -> IntegralPoint:
     return IntegralPoint(k, v)
 
 
+def _named(per_cone, j: int):
+    """``per_cone[j]``, for a sequence with one entry per cone.  Raises
+    PointOutsideCone when j is outside [0, len(per_cone)), where a Python
+    index would count a negative j from the end."""
+    if not 0 <= j < len(per_cone):
+        raise PointOutsideCone(f"no cone has index {j}: the indices are "
+                               f"[0, {len(per_cone)})")
+    return per_cone[j]
+
+
 def point(c: ConeComplex, coordinates) -> IntegralPoint:
     """Canonical integral point of an embedded complex from raw coordinates."""
     v = tuple(coordinates)
@@ -435,7 +446,10 @@ class ConeComplexMap:
 
 
 def map_point(f: ConeComplexMap, p: IntegralPoint) -> IntegralPoint:
-    idx, matrix = f.assignments[p.cone_index]
+    """The image of p, canonical in the target.  Raises PointOutsideCone
+    when p names no source cone, or when its image is not in the target
+    cone assigned to the one it names."""
+    idx, matrix = _named(f.assignments, p.cone_index)
     image = mat_vec(matrix, p.coordinates)
     return canonicalize_point(f.target, IntegralPoint(idx, image))
 

@@ -180,6 +180,11 @@ class SmithDecomposition:
     V: tuple[Vec, ...]
     divisors: tuple[int, ...]
 
+    @property
+    def rank(self) -> int:
+        """The rank of M: the number of nonzero divisors."""
+        return sum(1 for d in self.divisors if d != 0)
+
 
 def smith_normal_form(m) -> SmithDecomposition:
     """Smith normal form U*M*V = D with a divisibility chain d1 | d2 | ...
@@ -364,12 +369,10 @@ class KernelCokernel:
     torsion: tuple[int, ...]
 
 
-def _kernel(snf: SmithDecomposition, rank: int) -> tuple[Vec, ...]:
+def _kernel(snf: SmithDecomposition) -> tuple[Vec, ...]:
     """Hermite-form basis of the integer kernel: the columns of V past the
     rank, for U*M*V = D."""
-    cols = len(snf.V)
-    kernel = [tuple(snf.V[i][j] for i in range(cols)) for j in range(rank, cols)]
-    return tuple(row_lattice_basis(kernel, cols))
+    return tuple(row_lattice_basis(list(zip(*snf.V))[snf.rank:], len(snf.V)))
 
 
 def kernel_and_cokernel(m) -> KernelCokernel:
@@ -377,14 +380,9 @@ def kernel_and_cokernel(m) -> KernelCokernel:
 
     M is viewed as a map Z^cols -> Z^rows acting on column vectors.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if cols == 0:
-        return KernelCokernel((), rows, ())
     snf = smith_normal_form(m)
-    rank = sum(1 for dv in snf.divisors if dv != 0)
     torsion = tuple(dv for dv in snf.divisors if dv > 1)
-    return KernelCokernel(_kernel(snf, rank), rows - rank, torsion)
+    return KernelCokernel(_kernel(snf), len(m) - snf.rank, torsion)
 
 
 def scaled_solution(snf: SmithDecomposition, b) -> tuple[int, Vec]:
@@ -397,7 +395,7 @@ def scaled_solution(snf: SmithDecomposition, b) -> tuple[int, Vec]:
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
     """
     ub = mat_vec(snf.U, b)
-    divisors = [d for d in snf.divisors if d != 0]
+    divisors = snf.divisors[:snf.rank]
     t = 1
     for d, x in zip(divisors, ub):
         t = lcm(t, d // gcd(d, x))
@@ -417,30 +415,50 @@ def solve_lattice(a, b) -> LatticeSolutionSet | None:
     With U*A*V = D, A*x = b is solvable exactly when :func:`scaled_solution`
     needs no scaling (t = 1) and U*b vanishes past the rank.  Returns that
     particular solution plus a Hermite-form basis of the integer kernel;
-    every solution is particular + Z-combination of the basis.
+    every solution is particular + Z-combination of the basis.  Raises
+    ValueError when b does not have one entry per row of A.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        if any(b):
-            return None
-        return LatticeSolutionSet((), ())
     snf = smith_normal_form(a)
-    rank = sum(1 for dv in snf.divisors if dv != 0)
-    x0 = _particular(snf, rank, b)
+    x0 = _particular(snf, b)
     if x0 is None:
         return None
-    return LatticeSolutionSet(x0, _kernel(snf, rank))
+    return LatticeSolutionSet(x0, _kernel(snf))
 
 
-def _particular(snf: SmithDecomposition, rank: int, b) -> Vec | None:
-    """An integer x with M*x = b, read off the Smith form of M of the given
-    rank by :func:`scaled_solution`, or None when there is none: when the
-    solution needs scaling (t > 1) or U*b does not vanish past the rank."""
+def _check_rhs(b, rows: int) -> None:
+    """Raise ValueError unless b is a right-hand side for ``rows`` rows."""
+    if b is None or len(b) != rows:
+        got = "none" if b is None else len(b)
+        raise ValueError(f"a right-hand side takes one entry per row, {rows}; "
+                         f"this one has {got}")
+
+
+def _particular(snf: SmithDecomposition, b) -> Vec | None:
+    """An integer x with M*x = b, read off the Smith form of M by
+    :func:`scaled_solution`, or None when there is none: when the solution
+    needs scaling (t > 1) or U*b does not vanish past the rank.  Raises
+    ValueError when b does not have one entry per row of M."""
+    _check_rhs(b, len(snf.U))
     t, x0 = scaled_solution(snf, b)
-    if t != 1 or any(mat_vec(snf.U, b)[rank:]):
+    if t != 1 or any(mat_vec(snf.U, b)[snf.rank:]):
         return None
     return x0
+
+
+def lattice_quotient(vectors, dim: int):
+    """Z^dim modulo the span L of ``vectors``, as (free, torsion): the rows
+    of ``free`` map Z^dim onto Z^dim / sat(L), free of rank dim - rank L,
+    and each (row, d) of ``torsion`` maps it onto Z/d, d > 1; together they
+    map Z^dim onto Z^dim / L.  All are read off one Smith form U*M*V = D of
+    the vectors as the rows of M: in the coordinates V⁻¹x, L is d_1 Z + ...
+    + d_r Z, so the columns of V past the rank r are the free coordinates
+    and each column i with d_i > 1 is a torsion coordinate of order d_i
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.3)."""
+    # no vectors make a zero row, whose Smith form has V = identity
+    snf = smith_normal_form([list(v) for v in vectors] or [[0] * dim])
+    coords = list(zip(*snf.V))
+    return (tuple(coords[snf.rank:]),
+            tuple((coords[i], d) for i, d in enumerate(snf.divisors) if d > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +863,6 @@ class IntegerSystem:
         self.num_vars = num_vars
         self.ineq_lhs = tuple(ineq_lhs or ())
         self.snf = smith_normal_form(eq_lhs) if eq_lhs else None
-        self.rank = sum(1 for dv in self.snf.divisors if dv != 0) if eq_lhs else 0
         self._search = None
 
     def _kernel_and_root(self):
@@ -855,7 +872,7 @@ class IntegerSystem:
         if self.snf is None:
             kernel = identity(self.num_vars)
         else:
-            kernel = _kernel(self.snf, self.rank)
+            kernel = _kernel(self.snf)
         if not kernel:
             return kernel, None
         g = [[dot(row, kv) for kv in kernel] for row in self.ineq_lhs]
@@ -867,15 +884,19 @@ class IntegerSystem:
         :func:`ilp_feasible`.
 
         Each solve gets the whole node budget that :func:`ilp_budget` sets,
-        and raises :class:`ResourceLimit` when it spends it."""
-        if self.snf is None:
-            x0 = (0,) * self.num_vars
-        else:
-            x0 = _particular(self.snf, self.rank, eq_rhs)
-            if x0 is None:
-                return None
+        and raises :class:`ResourceLimit` when it spends it.  Raises
+        ValueError when a right-hand side does not have one entry per row,
+        or when ``eq_rhs`` is None for a system with equations."""
         if ineq_rhs is None:
             ineq_rhs = [0] * len(self.ineq_lhs)
+        _check_rhs(ineq_rhs, len(self.ineq_lhs))
+        if self.snf is None:
+            _check_rhs(eq_rhs or (), 0)
+            x0 = (0,) * self.num_vars
+        else:
+            x0 = _particular(self.snf, eq_rhs)
+            if x0 is None:
+                return None
         if self._search is None:
             self._search = self._kernel_and_root()
         kernel, root = self._search

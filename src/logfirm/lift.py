@@ -111,10 +111,9 @@ def solve_units(chart: MonomialChart):
     if n == 0 or m == 0:
         return tuple(), tuple([1] * m), tuple()
     snf = smith_normal_form(a)
-    rank = sum(1 for d in snf.divisors if d != 0)
     # relations among the target units: rows of U past the rank span the
     # left kernel of A
-    constraints = tuple(tuple(snf.U[i]) for i in range(rank, n))
+    constraints = tuple(tuple(snf.U[i]) for i in range(snf.rank, n))
     columns = []
     for j in range(n):
         q, x = scaled_solution(snf, [int(jj == j) for jj in range(n)])

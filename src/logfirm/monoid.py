@@ -7,6 +7,8 @@ happens in "local" coordinates on the group: the group basis is a
 Hermite-form lattice basis, and cones, facets, and Hilbert bases live in Z^g
 where g is the group rank.  Duals, copies in group coordinates and faces are
 read off the facets and rays; one routine, ``_face``, builds every face.
+Every quotient (sharpening, localization, the group of an fs pushout) is
+read off one Smith form, by :func:`~logfirm.intlinalg.lattice_quotient`.
 
 A homomorphism is a map of groups that carries the source monoid into the
 target monoid, stored as its matrix on group coordinates; an integer matrix
@@ -30,6 +32,7 @@ from .intlinalg import (
     in_row_lattice,
     incidence,
     kernel_and_cokernel,
+    lattice_quotient,
     mat_mul,
     mat_vec,
     row_lattice_basis,
@@ -184,10 +187,12 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     if not gens:
         return AffineMonoid(ambient_rank, (), (), (), ())
     dd = dual_description(gens_local, g)
-    if any(tuple(-x for x in f) in dd.facets for f in dd.facets):
+    equations = [f for f in dd.facets if tuple(-x for x in f) in dd.facets]
+    if equations:
         # the generators span less than the supplied group (the facets hold
-        # a line): the monoid's group is the part of it in their span
-        span = _saturated_span(gens_local, g)
+        # a line): the monoid's group is the part of it in their span, the
+        # integer kernel of the cone's equations
+        span = kernel_and_cokernel(equations).kernel_basis
         return saturate(ambient_rank, gens,
                         group=[mat_vec(transpose(basis), c) for c in span])
     return AffineMonoid(ambient_rank, tuple(gens), basis, dd.facets, dd.rays)
@@ -432,23 +437,11 @@ def sharpen(m: AffineMonoid) -> tuple[AffineMonoid, MonoidHom]:
     return _quotient(m, m.unit_basis())
 
 
-def _saturated_span(vectors, d: int) -> tuple[Vec, ...]:
-    """Basis of the lattice points of Z^d in the span of ``vectors``."""
-    ker = kernel_and_cokernel([list(v) for v in vectors]).kernel_basis
-    if not ker:
-        return tuple(tuple(r) for r in identity(d))
-    return kernel_and_cokernel([list(v) for v in ker]).kernel_basis
-
-
 def _quotient(m: AffineMonoid, vectors) -> tuple[AffineMonoid, MonoidHom]:
-    """Image of m modulo the saturation of the span of ``vectors`` (not all
-    zero), with the projection hom onto the quotient lattice."""
-    d = m.ambient_rank
-    sat_span = _saturated_span(vectors, d)
-    s = len(sat_span)
-    snf = smith_normal_form([list(v) for v in sat_span])
-    proj = tuple(tuple(snf.V[i][s + j] for i in range(d)) for j in range(d - s))
-    target = saturate(d - s, [mat_vec(proj, g) for g in m.generators],
+    """Image of m modulo the saturation of the span of ``vectors``, with the
+    projection hom: the free coordinates of :func:`lattice_quotient`."""
+    proj, _ = lattice_quotient(vectors, m.ambient_rank)
+    target = saturate(len(proj), [mat_vec(proj, g) for g in m.generators],
                       group=[mat_vec(proj, b) for b in m.group_basis])
     return target, MonoidHom(m, target, proj)
 
@@ -521,9 +514,10 @@ class PushoutResult:
 def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
     """Pushout of Q1 <- P -> Q2 in fs monoids.
 
-    The group is Z^{g1+g2} modulo the relations (f(p), -g(p)); torsion is
-    made explicit via Smith normal form.  The saturation equals (saturation
-    of the free projection of the amalgam) plus the full torsion subgroup.
+    The group is Z^{g1+g2} modulo the relations (f(p), -g(p)), with free
+    and torsion coordinates read off one Smith form (:func:`lattice_quotient`).
+    The saturation equals (saturation of the free projection of the amalgam)
+    plus the full torsion subgroup.
     The result holds the leg Q2 -> characteristic, the one firmness reads;
     the leg from Q1 is the same map on the first g1 group coordinates.
     """
@@ -532,16 +526,9 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
     p = f.source
     q1, q2 = f.target, g.target
     g1, g2 = q1.group_rank, q2.group_rank
-    # a zero row when P is trivial: its Smith form has V = identity
-    relations = [list(mat_vec(f.local, c)) + [-x for x in mat_vec(g.local, c)]
-                 for c in p.local_generators] or [[0] * (g1 + g2)]
-    snf = smith_normal_form(relations)
-    rank = sum(1 for dv in snf.divisors if dv != 0)
-    # row i of coords is the i-th coordinate of the quotient on Z^{g1+g2}
-    coords = transpose(snf.V)
-    free_rows = coords[rank:]
-    torsion = [(coords[i], dv) for i, dv in enumerate(snf.divisors[:rank])
-               if dv > 1]
+    relations = [mat_vec(f.local, c) + tuple(-x for x in mat_vec(g.local, c))
+                 for c in p.local_generators]
+    free_rows, torsion = lattice_quotient(relations, g1 + g2)
     free_rank = len(free_rows)
 
     def generator_images(q, lo):

@@ -137,8 +137,11 @@ def scan_point(c, v):
 
 def scan_canonicalize(c, cones, p):
     """``canonicalize_point`` with the named cone built as a ``Cone`` (one
-    of ``cones``, see :func:`face_cones`) and the carrier read in it."""
+    of ``cones``, see :func:`face_cones`) and the carrier read in it.  An
+    index that names no cone, negative ones included, is outside."""
     v = tuple(p.coordinates)
+    if p.cone_index not in range(len(cones)):
+        raise PointOutsideCone(f"no cone has index {p.cone_index}")
     sigma = cones[p.cone_index]
     if not sigma.contains(v):
         raise PointOutsideCone(f"{v} not in cone {sigma.rays}")

@@ -466,7 +466,19 @@ class TestLocateOracle:
                     assert got == outcome(scan_canonicalize, c, cones, p), (c, p)
                     seen[got if isinstance(got, type) else "ok"] += 1
         assert min(seen.values()) >= 200, seen
-        assert set(seen) == {"ok", PointOutsideCone, IndexError}
+        assert set(seen) == {"ok", PointOutsideCone}
+
+    @pytest.mark.parametrize("index", [-1, -2, 4, 7])
+    def test_index_naming_no_cone_is_outside(self, index):
+        c = orthant(2)
+        assert len(c.faces) == 4
+        p = IntegralPoint(index, (1, 2))
+        with pytest.raises(PointOutsideCone):
+            canonicalize_point(c, p)
+        with pytest.raises(PointOutsideCone):
+            map_point(complex_map(c, c), p)
+        with pytest.raises(PointOutsideCone):
+            c.carrier_in(index, [(1, 2)])
 
     def test_complex_map_and_map_point(self):
         rng = random.Random(2103)

@@ -49,6 +49,21 @@ class TestTwoThree:
         assert firmament_member(gamma, (4,))
 
 
+class TestPointShape:
+    """A point of the wrong length is rejected, not padded or cut."""
+
+    def test_short_point_of_a_rank_two_target(self):
+        _, _, gamma = build(parity_cover)
+        assert gamma.map.target.ambient_rank == 2
+        with pytest.raises(ValueError):
+            firmament_member(gamma, [1])
+
+    def test_empty_point_of_a_rank_one_target(self):
+        _, _, gamma = build(kummer_two_three)
+        with pytest.raises(ValueError):
+            firmament_member(gamma, [])
+
+
 class TestParityRoot:
     def test_membership_is_even_parity(self):
         _, _, gamma = build(parity_root)

@@ -85,6 +85,12 @@ class TestSmithNormalForm:
         snf = smith_normal_form([[2, 0], [0, 2]])
         assert snf.divisors == (2, 2)
 
+    @pytest.mark.parametrize("m, rank", [
+        ([[2, 1], [3, 0]], 2), ([[1, 1], [2, 2]], 1), ([[0, 0, 0]], 0),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2), ([[6], [4]], 1)])
+    def test_rank(self, m, rank):
+        assert smith_normal_form(m).rank == rank
+
     @given(small_matrices)
     @settings(max_examples=300, deadline=None)
     def test_decomposition_identity_and_chain(self, m):
@@ -177,7 +183,7 @@ class TestScaledSolution:
     def test_left_kernel_part_ignored(self, a):
         # w = U^-1 * e_i for i past the rank changes only entry i of U*b
         snf = smith_normal_form(a)
-        rank = sum(1 for d in snf.divisors if d)
+        rank = snf.rank
         u_inv = mat_inverse_unimodular(snf.U)
         for b in itertools.product(range(-2, 3), repeat=len(a)):
             expected = scaled_solution(snf, b)
@@ -227,6 +233,46 @@ class TestSolveLattice:
         for c, kv in zip(coeffs, sol.kernel_basis):
             pt = [p + c * k for p, k in zip(pt, kv)]
         assert list(mat_vec(a, pt)) == b
+
+
+class TestRightHandSideShape:
+    """A right-hand side needs one entry per row: a short or long one would
+    be read as padded or cut, and answer another question."""
+
+    def test_short_equation_rhs_rejected(self):
+        # read as padded, it asked for x + y = 0 and found (0, 0)
+        with pytest.raises(ValueError, match="per row, 1; this one has 0"):
+            ilp_feasible(2, [[1, 1]], [])
+
+    def test_short_lattice_rhs_rejected(self):
+        # read as padded, it asked for (x, y) = (3, 0) and found it
+        with pytest.raises(ValueError, match="per row, 2; this one has 1"):
+            solve_lattice([[1, 0], [0, 1]], [3])
+
+    @pytest.mark.parametrize("a, b", [([[1, 0]], [1, 2]), ([[], []], [0]),
+                                      ([], [1])])
+    def test_lattice_rhs_of_other_length_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            solve_lattice(a, b)
+
+    def test_missing_equation_rhs_rejected(self):
+        with pytest.raises(ValueError, match="this one has none"):
+            IntegerSystem(2, [[1, 1]]).solve()
+        with pytest.raises(ValueError, match="this one has none"):
+            ilp_feasible(2, [[1, 1]], None, identity(2))
+
+    def test_inequality_rhs_of_other_length_rejected(self):
+        system = IntegerSystem(2, ineq_lhs=identity(2))
+        with pytest.raises(ValueError, match="per row, 2; this one has 1"):
+            system.solve(ineq_rhs=[1])
+        with pytest.raises(ValueError, match="per row, 0; this one has 1"):
+            system.solve(eq_rhs=[1])
+        assert system.solve(eq_rhs=[], ineq_rhs=[1, 2]) == (1, 2)
+
+    def test_rhs_of_matching_length_accepted(self):
+        assert ilp_feasible(2, [[1, 1]], [3], identity(2)) is not None
+        assert solve_lattice([[1, 0], [0, 1]], [3, 0]).particular == (3, 0)
+        assert solve_lattice([[], []], [0, 0]) is not None
 
 
 class TestKernelCokernel:

@@ -116,7 +116,7 @@ def candidate_loop_units(chart):
     a = [list(r) for r in chart.matrix]
     n, m = chart.num_target, chart.num_source
     snf = smith_normal_form(a)
-    rank = sum(1 for d in snf.divisors if d != 0)
+    rank = snf.rank
     constraints = tuple(tuple(snf.U[i]) for i in range(rank, n))
     u_inv = mat_inverse_unimodular(snf.U)
     columns = []

@@ -7,13 +7,16 @@ and cross-checked against the library's exact computations.
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from quotient_oracle import oracle_quotient, oracle_saturate, projection, saturated_span
 from logfirm.firm import FiberProblem, LogPointQuery, firm_check_pushout
 from logfirm.intlinalg import (
-    dot, hermite_normal_form, identity, kernel_and_cokernel, mat_mul, mat_vec,
-    primitive, smith_normal_form, transpose, vec_add, vec_sub)
+    dot, hermite_normal_form, identity, kernel_and_cokernel, lattice_quotient,
+    mat_inverse_unimodular, mat_mul, mat_vec, primitive, smith_normal_form,
+    solve_lattice, transpose, vec_add, vec_sub)
 import logfirm.intlinalg
 import logfirm.monoid
 from logfirm.monoid import (
@@ -76,8 +79,7 @@ def pushout_leg1(f, g, res):
     relations = [list(mat_vec(f.local, c)) + [-x for x in mat_vec(g.local, c)]
                  for c in f.source.local_generators] or [[0] * (q1.group_rank + q2.group_rank)]
     snf = smith_normal_form(relations)
-    rank = sum(1 for dv in snf.divisors if dv != 0)
-    block = [row[:q1.group_rank] for row in transpose(snf.V)[rank:]]
+    block = [row[:q1.group_rank] for row in transpose(snf.V)[snf.rank:]]
     _, sharp_proj = sharpen(res.saturation_free)
     return MonoidHom(q1, res.characteristic, local=mat_mul(sharp_proj.local, block))
 
@@ -567,6 +569,207 @@ class TestFaceLocalization:
     def test_not_a_face_rejected(self, face, message):
         with pytest.raises(NotAFace, match=message):
             face_localization(N(2), face)
+
+
+def quotient_cases(rng):
+    """Vectors in Z^d, d <= 4, whose span has index 1, 2 or 3 in its
+    saturation, some with zero vectors among them, some spanning Z^d
+    rationally, and some all zero."""
+    out = []
+    for i in range(300):
+        d = rng.randint(1, 4)
+        vectors = [[rng.randint(-3, 3) for _ in range(d)]
+                   for _ in range(rng.randint(1, d + 1))]
+        if i % 3 == 1:
+            # index n in the saturation when the rest is saturated around it
+            vectors[0] = [rng.choice((2, 3)) * x for x in vectors[0]]
+        elif i % 3 == 2 and d >= 2:
+            u, v = vectors[0], [rng.randint(-2, 2) for _ in range(d)]
+            vectors[:1] = [vec_add(u, v), vec_sub(u, v)]
+        if i % 5 == 0:
+            vectors.insert(rng.randint(0, len(vectors)), [0] * d)
+        out.append((d, vectors))
+    out += [(2, [[0, 0]]), (3, [[0, 0, 0], [0, 0, 0]]), (2, [[2, 0]]),
+            (3, [[3, 3, 0]]), (2, [[2, 0], [0, 3]]), (3, identity(3))]
+    return out
+
+
+def unimodular_change(p, p_old):
+    """The T with p = T * p_old, checked unimodular; p_old has full row rank
+    and its rows span the lattice that the rows of p span."""
+    t = [solve_lattice(transpose(p_old), row).particular for row in p]
+    assert mat_mul(t, p_old) == [list(r) for r in p]
+    if t:
+        mat_inverse_unimodular(t)
+    return t
+
+
+def lattice_index(vectors, d):
+    """The index of the span of ``vectors`` in its saturation: the order of
+    the torsion of Z^d modulo the span, the cokernel of the vectors as
+    columns."""
+    out = 1
+    for order in kernel_and_cokernel(transpose(vectors)).torsion:
+        out *= order
+    return out
+
+
+class TestQuotientOracle:
+    """``lattice_quotient`` and the monoid quotients read off it, against
+    the route of ``quotient_oracle``: the span saturated as a kernel of a
+    kernel, and the coordinates read off a Smith form of that basis."""
+
+    def test_free_and_torsion_coordinates(self):
+        rng = random.Random(2201)
+        seen = Counter()
+        for d, vectors in quotient_cases(rng):
+            p, torsion = lattice_quotient(vectors, d)
+            index = 1
+            for row, order in torsion:
+                assert order > 1
+                assert all(dot(row, v) % order == 0 for v in vectors)
+                index *= order
+            assert index == lattice_index(vectors, d)
+            for _ in range(5):
+                x = [rng.randint(-6, 6) for _ in range(d)]
+                # x is in the span exactly when every coordinate kills it
+                in_span = solve_lattice(transpose(vectors), x) is not None
+                assert in_span == (not any(mat_vec(p, x)) and all(
+                    dot(row, x) % order == 0 for row, order in torsion))
+            if not any(map(any, vectors)):
+                assert p == tuple(map(tuple, identity(d))) and torsion == ()
+                seen["all zero"] += 1
+                continue
+            s = len(saturated_span(vectors, d))
+            assert len(p) == d - s
+            assert all(not any(mat_vec(p, v)) for v in vectors)
+            if p:
+                # p maps onto Z^(d - s): its cokernel is 0
+                onto = kernel_and_cokernel([list(r) for r in p])
+                assert (onto.free_rank, onto.torsion) == (0, ())
+            t = unimodular_change(p, projection(vectors, d))
+            seen["T is not 1"] += t != identity(len(t))
+            seen[f"index {index}"] += 1
+            seen["full rank"] += s == d
+            seen["zero vector"] += any(not any(v) for v in vectors)
+        assert min(seen[k] for k in ("all zero", "index 1", "index 2", "index 3",
+                                     "full rank", "zero vector", "T is not 1")) >= 2, seen
+
+    def test_sharpen_equals_the_oracle_after_t(self):
+        rng = random.Random(2202)
+        seen = Counter()
+        while seen["non-sharp"] < 60:
+            m, group = random_monoid(rng, rng.randint(1, 4))
+            if m.sharp:
+                continue
+            sharp_m, proj = sharpen(m)
+            old, old_proj = oracle_quotient(m, m.unit_basis())
+            t = unimodular_change(proj.matrix, old_proj.matrix)
+            assert sharp_m == saturate(len(t), [mat_vec(t, g) for g in old.generators],
+                                       group=[mat_vec(t, b) for b in old.group_basis])
+            assert set(sharp_m.hilbert) == {mat_vec(t, h) for h in old.hilbert}
+            seen["non-sharp"] += 1
+            seen["group"] += group is not None
+            seen["T is not 1"] += t != identity(len(t))
+        assert seen["group"] >= 10 and seen["T is not 1"] >= 1, seen
+
+    def test_localizations_equal_the_oracle_after_t(self):
+        rng = random.Random(2203)
+        seen = Counter()
+        for m in sharp_corpus(rng):
+            for f in faces(m):
+                if not f.generator_subset:
+                    continue
+                loc, proj = face_localization(m, f)
+                old, old_proj = oracle_quotient(
+                    m, [m.hilbert[i] for i in f.generator_subset])
+                t = unimodular_change(proj.matrix, old_proj.matrix)
+                assert loc == saturate(len(t), [mat_vec(t, g) for g in old.generators],
+                                       group=[mat_vec(t, b) for b in old.group_basis])
+                assert set(loc.hilbert) == {mat_vec(t, h) for h in old.hilbert}
+                seen["faces"] += 1
+                seen["sublattice"] += proper_sublattice(m)
+                seen["T is not 1"] += t != identity(len(t))
+        assert seen["faces"] >= 200 and seen["sublattice"] >= 20, seen
+
+    @pytest.mark.parametrize("rank, gens, group", [
+        (2, [[2, 0], [-2, 0], [0, 3]], [[2, 0], [0, 3]]),
+        (3, [[2, 0, 0], [-2, 0, 0], [0, 2, 2], [0, 0, 2]],
+         [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+        (3, [[1, 1, 0], [2, 2, 0]], None),
+        (3, [[2, 0, 0], [0, 2, 0]], identity(3)),
+    ])
+    def test_lower_span_saturation_is_the_oracle(self, rank, gens, group):
+        assert saturate(rank, gens, group=group) == oracle_saturate(rank, gens, group)
+
+    def test_lower_span_saturation_corpus(self):
+        # generators in Z^r or in a group of index up to 3^r, often fewer
+        # than r of them or with a line
+        rng = random.Random(2204)
+        seen = Counter()
+        while seen["lower span"] < 100:
+            r = rng.randint(1, 4)
+            group = [[rng.choice((1, 1, 2, 3)) * int(i == j) for j in range(r)]
+                     for i in range(r)]
+            gens = [list(mat_vec(transpose(group), [rng.randint(-2, 2) for _ in range(r)]))
+                    for _ in range(rng.randint(1, r))]
+            if rng.random() < 0.5:
+                gens.append([-x for x in gens[0]])
+            got = saturate(r, gens, group=group)
+            assert got == oracle_saturate(r, gens, group)
+            lower = 0 < got.group_rank < r
+            seen["lower span"] += lower
+            seen["lower span, sublattice"] += lower and group != identity(r)
+            seen["lower span, not sharp"] += lower and not got.sharp
+            seen["whole group"] += got.group_rank == r
+        assert min(seen.values()) >= 20, seen
+
+
+class TestQuotientCounts:
+    """Every quotient takes one Smith form of the vectors it divides by."""
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        calls = []
+        real = logfirm.intlinalg.smith_normal_form
+
+        def counting(m):
+            calls.append(len(m))
+            return real(m)
+
+        for module in (logfirm.intlinalg, logfirm.monoid):
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+        return calls
+
+    def test_sharpen_takes_two(self, smith_calls):
+        # one for the units, one for the quotient by them
+        m = saturate(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, 2, 1), (1, 1, 0)])
+        assert not m.sharp
+        sharp_m, _ = sharpen(m)
+        assert is_free(sharp_m, 2)
+        assert len(smith_calls) == 2
+
+    def test_face_localization_takes_one(self, smith_calls):
+        m = q1_monoid()
+        ray = next(f for f in faces(m) if len(f.generator_subset) == 1)
+        del smith_calls[:]
+        face_localization(m, ray)
+        assert len(smith_calls) == 1
+
+    def test_lower_span_saturation_takes_one(self, smith_calls):
+        m = saturate(3, [(2, 0, 0), (-2, 0, 0), (0, 2, 2), (0, 0, 2)],
+                     group=[(2, 0, 0), (0, 2, 0), (0, 0, 2)])
+        assert m.group_rank == 3
+        assert smith_calls == []
+        saturate(3, [(1, 1, 0), (2, 2, 0), (-1, -1, 0)], group=identity(3))
+        assert len(smith_calls) == 1
+
+    def test_pushout_takes_one(self, smith_calls):
+        n = N()
+        f, g = hom(n, n, [[2]]), hom(n, n, [[3]])
+        del smith_calls[:]
+        fs_pushout(f, g)
+        assert len(smith_calls) == 1
 
 
 # ---------------------------------------------------------------------------
