@@ -184,7 +184,7 @@ def firmament_from_json(d) -> Firmament:
     assignments = []
     for rays, a in zip(source.faces, d["cones"]):
         t = a["target"]
-        if not isinstance(t, int) or not 0 <= t < len(target.faces):
+        if type(t) is not int or not 0 <= t < len(target.faces):
             raise ValueError(f"target cone index {t!r} is not in "
                              f"[0, {len(target.faces)})")
         matrix = tuple(_rows(a["matrix"], source.ambient_rank, "cone matrix",
@@ -258,6 +258,33 @@ def _cmd_firm(args) -> CommandResult:
     return CommandResult("ok" if w is not None else "infeasible", payload)
 
 
+def _vals_by_generator(m: AffineMonoid, vals: dict) -> list:
+    """The values of a ``--vals`` object in the order of m's Hilbert basis.
+    Each key is a JSON list of integers of m's rank naming a Hilbert
+    generator, no two keys name the same one, and every one is named."""
+    hilbert = set(m.hilbert)
+    by_generator = {}
+    for key, v in vals.items():
+        try:
+            g = json.loads(key)
+        except json.JSONDecodeError:
+            g = None
+        if (type(g) is not list or len(g) != m.ambient_rank
+                or not all(type(x) is int for x in g)):
+            raise ValueError(f"vals key {key!r} is not a list of "
+                             f"{m.ambient_rank} integers")
+        g = tuple(g)
+        if g not in hilbert:
+            raise ValueError(f"vals key {key!r} names no Hilbert generator")
+        if g in by_generator:
+            raise ValueError(f"vals key {key!r} names generator {list(g)} again")
+        by_generator[g] = v
+    missing = [list(h) for h in m.hilbert if h not in by_generator]
+    if missing:
+        raise ValueError(f"vals has no value for generator {missing[0]}")
+    return [by_generator[h] for h in m.hilbert]
+
+
 def _cmd_firmament(args) -> CommandResult:
     if args.action == "member":
         gamma = firmament_from_json(_load(args.map))
@@ -270,11 +297,7 @@ def _cmd_firmament(args) -> CommandResult:
         m = monoid_from_json(_load(args.monoid))
         vals = _load(args.vals)
         if isinstance(vals, dict):
-            vals = {tuple(json.loads(k)): v for k, v in vals.items()}
-            missing = [list(h) for h in m.hilbert if h not in vals]
-            if missing:
-                raise ValueError(f"vals has no value for generator {missing[0]}")
-            vals = [vals[h] for h in m.hilbert]
+            vals = _vals_by_generator(m, vals)
         _rows([vals], len(m.hilbert), "vals")
         c = contact_order(m, vals)
         return CommandResult("ok", {"coordinates": list(c.point.coordinates)})

@@ -3,7 +3,10 @@
 Given charts θᵢ: P → Qᵢ, each dual cone Hom(Qᵢ, R≥0) maps to the dual cone
 of P by precomposition; the firmament is the image of the lattice points of
 the sources.  Membership is decided exactly, one integer program per source
-cone, each prepared once per firmament and solved at every query point.
+cone, each prepared once per firmament and solved at every query point.  A
+source cone of lower dimension (every firmament with two or more charts, and
+a chart into a monoid with units) enters its equations with the chart rows,
+so they are solved in the lattice step, not by the search.
 """
 
 from __future__ import annotations
@@ -33,17 +36,28 @@ class Firmament:
     map: ConeComplexMap
 
     @cached_property
-    def systems(self) -> tuple[IntegerSystem, ...]:
+    def systems(self) -> tuple[tuple[IntegerSystem, int], ...]:
         """One prepared :class:`IntegerSystem` per maximal source cone, in
-        the order of ``map.source.maximal``: the cone's chart matrix as the
-        equations and its facets as the inequalities, in the source's
-        coordinates.  Built on the first query and kept for every later one."""
+        the order of ``map.source.maximal``, with the number of the cone's
+        equations.  The system's equations are the cone's chart rows, then
+        the cone's equations: the facets whose incidence names every ray,
+        one of each pair f, -f.  Its inequalities are the other facets.  So
+        the lattice step, the Smith form, solves within the cone's span,
+        and a solve on a cone whose chart is injective on that span takes
+        no search.  Built on the first query and kept for every later one."""
         src = self.map.source
         systems = []
         for cone in src.maximal:
             _, matrix = self.map.assignments[src.cone_index(cone)]
-            systems.append(IntegerSystem(src.ambient_rank, [list(r) for r in matrix],
-                                         [list(f) for f in cone.facets]))
+            equations, inequalities = [], []
+            for f, on in zip(cone.facets, cone.incidence):
+                if len(on) < len(cone.rays):
+                    inequalities.append(list(f))
+                elif [-x for x in f] not in equations:
+                    equations.append(list(f))
+            systems.append((IntegerSystem(src.ambient_rank,
+                                          [list(r) for r in matrix] + equations,
+                                          inequalities), len(equations)))
         return tuple(systems)
 
 
@@ -96,12 +110,16 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
 def firmament_member(gamma: Firmament, n) -> bool:
     """Exact membership: does some lattice point of a source cone map to n?
 
-    Solves n against each of ``gamma.systems`` in turn, so the Smith
-    forms and recession splits of a cone's integer program are found once
-    per firmament, not once per point.  Each solve gets the whole node
-    budget of :func:`~logfirm.intlinalg.ilp_budget`."""
+    Solves n, followed by one 0 for each of the cone's equations, against
+    each of ``gamma.systems`` in turn, so the Smith forms and recession
+    splits of a cone's integer program are found once per firmament, not
+    once per point.  A cone's equations are solved with its chart rows, in
+    the lattice step, so a cone whose chart is injective on its span takes
+    no search.  Each solve gets the whole node budget of
+    :func:`~logfirm.intlinalg.ilp_budget`."""
     coords = list(n.coordinates) if isinstance(n, IntegralPoint) else list(n)
-    return any(system.solve(coords) is not None for system in gamma.systems)
+    return any(system.solve(coords + [0] * k) is not None
+               for system, k in gamma.systems)
 
 
 def firmament_enumerate_box(gamma: Firmament, bound: int) -> set[IntegralPoint]:

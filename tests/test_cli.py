@@ -503,6 +503,17 @@ def explicit_map(*cones, source=N1_FAN, target=N1_FAN):
                        "cones": [{"target": t, "matrix": m} for t, m in cones]})
 
 
+# --vals objects with a bad key, each with that key
+CONTACT_KEY_ERRORS = {
+    "naming no generator": ('{"[1, 0]": 3, "[0, 1]": 2, "[1, 1]": 5}', "[1, 1]"),
+    "with a boolean entry": ('{"[true, 0]": 7, "[0, 1]": 2}', "[true, 0]"),
+    "with a float entry": ('{"[1.0, 0]": 7, "[1, 0]": 3, "[0, 1]": 2}', "[1.0, 0]"),
+    "naming a generator twice": ('{"[1, 0]": 3, "[0,1]": 2, "[0, 1]": 4}', "[0, 1]"),
+    "not a list": ('{"5": 1, "[0, 1]": 2}', "5"),
+    "a list of lists": ('{"[[1], [0]]": 1, "[0, 1]": 2}', "[[1], [0]]"),
+    "of the wrong length": ('{"[1, 0, 0]": 3, "[0, 1]": 2}', "[1, 0, 0]"),
+    "not JSON": ('{"[1, 0": 3, "[0, 1]": 2}', "[1, 0"),
+}
 N2_IDENTITY_MAP = explicit_map(*[(i, [[1, 0], [0, 1]]) for i in range(4)],
                                source=N2_FAN, target=N2_FAN)
 SHAPE_ERRORS = {
@@ -605,6 +616,13 @@ SHAPE_ERRORS = {
     "contact value missing": [
         "firmament", "contact", "--vals", '{"[1, 0]": 1}',
         "--monoid", json.dumps(ORTHANT2)],
+    "boolean map target index": [
+        "firmament", "member", "--point", "[4]",
+        "--map", explicit_map((False, [[1, 1]]), (True, [[1, 1]]),
+                              source={"ambient_rank": 2, "cones": [{"rays": [[1, 1]]}]})],
+    **{f"contact key {name}": [
+        "firmament", "contact", "--vals", vals, "--monoid", json.dumps(ORTHANT2)]
+       for name, (vals, _) in CONTACT_KEY_ERRORS.items()},
     "non-sharp problem base": [
         "firm", "check", "--query", json.dumps({"point_monoid": N1,
                                                 "matrix": [[1]]}),
@@ -636,6 +654,13 @@ class TestShapeValidation:
         assert main(argv) == 2
         out = capsys.readouterr().out
         assert json.loads(out)["error"].startswith("ValueError")
+
+    @pytest.mark.parametrize("case", CONTACT_KEY_ERRORS.values(), ids=CONTACT_KEY_ERRORS)
+    def test_bad_contact_key_is_named(self, case, capsys):
+        vals, key = case
+        assert main(["firmament", "contact", "--vals", vals,
+                     "--monoid", json.dumps(ORTHANT2)]) == 2
+        assert f"vals key {key!r}" in json.loads(capsys.readouterr().out)["error"]
 
     def test_map_matrix_outside_target_cone(self, capsys):
         argv = ["firmament", "member", "--point", "[1]",

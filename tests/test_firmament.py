@@ -14,9 +14,10 @@ from logfirm.charts import (
     parity_cover,
     parity_root,
 )
-from logfirm.fan import lattice_points_box, point, star_subdivision
+from logfirm.cli import firmament_from_json
+from logfirm.fan import cone_complex, lattice_points_box, point, star_subdivision
 from logfirm.firm import FiberProblem, LogPointQuery, firm_check
-from logfirm.intlinalg import identity, ilp_feasible
+from logfirm.intlinalg import identity, ilp_budget, ilp_feasible, mat_vec
 from logfirm.firmament import (
     ContactOrder,
     NotAdditive,
@@ -255,7 +256,9 @@ def thin_chart():
 
 def fresh_programs(gamma, coords):
     """The answer of one fresh ``ilp_feasible`` call per maximal source
-    cone, in the order of ``gamma.map.source.maximal``."""
+    cone, in the order of ``gamma.map.source.maximal``: the chart rows as
+    the equations and every facet of the cone as an inequality, so that an
+    equation of the cone enters as the pair f, -f."""
     src = gamma.map.source
     out = []
     for cone in src.maximal:
@@ -263,6 +266,24 @@ def fresh_programs(gamma, coords):
         out.append(ilp_feasible(src.ambient_rank, [list(r) for r in matrix],
                                 list(coords), [list(f) for f in cone.facets]))
     return out
+
+
+def prepared_solves(gamma, coords):
+    """The witness of each of ``gamma.systems`` for a point, or None, with
+    one 0 per cone equation after the point, as ``firmament_member`` solves."""
+    return [system.solve(list(coords) + [0] * k) for system, k in gamma.systems]
+
+
+def assert_witnesses(gamma, coords, witnesses):
+    """Each witness is a lattice point of its source cone that the cone's
+    chart sends to the point."""
+    src = gamma.map.source
+    for cone, x in zip(src.maximal, witnesses):
+        if x is None:
+            continue
+        _, matrix = gamma.map.assignments[src.cone_index(cone)]
+        assert mat_vec(matrix, x) == tuple(coords), (cone.rays, x, coords)
+        assert cone.contains(x), (cone.rays, x)
 
 
 class TestPreparedSystems:
@@ -273,6 +294,8 @@ class TestPreparedSystems:
                    for y in (0, 1, 2)]
 
     def test_same_answers_as_fresh_programs(self):
+        # the cone equations enter the Smith form, so a witness may differ
+        # from the fresh program's; the feasibility of each cone may not
         checked = 0
         for chart_fn in CHART_FAMILIES + (thin_chart,):
             gamma = firmament_from_charts(*chart_fn())
@@ -281,7 +304,10 @@ class TestPreparedSystems:
                 points += self.THIN_POINTS
             for coords in points:
                 fresh = fresh_programs(gamma, coords)
-                assert [s.solve(list(coords)) for s in gamma.systems] == fresh
+                got = prepared_solves(gamma, coords)
+                assert [x is not None for x in got] == [x is not None for x in fresh], (
+                    chart_fn.__name__, coords)
+                assert_witnesses(gamma, coords, got)
                 assert firmament_member(gamma, coords) == any(
                     x is not None for x in fresh), (chart_fn.__name__, coords)
                 checked += 1
@@ -308,3 +334,135 @@ class TestPreparedSystems:
                 # one Smith form per source cone
                 assert calls["smith_normal_form"] == len(gamma.map.source.maximal)
             assert per_box[0] == per_box[1] == per_box[2], chart_fn.__name__
+
+
+def explicit_firmament(source_rank, rays, matrix):
+    """The firmament of one source cone, cone(rays) in Z^source_rank, sent
+    into N by the one-row ``matrix``, read as an explicit JSON map: each
+    nonzero face goes to the ray of N, the zero face to 0."""
+    faces = cone_complex(source_rank, [rays]).faces
+    return firmament_from_json({
+        "source": {"ambient_rank": source_rank, "cones": [{"rays": rays}]},
+        "target": {"ambient_rank": 1, "cones": [{"rays": [[1]]}]},
+        "cones": [{"target": int(bool(face)), "matrix": matrix} for face in faces]})
+
+
+def brute_force_members(gamma, source_box, points):
+    """The points that some lattice point of [-source_box, source_box]^d in
+    a maximal source cone maps to: every member, once the box holds a
+    preimage of each.  Coordinates on which every ray of the cone is 0 are
+    0 on the cone and are not enumerated."""
+    src = gamma.map.source
+    d = src.ambient_rank
+    images = set()
+    for cone in src.maximal:
+        _, matrix = gamma.map.assignments[src.cone_index(cone)]
+        support = [i for i in range(d) if any(r[i] for r in cone.rays)]
+        for values in itertools.product(range(-source_box, source_box + 1),
+                                        repeat=len(support)):
+            x = [0] * d
+            for i, v in zip(support, values):
+                x[i] = v
+            if cone.contains(x):
+                images.add(mat_vec(matrix, x))
+    return {tuple(p) for p in points} & images
+
+
+def multi_chart_mix():
+    """The charts of ``parity_root`` and ``monomial_x2y3_x`` over one plane."""
+    n2, first = parity_root()
+    _, second = monomial_x2y3_x()
+    return n2, first + second
+
+
+def units_chart():
+    """The identity of N^2 into Z x N, whose dual cone is a ray in Z^2."""
+    n2 = orthant_monoid(2)
+    return n2, [MonoidHom(n2, saturate(2, [(1, 0), (-1, 0), (0, 1)]), identity(2))]
+
+
+def group_chart():
+    """N into Z: the source cone is the zero cone of Z, its firmament {0}."""
+    n1 = orthant_monoid(1)
+    return n1, [MonoidHom(n1, saturate(1, [(1,), (-1,)]), [[1]])]
+
+
+class TestConeEquationsInTheLatticeStep:
+    """A source cone of lower dimension enters its equations with the chart
+    rows, so its lattice is solved by the Smith form: the answers equal a
+    brute-force enumeration of source lattice points and the programs that
+    take every facet as an inequality."""
+
+    # (firmament, source box, target box, expected members or None)
+    CASES = {
+        # lattice points of the span are a(1,1,0) + b(0,1,1): sums 2a + 2b
+        "non-coordinate span": (
+            lambda: explicit_firmament(3, [[1, 1, 0], [0, 1, 1]], [[1, 1, 1]]),
+            8, 12, {(n,) for n in range(0, 13, 2)}),
+        # the ray's equation x - 2y = 0 has a non-unit coefficient
+        "ray with a non-unit equation": (
+            lambda: explicit_firmament(2, [[2, 1]], [[1, 1]]),
+            12, 12, {(0,), (3,), (6,), (9,), (12,)}),
+        "zero cone of an explicit map": (
+            lambda: explicit_firmament(2, [], [[1, 1]]), 3, 4, {(0,)}),
+        "zero cone of a chart into a group": (
+            lambda: firmament_from_charts(*group_chart()), 3, 4, {(0,)}),
+        "chart into a monoid with units": (
+            lambda: firmament_from_charts(*units_chart()), 5, 4, None),
+        "parity_cover": (lambda: firmament_from_charts(*parity_cover()), 8, 4, None),
+        "kummer_two_three": (
+            lambda: firmament_from_charts(*kummer_two_three()), 8, 12, None),
+        "parity_root and monomial_x2y3_x": (
+            lambda: firmament_from_charts(*multi_chart_mix()), 8, 4, None),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES)
+    def test_equal_to_enumeration_and_fresh_programs(self, case):
+        build_gamma, source_box, target_box, expected = case
+        gamma = build_gamma()
+        points = [p.coordinates for p in lattice_points_box(gamma.map.target, target_box)]
+        brute = brute_force_members(gamma, source_box, points)
+        if expected is not None:
+            assert brute == expected
+        for coords in points:
+            fresh = fresh_programs(gamma, coords)
+            got = prepared_solves(gamma, coords)
+            assert [x is not None for x in got] == [x is not None for x in fresh], coords
+            assert_witnesses(gamma, coords, got)
+            assert firmament_member(gamma, coords) == (coords in brute), coords
+
+    def test_lower_dimensional_cones_have_equations(self):
+        for chart_fn in (parity_cover, kummer_two_three, units_chart, group_chart):
+            gamma = firmament_from_charts(*chart_fn())
+            assert all(k > 0 for _, k in gamma.systems), chart_fn.__name__
+        gamma = firmament_from_charts(*thin_chart())
+        assert [k for _, k in gamma.systems] == [0]
+
+
+def box_smoke_chart():
+    """The two-chart map of the firmament box smoke: members are the points
+    with an even coordinate."""
+    n2 = orthant_monoid(2)
+    return n2, [MonoidHom(n2, orthant_monoid(2), [[2, 0], [0, 1]]),
+                MonoidHom(n2, orthant_monoid(2), [[1, 0], [0, 2]])]
+
+
+class TestNoSearch:
+    """Each chart of these firmaments is injective on its source cone's
+    span, so every box point is decided by the Smith form and a sign check,
+    with no search node."""
+
+    FAMILIES = {
+        "parity_cover": (parity_cover, lambda a, b: True),
+        "kummer_two_three": (kummer_two_three, lambda n: n % 2 == 0 or n % 3 == 0),
+        "box smoke": (box_smoke_chart, lambda a, b: a % 2 == 0 or b % 2 == 0),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES)
+    def test_box_points_under_a_zero_budget(self, family):
+        chart_fn, member = family
+        gamma = firmament_from_charts(*chart_fn())
+        points = [p.coordinates for p in lattice_points_box(gamma.map.target, 6)]
+        with ilp_budget(0):
+            got = {coords: firmament_member(gamma, coords) for coords in points}
+        assert got == {coords: member(*coords) for coords in points}
