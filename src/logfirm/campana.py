@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import identity, ilp_feasible, rational_inverse
+from .intlinalg import IntegerSystem, identity, rational_inverse
 from .lift import MonomialChart
 
 Exponent = tuple[int, ...]
@@ -188,15 +188,22 @@ def radical(i: MonomialIdeal) -> MonomialIdeal:
         i.num_vars, [tuple(1 if e else 0 for e in g) for g in i.generators])
 
 
-def _power_contains(prime_gens, e: int, monomial: Exponent) -> bool:
-    """Monomial membership in (g_1, ..., g_k)^e via integer feasibility."""
+def _power_system(prime_gens, num_vars: int) -> IntegerSystem:
+    """Monomial membership in (g_1, ..., g_k)^e as one integer program for
+    every e and monomial: some c >= 0 with c_1 + ... + c_k = e and
+    sum c_t g_t <= monomial componentwise.  :func:`_power_contains` solves
+    it for one (e, monomial)."""
     k = len(prime_gens)
-    n = len(monomial)
-    # find c >= 0 with c_1 + ... + c_k = e and sum c_t g_t <= monomial
-    # componentwise
-    ineq = [[-g[j] for g in prime_gens] for j in range(n)] + identity(k)
-    ineq_rhs = [-x for x in monomial] + [0] * k
-    return ilp_feasible(k, [[1] * k], [e], ineq, ineq_rhs) is not None
+    return IntegerSystem(
+        k, [[1] * k],
+        [[-g[j] for g in prime_gens] for j in range(num_vars)] + identity(k))
+
+
+def _power_contains(system: IntegerSystem, e: int, monomial: Exponent) -> bool:
+    """Whether the monomial lies in the power e of the ideal of
+    ``system``, a :func:`_power_system`."""
+    return system.solve([e], [-x for x in monomial]
+                        + [0] * system.num_vars) is not None
 
 
 def variant_multiplicities(i: MonomialIdeal):
@@ -212,10 +219,11 @@ def variant_multiplicities(i: MonomialIdeal):
 
     # m_c: largest e with I inside radical(I)^e
     rad = radical(i).generators
+    power = _power_system(rad, i.num_vars)
     bound = max(sum(g) for g in i.generators)
     m_c = 0
     for e in range(1, bound + 1):
-        if all(_power_contains(rad, e, g) for g in i.generators):
+        if all(_power_contains(power, e, g) for g in i.generators):
             m_c = e
         else:
             break

@@ -17,7 +17,6 @@ from .campana import (
     IN_Z,
     MonomialIdeal,
     NotContaining,
-    NotUnimodular,
     ZeroOrUnitIdeal,
     campana_member,
     intersection_multiplicity,
@@ -67,7 +66,7 @@ from .svg import RankUnsupported, emit_point_grid
 
 @dataclass(frozen=True)
 class CommandResult:
-    status: str                 # "ok" | "infeasible" | "error"
+    status: str                 # "ok" | "infeasible" | "error" | "limit"
     payload: object
     diagnostics: tuple[str, ...] = ()
 
@@ -471,7 +470,7 @@ _INPUT_ERRORS = (
     _UsageError, ValueError, KeyError, TypeError, OSError,
     json.JSONDecodeError, RankUnsupported, NotPrimitive, OutsideSupport,
     SupportMismatch, InvalidMap, NotSharp,
-    NotContaining, NotUnimodular, ZeroOrUnitIdeal,
+    NotContaining, ZeroOrUnitIdeal,
 )
 
 

@@ -130,9 +130,19 @@ def firmament_enumerate_box(gamma: Firmament, bound: int) -> set[IntegralPoint]:
 def contact_order(p: AffineMonoid, vals) -> ContactOrder:
     """The integral point of the dual cone of p determined by prescribing
     valuations on the Hilbert generators (vals: mapping generator -> N, or a
-    sequence aligned with p.hilbert)."""
+    sequence aligned with p.hilbert).  Raises ValueError for a mapping with
+    a key that is not a tuple of ints naming a Hilbert generator, or with
+    no value for some generator."""
     hb = list(p.hilbert)
     if isinstance(vals, dict):
+        for key in vals:
+            # (True, 0) and (1.0, 0) equal (1, 0) as keys
+            if (type(key) is not tuple or not all(type(x) is int for x in key)
+                    or key not in hb):
+                raise ValueError(f"vals key {key!r} names no Hilbert generator")
+        missing = [h for h in hb if h not in vals]
+        if missing:
+            raise ValueError(f"vals has no value for generator {missing[0]}")
         values = [vals[h] for h in hb]
     else:
         values = list(vals)

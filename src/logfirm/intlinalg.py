@@ -857,6 +857,12 @@ class IntegerSystem:
     :func:`ilp_feasible` call, which is this class prepared and solved once.
     The system reads the rows it is given, not copies of them, so they
     must not change while it is in use.
+
+    Prepared users: ``firmament.Firmament.systems`` (one per source cone,
+    solved at every point), ``monoid.is_integral`` (one per call, solved
+    for every quadruple), ``monoid.PushoutResult`` (one for the amalgam,
+    solved for every element tested) and ``campana.variant_multiplicities``
+    (one per call, solved for every power and generator).
     """
 
     def __init__(self, num_vars, eq_lhs=None, ineq_lhs=None):

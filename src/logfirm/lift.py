@@ -56,15 +56,9 @@ class MonomialChart:
 
 @dataclass(frozen=True)
 class DVRTargetPoint:
-    """y_j = u_{y_j} * pi^{valuations[j]} with opaque unit labels."""
+    """y_j = u_{y_j} * pi^{valuations[j]}."""
 
     valuations: tuple[int, ...]
-    unit_labels: tuple[str, ...] = ()
-
-    def labels(self) -> tuple[str, ...]:
-        if self.unit_labels:
-            return self.unit_labels
-        return tuple(f"u_y{j + 1}" for j in range(len(self.valuations)))
 
 
 @dataclass(frozen=True)
@@ -88,10 +82,7 @@ def solve_exponents(chart: MonomialChart, e) -> tuple[int, ...] | None:
     m = chart.num_source
     if len(e) != chart.num_target:
         raise ValueError("valuation vector length mismatch")
-    if m == 0:
-        return () if not any(e) else None
-    sol = ilp_feasible(m, [list(r) for r in chart.matrix], e, identity(m))
-    return sol
+    return ilp_feasible(m, [list(r) for r in chart.matrix], e, identity(m))
 
 
 def solve_units(chart: MonomialChart):

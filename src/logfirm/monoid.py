@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .intlinalg import (
+    IntegerSystem,
     Vec,
     dual_description,
     face_closure,
@@ -473,23 +474,25 @@ class PushoutResult:
     characteristic: AffineMonoid    # sharpening of the saturation
     leg2: MonoidHom                 # Q2 -> characteristic
 
+    @functools.cached_property
+    def _amalgam(self) -> IntegerSystem:
+        """Membership in the integral amalgam, one integer program for every
+        group element: n >= 0 coefficients on the amalgam generators and
+        one free multiple of each torsion order, summing to the element."""
+        gens, orders = self.amalgam_generators, self.torsion_orders
+        n, t = len(gens), len(orders)
+        return IntegerSystem(
+            n + t,
+            [[free[i] for _, free in gens] + [0] * t
+             for i in range(self.free_rank)]
+            + [[tor[j] for tor, _ in gens] + [d * x for x in e]
+               for j, (d, e) in enumerate(zip(orders, identity(t)))],
+            identity(n + t)[:n])
+
     def amalgam_contains(self, torsion_part, free_part) -> bool:
         """Exact membership of a group element in the integral amalgam."""
-        gens = self.amalgam_generators
-        n = len(gens)
-        t = len(self.torsion_orders)
-        fr = self.free_rank
-        num_vars = n + t
-        eq, rhs = [], []
-        for i in range(fr):
-            eq.append([gens[k][1][i] for k in range(n)] + [0] * t)
-            rhs.append(free_part[i])
-        for j in range(t):
-            eq.append([gens[k][0][j] for k in range(n)]
-                      + [self.torsion_orders[j] if jj == j else 0 for jj in range(t)])
-            rhs.append(torsion_part[j])
-        ineq = [[1 if k == i else 0 for k in range(num_vars)] for i in range(n)]
-        return ilp_feasible(num_vars, eq, rhs, ineq) is not None
+        return (self._amalgam.solve(list(free_part) + list(torsion_part))
+                is not None)
 
     def saturation_generators(self):
         """Group elements generating the saturation as a monoid."""
@@ -572,34 +575,18 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom) -> MonoidHom | None:
     if not (p.sharp and q.sharp and r.sharp):
         raise NotSharp("factorization search requires sharp monoids")
     gq, gr = q.group_rank, r.group_rank
-    num_vars = gr * gq  # H[i][j], row-major
-
-    def var(i, j):
-        return i * gq + j
-
-    eq, rhs = [], []
-    for c in p.hilbert_local:
-        u = mat_vec(theta.local, c)   # in Z^gq
-        w = mat_vec(psi.local, c)     # in Z^gr
-        for i in range(gr):
-            row = [0] * num_vars
-            for j in range(gq):
-                row[var(i, j)] = u[j]
-            eq.append(row)
-            rhs.append(w[i])
-    ineq = []
-    for u in q.rays_local:
-        for fct in r.facets_local:
-            row = [0] * num_vars
-            for i in range(gr):
-                for j in range(gq):
-                    row[var(i, j)] += fct[i] * u[j]
-            ineq.append(row)
-    sol = ilp_feasible(num_vars, eq, rhs, ineq)
+    # H[i][j] is unknown i * gq + j: the row of (H u)_i is e_i (x) u, and
+    # that of <fct, H u> is fct (x) u
+    images = [(mat_vec(theta.local, c), mat_vec(psi.local, c))
+              for c in p.hilbert_local]
+    eq = [[x if k == i else 0 for k in range(gr) for x in u]
+          for u, _ in images for i in range(gr)]
+    ineq = [[a * x for a in fct for x in u]
+            for u in q.rays_local for fct in r.facets_local]
+    sol = ilp_feasible(gr * gq, eq, [x for _, w in images for x in w], ineq)
     if sol is None:
         return None
-    return MonoidHom(q, r, local=[[sol[var(i, j)] for j in range(gq)]
-                                  for i in range(gr)])
+    return MonoidHom(q, r, local=[sol[i * gq:(i + 1) * gq] for i in range(gr)])
 
 
 def find_retraction(theta: MonoidHom) -> MonoidHom | None:
@@ -623,18 +610,13 @@ class SemiDecision:
 
 def _elements_up_to_degree(m: AffineMonoid, bound: int) -> list[Vec]:
     """All monoid elements expressible as sums of at most ``bound`` Hilbert
-    generators (ambient coordinates)."""
-    gens = m.hilbert
-    current = {tuple([0] * m.ambient_rank)}
+    generators, in group coordinates and sorted: the order of their ambient
+    vectors too, as for ``hilbert_local``."""
+    current = {(0,) * m.group_rank}
     seen = set(current)
     for _ in range(bound):
-        nxt = set()
-        for v in current:
-            for h in gens:
-                nxt.add(vec_add(v, h))
-        nxt -= seen
-        seen |= nxt
-        current = nxt
+        current = {vec_add(v, h) for v in current for h in m.hilbert_local} - seen
+        seen |= current
         if not current:
             break
     return sorted(seen)
@@ -650,18 +632,27 @@ def is_integral(theta: MonoidHom, bound: int = 6) -> SemiDecision:
     p, q = theta.source, theta.target
     if not (p.sharp and q.sharp):
         raise NotSharp("integrality check requires sharp monoids")
+    gp, gq = p.group_rank, q.group_rank
+    # unknowns (a3, a4, b) in group coordinates, one matrix for every
+    # quadruple: theta(a3) + b = b1, theta(a4) + b = b2, a3 - a4 = a2 - a1
+    zp, zq = [0] * gp, [0] * gq
+    blocks = list(zip(theta.local, identity(gq)))
+    system = IntegerSystem(
+        2 * gp + gq,
+        [list(row) + zp + e for row, e in blocks]
+        + [zp + list(row) + e for row, e in blocks]
+        + [e + [-x for x in e] + zq for e in identity(gp)],
+        [list(f) + zp + zq for f in p.facets_local]
+        + [zp + list(f) + zq for f in p.facets_local]
+        + [zp + zp + list(f) for f in q.facets_local])
     p_elts = _elements_up_to_degree(p, bound)
     q_elts = _elements_up_to_degree(q, bound)
-    image = {a: theta.apply(a) for a in p_elts}
-    gp, gq = p.group_rank, q.group_rank
-    facets_p = [list(f) for f in p.facets_local]
-    facets_q = [list(f) for f in q.facets_local]
+    image = {a: mat_vec(theta.local, a) for a in p_elts}
     checked = set()
     for a1, a2 in itertools.product(p_elts, repeat=2):
-        ta1, ta2 = image[a1], image[a2]
         for b1 in q_elts:
-            b2 = vec_sub(vec_add(ta1, b1), ta2)
-            if not q.contains(b2):
+            b2 = vec_sub(vec_add(image[a1], b1), image[a2])
+            if any(dot(f, b2) < 0 for f in q.facets_local):
                 continue
             key = tuple(sorted([(a1, b1), (a2, b2)]))
             if key in checked:
@@ -669,39 +660,9 @@ def is_integral(theta: MonoidHom, bound: int = 6) -> SemiDecision:
             checked.add(key)
             if (a1, b1) == (a2, b2):
                 continue
-            ca1, ca2 = p.coords(a1), p.coords(a2)
-            cb1, cb2 = q.coords(b1), q.coords(b2)
-            # unknowns: a3 (gp), a4 (gp), b (gq) in group coordinates
-            nv = 2 * gp + gq
-            eq, rhs = [], []
-            for i in range(gq):  # theta(a3) + b = b1
-                row = [0] * nv
-                for j in range(gp):
-                    row[j] = theta.local[i][j]
-                row[2 * gp + i] = 1
-                eq.append(row)
-                rhs.append(cb1[i])
-            for i in range(gq):  # theta(a4) + b = b2
-                row = [0] * nv
-                for j in range(gp):
-                    row[gp + j] = theta.local[i][j]
-                row[2 * gp + i] = 1
-                eq.append(row)
-                rhs.append(cb2[i])
-            for i in range(gp):  # a1 + a3 = a2 + a4
-                row = [0] * nv
-                row[i] = 1
-                row[gp + i] = -1
-                eq.append(row)
-                rhs.append(ca2[i] - ca1[i])
-            ineq = []
-            for f in facets_p:
-                ineq.append(list(f) + [0] * (gp + gq))
-                ineq.append([0] * gp + list(f) + [0] * gq)
-            for f in facets_q:
-                ineq.append([0] * (2 * gp) + list(f))
-            if ilp_feasible(nv, eq, rhs, ineq) is None:
-                return SemiDecision("no", bound, witness=(a1, a2, b1, b2))
+            if system.solve(b1 + b2 + vec_sub(a2, a1)) is None:
+                return SemiDecision("no", bound, witness=(
+                    p.ambient(a1), p.ambient(a2), q.ambient(b1), q.ambient(b2)))
     return SemiDecision("probably_yes", bound)
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import logfirm.intlinalg
 from logfirm.campana import (
     IN_Z,
     IntPolynomial,
@@ -221,15 +222,31 @@ class TestVariants:
         assert m_a == 1 and m_b == 1
 
     def test_power_membership_oracle(self):
+        # one prepared system per radical answers every power and monomial
         rng = random.Random(55511)
-        from logfirm.campana import _power_contains
+        from logfirm.campana import _power_contains, _power_system
         for _ in range(40):
             i = random_ideal(rng, num_vars=3, max_exp=2)
             rad = radical(i).generators
+            system = _power_system(rad, 3)
             for e in range(1, 4):
                 for g in i.generators:
-                    assert (_power_contains(rad, e, g)
+                    assert (_power_contains(system, e, g)
                             == brute_power_member(rad, e, g)), (rad, e, g)
+
+    def test_power_membership_takes_one_smith_form(self, monkeypatch):
+        # the m_c loop solves one matrix for each power and generator
+        calls = []
+        real = logfirm.intlinalg.smith_normal_form
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(logfirm.intlinalg, "smith_normal_form", counting)
+        fourth = [tuple(4 * (j == k) for j in range(7)) for k in range(7)]
+        assert variant_multiplicities(ideal(7, fourth)) == (4, 4, 4, 22)
+        assert len(calls) == 1
 
     def test_inequalities_on_corpus(self):
         rng = random.Random(77317)

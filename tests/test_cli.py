@@ -364,6 +364,14 @@ class TestLiftCommands:
         assert r.status == "infeasible" and r.exit_code == 1
         assert r.payload["in_firmament"] is False
 
+    def test_solve_chart_with_no_source_variable(self):
+        # the exponent system has no unknown: only e = 0 lifts
+        r = run(["lift", "solve", "--chart", "[[],[]]", "--vals", "[0,0]"])
+        assert r.exit_code == 0 and r.payload["exponents"] == []
+        r = run(["lift", "solve", "--chart", "[[],[]]", "--vals", "[0,1]"])
+        assert r.exit_code == 1
+        assert r.payload == {"in_firmament": False, "valuations": [0, 1]}
+
 
 class TestCampanaCommands:
     def test_mult(self):

@@ -129,6 +129,19 @@ class TestContactOrder:
         c = contact_order(n2, [0, 0])
         assert c.point.coordinates == (0, 0)
 
+    @pytest.mark.parametrize("vals", [
+        {(True, 0): 7, (0, 1): 2, (5, 5): 1},
+        {(True, 0): 7, (0, 1): 2},
+        {(1.0, 0): 7, (0, 1): 2},
+        {(1, 0): 7, (0, 1): 2, (5, 5): 1},
+        {(1, 0, 0): 7, (0, 1): 2},
+        {"(1, 0)": 7, (0, 1): 2},
+        {(1, 0): 7},
+        {}])
+    def test_bad_keys_rejected(self, vals):
+        with pytest.raises(ValueError):
+            contact_order(orthant_monoid(2), vals)
+
     def test_not_additive(self):
         q = in_group_coordinates(saturate(2, [(2, 0), (1, 1), (0, 2)]))
         # generators satisfy h1 + h3 = 2 h2; valuations 1,0,0 break it

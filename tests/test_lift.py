@@ -48,6 +48,13 @@ class TestSolveExponents:
         for e in itertools.product(range(4), repeat=2):
             assert solve_exponents(ident, e) == e
 
+    def test_no_source_variable(self):
+        # an empty set of unknowns: () solves e = 0, and nothing else
+        for chart in (MonomialChart(((), ())), MonomialChart(((),))):
+            n = chart.num_target
+            assert solve_exponents(chart, (0,) * n) == ()
+            assert solve_exponents(chart, (0,) * (n - 1) + (1,)) is None
+
     def test_agrees_with_firmament_membership(self):
         from logfirm.charts import monomial_x2y3_x
         p, thetas = monomial_x2y3_x()
@@ -251,7 +258,3 @@ class TestValidation:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             MonomialChart(((1, 2), (1,)))
-
-    def test_default_labels(self):
-        p = DVRTargetPoint((5, 1))
-        assert p.labels() == ("u_y1", "u_y2")

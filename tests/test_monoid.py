@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from program_oracle import oracle_find_factorization, oracle_is_integral
 from quotient_oracle import oracle_quotient, oracle_saturate, projection, saturated_span
 from logfirm.firm import FiberProblem, LogPointQuery, firm_check_pushout
 from logfirm.intlinalg import (
@@ -725,21 +726,23 @@ class TestQuotientOracle:
         assert min(seen.values()) >= 20, seen
 
 
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """The row counts of the Smith forms taken while the test runs."""
+    calls = []
+    real = logfirm.intlinalg.smith_normal_form
+
+    def counting(m):
+        calls.append(len(m))
+        return real(m)
+
+    for module in (logfirm.intlinalg, logfirm.monoid):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    return calls
+
+
 class TestQuotientCounts:
     """Every quotient takes one Smith form of the vectors it divides by."""
-
-    @pytest.fixture
-    def smith_calls(self, monkeypatch):
-        calls = []
-        real = logfirm.intlinalg.smith_normal_form
-
-        def counting(m):
-            calls.append(len(m))
-            return real(m)
-
-        for module in (logfirm.intlinalg, logfirm.monoid):
-            monkeypatch.setattr(module, "smith_normal_form", counting)
-        return calls
 
     def test_sharpen_takes_two(self, smith_calls):
         # one for the units, one for the quotient by them
@@ -1251,3 +1254,77 @@ class TestSemiDecisions:
                     if vec_sub(b1, theta.apply(a3)) == vec_sub(b2, theta.apply(a4))
                     and vec_add(a1, a3) == vec_add(a2, a4)]
 
+
+# ---------------------------------------------------------------------------
+# integer programs against their entry-by-entry formulations
+
+
+def integral_corpus(rng, count):
+    """Homs theta: P -> Q with P in Z^1 or Z^2 and Q in Z^1 to Z^3, half of
+    them in Z^3, both generated in {0, 1, 2}^r; each column of theta is
+    a sum of one or two Hilbert generators of Q.  Each comes with a bound
+    for ``is_integral``: 2 for a rank-3 target, else 3."""
+    out = []
+    while len(out) < count:
+        pr, qr = rng.randint(1, 2), rng.choice((1, 2, 3, 3))
+        pg = [tuple(rng.randint(0, 2) for _ in range(pr))
+              for _ in range(rng.randint(1, 3))]
+        qg = [tuple(rng.randint(0, 2) for _ in range(qr))
+              for _ in range(rng.randint(1, 4))]
+        pg, qg = [g for g in pg if any(g)], [g for g in qg if any(g)]
+        if not pg or not qg:
+            continue
+        p, q = saturate(pr, pg), saturate(qr, qg)
+        theta = columns_hom(p, q, [random_element(rng, q, (1, 2)) for _ in range(pr)])
+        out.append((theta, 2 if q.group_rank == 3 else 3))
+    return out
+
+
+class TestProgramOracles:
+    def test_is_integral_matches_fresh_programs(self):
+        # one prepared system in group coordinates gives the verdict and the
+        # first refuted quadruple of a fresh program per ambient quadruple
+        seen = Counter()
+        for theta, bound in integral_corpus(random.Random(2024), 150):
+            got = is_integral(theta, bound)
+            assert got == oracle_is_integral(theta, bound), theta
+            seen[got.verdict, theta.target.group_rank] += 1
+        assert seen["no", 3] >= 3 and seen["probably_yes", 3] >= 20, seen
+        assert seen["no", 2] >= 10 and seen["probably_yes", 1] >= 30, seen
+
+    def test_find_factorization_matches_entrywise_rows(self):
+        rng = random.Random(27182)
+        found = 0
+        for _ in range(300):
+            p = N(rng.randint(1, 2))
+            (q, _), (r, _) = ambient_kept_monoid(rng), ambient_kept_monoid(rng)
+            theta = columns_hom(p, q, [random_element(rng, q, (0, 2)) for _ in p.hilbert])
+            psi = columns_hom(p, r, [random_element(rng, r, (1, 2)) for _ in p.hilbert])
+            h = find_factorization(theta, psi)
+            ref = oracle_find_factorization(theta, psi)
+            assert (None if h is None else h.local) == ref
+            found += h is not None
+        assert 30 < found < 270
+
+
+class TestPreparedCounts:
+    """A matrix solved for many right-hand sides takes one Smith form."""
+
+    def test_is_integral_takes_one(self, smith_calls):
+        for theta, verdict in ((hom(N(2), N(2), [[1, 0], [1, 1]]), "no"),
+                               (hom(N(2), q1_monoid(), [[2, 0], [0, 2]]),
+                                "probably_yes")):
+            del smith_calls[:]
+            assert is_integral(theta, bound=4).verdict == verdict
+            assert len(smith_calls) == 1
+
+    def test_amalgam_takes_one_per_pushout(self, smith_calls):
+        # both generators of the saturation are checked against the amalgam
+        n = N()
+        res = fs_pushout(hom(n, N(2), [[1], [1]]), identity_hom(n))
+        assert res.saturation_free.sharp
+        assert len(res.saturation_generators()) == 2
+        del smith_calls[:]
+        assert res.amalgam_equals_saturation() is None
+        assert res.amalgam_equals_saturation() is None
+        assert len(smith_calls) == 1
