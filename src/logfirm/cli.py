@@ -287,7 +287,7 @@ def _vals_by_generator(m: AffineMonoid, vals: dict) -> list:
 def _cmd_firmament(args) -> CommandResult:
     if args.action == "member":
         gamma = firmament_from_json(_load(args.map))
-        coords = _rows([json.loads(args.point)],
+        coords = _rows([_load(args.point)],
                        gamma.map.target.ambient_rank, "point")[0]
         member = firmament_member(gamma, coords)
         return CommandResult("ok" if member else "infeasible",
@@ -315,7 +315,7 @@ def _cmd_firmament(args) -> CommandResult:
 def _cmd_fan(args) -> CommandResult:
     if args.action == "subdivide":
         fan = fan_from_json(_load(args.fan))
-        vector = _rows([json.loads(args.vector)], fan.ambient_rank, "vector")[0]
+        vector = _rows([_load(args.vector)], fan.ambient_rank, "vector")[0]
         sub, f = star_subdivision(fan, vector)
         return CommandResult("ok", {"fan": fan_to_json(sub),
                                     "map": map_to_json(f)})
@@ -341,11 +341,11 @@ def _cmd_lift(args) -> CommandResult:
         primes = sorted(log_smooth_primes(matrix))
         return CommandResult("ok", {"primes": primes})
     chart_data = _load(args.chart)
-    if isinstance(chart_data, dict):
-        chart_data = chart_data["matrix"]
+    if type(chart_data) is not list:
+        raise ValueError("chart must be a list of rows")
     chart = MonomialChart(tuple(_rows(
         chart_data, len(chart_data[0]) if chart_data else 0, "chart")))
-    vals = _rows([json.loads(args.vals)], chart.num_target, "vals")[0]
+    vals = _rows([_load(args.vals)], chart.num_target, "vals")[0]
     out = describe_lift(chart, DVRTargetPoint(vals),
                         residue_char=args.residue_char)
     if not isinstance(out, LiftSolution):
@@ -374,7 +374,7 @@ def _cmd_campana(args) -> CommandResult:
             payload.update({"m_a": m_a, "m_b": m_b, "m_c": m_c,
                             "m_d_threshold": m_d})
         return CommandResult("ok", payload)
-    vals = json.loads(args.vals)
+    vals = _load(args.vals)
     _rows([vals], i.num_vars, "vals")
     n = intersection_multiplicity(i, vals, in_z=args.in_z)
     member = campana_member(n, args.m)

@@ -22,19 +22,21 @@ being common faces.  That is checked once, at the boundary:
 stellar subdivisions of fans, and the chambers of a hyperplane arrangement,
 are fans and are assembled without a check.
 
-A cone keeps its ray-facet incidence: for each facet, the rays on which it
-vanishes.  Its builder sets it, most often straight from the double
-description that gave the facets; a simplicial cone, whose rays are as
-many as the ambient rank and independent, takes no double description, as
-its facets and incidence are read off one exact inverse
-(``intlinalg.dual_description``).  The routines here read it where they
-would otherwise take those dot products again.  The face lattice of a cone
-is closed from the incidence once per cone (``intlinalg.face_closure``), and
-the test for a full-dimensional cone is read off it; an overlay piece that
-is one of its two cones keeps the faces already found.  The walls of an
-overlay's pieces, the facets that cut a face in the fan check, the facets
-of a stellar subdivision's new cones and the carrier of some vectors come
-from the incidence as well.
+A cone is one record, ``intlinalg.Cone``: its rays, its facets and its
+ray-facet incidence, for each facet the rays on which it vanishes.
+``intlinalg.dual_description`` returns that record, straight from the
+double description that gave the facets; a simplicial cone, whose rays
+are as many as the ambient rank and independent, takes no double
+description, as its facets and incidence are read off one exact inverse.
+:func:`make_cone` returns the record once it has checked that the cone is
+sharp, and builds the zero cone itself.  The routines here read the
+incidence where they would otherwise take those dot products again.  The
+face lattice of a cone is closed from the incidence once per cone
+(``intlinalg.face_closure``), and the test for a full-dimensional cone is
+read off it; an overlay piece that is one of its two cones keeps the faces
+already found.  The walls of an overlay's pieces, the facets that cut a
+face in the fan check, the facets of a stellar subdivision's new cones and
+the carrier of some vectors come from the incidence as well.
 
 Both the fan check and the overlay first try to decide a pair of cones by
 exact integer sign tests on the rays and facets that each cone holds: one
@@ -64,17 +66,16 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
 from . import intlinalg
 from .intlinalg import (
+    Cone,
     Vec,
     dot,
     dual_description,
-    face_closure,
-    hermite_normal_form,
     identity,
     mat_vec,
     primitive,
@@ -105,50 +106,6 @@ class InvalidMap(Exception):
 # cones
 
 
-@dataclass(frozen=True)
-class Cone:
-    """A sharp rational polyhedral cone in Z^d, stored by its sorted primitive
-    extreme rays and a complete facet description (membership is all
-    ⟨facet, x⟩ >= 0; an equation of a lower-dimensional cone is listed as f
-    and -f).  ``incidence`` holds, for each facet, the indices of the rays on
-    which it vanishes; it follows from the rays and facets, so equality
-    ignores it."""
-
-    ambient_rank: int
-    rays: tuple[Vec, ...]
-    facets: tuple[Vec, ...]
-    incidence: tuple[frozenset, ...] = field(compare=False, repr=False)
-
-    def contains(self, v) -> bool:
-        return all(dot(f, v) >= 0 for f in self.facets)
-
-    @cached_property
-    def faces(self) -> frozenset[tuple[Vec, ...]]:
-        """The ray tuple of every face, the zero cone included."""
-        return frozenset(tuple(self.rays[i] for i in sorted(on_face))
-                         for on_face in face_closure(self.incidence, len(self.rays))) | {()}
-
-    @cached_property
-    def ray_facets(self) -> tuple[frozenset, ...]:
-        """The incidence read by ray: for each ray, the indices of the facets
-        vanishing on it."""
-        return tuple(frozenset(j for j, on in enumerate(self.incidence) if i in on)
-                     for i in range(len(self.rays)))
-
-    @cached_property
-    def full(self) -> bool:
-        """Whether the cone is full-dimensional: no facet vanishes on all of it."""
-        return not any(len(on) == len(self.rays) for on in self.incidence)
-
-    @property
-    def dim(self) -> int:
-        h, _ = hermite_normal_form([list(r) for r in self.rays]) if self.rays else ((), ())
-        return sum(1 for row in h if any(row))
-
-    def key(self):
-        return self.rays
-
-
 def make_cone(ambient_rank: int, rays) -> Cone:
     """Canonical cone from generating rays: ``dual_description`` gives its
     facets and its sorted primitive extreme rays, by one double description
@@ -160,10 +117,10 @@ def make_cone(ambient_rank: int, rays) -> Cone:
         facets = tuple(tuple(s * x for x in row)
                        for s in (1, -1) for row in identity(ambient_rank))
         return Cone(ambient_rank, (), facets, (frozenset(),) * len(facets))
-    dd = dual_description(rays, ambient_rank)
-    if not dd.rays:
+    cone = dual_description(rays, ambient_rank)
+    if not cone.rays:
         raise ValueError(f"cone {[list(r) for r in sorted(set(rays))]} is not sharp")
-    return Cone(ambient_rank, dd.rays, dd.facets, dd.incidence)
+    return cone
 
 
 def cone_faces(c: Cone) -> list[Cone]:

@@ -195,8 +195,10 @@ def generization_witnesses(prob: FiberProblem, q: LogPointQuery,
         h_loc = proj.compose(w.hom)
         w_loc = FirmnessWitness(w.component_index, h_loc,
                                 _zero_preimage_face(h_loc))
-        q_loc = LogPointQuery(loc, psi_loc)
-        if not verify_witness(prob, q_loc, w_loc):
-            continue
+        # h_loc o theta = proj o psi = psi_loc, and psi_loc is local, so
+        # h_loc kills no nonzero image of theta: the witness always verifies,
+        # and a failure is a fault, never a face to leave out
+        if not verify_witness(prob, LogPointQuery(loc, psi_loc), w_loc):
+            raise AssertionError("a localized witness must re-verify")
         out[f] = w_loc
     return out

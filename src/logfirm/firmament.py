@@ -78,33 +78,20 @@ def dual_cone_complex(m: AffineMonoid) -> ConeComplex:
 def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
     """Firmament of the map presented by charts θᵢ: p → Qᵢ: sources are the
     dual cones of the Qᵢ (in orthogonal blocks), the target is the dual cone
-    of p, and each block maps by the transpose of the chart matrix."""
-    target = dual_cone_complex(p)
-    gp = p.group_rank
-    blocks = [theta.target.group_rank for theta in thetas]
-    total = sum(blocks)
-    if total == 0:
-        source = cone_complex(0, [[]])
-        return Firmament(complex_map(source, target, [[] for _ in range(gp)]))
-    maximal = []
-    offset = 0
-    columns: list[list[int]] = []
-    for theta, width in zip(thetas, blocks):
-        embedded = []
-        for r in theta.target.facets_local:
-            v = [0] * total
-            v[offset:offset + width] = list(r)
-            embedded.append(v)
-        if embedded:
-            maximal.append(embedded)
-        else:
-            maximal.append([[0] * total])
-        for j in range(width):
-            columns.append([theta.local[j][i] for i in range(gp)])
+    of p, and each block maps by the transpose of the chart matrix.  A chart
+    into a group has the zero cone as its source, and with no charts there
+    is no source cone, so the firmament is empty."""
+    total = sum(theta.target.group_rank for theta in thetas)
+    maximal, offset = [], 0
+    for theta in thetas:
+        width = theta.target.group_rank
+        maximal.append([[0] * offset + list(r) + [0] * (total - offset - width)
+                        for r in theta.target.facets_local])
         offset += width
-    matrix = [[columns[c][i] for c in range(total)] for i in range(gp)]
-    source = cone_complex(total, maximal)
-    return Firmament(complex_map(source, target, matrix))
+    matrix = [[row[i] for theta in thetas for row in theta.local]
+              for i in range(p.group_rank)]
+    return Firmament(complex_map(cone_complex(total, maximal),
+                                 dual_cone_complex(p), matrix))
 
 
 def firmament_member(gamma: Firmament, n) -> bool:

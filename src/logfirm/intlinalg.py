@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -538,14 +539,56 @@ def dual_rays(normals, dim: int, start: tuple | None = None
 
 
 @dataclass(frozen=True)
-class DualDescription:
+class Cone:
+    """A rational polyhedral cone in Z^d, stored by its sorted primitive
+    extreme rays and a complete facet description (membership is all
+    ⟨facet, x⟩ >= 0; an equation of a lower-dimensional cone is listed as f
+    and -f).  ``incidence`` holds, for each facet, the indices of the rays on
+    which it vanishes; it follows from the rays and facets, so equality
+    ignores it.
+
+    A cone with a line has no extreme rays, so its record has no rays; only
+    ``monoid.saturate`` makes such a record, for a monoid that is not sharp.
+    Only the sharp records of ``fan.make_cone`` enter a cone complex."""
+
+    ambient_rank: int
     rays: tuple[Vec, ...]
     facets: tuple[Vec, ...]
-    incidence: tuple[frozenset, ...]  # per facet, the indices of the rays it vanishes on
+    incidence: tuple[frozenset, ...] = field(compare=False, repr=False)
+
+    def contains(self, v) -> bool:
+        return all(dot(f, v) >= 0 for f in self.facets)
+
+    @cached_property
+    def faces(self) -> frozenset[tuple[Vec, ...]]:
+        """The ray tuple of every face, the zero cone included."""
+        return frozenset(tuple(self.rays[i] for i in sorted(on_face))
+                         for on_face in face_closure(self.incidence, len(self.rays))) | {()}
+
+    @cached_property
+    def ray_facets(self) -> tuple[frozenset, ...]:
+        """The incidence read by ray: for each ray, the indices of the facets
+        vanishing on it."""
+        return tuple(frozenset(j for j, on in enumerate(self.incidence) if i in on)
+                     for i in range(len(self.rays)))
+
+    @cached_property
+    def full(self) -> bool:
+        """Whether the cone is full-dimensional: no facet vanishes on all of it."""
+        return not any(len(on) == len(self.rays) for on in self.incidence)
+
+    @property
+    def dim(self) -> int:
+        h, _ = hermite_normal_form([list(r) for r in self.rays]) if self.rays else ((), ())
+        return sum(1 for row in h if any(row))
+
+    def key(self):
+        return self.rays
 
 
-def dual_description(rays, dim: int | None = None) -> DualDescription:
-    """Facets and extreme rays of cone(rays).
+def dual_description(rays, dim: int | None = None) -> Cone:
+    """Facets and extreme rays of cone(rays), as a :class:`Cone` record in
+    Z^dim.
 
     ``facets`` are the minimal generators of the dual cone: the cone equals
     {x : <f, x> >= 0 for all f in facets}, with an equation of a
@@ -588,17 +631,17 @@ def dual_description(rays, dim: int | None = None) -> DualDescription:
     gens = sorted(first)
     tight = [frozenset(k for k, o in enumerate(ons) if first[g] in o) for g in gens]
     if any(len(t) == len(facets) for t in tight):
-        return DualDescription((), facets, (frozenset(),) * len(facets))
+        return Cone(dim, (), facets, (frozenset(),) * len(facets))
     extreme = [(r, t) for i, (r, t) in enumerate(zip(gens, tight))
                if not any(j != i and u >= t for j, u in enumerate(tight))]
-    return DualDescription(
-        tuple(r for r, _ in extreme), facets,
+    return Cone(
+        dim, tuple(r for r, _ in extreme), facets,
         tuple(frozenset(k for k, (_, t) in enumerate(extreme) if i in t)
               for i in range(len(facets))))
 
 
-def _simplicial_description(rays: list[Vec], dim: int) -> DualDescription | None:
-    """The :class:`DualDescription` of cone(rays) in closed form when its
+def _simplicial_description(rays: list[Vec], dim: int) -> Cone | None:
+    """The :class:`Cone` record of cone(rays) in closed form when its
     generators, the distinct primitive vectors of the nonzero rays, are
     ``dim`` linearly independent vectors, and None otherwise.  With the
     sorted generators as the rows of R, R·R⁻¹ = I says that column i of R⁻¹
@@ -618,8 +661,8 @@ def _simplicial_description(rays: list[Vec], dim: int) -> DualDescription | None
     every = frozenset(range(dim))
     by_facet = sorted((primitive([sign * row[i] for row in w]), every - {i})
                       for i in range(dim))
-    return DualDescription(tuple(gens), tuple(f for f, _ in by_facet),
-                           tuple(on for _, on in by_facet))
+    return Cone(dim, tuple(gens), tuple(f for f, _ in by_facet),
+                tuple(on for _, on in by_facet))
 
 
 def incidence(points, normals) -> tuple[frozenset, ...]:
@@ -654,7 +697,10 @@ def face_closure(tight, n_points: int) -> set[frozenset]:
 
 
 def _fm_eliminate(constraints, var):
-    """Fourier-Motzkin elimination of ``var`` from rows (coeffs, rhs): a.x >= b."""
+    """Fourier-Motzkin elimination of ``var`` from rows (coeffs, rhs): a.x >= b,
+    each with a nonzero coefficient.  So is every row it returns: a
+    combination whose coefficients all cancel is dropped, or refutes the
+    system (None) when it demands 0 >= rhs > 0."""
     pos, neg, rest = [], [], []
     for coeffs, rhs in constraints:
         c = coeffs[var]
@@ -676,17 +722,14 @@ def _fm_eliminate(constraints, var):
             continue
         out.add((tuple(x // g for x in coeffs), Fraction(rhs, g)))
     for coeffs, rhs in rest:
-        if not any(coeffs):
-            if rhs > 0:
-                return None
-            continue
         g = vec_gcd(coeffs)
         out.add((tuple(x // g for x in coeffs), Fraction(rhs, g)))
     return list(out)
 
 
 def _bounds_first_var(constraints, k):
-    """Exact rational bounds for variable 0 via FM-eliminating variables k-1..1.
+    """Exact rational bounds for variable 0 via FM-eliminating variables k-1..1
+    from rows with a nonzero coefficient, so each row left bounds variable 0.
 
     Returns (lo, hi) Fractions (possibly None for no bound) or "infeasible".
     """
@@ -705,8 +748,6 @@ def _bounds_first_var(constraints, k):
         elif c < 0:
             cand = rhs / c
             hi = cand if hi is None or cand < hi else hi
-        elif rhs > 0:
-            return "infeasible"
     return lo, hi
 
 
@@ -727,18 +768,6 @@ class _Budget:
         self.left -= n
         if self.left < 0:
             raise ResourceLimit("integer feasibility search budget exhausted")
-
-
-def _nonzero_rows(g, h):
-    """The rows (coeffs, rhs) of G t >= h with a nonzero coefficient, or
-    None when a zero row demands 0 >= rhs > 0."""
-    rows = []
-    for coeffs, rhs in zip(g, h):
-        if any(coeffs):
-            rows.append((tuple(coeffs), rhs))
-        elif rhs > 0:
-            return None
-    return rows
 
 
 _UNSEARCHED = object()  # a recession split no search has reached yet
@@ -819,7 +848,9 @@ def _bounded_point(rows, k, charge: _Budget):
     """Some integer t in Z^k meeting ``rows``, nonzero rows (coeffs, rhs) of
     G t >= h whose real solutions form a bounded set, or None.  The first
     coordinate runs between its exact bounds.  A slice of a bounded set is
-    bounded, so no recession direction is looked for, here or below."""
+    bounded, so no recession direction is looked for, here or below.  A row
+    that sees the first coordinate alone reaches those bounds unchanged, so
+    every value between them meets it, and the slice drops it."""
     bounds = _bounds_first_var(rows, k)
     if bounds == "infeasible":
         return None
@@ -830,10 +861,7 @@ def _bounded_point(rows, k, charge: _Budget):
     hi_i = hi.numerator // hi.denominator  # floor
     for val in range(lo_i, hi_i + 1):
         charge.spend(2)  # one unit for the value, one for the slice's node
-        sub_rows = _nonzero_rows([c[1:] for c, _ in rows],
-                                 [r - c[0] * val for c, r in rows])
-        if sub_rows is None:
-            continue
+        sub_rows = [(c[1:], r - c[0] * val) for c, r in rows if any(c[1:])]
         sub = _bounded_point(sub_rows, k - 1, charge) if sub_rows else [0] * (k - 1)
         if sub is not None:
             return [val] + sub

@@ -213,6 +213,13 @@ class TestFirmamentCommands:
                  "--point", "[6]"])
         assert r.status == "ok" and r.payload == {"member": True}
 
+    def test_member_of_no_chart(self, capsys):
+        # the image of an empty source is empty, 0 included
+        argv = ["firmament", "member", "--point", "[0]",
+                "--map", '{"base":{"rank":1,"generators":[[1]]},"charts":[]}']
+        assert main(argv) == 1
+        assert capsys.readouterr().out == '{"member": false}\n'
+
     def test_member_cone_suffix_rejected(self):
         r = run(["firmament", "member", "--map", TWO_THREE,
                  "--point", "[4]@cone_0"])
@@ -436,6 +443,12 @@ class TestPlumbing:
          '{"rank":2,"generators":[[2,0],[0,2],[1,1]]}'],
         ["fan", "points", "--box", "2", "--fan",
          '{"ambient_rank":2,"cones":[{"rays":[[1,0],[1,2]]}]}'],
+        ["fan", "subdivide", "--fan", TestFanCommands.ORTHANT_FAN,
+         "--vector", "[1,1]"],
+        ["firmament", "member", "--map", TWO_THREE, "--point", "[6]"],
+        ["lift", "solve", "--chart", "[[2,3,1],[1,0,2]]", "--vals", "[11,7]"],
+        ["campana", "member", "--ideal", '{"vars":2,"generators":[[2,0],[0,2]]}',
+         "--m", "2", "--vals", "[1,1]"],
     ])
     def test_json_from_a_file(self, argv, tmp_path, capsys):
         # every JSON argument may be a path to a file holding it
@@ -596,6 +609,8 @@ SHAPE_ERRORS = {
     "boolean lift chart": [
         "lift", "solve", "--chart", "[[true]]", "--vals", "[1]"],
     "boolean lift vals": ["lift", "solve", "--chart", "[[1]]", "--vals", "[true]"],
+    "lift chart as an object": [
+        "lift", "solve", "--chart", '{"matrix":[[1]]}', "--vals", "[1]"],
     "boolean monoid generator": [
         "monoid", "saturate", "--monoid", '{"rank":1,"generators":[[true]]}'],
     "boolean monoid rank": [

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import logfirm.firm as firm
 from firm_oracle import face_loop_pushout
 from logfirm.charts import kummer_two_three
 from logfirm.monoid import (
@@ -337,6 +338,18 @@ class TestGenerization:
             loc_q = LogPointQuery(wit.hom.target,
                                   wit.hom.compose(prob.components[0]))
             assert verify_witness(prob, loc_q, wit)
+
+    def test_localized_witness_that_fails_raises(self, monkeypatch):
+        # the given witness verifies and every localized one is made to
+        # fail: that is a fault, not a face to leave out of the answer
+        n = N()
+        prob = two_three_problem()
+        q = LogPointQuery(n, hom(n, n, [[6]]))
+        w = firm_check(prob, q)
+        monkeypatch.setattr(firm, "verify_witness",
+                            lambda problem, query, witness: query is q)
+        with pytest.raises(AssertionError, match="localized witness"):
+            generization_witnesses(prob, q, w)
 
     def test_locality_filter_drops_full_face(self):
         # localizing at all of R kills the query unless P is trivial

@@ -230,6 +230,13 @@ class TestTrivialFirmaments:
         pts = firmament_enumerate_box(gamma, 2)
         assert {p.coordinates for p in pts} == {(0,)}
 
+    def test_no_chart(self):
+        # no chart, no source cone: the image of an empty source is empty
+        n = orthant_monoid(1)
+        gamma = firmament_from_charts(n, [])
+        assert not firmament_member(gamma, (0,))
+        assert firmament_enumerate_box(gamma, 2) == set()
+
     def test_identity_chart(self):
         n2 = orthant_monoid(2)
         gamma = firmament_from_charts(n2, [identity_hom(n2)])

@@ -871,6 +871,12 @@ class TestHoms:
         n2 = N(2)
         assert not is_local(hom(n2, n, [[1, 0]]))
 
+    def test_matrix_from_a_zero_group(self):
+        # a hom from the zero monoid in Z^2 into N^3 is induced by the zero
+        # matrix, of shape target rank x source rank
+        h = MonoidHom(saturate(2, []), N(3), local=((), (), ()))
+        assert h.matrix == ((0, 0),) * 3
+
     def test_is_local_needs_a_sharp_target(self):
         # (a, b) -> a - b kills (1, 1), but h^{-1}(0) is no face of N^2
         z = saturate(1, [(1,), (-1,)])
