@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .intlinalg import IntegerSystem, identity, rational_inverse
+from .intlinalg import IntegerSystem, identity, scaled_inverse
 from .lift import MonomialChart
 
 Exponent = tuple[int, ...]
@@ -273,22 +272,25 @@ def campana_member(n, m: int) -> bool:
 # substitutions and pullbacks
 
 
-def _substitute(poly: IntPolynomial, m_inv) -> dict:
-    """Expand poly(M^{-1} x') exactly over the rationals."""
+def _substitute(poly: IntPolynomial, w) -> dict:
+    """Expand poly(W x') over the integers, for W = p·M⁻¹.  The
+    substitution is linear, so it keeps degrees, and poly(W x') is
+    poly(M⁻¹ x') with each degree-d part scaled by p^d: the two have the
+    same monomials."""
     n = poly.num_vars
     # the image of each old variable as a dict polynomial in the new ones
     images = []
     for i in range(n):
         img = {}
         for j in range(n):
-            c = m_inv[i][j]
+            c = w[i][j]
             if c:
                 img[tuple(1 if k == j else 0 for k in range(n))] = c
         images.append(img)
     zero_exp = tuple([0] * n)
     out: dict = {}
     for exp, coeff in poly.terms:
-        term = {zero_exp: Fraction(coeff)}
+        term = {zero_exp: coeff}
         for i, e in enumerate(exp):
             for _ in range(e):
                 term = _poly_mul(term, images[i])
@@ -303,18 +305,20 @@ def linear_substitution(polys, matrix) -> MonomialIdeal | None:
     single monomial.  Generators may be given pre-factored as lists of
     polynomials (the factors are substituted individually and their
     exponents added)."""
-    try:
-        m_inv = rational_inverse(matrix)
-    except ValueError as exc:
-        raise NotUnimodular(f"substitution {exc}") from exc
     num_vars = len(matrix)
+    if any(len(row) != num_vars for row in matrix):
+        raise NotUnimodular("substitution matrix is not square")
+    scaled = scaled_inverse(matrix)
+    if scaled is None:
+        raise NotUnimodular("substitution matrix is singular")
+    _, w = scaled
     gens = []
     for entry in polys:
         factors = entry if isinstance(entry, (list, tuple)) else [entry]
         exponent = [0] * num_vars
         ok = True
         for f in factors:
-            expanded = _substitute(f, m_inv)
+            expanded = _substitute(f, w)
             if len(expanded) != 1:
                 ok = False
                 break

@@ -27,16 +27,17 @@ ray-facet incidence, for each facet the rays on which it vanishes.
 ``intlinalg.dual_description`` returns that record, straight from the
 double description that gave the facets; a simplicial cone, whose rays
 are as many as the ambient rank and independent, takes no double
-description, as its facets and incidence are read off one exact inverse.
-:func:`make_cone` returns the record once it has checked that the cone is
-sharp, and builds the zero cone itself.  The routines here read the
-incidence where they would otherwise take those dot products again.  The
-face lattice of a cone is closed from the incidence once per cone
-(``intlinalg.face_closure``), and the test for a full-dimensional cone is
-read off it; an overlay piece that is one of its two cones keeps the faces
-already found.  The walls of an overlay's pieces, the facets that cut a
-face in the fan check, the facets of a stellar subdivision's new cones and
-the carrier of some vectors come from the incidence as well.
+description, as its facets and incidence are read off the one exact
+inverse, ``intlinalg.scaled_inverse``.  :func:`make_cone` returns the
+record once it has checked that the cone is sharp, and builds the zero
+cone itself.  The routines here read the incidence where they would
+otherwise take those dot products again.  The face lattice of a cone is
+closed from the incidence once per cone (``intlinalg.face_closure``), and
+the test for a full-dimensional cone is read off it; an overlay piece that
+is one of its two cones keeps the faces already found.  The walls of an
+overlay's pieces, the facets that cut a face in the fan check, the facets
+of a stellar subdivision's new cones and the carrier of some vectors come
+from the incidence as well.
 
 Both the fan check and the overlay first try to decide a pair of cones by
 exact integer sign tests on the rays and facets that each cone holds: one
@@ -412,14 +413,11 @@ def map_point(f: ConeComplexMap, p: IntegralPoint) -> IntegralPoint:
 
 
 def complex_map(source: ConeComplex, target: ConeComplex,
-                matrix=None) -> ConeComplexMap:
-    """Map induced by one ambient matrix (default identity), assigning each
-    source cone to the smallest target cone containing its image.  Raises
-    InvalidMap when the image of a maximal source cone lies in no target
-    cone.  The target is searched once per maximal source cone (see
-    :func:`_map_faces`)."""
-    if matrix is None:
-        matrix = identity(source.ambient_rank)
+                matrix) -> ConeComplexMap:
+    """Map induced by one ambient matrix, assigning each source cone to the
+    smallest target cone containing its image.  Raises InvalidMap when the
+    image of a maximal source cone lies in no target cone.  The target is
+    searched once per maximal source cone (see :func:`_map_faces`)."""
 
     def holder(m: Cone, images) -> Cone:
         sigma = target.locate(images)
@@ -455,10 +453,10 @@ def _map_faces(source: ConeComplex, target: ConeComplex, matrix,
 def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
     """Stellar subdivision at a primitive vector in the support, with the
     canonical subdivision map back to the input, equal to
-    ``complex_map(subdivided, c)``.  Each maximal cone of the subdivision
-    lies in the cone of ``c`` it was cut from (see :func:`_star_pieces`),
-    which is the cone :func:`_map_faces` reads its faces' carriers from,
-    with no search over the cones of ``c``."""
+    ``complex_map(subdivided, c, identity(c.ambient_rank))``.  Each maximal
+    cone of the subdivision lies in the cone of ``c`` it was cut from (see
+    :func:`_star_pieces`), which is the cone :func:`_map_faces` reads its
+    faces' carriers from, with no search over the cones of ``c``."""
     v = tuple(v)
     if not any(v) or primitive(v) != v:
         raise NotPrimitive(f"{v} is not primitive")

@@ -47,7 +47,8 @@ from .monoid import (
 
 
 class EvidenceMissing(Exception):
-    """The caller did not supply adequate integrality/saturation evidence."""
+    """The caller did not supply adequate integrality/saturation evidence,
+    or the hom refutes the evidence supplied."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class FiberProblem:
         if not self.base.sharp:
             raise ValueError("base monoid must be sharp")
         for theta in self.components:
-            if theta.source.generators != self.base.generators:
+            if theta.source != self.base:
                 raise ValueError("every chart must start at the base monoid")
             if not theta.target.sharp:
                 raise ValueError("every chart must end at a sharp monoid")
@@ -73,6 +74,8 @@ class LogPointQuery:
     def __post_init__(self):
         if not self.point_monoid.sharp:
             raise ValueError("point monoid must be sharp")
+        if self.psi.target != self.point_monoid:
+            raise ValueError("query hom must end at the point monoid")
         if not is_local(self.psi):
             raise ValueError("query hom must be local (psi^{-1}(0) = 0)")
 
@@ -86,11 +89,14 @@ class FirmnessWitness:
 
 def verify_witness(prob: FiberProblem, q: LogPointQuery,
                    w: FirmnessWitness) -> bool:
-    """Exact re-check of a witness: composite equality, locality of the
-    query, and triviality of the chart preimage of the induced face."""
+    """Exact re-check of a witness: a hom from the chart's target, composite
+    equality, locality of the query, and triviality of the chart preimage
+    of the induced face."""
     if not (0 <= w.component_index < len(prob.components)):
         return False
     theta = prob.components[w.component_index]
+    if w.hom.source != theta.target:
+        return False
     if not w.hom.compose(theta).equal_on_source(q.psi):
         return False
     for c in theta.source.hilbert_local:
@@ -165,7 +171,9 @@ def _adequate(evidence) -> bool:
 def dichotomy(theta: MonoidHom, int_sat_evidence):
     """For an integral and saturated hom of sharp fs monoids: either a
     retraction (when theta is local) or the nonzero face of the source
-    killed by theta (boundary factorization)."""
+    killed by theta (boundary factorization).  Raises EvidenceMissing when
+    the evidence is not adequate, or when theta refutes it: a local hom
+    with no retraction is not both integral and saturated."""
     if not _adequate(int_sat_evidence):
         raise EvidenceMissing(
             "supply 'constructed' or a pair of affirmative semi-decisions "
@@ -173,8 +181,9 @@ def dichotomy(theta: MonoidHom, int_sat_evidence):
     if is_local(theta):
         t = find_retraction(theta)
         if t is None:
-            raise AssertionError(
-                "a local integral saturated hom must admit a retraction")
+            raise EvidenceMissing(
+                "the hom is local and has no retraction, so it is not both "
+                "integral and saturated")
         return Retraction(t)
     return BoundaryFactorization(_zero_preimage_face(theta))
 
@@ -182,9 +191,10 @@ def dichotomy(theta: MonoidHom, int_sat_evidence):
 def generization_witnesses(prob: FiberProblem, q: LogPointQuery,
                            w: FirmnessWitness) -> dict[Face, FirmnessWitness]:
     """Witnesses for the localized queries at every face F of R for which
-    the localized query stays local; each returned witness re-verifies."""
+    the localized query stays local; each returned witness re-verifies.
+    Raises ValueError when w does not verify."""
     if not verify_witness(prob, q, w):
-        raise AssertionError("the given witness does not verify")
+        raise ValueError("the given witness does not verify")
     out: dict[Face, FirmnessWitness] = {}
     r = q.point_monoid
     for f in faces(r):

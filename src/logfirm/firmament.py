@@ -80,10 +80,13 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
     dual cones of the Qᵢ (in orthogonal blocks), the target is the dual cone
     of p, and each block maps by the transpose of the chart matrix.  A chart
     into a group has the zero cone as its source, and with no charts there
-    is no source cone, so the firmament is empty."""
+    is no source cone, so the firmament is empty.  Raises ValueError when a
+    chart does not start at p."""
     total = sum(theta.target.group_rank for theta in thetas)
     maximal, offset = [], 0
     for theta in thetas:
+        if theta.source != p:
+            raise ValueError("every chart must start at the base monoid")
         width = theta.target.group_rank
         maximal.append([[0] * offset + list(r) + [0] * (total - offset - width)
                         for r in theta.target.facets_local])

@@ -63,8 +63,6 @@ def mat_copy(m) -> Matrix:
 
 
 def transpose(m) -> Matrix:
-    if not m:
-        return []
     return [list(col) for col in zip(*m)]
 
 
@@ -143,33 +141,6 @@ def scaled_inverse(m) -> tuple[int, Matrix] | None:
     return prev, [row[n:] for row in aug]
 
 
-def rational_inverse(m) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix, read off :func:`scaled_inverse`.
-
-    Raises ValueError when the matrix is not square or is singular.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    scaled = scaled_inverse(m)
-    if scaled is None:
-        raise ValueError("matrix is singular")
-    p, w = scaled
-    return [[Fraction(x, p) for x in row] for row in w]
-
-
-def mat_inverse_unimodular(u) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1.
-
-    Raises ValueError when the matrix is not square, singular, or has a
-    non-integral inverse.
-    """
-    inv = rational_inverse(u)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -177,7 +148,6 @@ def mat_inverse_unimodular(u) -> Matrix:
 @dataclass(frozen=True)
 class SmithDecomposition:
     U: tuple[Vec, ...]
-    D: tuple[Vec, ...]
     V: tuple[Vec, ...]
     divisors: tuple[int, ...]
 
@@ -277,7 +247,6 @@ def smith_normal_form(m) -> SmithDecomposition:
     divisors = tuple(d[i][i] for i in range(limit))
     return SmithDecomposition(
         U=tuple(tuple(r) for r in u),
-        D=tuple(tuple(r) for r in d),
         V=tuple(tuple(r) for r in v),
         divisors=divisors,
     )
@@ -332,8 +301,6 @@ def hermite_normal_form(m) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
 
 def row_lattice_basis(vectors, dim: int) -> list[Vec]:
     """Canonical (HNF) basis of the sublattice of Z^dim spanned by ``vectors``."""
-    if not vectors:
-        return []
     h, _ = hermite_normal_form([list(v) for v in vectors])
     return [row for row in h if any(row)]
 
@@ -577,16 +544,11 @@ class Cone:
         """Whether the cone is full-dimensional: no facet vanishes on all of it."""
         return not any(len(on) == len(self.rays) for on in self.incidence)
 
-    @property
-    def dim(self) -> int:
-        h, _ = hermite_normal_form([list(r) for r in self.rays]) if self.rays else ((), ())
-        return sum(1 for row in h if any(row))
-
     def key(self):
         return self.rays
 
 
-def dual_description(rays, dim: int | None = None) -> Cone:
+def dual_description(rays, dim: int) -> Cone:
     """Facets and extreme rays of cone(rays), as a :class:`Cone` record in
     Z^dim.
 
@@ -608,10 +570,6 @@ def dual_description(rays, dim: int | None = None) -> Cone:
     when some generator is tight on every facet.
     """
     rays = [tuple(r) for r in rays]
-    if dim is None:
-        if not rays:
-            raise ValueError("dim required for the empty ray list")
-        dim = len(rays[0])
     simplicial = _simplicial_description(rays, dim)
     if simplicial is not None:
         return simplicial
@@ -757,7 +715,9 @@ def _unit_extension(r: Vec) -> Matrix:
     # u * r = e_0 since r is primitive and Hermite pivots are positive
     if h[0][0] != 1:
         raise ValueError("vector is not primitive")
-    return mat_inverse_unimodular(u)
+    # u is unimodular, so p = ±1 and T = u⁻¹ = W / p = p·W
+    p, w = scaled_inverse(u)
+    return [[p * x for x in row] for row in w]
 
 
 class _Budget:

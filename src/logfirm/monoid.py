@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .intlinalg import (
     IntegerSystem,
@@ -61,8 +61,12 @@ class NotAFace(Exception):
 
 @dataclass(frozen=True)
 class AffineMonoid:
+    """Equality compares the group, facets and rays, which are canonical
+    for the monoid as a set: two generator lists of one monoid give equal
+    records."""
+
     ambient_rank: int
-    generators: tuple[Vec, ...]
+    generators: tuple[Vec, ...] = field(compare=False)
     group_basis: tuple[Vec, ...]       # Hermite-form rows spanning the group
     facets_local: tuple[Vec, ...]      # dual cone generators, group coords
     rays_local: tuple[Vec, ...]        # extreme rays, group coords; () if not sharp
@@ -92,8 +96,6 @@ class AffineMonoid:
 
     def coords(self, v) -> Vec | None:
         """Group coordinates of an ambient vector, or None if outside the group."""
-        if self.group_rank == 0:
-            return () if not any(v) else None
         return in_row_lattice(self.group_basis, v)
 
     def ambient(self, c) -> Vec:
@@ -317,7 +319,10 @@ class MonoidHom:
         return self.target.ambient(mat_vec(self.local, c))
 
     def compose(self, inner: "MonoidHom") -> "MonoidHom":
-        """self o inner."""
+        """self o inner.  Raises ValueError unless inner ends at self's
+        source."""
+        if inner.target != self.source:
+            raise ValueError("composite homs must meet at one monoid")
         cols = range(inner.source.group_rank)
         local = [[sum(a * b[j] for a, b in zip(row, inner.local)) for j in cols]
                  for row in self.local]
@@ -524,7 +529,7 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
     The result holds the leg Q2 -> characteristic, the one firmness reads;
     the leg from Q1 is the same map on the first g1 group coordinates.
     """
-    if f.source is not g.source and f.source.generators != g.source.generators:
+    if f.source != g.source:
         raise ValueError("pushout legs must share their source")
     p = f.source
     q1, q2 = f.target, g.target
@@ -570,7 +575,7 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom) -> MonoidHom | None:
     sends the extreme rays of Q into R's cone sends all of Q into R.
     """
     p, q, r = theta.source, theta.target, psi.target
-    if psi.source is not p and psi.source.generators != p.generators:
+    if psi.source != p:
         raise ValueError("theta and psi must share their source")
     if not (p.sharp and q.sharp and r.sharp):
         raise NotSharp("factorization search requires sharp monoids")

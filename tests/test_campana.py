@@ -132,6 +132,10 @@ class TestContainmentOrder:
         i = ideal(3, [(0, 2, 0), (0, 1, 1)])
         assert containment_order(i, MonomialPrime(frozenset({1}))) == 1
 
+    def test_zero_ideal(self):
+        with pytest.raises(ZeroOrUnitIdeal):
+            containment_order(ideal(2, []), MonomialPrime(frozenset({0})))
+
 
 class TestMultiplicity:
     def test_square_pair(self):
@@ -350,8 +354,14 @@ class TestLinearSubstitution:
 
     def test_singular_rejected(self):
         p = IntPolynomial.monomial((1, 0))
-        with pytest.raises(NotUnimodular):
+        with pytest.raises(NotUnimodular, match="substitution matrix is singular"):
             linear_substitution([p], [[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize("m", [[[1, 2]], [[1], [2]], [[1, 0], [0]]])
+    def test_non_square_rejected(self, m):
+        p = IntPolynomial.monomial((1, 0))
+        with pytest.raises(NotUnimodular, match="substitution matrix is not square"):
+            linear_substitution([p], m)
 
 
 class TestPullback:

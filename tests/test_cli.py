@@ -92,6 +92,19 @@ class TestMonoidCommands:
         assert r.exit_code == 0
         assert r.payload["characteristic"] == n
 
+    def test_pushout_source_from_other_generators(self, capsys):
+        # N given by 1 and 2 is theta's source N: the same run as with none
+        n = {"rank": 1, "generators": [[1]]}
+        theta = json.dumps({"matrix": [[2]], "source": n, "target": n})
+        psi = {"matrix": [[3]], "target": n}
+        assert main(["monoid", "pushout", "--theta", theta,
+                     "--psi", json.dumps(psi)]) == 0
+        alone = capsys.readouterr().out
+        psi["source"] = {"rank": 1, "generators": [[1], [2]]}
+        assert main(["monoid", "pushout", "--theta", theta,
+                     "--psi", json.dumps(psi)]) == 0
+        assert capsys.readouterr().out == alone
+
     def test_bad_json_is_input_error(self):
         r = run(["monoid", "saturate", "--monoid", "{not json"])
         assert r.status == "error"
@@ -265,6 +278,16 @@ class TestFirmamentCommands:
         run(["firmament", "svg", "--map", parity_map, "--box", "3",
              "-o", str(out2)])
         assert out2.read_text() == text
+
+    def test_svg_needs_a_rank_two_target(self, tmp_path, capsys):
+        n3 = {"rank": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+        chart = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "target": n3}
+        out = tmp_path / "rank3.svg"
+        assert main(["firmament", "svg", "--box", "1", "-o", str(out), "--map",
+                     json.dumps({"base": n3, "charts": [chart]})]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "RankUnsupported: SVG output needs a rank-2 target"}
+        assert not out.exists()
 
 
 class TestFanCommands:
@@ -512,6 +535,7 @@ class TestPlumbing:
 
 N1 = {"rank": 1, "generators": [[1]]}
 Z1 = {"rank": 1, "generators": [[1], [-1]]}
+N1_EVEN = {"rank": 1, "generators": [[2]]}
 N1_PROBLEM = json.dumps({"base": N1, "components": [
     {"matrix": [[2]], "target": N1}]})
 N1_FAN = {"ambient_rank": 1, "cones": [{"rays": [[1]]}]}
@@ -663,6 +687,22 @@ SHAPE_ERRORS = {
         "--bound", "-5", "firmament", "member", "--point", "[3]",
         "--map", json.dumps({"base": N1, "charts": [
             {"matrix": [[1], [1]], "target": ORTHANT2}]})],
+    "chart source in another group": [
+        "firm", "check", "--query", json.dumps({"point_monoid": N1,
+                                                "matrix": [[1]]}),
+        "--problem", json.dumps({"base": N1_EVEN, "components": [
+            {"matrix": [[1]], "source": {**N1_EVEN, "group": [[1]]},
+             "target": N1}]})],
+    "firmament chart source in another group": [
+        "firmament", "member", "--point", "[1]",
+        "--map", json.dumps({"base": N1_EVEN, "charts": [
+            {"matrix": [[1]], "source": {**N1_EVEN, "group": [[1]]},
+             "target": N1}]})],
+    "pushout source in another group": [
+        "monoid", "pushout",
+        "--theta", json.dumps({"matrix": [[1]], "source": N1_EVEN, "target": N1}),
+        "--psi", json.dumps({"matrix": [[1]], "source": {**N1_EVEN, "group": [[1]]},
+                             "target": N1})],
     "pushout legs from different sources": [
         "monoid", "pushout",
         "--theta", json.dumps({"matrix": [[2]], "source": N1, "target": N1}),

@@ -234,6 +234,15 @@ class TestRootRescale:
             cone_complex(2, [[(1, 0), (0, 1)]], scale=scale)
 
 
+@pytest.mark.parametrize("call, exc", [
+    (lambda: common_refinement(orthant(1), orthant(2)), SupportMismatch),
+    (lambda: root_rescale(orthant(2), 0), ValueError),
+], ids=["refinement across ranks", "rescale by zero"])
+def test_refused_input_raises(call, exc):
+    with pytest.raises(exc):
+        call()
+
+
 class TestIsRefinement:
     def test_sigma_2_refines_sigma_1(self):
         assert is_refinement(sigma_n(2, 2), sigma_n(2, 1))
@@ -330,7 +339,8 @@ def carrier_corpus():
                 maps.append(f)
         corpus.append((c, tuple(maps[-1:]), 3))
     for c, _, _ in list(corpus):
-        corpus.append((c, (complex_map(c, orthant(c.ambient_rank)),), 0))
+        d = c.ambient_rank
+        corpus.append((c, (complex_map(c, orthant(d), identity(d)),), 0))
     for fam in (charts.kummer_two_three, charts.parity_root, charts.parity_cover,
                 charts.monomial_x2y3_x, charts.diagonal_embedding):
         gamma = firmament_from_charts(*fam())
@@ -476,7 +486,7 @@ class TestLocateOracle:
         with pytest.raises(PointOutsideCone):
             canonicalize_point(c, p)
         with pytest.raises(PointOutsideCone):
-            map_point(complex_map(c, c), p)
+            map_point(complex_map(c, c, identity(c.ambient_rank)), p)
         with pytest.raises(PointOutsideCone):
             c.carrier_in(index, [(1, 2)])
 
@@ -527,7 +537,7 @@ class TestLocateCounts:
     @pytest.mark.parametrize("how", ["canonicalize_point", "map_point"])
     def test_no_face_is_built(self, how, monkeypatch):
         c = sigma_n(3, 4)
-        f = complex_map(c, c)
+        f = complex_map(c, c, identity(c.ambient_rank))
         p = point(c, (1, 2, 3))
         calls = []
 

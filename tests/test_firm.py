@@ -88,6 +88,24 @@ class TestFirmCheck:
         q = LogPointQuery(n, identity_hom(n))
         assert firm_check(prob, q) is None
 
+    def test_chart_from_other_generators_of_the_base(self):
+        # N given by 1 and 2 is the base N: the chart starts there
+        n = N()
+        prob = FiberProblem(n, (hom(saturate(1, [(1,), (2,)]), n, [[2]]),))
+        w = firm_check(prob, LogPointQuery(n, hom(n, n, [[4]])))
+        assert w is not None and w.hom.local == ((2,),)
+
+    def test_chart_from_another_group_rejected(self):
+        # 2 generates 2N in 2Z, and N in Z: another monoid than the base
+        chart = hom(saturate(1, [(2,)], group=[(1,)]), N(), [[1]])
+        with pytest.raises(ValueError, match="start at the base monoid"):
+            FiberProblem(saturate(1, [(2,)]), (chart,))
+
+    def test_query_must_end_at_the_point_monoid(self):
+        n = N()
+        with pytest.raises(ValueError, match="end at the point monoid"):
+            LogPointQuery(N(2), hom(n, n, [[3]]))
+
     def test_nonlocal_query_rejected(self):
         n2, n = N(2), N()
         with pytest.raises(ValueError):
@@ -295,6 +313,13 @@ class TestDichotomy:
         out = dichotomy(theta, ev)
         assert isinstance(out, Retraction)
 
+    def test_refuted_evidence(self):
+        # x -> 2x is local and has no retraction: it is not saturated
+        n = N()
+        with pytest.raises(EvidenceMissing,
+                           match="not both integral and saturated"):
+            dichotomy(hom(n, n, [[2]]), "constructed")
+
     def test_missing_evidence(self):
         with pytest.raises(EvidenceMissing):
             dichotomy(identity_hom(N()), None)
@@ -338,6 +363,15 @@ class TestGenerization:
             loc_q = LogPointQuery(wit.hom.target,
                                   wit.hom.compose(prob.components[0]))
             assert verify_witness(prob, loc_q, wit)
+
+    def test_given_witness_that_fails_rejected(self):
+        n = N()
+        prob = two_three_problem()
+        q = LogPointQuery(n, hom(n, n, [[6]]))
+        w = firm_check(prob, q)
+        with pytest.raises(ValueError, match="does not verify"):
+            generization_witnesses(
+                prob, q, FirmnessWitness(5, w.hom, w.induced_face))
 
     def test_localized_witness_that_fails_raises(self, monkeypatch):
         # the given witness verifies and every localized one is made to
@@ -397,6 +431,17 @@ class TestWitnessStability:
         ]
         assert [verify_witness(prob, q, b) for b in bad] == [False] * 3
 
+    def test_recheck_refutes_a_hom_from_another_chart_target(self):
+        # h: N^2 -> N factors the identity through the diagonal, and does
+        # not start where the doubling chart ends
+        n = N()
+        prob = FiberProblem(n, (hom(n, N(2), [[1], [1]]), hom(n, n, [[2]])))
+        q = LogPointQuery(n, identity_hom(n))
+        w = firm_check(prob, q)
+        assert w.component_index == 0
+        assert not verify_witness(
+            prob, q, FirmnessWitness(1, w.hom, w.induced_face))
+
     def test_saturation_hypothesis_necessary(self):
         # the Kummer chart x -> x^2 with the identity query is not firm
         n = N()
@@ -425,9 +470,12 @@ n = saturate(1, [(1,)])
 prob = firm.FiberProblem(n, (MonoidHom(n, n, ((2,),)),))
 q = firm.LogPointQuery(n, MonoidHom(n, n, ((6,),)))
 w = firm.firm_check(prob, q)
-firm.verify_witness = lambda *args: False
-for call in (lambda: firm.firm_check(prob, q),
-             lambda: firm.generization_witnesses(prob, q, w)):
+# every re-check fails; then every one but that of the given witness
+for verify, call in (
+        (lambda *args: False, lambda: firm.firm_check(prob, q)),
+        (lambda problem, query, witness: query is q,
+         lambda: firm.generization_witnesses(prob, q, w))):
+    firm.verify_witness = verify
     try:
         call()
     except AssertionError:

@@ -129,6 +129,10 @@ class TestContactOrder:
         c = contact_order(n2, [0, 0])
         assert c.point.coordinates == (0, 0)
 
+    def test_negative_valuation_rejected(self):
+        with pytest.raises(NotAdditive, match="nonnegative"):
+            contact_order(orthant_monoid(1), [-1])
+
     @pytest.mark.parametrize("vals", [
         {(True, 0): 7, (0, 1): 2, (5, 5): 1},
         {(True, 0): 7, (0, 1): 2},

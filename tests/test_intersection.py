@@ -14,7 +14,7 @@ from collections import Counter
 
 from fan_oracle import brute_faces, facets_to_rays
 from logfirm.fan import cone_intersection, make_cone
-from logfirm.intlinalg import dot, mat_vec
+from logfirm.intlinalg import dot, mat_vec, smith_normal_form
 
 
 def _unimodular(rng, d):
@@ -93,12 +93,12 @@ def test_intersection_matches_two_double_descriptions():
                 for f in c.facets)
             assert c.faces == brute_faces(c)
         seen[d] += 1
-        dims = {a.dim, b.dim}
-        seen["non-simplicial"] += any(len(c.rays) > c.dim for c in (a, b))
-        seen["lower-dimensional input"] += min(dims) < d
+        seen["non-simplicial"] += any(len(c.rays) > smith_normal_form(c.rays).rank
+                                      for c in (a, b))
+        seen["lower-dimensional input"] += not (a.full and b.full)
         seen["meet at 0"] += not got.rays
-        seen["meet inside a hyperplane"] += bool(got.rays) and got.dim < d
+        seen["meet inside a hyperplane"] += bool(got.rays) and not got.full
         seen["nested"] += got in (a, b)
-        seen["full-dimensional, not nested"] += got.dim == d and got not in (a, b)
+        seen["full-dimensional, not nested"] += got.full and got not in (a, b)
     assert sum(seen[d] for d in (2, 3, 4)) >= 300
     assert min(seen.values()) >= 30, seen

@@ -8,6 +8,7 @@ defined in this file.
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -29,11 +30,9 @@ from logfirm.intlinalg import (
     ilp_feasible,
     in_row_lattice,
     kernel_and_cokernel,
-    mat_inverse_unimodular,
     mat_mul,
     mat_vec,
     primitive,
-    rational_inverse,
     row_lattice_basis,
     scaled_inverse,
     scaled_solution,
@@ -67,6 +66,11 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def test_mat_mul_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul([[1, 2]], [[1], [2], [3]])
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -96,7 +100,8 @@ class TestSmithNormalForm:
     def test_decomposition_identity_and_chain(self, m):
         snf = smith_normal_form(m)
         lhs = mat_mul(mat_mul([list(r) for r in snf.U], m), [list(r) for r in snf.V])
-        assert lhs == [list(r) for r in snf.D]
+        assert lhs == [[snf.divisors[i] if i == j else 0 for j in range(len(m[0]))]
+                       for i in range(len(m))]
         assert abs(det([list(r) for r in snf.U])) == 1
         assert abs(det([list(r) for r in snf.V])) == 1
         divs = [d for d in snf.divisors if d != 0]
@@ -184,7 +189,8 @@ class TestScaledSolution:
         # w = U^-1 * e_i for i past the rank changes only entry i of U*b
         snf = smith_normal_form(a)
         rank = snf.rank
-        u_inv = mat_inverse_unimodular(snf.U)
+        p, w = scaled_inverse(snf.U)  # |p| = 1: U is unimodular
+        u_inv = [[p * x for x in row] for row in w]
         for b in itertools.product(range(-2, 3), repeat=len(a)):
             expected = scaled_solution(snf, b)
             for i, k in itertools.product(range(rank, len(a)), (-2, 1, 3)):
@@ -485,21 +491,21 @@ def cone_contains(facets, v):
 
 class TestDualDescription:
     def test_orthant_self_dual(self):
-        dd = dual_description([(1, 0), (0, 1)])
+        dd = dual_description([(1, 0), (0, 1)], 2)
         assert set(dd.facets) == {(1, 0), (0, 1)}
         assert set(dd.rays) == {(1, 0), (0, 1)}
 
     def test_q1_cone_is_orthant(self):
-        dd = dual_description([(2, 0), (1, 1), (0, 2)])
+        dd = dual_description([(2, 0), (1, 1), (0, 2)], 2)
         assert set(dd.facets) == {(1, 0), (0, 1)}
         assert set(dd.rays) == {(1, 0), (0, 1)}
 
     def test_halfplane_slice(self):
-        dd = dual_description([(1, 0), (1, 1)])
+        dd = dual_description([(1, 0), (1, 1)], 2)
         assert set(dd.facets) == {(0, 1), (1, -1)}
 
     def test_single_ray_non_full_dim(self):
-        dd = dual_description([(1, 1)])
+        dd = dual_description([(1, 1)], 2)
         # the diagonal ray: facets must cut it out exactly
         for v in itertools.product(range(-3, 4), repeat=2):
             inside = all(dot(f, v) >= 0 for f in dd.facets)
@@ -620,12 +626,12 @@ class TestDualDescription:
         assert min(seen.values()) >= 100, seen
 
     def test_line_has_no_extreme_rays(self):
-        assert dual_description([(1, 0), (-1, 0), (0, 1)]).rays == ()
-        assert dual_description([(1, 1), (-2, -2)]).rays == ()
-        assert dual_description([(1, 0), (0, 1), (-1, -1)]).facets == ()
+        assert dual_description([(1, 0), (-1, 0), (0, 1)], 2).rays == ()
+        assert dual_description([(1, 1), (-2, -2)], 2).rays == ()
+        assert dual_description([(1, 0), (0, 1), (-1, -1)], 2).facets == ()
 
     def test_rays_primitive_and_irredundant(self):
-        dd = dual_description([(2, 0), (0, 3), (1, 1)])
+        dd = dual_description([(2, 0), (0, 3), (1, 1)], 2)
         assert set(dd.rays) == {(1, 0), (0, 1)}
         for r in dd.rays:
             assert primitive(r) == r
@@ -741,21 +747,28 @@ class TestSimplicialClosedForm:
 
 
 class TestUnimodularInverse:
+    """A unimodular M has scaled inverse (p, W) with |p| = 1, so p·W is its
+    integer inverse; any other nonsingular M has |p| > 1."""
+
     def test_round_trip(self):
         m = [[2, 1], [1, 1]]
-        inv = mat_inverse_unimodular(m)
-        assert mat_mul(m, inv) == identity(2)
+        p, w = scaled_inverse(m)
+        assert abs(p) == 1
+        assert mat_mul(m, [[p * x for x in row] for row in w]) == identity(2)
 
     def test_non_integral_inverse_rejected(self):
-        with pytest.raises(ValueError):
-            mat_inverse_unimodular([[2, 0], [0, 1]])
+        p, w = scaled_inverse([[2, 0], [0, 1]])
+        assert abs(p) == 2
+        assert any(x % p for row in w for x in row)
 
     def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            mat_inverse_unimodular([[1, 2], [2, 4]])
+        assert scaled_inverse([[1, 2], [2, 4]]) is None
 
 
 class TestRationalInverse:
+    """:func:`scaled_inverse` is the exact inverse over the rationals:
+    M⁻¹ = W / p."""
+
     def test_round_trip_200(self):
         rng = random.Random(31)
         done = 0
@@ -764,13 +777,13 @@ class TestRationalInverse:
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             if det(m) == 0:
                 continue
-            inv = rational_inverse(m)
+            p, w = scaled_inverse(m)
+            inv = [[Fraction(x, p) for x in row] for row in w]
             assert mat_mul(m, inv) == identity(n)
             assert mat_mul(inv, m) == identity(n)
             done += 1
 
     def test_empty_matrix(self):
-        assert rational_inverse([]) == []
         assert scaled_inverse([]) == (1, [])
 
     def test_scaled_inverse_is_integral_200(self):
@@ -794,11 +807,5 @@ class TestRationalInverse:
 
     @pytest.mark.parametrize("m", [[[0]], [[1, 2], [2, 4]],
                                    [[1, 0, 1], [0, 1, 1], [1, 1, 2]]])
-    def test_singular_raises(self, m):
-        with pytest.raises(ValueError, match="singular"):
-            rational_inverse(m)
-
-    @pytest.mark.parametrize("m", [[[1, 2]], [[1], [2]], [[1, 0], [0]]])
-    def test_non_square_raises(self, m):
-        with pytest.raises(ValueError, match="not square"):
-            rational_inverse(m)
+    def test_singular_is_none(self, m):
+        assert scaled_inverse(m) is None

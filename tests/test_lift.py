@@ -11,7 +11,7 @@ import logfirm.intlinalg
 import logfirm.lift
 from logfirm.firmament import firmament_from_charts, firmament_member
 from logfirm.intlinalg import (
-    mat_inverse_unimodular,
+    scaled_inverse,
     smith_normal_form,
     solve_lattice,
 )
@@ -125,7 +125,8 @@ def candidate_loop_units(chart):
     snf = smith_normal_form(a)
     rank = snf.rank
     constraints = tuple(tuple(snf.U[i]) for i in range(rank, n))
-    u_inv = mat_inverse_unimodular(snf.U)
+    p, w = scaled_inverse(snf.U)  # |p| = 1: U is unimodular
+    u_inv = [[p * x for x in row] for row in w]
     columns = []
     for j in range(n):
         for q in range(1, max(snf.divisors) + 1):
@@ -258,3 +259,7 @@ class TestValidation:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             MonomialChart(((1, 2), (1,)))
+
+    def test_valuation_vector_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            solve_exponents(CHART_23, (1,))

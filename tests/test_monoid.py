@@ -16,7 +16,7 @@ from quotient_oracle import oracle_quotient, oracle_saturate, projection, satura
 from logfirm.firm import FiberProblem, LogPointQuery, firm_check_pushout
 from logfirm.intlinalg import (
     dot, hermite_normal_form, identity, kernel_and_cokernel, lattice_quotient,
-    mat_inverse_unimodular, mat_mul, mat_vec, primitive, smith_normal_form,
+    mat_mul, mat_vec, primitive, scaled_inverse, smith_normal_form,
     solve_lattice, transpose, vec_add, vec_sub)
 import logfirm.intlinalg
 import logfirm.monoid
@@ -601,7 +601,9 @@ def unimodular_change(p, p_old):
     t = [solve_lattice(transpose(p_old), row).particular for row in p]
     assert mat_mul(t, p_old) == [list(r) for r in p]
     if t:
-        mat_inverse_unimodular(t)
+        assert len(t) == len(t[0])
+        scaled = scaled_inverse(t)
+        assert scaled is not None and abs(scaled[0]) == 1
     return t
 
 
@@ -1334,3 +1336,59 @@ class TestPreparedCounts:
         assert res.amalgam_equals_saturation() is None
         assert res.amalgam_equals_saturation() is None
         assert len(smith_calls) == 1
+
+
+class TestSameMonoid:
+    """Records are equal when they are the same monoid in the same ambient
+    lattice, whichever generators they were given; two homs that must
+    share a monoid are held to that equality."""
+
+    def test_equality_ignores_the_generator_list(self):
+        assert saturate(1, [(1,), (2,)]) == N()
+        assert hash(saturate(1, [(1,), (2,)])) == hash(N())
+        assert saturate(2, [(2, 0), (1, 1), (0, 2), (3, 1)]) == q1_monoid()
+        # 2 generates 2N in 2Z, and N in Z
+        assert saturate(1, [(2,)], group=[(1,)]) != saturate(1, [(2,)])
+
+    def test_source_from_other_generators_accepted(self):
+        n, n_again = N(), saturate(1, [(1,), (2,)])
+        theta = hom(n, n, [[2]])
+        assert (fs_pushout(theta, hom(n_again, n, [[3]]))
+                == fs_pushout(theta, hom(n, n, [[3]])))
+        assert (find_factorization(theta, hom(n_again, n, [[4]])).local
+                == find_factorization(theta, hom(n, n, [[4]])).local)
+
+    def test_source_from_another_group_rejected(self):
+        n = N()
+        theta = hom(saturate(1, [(2,)]), n, [[1]])
+        psi = hom(saturate(1, [(2,)], group=[(1,)]), n, [[1]])
+        with pytest.raises(ValueError, match="share their source"):
+            fs_pushout(theta, psi)
+        with pytest.raises(ValueError, match="share their source"):
+            find_factorization(theta, psi)
+
+    def test_compose_needs_the_inner_target(self):
+        n = N()
+        outer = hom(n, n, [[3]])
+        with pytest.raises(ValueError, match="meet at one monoid"):
+            outer.compose(MonoidHom(n, saturate(1, [(2,)]), local=[[1]]))
+        inner = hom(n, saturate(1, [(1,), (2,)]), [[2]])
+        assert outer.compose(inner).apply((1,)) == (6,)
+
+
+_Z = saturate(1, [(1,), (-1,)])
+
+
+@pytest.mark.parametrize("call, exc", [
+    (lambda: identity_hom(saturate(1, [(2,)])).apply((1,)), ValueError),
+    (lambda: face_localization(_Z, Face((), (0,))), NotSharp),
+    (lambda: find_factorization(hom(N(), saturate(2, [(1, 0), (-1, 0), (0, 1)]),
+                                    [[0], [1]]), identity_hom(N())), NotSharp),
+    (lambda: is_integral(identity_hom(_Z)), NotSharp),
+    (lambda: is_saturated(identity_hom(_Z)), NotSharp),
+    (lambda: _Z.canonical_key(), NotSharp),
+], ids=["apply outside the source group", "face_localization",
+        "find_factorization", "is_integral", "is_saturated", "canonical_key"])
+def test_refused_input_raises(call, exc):
+    with pytest.raises(exc):
+        call()

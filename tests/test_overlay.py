@@ -22,7 +22,7 @@ from logfirm.fan import (
     orthant,
     star_subdivision,
 )
-from logfirm.intlinalg import dot, hermite_normal_form, primitive
+from logfirm.intlinalg import dot, hermite_normal_form, primitive, smith_normal_form
 
 # overlays and subdivisions are assembled unchecked: the oracle checks them
 pytestmark = pytest.mark.usefixtures("every_fan_checked")
@@ -251,7 +251,7 @@ class TestRank3Corpus:
     def test_dropping_a_cone_is_rejected(self):
         base, subdivisions, dropped = rank3_corpus()
         for c, d in zip(subdivisions, dropped):
-            assert all(m.dim == 3 for m in c.maximal)
+            assert all(m.full for m in c.maximal)
             assert_mismatch(d, c)
             assert_mismatch(c, d)
             assert_mismatch(d, base)
@@ -390,7 +390,7 @@ def sign_decided(x, y) -> bool:
     if holds(x, y.rays) or holds(y, x.rays):
         return True
     d = x.ambient_rank
-    return x.dim == y.dim == d and (parted(x, y) or parted(y, x))
+    return x.full and y.full and (parted(x, y) or parted(y, x))
 
 
 class TestFacesOnDemand:
@@ -487,7 +487,7 @@ class TestAllPairsOracle:
                 assert _overlay_or_mismatch(common_refinement, a, b) == want
             verdicts[f1.ambient_rank, isinstance(want, str)] += 1
             for c in (f1, f2):
-                dims = {m.dim for m in c.maximal}
+                dims = {smith_normal_form(m.rays).rank for m in c.maximal}
                 shapes["non-pure"] += len(dims) > 1
                 shapes["lower-dimensional"] += any(d < c.ambient_rank for d in dims)
         # both verdicts, in both ranks, and fans of every shape
