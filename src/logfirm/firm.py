@@ -20,6 +20,17 @@ suffices to try G = {0}:
 So one retraction search per chart decides the criterion, and a firm
 answer always names the zero face of N.
 
+Two exact arguments spare work on charts that cannot witness firmness:
+
+- a chart θᵢ that is not local has no factorization: if θᵢ(p) = 0 with
+  p ≠ 0, then h(θᵢ(p)) = 0 ≠ ψ(p) for every h, since ψ is local.  So
+  ``firm_check`` skips it without an integer program;
+- the leg ℓ is local exactly when it kills no extreme ray of R, and ℓ
+  kills a ray exactly when the ray's image in the saturation S, whose
+  sharpening is N, is a unit of S: when every facet of S vanishes on it.
+  So ``firm_check_pushout`` reads locality off S, and only a local leg is
+  built, by sharpening S, and searched for a retraction.
+
 The faces an answer names, N's zero face and the face h^{-1}(0) of Qᵢ that
 a factorization h kills, are built in :mod:`logfirm.monoid`.
 """
@@ -33,6 +44,7 @@ from .monoid import (
     AffineMonoid,
     Face,
     MonoidHom,
+    PushoutResult,
     SemiDecision,
     _zero_preimage_face,
     face_localization,
@@ -40,7 +52,6 @@ from .monoid import (
     find_factorization,
     find_retraction,
     fs_pushout,
-    identity_hom,
     is_local,
     zero_face,
 )
@@ -110,6 +121,8 @@ def firm_check(prob: FiberProblem, q: LogPointQuery) -> FirmnessWitness | None:
     """Complete factorization-criterion decision: the lowest-index witness
     h with h o theta_i = psi, or None when the query is not firm."""
     for i, theta in enumerate(prob.components):
+        if not is_local(theta):
+            continue  # h o theta kills what theta kills, and psi kills nothing
         h = find_factorization(theta, q.psi)
         if h is not None:
             w = FirmnessWitness(i, h, _zero_preimage_face(h))
@@ -136,17 +149,28 @@ def firm_check_pushout(prob: FiberProblem, q: LogPointQuery) -> PushoutFirmness:
     Only G = {0} needs a search (see the module docstring): a retraction
     t_G at any face gives the retraction t_G o proj_G of the leg itself, and
     the preimage of {0} is trivial exactly when the leg is local.  So a
-    chart whose leg is not local is skipped, every other chart takes one
-    retraction search on N, and the face returned is the zero face of N."""
-    r = q.point_monoid
+    chart whose leg is not local is skipped, read off the saturation before
+    the leg is built; every other chart takes one retraction search on N,
+    and the face returned is the zero face of N."""
     for i, theta in enumerate(prob.components):
         res = fs_pushout(theta, q.psi)
-        if not is_local(res.leg2):
+        if not _leg_is_local(res):
             continue  # a nonzero element of R lands on every face of N
-        t = find_factorization(res.leg2, identity_hom(r))
+        t = find_retraction(res.leg2)
         if t is not None:
             return PushoutFirmness(True, i, zero_face(res.characteristic), t)
     return PushoutFirmness(False)
+
+
+def _leg_is_local(res: PushoutResult) -> bool:
+    """``is_local(res.leg2)`` for a sharp R, read off the saturation S
+    without sharpening it: the leg kills an extreme ray of R exactly when
+    the ray's image in S is a unit, that is, when every facet of S vanishes
+    on it."""
+    facets = res.saturation_free.facets_local
+    return not any(all(dot(f, image) == 0 for f in facets)
+                   for image in (mat_vec(res.leg2_free, c)
+                                 for c in res.leg2_source.rays_local))
 
 
 @dataclass(frozen=True)

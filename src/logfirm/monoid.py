@@ -476,8 +476,24 @@ class PushoutResult:
     torsion_orders: tuple[int, ...]
     amalgam_generators: tuple[tuple[Vec, Vec], ...]  # (torsion part, free part)
     saturation_free: AffineMonoid   # saturation of the free projection
-    characteristic: AffineMonoid    # sharpening of the saturation
-    leg2: MonoidHom                 # Q2 -> characteristic
+    leg2_source: AffineMonoid       # Q2
+    leg2_free: tuple[Vec, ...]      # Q2 -> saturation_free, group coordinates
+
+    @functools.cached_property
+    def _sharpening(self) -> tuple[AffineMonoid, MonoidHom]:
+        return sharpen(self.saturation_free)
+
+    @functools.cached_property
+    def characteristic(self) -> AffineMonoid:
+        """The sharpening of the saturation, built when first read."""
+        return self._sharpening[0]
+
+    @functools.cached_property
+    def leg2(self) -> MonoidHom:
+        """The leg Q2 -> characteristic, built when first read: leg2_free
+        followed by the sharpening's projection."""
+        return MonoidHom(self.leg2_source, self.characteristic,
+                         local=mat_mul(self._sharpening[1].local, self.leg2_free))
 
     @functools.cached_property
     def _amalgam(self) -> IntegerSystem:
@@ -526,8 +542,10 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
     and torsion coordinates read off one Smith form (:func:`lattice_quotient`).
     The saturation equals (saturation of the free projection of the amalgam)
     plus the full torsion subgroup.
-    The result holds the leg Q2 -> characteristic, the one firmness reads;
-    the leg from Q1 is the same map on the first g1 group coordinates.
+    The result holds the leg from Q2, the one firmness reads, as its map
+    into the saturation; the leg from Q1 is the same map on the first g1
+    group coordinates.  The characteristic and the leg Q2 -> characteristic
+    share one sharpening, made when either is first read.
     """
     if f.source != g.source:
         raise ValueError("pushout legs must share their source")
@@ -550,15 +568,13 @@ def fs_pushout(f: MonoidHom, g: MonoidHom) -> PushoutResult:
     # saturation's group coordinates are its ambient coordinates
     sat_free = saturate(free_rank, [free for _, free in amalgam],
                         group=identity(free_rank))
-    characteristic, sharp_proj = sharpen(sat_free)
-    free_block = [row[g1:] for row in free_rows]
     return PushoutResult(
         free_rank=free_rank,
         torsion_orders=tuple(dv for _, dv in torsion),
         amalgam_generators=tuple(amalgam),
         saturation_free=sat_free,
-        characteristic=characteristic,
-        leg2=MonoidHom(q2, characteristic, local=mat_mul(sharp_proj.local, free_block)),
+        leg2_source=q2,
+        leg2_free=tuple(tuple(row[g1:]) for row in free_rows),
     )
 
 

@@ -7,17 +7,50 @@ characteristic monoid N in turn, skipping a face on which a nonzero element
 of R lands, localizing N at G and searching for a retraction of the
 localized leg R -> N_G.  Each face costs a localization, the Hilbert basis
 of the localized monoid and an integer program.
+
+``scan_factorization`` and ``scan_pushout`` are the two criteria with no
+shortcut: every chart takes a factorization search, and every pushout leg,
+local or not, is built and searched for a retraction.
 """
 
-from logfirm.firm import FiberProblem, LogPointQuery, PushoutFirmness
+from logfirm.firm import (
+    FiberProblem,
+    FirmnessWitness,
+    LogPointQuery,
+    PushoutFirmness,
+)
 from logfirm.intlinalg import dot, mat_vec
 from logfirm.monoid import (
+    _zero_preimage_face,
     face_localization,
     faces,
     find_factorization,
     fs_pushout,
     identity_hom,
+    zero_face,
 )
+
+
+def scan_factorization(prob: FiberProblem, q: LogPointQuery):
+    """The witness of the first chart that admits a factorization, with a
+    search on every chart in turn, or None."""
+    for i, theta in enumerate(prob.components):
+        h = find_factorization(theta, q.psi)
+        if h is not None:
+            return FirmnessWitness(i, h, _zero_preimage_face(h))
+    return None
+
+
+def scan_pushout(prob: FiberProblem, q: LogPointQuery) -> PushoutFirmness:
+    """The first chart whose pushout leg R -> N admits a retraction, with a
+    search on every leg in turn, at the zero face of N."""
+    r = q.point_monoid
+    for i, theta in enumerate(prob.components):
+        res = fs_pushout(theta, q.psi)
+        t = find_factorization(res.leg2, identity_hom(r))
+        if t is not None:
+            return PushoutFirmness(True, i, zero_face(res.characteristic), t)
+    return PushoutFirmness(False)
 
 
 def face_loop_pushout(prob: FiberProblem, q: LogPointQuery) -> PushoutFirmness:

@@ -1,5 +1,7 @@
 """Tests for firmness decisions (factorization and pushout criteria)."""
 
+import functools
+import itertools
 import os
 import random
 import subprocess
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import logfirm.firm as firm
-from firm_oracle import face_loop_pushout
+import logfirm.monoid as monoid
+from firm_oracle import face_loop_pushout, scan_factorization, scan_pushout
 from logfirm.charts import kummer_two_three
 from logfirm.monoid import (
     MonoidHom,
@@ -17,6 +20,7 @@ from logfirm.monoid import (
     SemiDecision,
     _zero_preimage_face,
     faces,
+    find_factorization,
     fs_pushout,
     identity_hom,
     in_group_coordinates,
@@ -245,6 +249,131 @@ def test_pushout_matches_face_loop_oracle():
     assert min(seen.values()) >= 80, seen
 
 
+def decide_shaped_problem(rng, p_rank, r_rank, n_charts):
+    """A fiber problem shaped like the benchmark's ``decide`` problems: P =
+    N^p, and Q_i and R of rank <= 2 with generators in {0..3}^rank that span
+    the lattice.  A chart column is zero or one generator, so that many
+    charts are not local; a query column is one or two generators, and the
+    query has rank min(p, rank R).  Each chart has rank Q_i + rank R - rank
+    psi <= 2."""
+    p = N(p_rank)
+    psi_rank = min(p_rank, r_rank)
+
+    def monoid(rank):
+        while True:
+            gens = [tuple(rng.randint(0, 3) for _ in range(rank))
+                    for _ in range(rng.randint(rank, rank + 1))]
+            m = saturate(rank, [g for g in gens if any(g)])
+            if m.group_basis == N(rank).group_basis:
+                return m
+
+    def random_hom(m, terms):
+        cols = []
+        for _ in range(p_rank):
+            v = (0,) * m.ambient_rank
+            for _ in range(rng.randint(*terms)):
+                v = tuple(a + b for a, b in zip(v, rng.choice(m.generators)))
+            cols.append(v)
+        return hom(p, m, [[c[i] for c in cols] for i in range(m.ambient_rank)])
+
+    charts = tuple(
+        random_hom(monoid(rng.randint(1, min(2, 2 + psi_rank - r_rank))), (0, 1))
+        for _ in range(n_charts))
+    r = monoid(r_rank)
+    psi = random_hom(r, (1, 2))
+    while not is_local(psi):
+        psi = random_hom(r, (1, 2))
+    return FiberProblem(p, charts), LogPointQuery(r, psi)
+
+
+@functools.lru_cache(maxsize=None)
+def shortcut_corpus(name):
+    """``random_fiber_problem``'s 320 problems, or 240 problems shaped like
+    the benchmark's ``decide`` problems, every shape (p, rank R, number of
+    charts) equally often."""
+    if name == "random":
+        rng = random.Random(1409)
+        return tuple(random_fiber_problem(rng) for _ in range(320))
+    rng = random.Random(2707)
+    shapes = itertools.product((1, 2), (1, 2), (2, 3, 4))
+    return tuple(decide_shaped_problem(rng, *shape)
+                 for shape in itertools.islice(itertools.cycle(shapes), 240))
+
+
+@pytest.mark.parametrize("corpus", ["random", "decide"])
+class TestChartLocalityShortcuts:
+    """``firm_check`` skips a chart that is not local, and
+    ``firm_check_pushout`` reads the locality of each leg off the saturation
+    and builds only a local leg; both are exact."""
+
+    def test_nonlocal_chart_never_witnesses(self, corpus):
+        # theta(p) = 0 for some p != 0, while psi(p) != 0: no h has
+        # h o theta = psi, and the leg R -> N kills psi(p)
+        seen = {"local": 0, "not local": 0}
+        for prob, q in shortcut_corpus(corpus):
+            for theta in prob.components:
+                local = is_local(theta)
+                seen["local" if local else "not local"] += 1
+                if not local:
+                    assert find_factorization(theta, q.psi) is None
+                    assert not is_local(fs_pushout(theta, q.psi).leg2)
+        assert min(seen.values()) >= 50, seen
+
+    def test_leg_locality_read_off_the_saturation(self, corpus):
+        seen = {"local": 0, "not local": 0, "sharpened": 0}
+        for prob, q in shortcut_corpus(corpus):
+            for theta in prob.components:
+                res = fs_pushout(theta, q.psi)
+                local = firm._leg_is_local(res)
+                assert local == is_local(res.leg2), (theta.local, q.psi.local)
+                seen["local" if local else "not local"] += 1
+                seen["sharpened"] += not res.saturation_free.sharp
+        assert min(seen.values()) >= 50, seen
+
+    def test_same_answers_as_scans_without_shortcuts(self, corpus):
+        seen = {"firm": 0, "not firm": 0, "firm past a skipped chart": 0}
+        for prob, q in shortcut_corpus(corpus):
+            w = firm_check(prob, q)
+            assert w == scan_factorization(prob, q)
+            res = firm_check_pushout(prob, q)
+            assert res == scan_pushout(prob, q)
+            assert res.component_index == (w and w.component_index)
+            seen["firm" if res.firm else "not firm"] += 1
+            seen["firm past a skipped chart"] += res.firm and not all(
+                map(is_local, prob.components[:res.component_index]))
+        assert min(seen.values()) >= 10, seen
+
+    def test_no_search_for_a_chart_or_leg_that_is_not_local(self, corpus,
+                                                            monkeypatch):
+        # the skipped work is not done: up to the chart that witnesses
+        # firmness, a factorization search per local chart, and a
+        # sharpening per pushout whose leg is local
+        calls = {"find_factorization": 0, "sharpen": 0}
+
+        def counted(name, module):
+            def call(*args, real=getattr(module, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, call)
+
+        counted("find_factorization", firm)
+        counted("sharpen", monoid)
+        for prob, q in shortcut_corpus(corpus):
+            last = len(prob.components)
+            w = firm_check(prob, q)
+            charts = prob.components[:last if w is None else w.component_index + 1]
+            calls["find_factorization"] = 0
+            firm_check(prob, q)
+            assert calls["find_factorization"] == sum(map(is_local, charts))
+            res = firm_check_pushout(prob, q)
+            charts = prob.components[:last if not res.firm
+                                     else res.component_index + 1]
+            pushouts = [fs_pushout(theta, q.psi) for theta in charts]
+            calls["sharpen"] = 0
+            firm_check_pushout(prob, q)
+            assert calls["sharpen"] == sum(map(firm._leg_is_local, pushouts))
+
+
 def test_zero_preimage_face_matches_face_lattice():
     # h^{-1}(0), read off the facets that vanish on the extreme rays h sends
     # to 0, is the face with the same Hilbert elements in the whole lattice
@@ -464,6 +593,7 @@ class TestWitnessStability:
 
 _FAILED_RECHECK = """
 import logfirm.firm as firm
+import logfirm.monoid as monoid
 from logfirm.monoid import MonoidHom, saturate
 
 n = saturate(1, [(1,)])
