@@ -3,10 +3,11 @@
 Given charts θᵢ: P → Qᵢ, each dual cone Hom(Qᵢ, R≥0) maps to the dual cone
 of P by precomposition; the firmament is the image of the lattice points of
 the sources.  Membership is decided exactly, one integer program per source
-cone, each prepared once per firmament and solved at every query point.  A
-source cone of lower dimension (every firmament with two or more charts, and
-a chart into a monoid with units) enters its equations with the chart rows,
-so they are solved in the lattice step, not by the search.
+cone, each prepared once per firmament and solved at every query point.
+Each program is written in the coordinates of a Z-basis of the lattice of
+its cone's linear span, so a cone of lower dimension (every firmament with
+two or more charts, and a chart into a monoid with units) takes only as
+many variables as it has dimensions, and no equation of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from .fan import (
     lattice_points_box,
     point,
 )
-from .intlinalg import IntegerSystem, solve_lattice
+from .intlinalg import (
+    Cone,
+    IntegerSystem,
+    Vec,
+    dot,
+    identity,
+    kernel_and_cokernel,
+    solve_lattice,
+)
 from .monoid import AffineMonoid
 
 
@@ -36,29 +45,43 @@ class Firmament:
     map: ConeComplexMap
 
     @cached_property
-    def systems(self) -> tuple[tuple[IntegerSystem, int], ...]:
+    def systems(self) -> tuple[IntegerSystem, ...]:
         """One prepared :class:`IntegerSystem` per maximal source cone, in
-        the order of ``map.source.maximal``, with the number of the cone's
-        equations.  The system's equations are the cone's chart rows, then
-        the cone's equations: the facets whose incidence names every ray,
-        one of each pair f, -f.  Its inequalities are the other facets.  So
-        the lattice step, the Smith form, solves within the cone's span,
-        and a solve on a cone whose chart is injective on that span takes
-        no search.  Built on the first query and kept for every later one."""
+        the order of ``map.source.maximal``, in the coordinates t of a
+        Z-basis K of the lattice of the cone's span (:func:`_span_basis`):
+        the cone's lattice points are the points K·t of the cone.  The
+        system's equations are the chart rows times K, and its inequalities
+        the facets that are not equations, times K.  The cone's equations
+        hold for every t, so none is written, and a point solves the system
+        as it is.  A cone has as many variables as dimensions, g_i for the
+        dual cone of a chart into a monoid of rank g_i, not one per source
+        coordinate, and a solve on a cone whose chart is injective on its
+        span takes no search.  Built on the first query and kept for every
+        later one."""
         src = self.map.source
         systems = []
         for cone in src.maximal:
             _, matrix = self.map.assignments[src.cone_index(cone)]
-            equations, inequalities = [], []
-            for f, on in zip(cone.facets, cone.incidence):
-                if len(on) < len(cone.rays):
-                    inequalities.append(list(f))
-                elif [-x for x in f] not in equations:
-                    equations.append(list(f))
-            systems.append((IntegerSystem(src.ambient_rank,
-                                          [list(r) for r in matrix] + equations,
-                                          inequalities), len(equations)))
+            basis = _span_basis(cone)
+            inequalities = [f for f, on in zip(cone.facets, cone.incidence)
+                            if len(on) < len(cone.rays)]
+            systems.append(IntegerSystem(
+                len(basis), [[dot(r, k) for k in basis] for r in matrix],
+                [[dot(f, k) for k in basis] for f in inequalities]))
         return tuple(systems)
+
+
+def _span_basis(cone: Cone) -> tuple[Vec, ...]:
+    """The Hermite-form Z-basis K of span(cone) ∩ Z^n: the identity for a
+    full-dimensional cone, and otherwise the integer kernel of the cone's
+    equations, the facets whose incidence names every ray.  It may be
+    finer than the lattice of the rays: cone((1,1,0), (1,-1,0)) has the
+    basis (1,0,0), (0,1,0), and (1,0,0) is no integer combination of its
+    rays."""
+    if cone.full:
+        return tuple(tuple(row) for row in identity(cone.ambient_rank))
+    return kernel_and_cokernel([f for f, on in zip(cone.facets, cone.incidence)
+                                if len(on) == len(cone.rays)]).kernel_basis
 
 
 @dataclass(frozen=True)
@@ -100,16 +123,20 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
 def firmament_member(gamma: Firmament, n) -> bool:
     """Exact membership: does some lattice point of a source cone map to n?
 
-    Solves n, followed by one 0 for each of the cone's equations, against
-    each of ``gamma.systems`` in turn, so the Smith forms and recession
-    splits of a cone's integer program are found once per firmament, not
-    once per point.  A cone's equations are solved with its chart rows, in
-    the lattice step, so a cone whose chart is injective on its span takes
-    no search.  Each solve gets the whole node budget of
-    :func:`~logfirm.intlinalg.ilp_budget`."""
+    Solves n against each of ``gamma.systems`` in turn, so the Smith forms
+    and recession splits of a cone's integer program are found once per
+    firmament, not once per point.  Each system is written in its cone's
+    span, so a cone whose chart is injective on that span takes no search.
+    Each solve gets the whole node budget of
+    :func:`~logfirm.intlinalg.ilp_budget`.  Raises ValueError when n does
+    not have one coordinate per target dimension, with or without a source
+    cone."""
     coords = list(n.coordinates) if isinstance(n, IntegralPoint) else list(n)
-    return any(system.solve(coords + [0] * k) is not None
-               for system, k in gamma.systems)
+    rank = gamma.map.target.ambient_rank
+    if len(coords) != rank:
+        raise ValueError(f"a point of this firmament has {rank} coordinates; "
+                         f"this one has {len(coords)}")
+    return any(system.solve(coords) is not None for system in gamma.systems)
 
 
 def firmament_enumerate_box(gamma: Firmament, bound: int) -> set[IntegralPoint]:

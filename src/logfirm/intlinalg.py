@@ -402,15 +402,25 @@ def _check_rhs(b, rows: int) -> None:
 
 
 def _particular(snf: SmithDecomposition, b) -> Vec | None:
-    """An integer x with M*x = b, read off the Smith form of M by
-    :func:`scaled_solution`, or None when there is none: when the solution
-    needs scaling (t > 1) or U*b does not vanish past the rank.  Raises
-    ValueError when b does not have one entry per row of M."""
+    """An integer x with M*x = b, read off the Smith form U*M*V = D, or None
+    when there is none: when U*b does not vanish past the rank, or some
+    nonzero divisor d_i does not divide (U*b)_i.  Otherwise x = V*y with
+    y_i = (U*b)_i / d_i, the solution of :func:`scaled_solution` at t = 1.
+    U*b is formed once, and V*y only for a solvable b.  Raises ValueError
+    when b does not have one entry per row of M."""
     _check_rhs(b, len(snf.U))
-    t, x0 = scaled_solution(snf, b)
-    if t != 1 or any(mat_vec(snf.U, b)[snf.rank:]):
+    ub = mat_vec(snf.U, b)
+    rank = snf.rank
+    if any(ub[rank:]):
         return None
-    return x0
+    y = []
+    for d, x in zip(snf.divisors, ub[:rank]):
+        q, r = divmod(x, d)
+        if r:
+            return None
+        y.append(q)
+    # mat_vec reads the first len(y) columns of V, those of the rank
+    return mat_vec(snf.V, y)
 
 
 def lattice_quotient(vectors, dim: int):
@@ -847,10 +857,12 @@ class IntegerSystem:
     must not change while it is in use.
 
     Prepared users: ``firmament.Firmament.systems`` (one per source cone,
-    solved at every point), ``monoid.is_integral`` (one per call, solved
-    for every quadruple), ``monoid.PushoutResult`` (one for the amalgam,
-    solved for every element tested) and ``campana.variant_multiplicities``
-    (one per call, solved for every power and generator).
+    written in the coordinates of the cone's span, so with the chart rows
+    as its only equations, and solved at every point),
+    ``monoid.is_integral`` (one per call, solved for every quadruple),
+    ``monoid.PushoutResult`` (one for the amalgam, solved for every element
+    tested) and ``campana.variant_multiplicities`` (one per call, solved for
+    every power and generator).
     """
 
     def __init__(self, num_vars, eq_lhs=None, ineq_lhs=None):

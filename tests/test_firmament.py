@@ -1,7 +1,10 @@
 """Tests for firmament construction, membership, and contact orders."""
 
 import itertools
+import random
 from collections import Counter
+from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -15,11 +18,26 @@ from logfirm.charts import (
     parity_root,
 )
 from logfirm.cli import firmament_from_json
-from logfirm.fan import cone_complex, lattice_points_box, point, star_subdivision
+from logfirm.fan import (
+    complex_map,
+    cone_complex,
+    lattice_points_box,
+    point,
+    star_subdivision,
+)
 from logfirm.firm import FiberProblem, LogPointQuery, firm_check
-from logfirm.intlinalg import identity, ilp_budget, ilp_feasible, mat_vec
+from logfirm.intlinalg import (
+    dot,
+    identity,
+    ilp_budget,
+    ilp_feasible,
+    kernel_and_cokernel,
+    mat_vec,
+    smith_normal_form,
+)
 from logfirm.firmament import (
     ContactOrder,
+    Firmament,
     NotAdditive,
     contact_order,
     dual_cone_complex,
@@ -64,6 +82,18 @@ class TestPointShape:
         with pytest.raises(ValueError):
             firmament_member(gamma, [])
 
+    @pytest.mark.parametrize("charts", [0, 1, 2])
+    def test_long_point_with_or_without_a_source_cone(self, charts):
+        # the length is checked before any solve: with no chart there is
+        # no system to reject the point
+        n2 = orthant_monoid(2)
+        gamma = firmament_from_charts(n2, [identity_hom(n2)] * charts)
+        with pytest.raises(ValueError):
+            firmament_member(gamma, (1, 2, 3))
+        with pytest.raises(ValueError):
+            firmament_member(gamma, (1,))
+        assert firmament_member(gamma, (1, 2)) == (charts > 0)
+
 
 class TestParityRoot:
     def test_membership_is_even_parity(self):
@@ -86,7 +116,6 @@ class TestParityRoot:
         p, thetas, gamma = build(parity_root)
         sub, f = star_subdivision(gamma.map.source, (1, 1))
         composed = gamma.map.compose(f)
-        from logfirm.firmament import Firmament
         gamma2 = Firmament(composed)
         assert ({q.coordinates for q in firmament_enumerate_box(gamma2, 3)}
                 == {q.coordinates for q in firmament_enumerate_box(gamma, 3)})
@@ -292,10 +321,29 @@ def fresh_programs(gamma, coords):
     return out
 
 
+def span_lattice(cone):
+    """A Z-basis of span(cone) ∩ Z^n found from the rays alone: the integer
+    kernel of the normals of the rays.  It is the Hermite basis, which the
+    lattice determines, so a system written in another basis of the same
+    lattice maps its witnesses back to the same points."""
+    if not cone.rays:
+        return ()
+    normals = kernel_and_cokernel([list(r) for r in cone.rays]).kernel_basis
+    if not normals:
+        return tuple(tuple(row) for row in identity(cone.ambient_rank))
+    return kernel_and_cokernel([list(v) for v in normals]).kernel_basis
+
+
 def prepared_solves(gamma, coords):
-    """The witness of each of ``gamma.systems`` for a point, or None, with
-    one 0 per cone equation after the point, as ``firmament_member`` solves."""
-    return [system.solve(list(coords) + [0] * k) for system, k in gamma.systems]
+    """The witness of each of ``gamma.systems`` for a point, or None, mapped
+    from the system's span coordinates t back to the source point K·t."""
+    out = []
+    for cone, system in zip(gamma.map.source.maximal, gamma.systems):
+        t = system.solve(list(coords))
+        basis = span_lattice(cone)
+        out.append(None if t is None else tuple(
+            sum(ti * k[j] for ti, k in zip(t, basis)) for j in range(cone.ambient_rank)))
+    return out
 
 
 def assert_witnesses(gamma, coords, witnesses):
@@ -318,7 +366,7 @@ class TestPreparedSystems:
                    for y in (0, 1, 2)]
 
     def test_same_answers_as_fresh_programs(self):
-        # the cone equations enter the Smith form, so a witness may differ
+        # each system solves in its cone's span, so a witness may differ
         # from the fresh program's; the feasibility of each cone may not
         checked = 0
         for chart_fn in CHART_FAMILIES + (thin_chart,):
@@ -355,8 +403,11 @@ class TestPreparedSystems:
                 calls.clear()
                 firmament_enumerate_box(gamma, bound)
                 per_box.append(dict(calls))
-                # one Smith form per source cone
-                assert calls["smith_normal_form"] == len(gamma.map.source.maximal)
+                # one Smith form per source cone, and one more for the span
+                # of each cone that is not full-dimensional
+                maximal = gamma.map.source.maximal
+                assert calls["smith_normal_form"] == len(maximal) + sum(
+                    not cone.full for cone in maximal)
             assert per_box[0] == per_box[1] == per_box[2], chart_fn.__name__
 
 
@@ -371,24 +422,41 @@ def explicit_firmament(source_rank, rays, matrix):
         "cones": [{"target": int(bool(face)), "matrix": matrix} for face in faces]})
 
 
-def brute_force_members(gamma, source_box, points):
-    """The points that some lattice point of [-source_box, source_box]^d in
-    a maximal source cone maps to: every member, once the box holds a
-    preimage of each.  Coordinates on which every ray of the cone is 0 are
-    0 on the cone and are not enumerated."""
+def members_by_enumeration(gamma, points):
+    """The points that some lattice point of a maximal source cone maps to,
+    by enumerating every lattice point of each cone in a box that holds a
+    preimage of each of them; the target complex is one cone.
+
+    Let w be the sum of the target cone's facets, so w·v >= 1 for every
+    nonzero lattice point v of the target cone, and let y = Σ μ_k r_k,
+    μ >= 0, be a lattice point of a source cone with rays r_k that the
+    cone's matrix M sends to a point n.  The rays with w·M r_k >= 1 carry
+    a total μ of at most w·n / min(w·M r_k), and subtracting ⌊μ_k⌋ r_k for
+    each ray with M r_k = 0 leaves a lattice point of the cone with the
+    same image, whose other μ_k are below 1.  So some preimage has each
+    coordinate y_j between that total mass times min(0, min_k r_k,j) and
+    times max(0, max_k r_k,j)."""
+    target_cone, = gamma.map.target.maximal
+    w = [sum(col) for col in zip(*target_cone.facets)]
+    reach = max(dot(w, n) for n in points)
     src = gamma.map.source
-    d = src.ambient_rank
     images = set()
     for cone in src.maximal:
         _, matrix = gamma.map.assignments[src.cone_index(cone)]
-        support = [i for i in range(d) if any(r[i] for r in cone.rays)]
-        for values in itertools.product(range(-source_box, source_box + 1),
-                                        repeat=len(support)):
-            x = [0] * d
-            for i, v in zip(support, values):
-                x[i] = v
-            if cone.contains(x):
-                images.add(mat_vec(matrix, x))
+        weights = [dot(w, mat_vec(matrix, r)) for r in cone.rays]
+        positive = [a for a in weights if a > 0]
+        mass = Fraction(reach, min(positive)) if positive else 0
+        mass += len(weights) - len(positive)
+        # a coordinate on which every ray is 0 is 0 on the cone
+        support = [j for j in range(src.ambient_rank) if any(r[j] for r in cone.rays)]
+        facets = [[f[j] for j in support] for f in cone.facets]
+        columns = [[row[j] for j in support] for row in matrix]
+        box = [range(floor(mass * min(0, *(r[j] for r in cone.rays))),
+                     floor(mass * max(0, *(r[j] for r in cone.rays))) + 1)
+               for j in support]
+        for y in itertools.product(*box):
+            if all(dot(f, y) >= 0 for f in facets):
+                images.add(tuple(dot(row, y) for row in columns))
     return {tuple(p) for p in points} & images
 
 
@@ -412,40 +480,41 @@ def group_chart():
 
 
 class TestConeEquationsInTheLatticeStep:
-    """A source cone of lower dimension enters its equations with the chart
-    rows, so its lattice is solved by the Smith form: the answers equal a
-    brute-force enumeration of source lattice points and the programs that
-    take every facet as an inequality."""
+    """A source cone of lower dimension is solved in the coordinates of its
+    span's lattice, so its equations hold for every t and the chart rows
+    alone go to the Smith form: the answers equal a brute-force enumeration
+    of source lattice points and the programs that take every facet as an
+    inequality."""
 
-    # (firmament, source box, target box, expected members or None)
+    # (firmament, target box, expected members or None)
     CASES = {
         # lattice points of the span are a(1,1,0) + b(0,1,1): sums 2a + 2b
         "non-coordinate span": (
             lambda: explicit_firmament(3, [[1, 1, 0], [0, 1, 1]], [[1, 1, 1]]),
-            8, 12, {(n,) for n in range(0, 13, 2)}),
+            12, {(n,) for n in range(0, 13, 2)}),
         # the ray's equation x - 2y = 0 has a non-unit coefficient
         "ray with a non-unit equation": (
             lambda: explicit_firmament(2, [[2, 1]], [[1, 1]]),
-            12, 12, {(0,), (3,), (6,), (9,), (12,)}),
+            12, {(0,), (3,), (6,), (9,), (12,)}),
         "zero cone of an explicit map": (
-            lambda: explicit_firmament(2, [], [[1, 1]]), 3, 4, {(0,)}),
+            lambda: explicit_firmament(2, [], [[1, 1]]), 4, {(0,)}),
         "zero cone of a chart into a group": (
-            lambda: firmament_from_charts(*group_chart()), 3, 4, {(0,)}),
+            lambda: firmament_from_charts(*group_chart()), 4, {(0,)}),
         "chart into a monoid with units": (
-            lambda: firmament_from_charts(*units_chart()), 5, 4, None),
-        "parity_cover": (lambda: firmament_from_charts(*parity_cover()), 8, 4, None),
+            lambda: firmament_from_charts(*units_chart()), 4, None),
+        "parity_cover": (lambda: firmament_from_charts(*parity_cover()), 4, None),
         "kummer_two_three": (
-            lambda: firmament_from_charts(*kummer_two_three()), 8, 12, None),
+            lambda: firmament_from_charts(*kummer_two_three()), 12, None),
         "parity_root and monomial_x2y3_x": (
-            lambda: firmament_from_charts(*multi_chart_mix()), 8, 4, None),
+            lambda: firmament_from_charts(*multi_chart_mix()), 4, None),
     }
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES)
     def test_equal_to_enumeration_and_fresh_programs(self, case):
-        build_gamma, source_box, target_box, expected = case
+        build_gamma, target_box, expected = case
         gamma = build_gamma()
         points = [p.coordinates for p in lattice_points_box(gamma.map.target, target_box)]
-        brute = brute_force_members(gamma, source_box, points)
+        brute = members_by_enumeration(gamma, points)
         if expected is not None:
             assert brute == expected
         for coords in points:
@@ -455,12 +524,13 @@ class TestConeEquationsInTheLatticeStep:
             assert_witnesses(gamma, coords, got)
             assert firmament_member(gamma, coords) == (coords in brute), coords
 
-    def test_lower_dimensional_cones_have_equations(self):
-        for chart_fn in (parity_cover, kummer_two_three, units_chart, group_chart):
+    def test_each_system_has_the_dimension_of_its_cone(self):
+        dims = {thin_chart: [4], parity_cover: [2, 2, 2], kummer_two_three: [1, 1],
+                units_chart: [1], group_chart: [0], multi_chart_mix: [2, 2]}
+        for chart_fn, want in dims.items():
             gamma = firmament_from_charts(*chart_fn())
-            assert all(k > 0 for _, k in gamma.systems), chart_fn.__name__
-        gamma = firmament_from_charts(*thin_chart())
-        assert [k for _, k in gamma.systems] == [0]
+            assert [system.num_vars for system in gamma.systems] == want, chart_fn.__name__
+            assert want == [len(span_lattice(cone)) for cone in gamma.map.source.maximal]
 
 
 def box_smoke_chart():
@@ -490,3 +560,130 @@ class TestNoSearch:
         with ilp_budget(0):
             got = {coords: firmament_member(gamma, coords) for coords in points}
         assert got == {coords: member(*coords) for coords in points}
+
+
+def random_chart_target(rng, rank):
+    """A saturated monoid of the given rank: N^rank, a sharp monoid from
+    random generators in {0..3}^rank, or one whose units are the first
+    axis (at rank 1, the group Z)."""
+    kind = rng.choice(("orthant", "sharp", "sharp", "units"))
+    if kind == "orthant":
+        return kind, orthant_monoid(rank)
+    while True:
+        gens = [tuple(rng.randint(0, 3) for _ in range(rank))
+                for _ in range(rng.randint(rank, rank + 2))]
+        if kind == "units":
+            gens += [tuple(int(i == 0) for i in range(rank)),
+                     tuple(-int(i == 0) for i in range(rank))]
+        m = saturate(rank, gens)
+        if m.group_rank == rank and m.sharp == (kind == "sharp"):
+            return kind, m
+
+
+def random_chart_firmament(rng):
+    """P = N^p with p <= 2 and one to three charts θᵢ: P → Qᵢ with Qᵢ of
+    rank 1 to 3, with labels: the number of charts, and the kind and the
+    rank of each Qᵢ.  Each generator of P goes to a sum of zero to two
+    generators of Qᵢ."""
+    p = orthant_monoid(rng.randint(1, 2))
+    count = rng.randint(1, 3)
+    labels, charts = [f"{count} charts"], []
+    for _ in range(count):
+        kind, q = random_chart_target(rng, rng.randint(1, 3))
+        cols = []
+        for _ in range(p.ambient_rank):
+            v = (0,) * q.ambient_rank
+            for _ in range(rng.randint(0, 2)):
+                v = tuple(a + b for a, b in zip(v, rng.choice(q.generators)))
+            cols.append(v)
+        labels += [kind, f"rank {q.group_rank}"]
+        charts.append(MonoidHom(p, q, [[c[i] for c in cols] for i in range(q.ambient_rank)]))
+    return labels, firmament_from_charts(p, charts)
+
+
+def random_explicit_firmament(rng):
+    """One source cone of dimension d in Z^(d+1) whose rays generate a
+    proper sublattice of its span's lattice: its rays are B·a_k for d
+    columns B of a random unimodular matrix and vectors a_k in Z^d with a
+    first entry >= 1 that generate a sublattice of index >= 2.  A random
+    matrix sends it into N^r, r <= 2, or into the cone of (1,1), (1,-1)."""
+    d = rng.randint(2, 3)
+    n = d + 1
+    unimodular = identity(n)
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        unimodular[i] = [a + rng.choice((-1, 1)) * b
+                         for a, b in zip(unimodular[i], unimodular[j])]
+    while True:
+        coeffs = [[rng.randint(1, 3)] + [rng.randint(-2, 2) for _ in range(d - 1)]
+                  for _ in range(rng.randint(d, d + 1))]
+        snf = smith_normal_form(coeffs)
+        if snf.rank == d and snf.divisors[d - 1] > 1:
+            break
+    rays = [mat_vec(unimodular, list(a) + [0]) for a in coeffs]
+    source = cone_complex(n, [rays])
+    sigma, = source.maximal
+    target = rng.choice((cone_complex(1, [[[1]]]), cone_complex(2, [identity(2)]),
+                         cone_complex(2, [[[1, 1], [1, -1]]])))
+    tau, = target.maximal
+    while True:
+        matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(target.ambient_rank)]
+        if all(tau.contains(mat_vec(matrix, r)) for r in sigma.rays):
+            return Firmament(complex_map(source, target, matrix))
+
+
+def ray_lattice_index(cone):
+    """The index of the lattice of the rays in its saturation."""
+    snf = smith_normal_form([list(r) for r in cone.rays] or [[0] * cone.ambient_rank])
+    index = 1
+    for d in snf.divisors[:snf.rank]:
+        index *= d
+    return index
+
+
+class TestSpanOracle:
+    """Membership, solved in each source cone's span, equals a complete
+    brute-force enumeration of source lattice points and one fresh program
+    per cone over all source coordinates, on seeded firmaments: one to
+    three charts into targets of rank 1 to 3, orthants or not, some with
+    units; and explicit maps of cones whose rays generate a proper
+    sublattice of the lattice of their span."""
+
+    def check(self, gamma, box, seen):
+        points = [p.coordinates for p in lattice_points_box(gamma.map.target, box)]
+        brute = members_by_enumeration(gamma, points)
+        for coords in points:
+            fresh = fresh_programs(gamma, coords)
+            got = prepared_solves(gamma, coords)
+            assert [x is not None for x in got] == [x is not None for x in fresh], coords
+            assert_witnesses(gamma, coords, got)
+            member = firmament_member(gamma, coords)
+            assert member == (coords in brute), coords
+            seen["member" if member else "not a member"] += 1
+        for cone in gamma.map.source.maximal:
+            if not cone.full and ray_lattice_index(cone) > 1:
+                seen["finer span than rays"] += 1
+
+    def test_seeded_firmaments(self):
+        rng = random.Random(2809)
+        seen = Counter()
+        for _ in range(120):
+            labels, gamma = random_chart_firmament(rng)
+            self.check(gamma, 3 if gamma.map.target.ambient_rank == 1 else 2, seen)
+            seen.update(labels)
+        for _ in range(40):
+            self.check(random_explicit_firmament(rng), 2, seen)
+            seen["explicit"] += 1
+        assert min(seen.values()) >= 30, seen
+
+    def test_rays_of_index_two(self):
+        # the map of the firmament span smoke: (1, 0) is the image of
+        # (1, 0, 0), which lies in the cone but not in the lattice of its rays
+        gamma = Firmament(complex_map(cone_complex(3, [[[1, 1, 0], [1, -1, 0]]]),
+                                      cone_complex(2, [[[1, 1], [1, -1]]]),
+                                      [[1, 0, 0], [0, 1, 0]]))
+        seen = Counter()
+        self.check(gamma, 4, seen)
+        assert seen["finer span than rays"] == 1
+        got = {p.coordinates for p in firmament_enumerate_box(gamma, 4)}
+        assert got == {(a, b) for a in range(5) for b in range(a + 1)}

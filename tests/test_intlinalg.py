@@ -21,6 +21,7 @@ from logfirm.intlinalg import (
     Cone,
     IntegerSystem,
     ResourceLimit,
+    _particular,
     dot,
     dual_description,
     dual_rays,
@@ -239,6 +240,53 @@ class TestSolveLattice:
         for c, kv in zip(coeffs, sol.kernel_basis):
             pt = [p + c * k for p, k in zip(pt, kv)]
         assert list(mat_vec(a, pt)) == b
+
+
+def scaled_particular(snf, b):
+    """The lattice step's rule through :func:`scaled_solution`: its solution
+    when it needs no scaling (t == 1) and U*b vanishes past the rank, and
+    None otherwise."""
+    t, x = scaled_solution(snf, b)
+    if t != 1 or any(mat_vec(snf.U, b)[snf.rank:]):
+        return None
+    return x
+
+
+class TestParticular:
+    """``_particular``, the lattice step of ``solve_lattice`` and
+    ``IntegerSystem.solve``, reads U*b once and stops at the first entry
+    that rules b out; its answers and solutions are those of the rule
+    through :func:`scaled_solution`."""
+
+    def test_equal_to_the_scaled_solution_rule(self):
+        rng = random.Random(2804)
+        seen = Counter()
+        for _ in range(400):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            rank = rng.randint(0, min(rows, cols))
+            if rank:
+                # a product through `rank` dimensions has rank at most that
+                a = mat_mul([[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)],
+                            [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)])
+            else:
+                a = [[0] * cols for _ in range(rows)]
+            snf = smith_normal_form(a)
+            image = list(mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)]))
+            for b in (image, [v + rng.randint(-1, 1) for v in image],
+                      [rng.randint(-4, 4) for _ in range(rows)]):
+                got = _particular(snf, b)
+                assert got == scaled_particular(snf, b), (a, b)
+                if got is not None:
+                    assert list(mat_vec(a, got)) == b
+                    seen["solved"] += 1
+                elif any(mat_vec(snf.U, b)[snf.rank:]):
+                    seen["off the span"] += 1
+                else:
+                    seen["a divisor fails"] += 1
+            seen["non-square" if rows != cols else "square"] += 1
+            seen["rank-deficient" if snf.rank < min(rows, cols) else "full rank"] += 1
+            seen["divisor > 1"] += any(d > 1 for d in snf.divisors)
+        assert min(seen.values()) >= 40, seen
 
 
 class TestRightHandSideShape:
