@@ -192,6 +192,16 @@ def firmament_from_json(d) -> Firmament:
             raise InvalidMap(f"the matrix of cone {[list(r) for r in rays]} "
                              f"does not send it into target cone {t}")
         assignments.append((t, matrix))
+    # membership reads the matrices of the maximal cones alone, so every face
+    # must get the map that each maximal cone holding it gives
+    matrices = {rays: matrix for rays, (_, matrix) in zip(source.faces, assignments)}
+    for m in source.maximal:
+        for rays in sorted(m.faces):
+            if any(mat_vec(matrices[rays], r) != mat_vec(matrices[m.rays], r)
+                   for r in rays):
+                raise ValueError(f"the matrix of cone {[list(r) for r in rays]} "
+                                 "differs on its rays from that of maximal cone "
+                                 f"{[list(r) for r in m.rays]}")
     return Firmament(ConeComplexMap(source, target, tuple(assignments)))
 
 

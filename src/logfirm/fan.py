@@ -32,12 +32,13 @@ inverse, ``intlinalg.scaled_inverse``.  :func:`make_cone` returns the
 record once it has checked that the cone is sharp, and builds the zero
 cone itself.  The routines here read the incidence where they would
 otherwise take those dot products again.  The face lattice of a cone is
-closed from the incidence once per cone (``intlinalg.face_closure``), and
-the test for a full-dimensional cone is read off it; an overlay piece that
-is one of its two cones keeps the faces already found.  The walls of an
-overlay's pieces, the facets that cut a face in the fan check, the facets
-of a stellar subdivision's new cones and the carrier of some vectors come
-from the incidence as well.
+closed from the incidence once per cone (``intlinalg.face_closure``); an
+overlay piece that is one of its two cones keeps the faces already found.
+The walls of an overlay's pieces, the facets that cut a face in the fan
+check, the facets of a stellar subdivision's new cones and the carrier of
+some vectors come from the incidence as well.  Which facets are equations,
+and so whether a cone is full-dimensional, the record answers itself
+(``Cone.equations``).
 
 Both the fan check and the overlay first try to decide a pair of cones by
 exact integer sign tests on the rays and facets that each cone holds: one
@@ -496,15 +497,14 @@ def _star(c: ConeComplex, v: Vec) -> ConeComplex:
 def _covers(a: Cone, pieces) -> bool:
     """Whether ``pieces``, cones in ``a`` meeting in common faces, cover ``a``:
     some piece spans ``a``, and each facet (wall) of such a piece is shared by
-    two of them or lies on a facet of ``a`` (one not vanishing on all of a).
-    A piece spans ``a`` when its equations, the facets its incidence names
-    on all of its rays, vanish on ``a``."""
+    two of them or lies on a facet of ``a`` that is not one of its
+    equations.  A piece spans ``a`` when its equations vanish on ``a``."""
     full = {p.rays: p for p in pieces
-            if all(_flat(f, a) for f, on in zip(p.facets, p.incidence)
-                   if len(on) == len(p.rays))}.values()
+            if all(_flat(f, a) for f in p.equations)}.values()
     walls = Counter(w for p in full for w in {
-        tuple(p.rays[i] for i in sorted(on)) for on in p.incidence if len(on) < len(p.rays)})
-    rims = [f for f, on in zip(a.facets, a.incidence) if len(on) < len(a.rays)]
+        tuple(p.rays[i] for i in sorted(on))
+        for f, on in zip(p.facets, p.incidence) if f not in p.equations})
+    rims = [f for f in a.facets if f not in a.equations]
     return bool(full) and all(n > 1 or any(all(dot(f, r) == 0 for r in w) for f in rims)
                               for w, n in walls.items())
 

@@ -24,15 +24,7 @@ from .fan import (
     lattice_points_box,
     point,
 )
-from .intlinalg import (
-    Cone,
-    IntegerSystem,
-    Vec,
-    dot,
-    identity,
-    kernel_and_cokernel,
-    solve_lattice,
-)
+from .intlinalg import IntegerSystem, dot, solve_lattice
 from .monoid import AffineMonoid
 
 
@@ -47,41 +39,27 @@ class Firmament:
     @cached_property
     def systems(self) -> tuple[IntegerSystem, ...]:
         """One prepared :class:`IntegerSystem` per maximal source cone, in
-        the order of ``map.source.maximal``, in the coordinates t of a
-        Z-basis K of the lattice of the cone's span (:func:`_span_basis`):
+        the order of ``map.source.maximal``, in the coordinates t of the
+        Z-basis K of the lattice of the cone's span (``Cone.span_basis``):
         the cone's lattice points are the points K·t of the cone.  The
         system's equations are the chart rows times K, and its inequalities
-        the facets that are not equations, times K.  The cone's equations
-        hold for every t, so none is written, and a point solves the system
-        as it is.  A cone has as many variables as dimensions, g_i for the
-        dual cone of a chart into a monoid of rank g_i, not one per source
-        coordinate, and a solve on a cone whose chart is injective on its
-        span takes no search.  Built on the first query and kept for every
-        later one."""
+        the facets that are not equations (``Cone.equations``), times K.
+        The cone's equations hold for every t, so none is written, and a
+        point solves the system as it is.  A cone has as many variables as
+        dimensions, g_i for the dual cone of a chart into a monoid of rank
+        g_i, not one per source coordinate, and a solve on a cone whose
+        chart is injective on its span takes no search.  Built on the first
+        query and kept for every later one."""
         src = self.map.source
         systems = []
         for cone in src.maximal:
             _, matrix = self.map.assignments[src.cone_index(cone)]
-            basis = _span_basis(cone)
-            inequalities = [f for f, on in zip(cone.facets, cone.incidence)
-                            if len(on) < len(cone.rays)]
+            basis = cone.span_basis
+            inequalities = [f for f in cone.facets if f not in cone.equations]
             systems.append(IntegerSystem(
                 len(basis), [[dot(r, k) for k in basis] for r in matrix],
                 [[dot(f, k) for k in basis] for f in inequalities]))
         return tuple(systems)
-
-
-def _span_basis(cone: Cone) -> tuple[Vec, ...]:
-    """The Hermite-form Z-basis K of span(cone) ∩ Z^n: the identity for a
-    full-dimensional cone, and otherwise the integer kernel of the cone's
-    equations, the facets whose incidence names every ray.  It may be
-    finer than the lattice of the rays: cone((1,1,0), (1,-1,0)) has the
-    basis (1,0,0), (0,1,0), and (1,0,0) is no integer combination of its
-    rays."""
-    if cone.full:
-        return tuple(tuple(row) for row in identity(cone.ambient_rank))
-    return kernel_and_cokernel([f for f, on in zip(cone.facets, cone.incidence)
-                                if len(on) == len(cone.rays)]).kernel_basis
 
 
 @dataclass(frozen=True)
@@ -166,14 +144,11 @@ def contact_order(p: AffineMonoid, vals) -> ContactOrder:
     if any(v < 0 for v in values):
         raise NotAdditive("valuations must be nonnegative")
     rows = [list(p.coords(h)) for h in hb]
-    target = dual_cone_complex(p)
-    if p.group_rank == 0:
-        return ContactOrder(point(target, ()))
-    sol = solve_lattice(rows, values)
+    sol = solve_lattice(rows, values, p.group_rank)
     if sol is None:
         raise NotAdditive(
             "the prescribed valuations violate a relation among generators")
-    return ContactOrder(point(target, sol.particular))
+    return ContactOrder(point(dual_cone_complex(p), sol.particular))
 
 
 def lies_in_firmament(gamma: Firmament, c: ContactOrder) -> bool:

@@ -157,15 +157,16 @@ class SmithDecomposition:
         return sum(1 for d in self.divisors if d != 0)
 
 
-def smith_normal_form(m) -> SmithDecomposition:
+def smith_normal_form(m, cols: int) -> SmithDecomposition:
     """Smith normal form U*M*V = D with a divisibility chain d1 | d2 | ...
+    of the matrix M with ``cols`` columns.
 
     U and V are unimodular; ``divisors`` lists the nonnegative diagonal of D
-    up to min(rows, cols), with zero divisors trailing.
+    up to min(rows, cols), with zero divisors trailing.  A matrix with no
+    rows has U = (), V = I and no divisors.
     """
     d = mat_copy(m)
     rows = len(d)
-    cols = len(d[0]) if rows else 0
     u = identity(rows)
     v = identity(cols)
 
@@ -299,8 +300,8 @@ def hermite_normal_form(m) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
 
 
-def row_lattice_basis(vectors, dim: int) -> list[Vec]:
-    """Canonical (HNF) basis of the sublattice of Z^dim spanned by ``vectors``."""
+def row_lattice_basis(vectors) -> list[Vec]:
+    """Canonical (HNF) basis of the sublattice spanned by ``vectors``."""
     h, _ = hermite_normal_form([list(v) for v in vectors])
     return [row for row in h if any(row)]
 
@@ -340,15 +341,17 @@ class KernelCokernel:
 def _kernel(snf: SmithDecomposition) -> tuple[Vec, ...]:
     """Hermite-form basis of the integer kernel: the columns of V past the
     rank, for U*M*V = D."""
-    return tuple(row_lattice_basis(list(zip(*snf.V))[snf.rank:], len(snf.V)))
+    return tuple(row_lattice_basis(list(zip(*snf.V))[snf.rank:]))
 
 
-def kernel_and_cokernel(m) -> KernelCokernel:
-    """Integer kernel basis, cokernel free rank, and cokernel torsion of M.
+def kernel_and_cokernel(m, cols: int) -> KernelCokernel:
+    """Integer kernel basis, cokernel free rank, and cokernel torsion of M,
+    which has ``cols`` columns.
 
-    M is viewed as a map Z^cols -> Z^rows acting on column vectors.
+    M is viewed as a map Z^cols -> Z^rows acting on column vectors; with no
+    rows its kernel is all of Z^cols.
     """
-    snf = smith_normal_form(m)
+    snf = smith_normal_form(m, cols)
     torsion = tuple(dv for dv in snf.divisors if dv > 1)
     return KernelCokernel(_kernel(snf), len(m) - snf.rank, torsion)
 
@@ -377,8 +380,9 @@ class LatticeSolutionSet:
     kernel_basis: tuple[Vec, ...]
 
 
-def solve_lattice(a, b) -> LatticeSolutionSet | None:
-    """Full integer solution set of A*x = b, or None when infeasible.
+def solve_lattice(a, b, cols: int) -> LatticeSolutionSet | None:
+    """Full integer solution set of A*x = b in Z^cols, or None when
+    infeasible.
 
     With U*A*V = D, A*x = b is solvable exactly when :func:`scaled_solution`
     needs no scaling (t = 1) and U*b vanishes past the rank.  Returns that
@@ -386,7 +390,7 @@ def solve_lattice(a, b) -> LatticeSolutionSet | None:
     every solution is particular + Z-combination of the basis.  Raises
     ValueError when b does not have one entry per row of A.
     """
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(a, cols)
     x0 = _particular(snf, b)
     if x0 is None:
         return None
@@ -394,8 +398,9 @@ def solve_lattice(a, b) -> LatticeSolutionSet | None:
 
 
 def _check_rhs(b, rows: int) -> None:
-    """Raise ValueError unless b is a right-hand side for ``rows`` rows."""
-    if b is None or len(b) != rows:
+    """Raise ValueError unless b is a right-hand side for ``rows`` rows;
+    None is the one of no rows."""
+    if len(b or ()) != rows:
         got = "none" if b is None else len(b)
         raise ValueError(f"a right-hand side takes one entry per row, {rows}; "
                          f"this one has {got}")
@@ -432,8 +437,7 @@ def lattice_quotient(vectors, dim: int):
     + d_r Z, so the columns of V past the rank r are the free coordinates
     and each column i with d_i > 1 is a torsion coordinate of order d_i
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4.3)."""
-    # no vectors make a zero row, whose Smith form has V = identity
-    snf = smith_normal_form([list(v) for v in vectors] or [[0] * dim])
+    snf = smith_normal_form([list(v) for v in vectors], dim)
     coords = list(zip(*snf.V))
     return (tuple(coords[snf.rank:]),
             tuple((coords[i], d) for i, d in enumerate(snf.divisors) if d > 1))
@@ -524,7 +528,11 @@ class Cone:
     which it vanishes; it follows from the rays and facets, so equality
     ignores it.
 
-    A cone with a line has no extreme rays, so its record has no rays; only
+    Which facets are equations, and so the lattice of the cone's span, is
+    decided here once (``equations``, ``span_basis``), by the f and -f rule
+    and not by the incidence alone: that rule is also right for a record
+    with a line.  A cone with a line has no extreme rays, so its record has
+    no rays, and an incidence naming every ray names none; only
     ``monoid.saturate`` makes such a record, for a monoid that is not sharp.
     Only the sharp records of ``fan.make_cone`` enter a cone complex."""
 
@@ -550,9 +558,28 @@ class Cone:
                      for i in range(len(self.rays)))
 
     @cached_property
+    def equations(self) -> tuple[Vec, ...]:
+        """The facets that vanish on all of the cone, in facet order: those
+        listed together with their negatives.  Such a facet vanishes on
+        every ray, so only a facet whose incidence names every ray, each
+        facet of a record with a line, has its negative looked for."""
+        n = len(self.rays)
+        return tuple(f for f, on in zip(self.facets, self.incidence)
+                     if len(on) == n and tuple(-x for x in f) in self.facets)
+
+    @cached_property
+    def span_basis(self) -> tuple[Vec, ...]:
+        """The Hermite-form Z-basis of span(cone) ∩ Z^d: the integer kernel
+        of the equations, all of Z^d for a full-dimensional cone.  It may be
+        finer than the lattice of the rays: cone((1,1,0), (1,-1,0)) has the
+        basis (1,0,0), (0,1,0), and (1,0,0) is no integer combination of its
+        rays."""
+        return kernel_and_cokernel(self.equations, self.ambient_rank).kernel_basis
+
+    @property
     def full(self) -> bool:
-        """Whether the cone is full-dimensional: no facet vanishes on all of it."""
-        return not any(len(on) == len(self.rays) for on in self.incidence)
+        """Whether the cone is full-dimensional: no facet is an equation."""
+        return not self.equations
 
     def key(self):
         return self.rays
@@ -845,20 +872,22 @@ class IntegerSystem:
     right-hand sides, as in Eisenbrand & Shmonin, "Parametric integer
     programming in fixed dimension" (2008).
 
-    Preparing takes the Smith form of the equations.  The first solve whose
-    equations have an integer solution adds what depends on the matrices
-    alone: the kernel basis of the equations and the inequality rows in
-    kernel coordinates.  The search's recession splits (their double
-    descriptions and unimodular changes of variables) are built along the
-    path that a solve first takes, and kept.  So solving many right-hand
-    sides does each of these once, and one solve does the work of one
-    :func:`ilp_feasible` call, which is this class prepared and solved once.
-    The system reads the rows it is given, not copies of them, so they
-    must not change while it is in use.
+    Preparing takes the Smith form of the equations at width ``num_vars``;
+    with no equations it has no rows, V = I, and the kernel is all of
+    Z^num_vars.  The first solve whose equations have an integer solution
+    adds what depends on the matrices alone: the kernel basis of the
+    equations and the inequality rows in kernel coordinates.  The search's
+    recession splits (their double descriptions and unimodular changes of
+    variables) are built along the path that a solve first takes, and
+    kept.  So solving many right-hand sides does each of these once, and
+    one solve does the work of one :func:`ilp_feasible` call, which is this
+    class prepared and solved once.  The system reads the rows it is given,
+    not copies of them, so they must not change while it is in use.
+    ``eq_rhs`` None is the right-hand side of no equations.
 
     Prepared users: ``firmament.Firmament.systems`` (one per source cone,
-    written in the coordinates of the cone's span, so with the chart rows
-    as its only equations, and solved at every point),
+    written in the coordinates of the cone's span, ``Cone.span_basis``, so
+    with the chart rows as its only equations, and solved at every point),
     ``monoid.is_integral`` (one per call, solved for every quadruple),
     ``monoid.PushoutResult`` (one for the amalgam, solved for every element
     tested) and ``campana.variant_multiplicities`` (one per call, solved for
@@ -868,17 +897,14 @@ class IntegerSystem:
     def __init__(self, num_vars, eq_lhs=None, ineq_lhs=None):
         self.num_vars = num_vars
         self.ineq_lhs = tuple(ineq_lhs or ())
-        self.snf = smith_normal_form(eq_lhs) if eq_lhs else None
+        self.snf = smith_normal_form(eq_lhs or (), num_vars)
         self._search = None
 
     def _kernel_and_root(self):
         """The kernel basis, and the root of the search over the inequality
         rows in kernel coordinates t, for x = x0 + sum_i t_i * kernel[i]
         (None when the kernel is 0 and there is nothing to search)."""
-        if self.snf is None:
-            kernel = identity(self.num_vars)
-        else:
-            kernel = _kernel(self.snf)
+        kernel = _kernel(self.snf)
         if not kernel:
             return kernel, None
         g = [[dot(row, kv) for kv in kernel] for row in self.ineq_lhs]
@@ -896,13 +922,9 @@ class IntegerSystem:
         if ineq_rhs is None:
             ineq_rhs = [0] * len(self.ineq_lhs)
         _check_rhs(ineq_rhs, len(self.ineq_lhs))
-        if self.snf is None:
-            _check_rhs(eq_rhs or (), 0)
-            x0 = (0,) * self.num_vars
-        else:
-            x0 = _particular(self.snf, eq_rhs)
-            if x0 is None:
-                return None
+        x0 = _particular(self.snf, eq_rhs)
+        if x0 is None:
+            return None
         if self._search is None:
             self._search = self._kernel_and_root()
         kernel, root = self._search

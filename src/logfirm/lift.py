@@ -91,7 +91,8 @@ def solve_units(chart: MonomialChart):
     Returns (C, root_orders, unit_constraints) where C[i] gives the exponents
     of u_{x_i} over the target units, root_orders[i] is the denominator of
     row i, and unit_constraints are multiplicative relations the target units
-    must satisfy whenever the rows of A are dependent.
+    must satisfy whenever the rows of A are dependent: a basis of the rows
+    L with L·A = 0, so with no source variable every u_{y_j} is 1.
 
     Column j of C is x/q_j, where q_j is the least q with A.x = q.e_j
     solvable modulo the unit constraints.  Both come from one Smith form of
@@ -99,9 +100,7 @@ def solve_units(chart: MonomialChart):
     """
     a = [list(r) for r in chart.matrix]
     n, m = chart.num_target, chart.num_source
-    if n == 0 or m == 0:
-        return tuple(), tuple([1] * m), tuple()
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(a, m)
     # relations among the target units: rows of U past the rank span the
     # left kernel of A
     constraints = tuple(tuple(snf.U[i]) for i in range(snf.rank, n))
@@ -110,8 +109,7 @@ def solve_units(chart: MonomialChart):
         q, x = scaled_solution(snf, [int(jj == j) for jj in range(n)])
         columns.append([Fraction(xi, q) for xi in x])
     c = tuple(tuple(columns[j][i] for j in range(n)) for i in range(m))
-    root_orders = tuple(
-        lcm(*[f.denominator for f in row]) if row else 1 for row in c)
+    root_orders = tuple(lcm(*[f.denominator for f in row]) for row in c)
     return c, root_orders, constraints
 
 
@@ -128,9 +126,9 @@ def log_smooth_primes(matrix) -> set[int]:
     the elementary divisors > 1 (torsion of the cokernel) plus the torsion
     of the kernel, which is zero for lattice maps."""
     m = [list(r) for r in matrix]
-    if not m or not m[0]:
+    if not m:
         return set()
-    snf = smith_normal_form(m)
+    snf = smith_normal_form(m, len(m[0]))
     out: set[int] = set()
     for d in snf.divisors:
         if d > 1:

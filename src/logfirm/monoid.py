@@ -142,7 +142,7 @@ class AffineMonoid:
         for h in sharp_m.hilbert_local:
             # two solutions of proj(c) = h differ by a unit, on which every
             # facet vanishes, so each one lies in the monoid
-            sol = solve_lattice(proj.local, h)
+            sol = solve_lattice(proj.local, h, self.group_rank)
             if sol is None:
                 raise ValueError("sharpening lift unexpectedly infeasible")
             out.append(self.ambient(sol.particular))
@@ -152,12 +152,9 @@ class AffineMonoid:
         return tuple(sorted(set(out)))
 
     def unit_basis(self) -> tuple[Vec, ...]:
-        """Ambient basis of the group of units (lineality of the cone)."""
-        if not self.facets_local:
-            # no facet constraints: every group element is a unit
-            lin = [tuple(row) for row in identity(self.group_rank)]
-        else:
-            lin = kernel_and_cokernel([list(f) for f in self.facets_local]).kernel_basis
+        """Ambient basis of the group of units (lineality of the cone): the
+        kernel of the facets, all of the group when there are none."""
+        lin = kernel_and_cokernel(self.facets_local, self.group_rank).kernel_basis
         return tuple(self.ambient(b) for b in lin)
 
     def canonical_key(self):
@@ -175,11 +172,7 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     Idempotent.  Raises ValueError when a generator lies outside the
     supplied group, the zero group included."""
     gens = [tuple(g) for g in generators if any(g)]
-    if group is not None:
-        basis = row_lattice_basis([tuple(r) for r in group], ambient_rank)
-    else:
-        basis = row_lattice_basis(gens, ambient_rank)
-    basis = tuple(tuple(r) for r in basis)
+    basis = tuple(row_lattice_basis(gens if group is None else group))
     g = len(basis)
     gens_local = []
     for v in gens:
@@ -190,14 +183,11 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     if not gens:
         return AffineMonoid(ambient_rank, (), (), (), ())
     dd = dual_description(gens_local, g)
-    equations = [f for f in dd.facets if tuple(-x for x in f) in dd.facets]
-    if equations:
-        # the generators span less than the supplied group (the facets hold
-        # a line): the monoid's group is the part of it in their span, the
-        # integer kernel of the cone's equations
-        span = kernel_and_cokernel(equations).kernel_basis
+    if dd.equations:
+        # the generators span less than the supplied group: the monoid's
+        # group is the part of it in their span
         return saturate(ambient_rank, gens,
-                        group=[mat_vec(transpose(basis), c) for c in span])
+                        group=[mat_vec(transpose(basis), c) for c in dd.span_basis])
     return AffineMonoid(ambient_rank, tuple(gens), basis, dd.facets, dd.rays)
 
 
@@ -296,14 +286,11 @@ class MonoidHom:
     def matrix(self) -> tuple[Vec, ...] | None:
         """An integer ambient matrix inducing this hom, or None."""
         source, target = self.source, self.target
-        if not source.group_basis:
-            return tuple((0,) * source.ambient_rank
-                         for _ in range(target.ambient_rank))
         images = [target.ambient([row[j] for row in self.local])
                   for j in range(source.group_rank)]
         # the group basis has full row rank, so row i of the matrix solves
         # B*w = images_i exactly when it needs no scaling
-        snf = smith_normal_form(source.group_basis)
+        snf = smith_normal_form(source.group_basis, source.ambient_rank)
         rows = []
         for i in range(target.ambient_rank):
             t, w = scaled_solution(snf, [image[i] for image in images])
@@ -371,7 +358,7 @@ class Face:
 def faces(m: AffineMonoid) -> list[Face]:
     """The full face lattice of a sharp monoid, from {0} to m itself."""
     tight = incidence(m.rays_local, m.facets_local)
-    snf = smith_normal_form(m.group_basis)
+    snf = smith_normal_form(m.group_basis, m.ambient_rank)
     out = [_face(m, [j for j, t in enumerate(tight) if on_face <= t], snf=snf)
            for on_face in face_closure(tight, len(m.rays_local))]
     out.sort(key=lambda f: (len(f.generator_subset), f.generator_subset))
@@ -403,15 +390,13 @@ def _face(m: AffineMonoid, vanishing, subset=None, snf=None) -> Face:
     t * lam_i on the group basis (Smith form ``snf``), lam the facets' sum."""
     if not m.sharp:
         raise NotSharp("faces are enumerated for sharp monoids only")
-    if m.group_rank == 0:
-        return Face((), (0,) * m.ambient_rank)
     if subset is None:
         subset = tuple(i for i, c in enumerate(m.hilbert_local)
                        if all(dot(m.facets_local[j], c) == 0 for j in vanishing))
     lam = [sum(m.facets_local[i][j] for i in vanishing)
            for j in range(m.group_rank)]
-    return Face(subset, scaled_solution(snf or smith_normal_form(m.group_basis),
-                                        lam)[1])
+    snf = snf or smith_normal_form(m.group_basis, m.ambient_rank)
+    return Face(subset, scaled_solution(snf, lam)[1])
 
 
 def face_localization(m: AffineMonoid, f: Face) -> tuple[AffineMonoid, MonoidHom]:

@@ -26,10 +26,10 @@ from logfirm.monoid import MonoidHom, saturate
 
 def saturated_span(vectors, d: int):
     """Hermite basis of the lattice points of Z^d in the span of ``vectors``."""
-    ker = kernel_and_cokernel([list(v) for v in vectors]).kernel_basis
+    ker = kernel_and_cokernel([list(v) for v in vectors], d).kernel_basis
     if not ker:
         return tuple(tuple(r) for r in identity(d))
-    return kernel_and_cokernel([list(v) for v in ker]).kernel_basis
+    return kernel_and_cokernel([list(v) for v in ker], d).kernel_basis
 
 
 def projection(vectors, d: int):
@@ -38,7 +38,7 @@ def projection(vectors, d: int):
     the s rows S of ``saturated_span``."""
     span = saturated_span(vectors, d)
     s = len(span)
-    snf = smith_normal_form([list(v) for v in span])
+    snf = smith_normal_form([list(v) for v in span], d)
     return tuple(tuple(snf.V[i][s + j] for i in range(d)) for j in range(d - s))
 
 
@@ -55,8 +55,7 @@ def oracle_saturate(ambient_rank: int, generators, group=None):
     """``saturate``, with the group of generators whose cone holds a line
     cut down to :func:`saturated_span` of them before it is called."""
     gens = [tuple(g) for g in generators if any(g)]
-    basis = row_lattice_basis(gens if group is None else [tuple(r) for r in group],
-                              ambient_rank)
+    basis = row_lattice_basis(gens if group is None else [tuple(r) for r in group])
     local = [in_row_lattice(basis, v) for v in gens]
     if gens and None not in local:
         facets = dual_description(local, len(basis)).facets

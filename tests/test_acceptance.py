@@ -158,7 +158,7 @@ class TestCriterion05RootOrderThree:
 
     def test_torsion_and_primes(self):
         for rows in self.CHARTS:
-            kc = kernel_and_cokernel([list(r) for r in rows])
+            kc = kernel_and_cokernel([list(r) for r in rows], 2)
             assert kc.torsion == (3,)
             assert log_smooth_primes(rows) == {3}
 
@@ -282,7 +282,7 @@ class TestCriterion12OracleSuites:
             cols = rng.randint(1, 3)
             m = [[rng.randint(-5, 5) for _ in range(cols)]
                  for _ in range(rows)]
-            snf = smith_normal_form(m)
+            snf = smith_normal_form(m, cols)
             d = mat_mul(mat_mul([list(r) for r in snf.U], m),
                         [list(r) for r in snf.V])
             for i in range(rows):

@@ -402,6 +402,16 @@ class TestLiftCommands:
         assert r.exit_code == 1
         assert r.payload == {"in_firmament": False, "valuations": [0, 1]}
 
+    @pytest.mark.parametrize("chart, vals, constraints", [
+        ("[[]]", "[0]", [[1]]), ("[[],[]]", "[0,0]", [[1, 0], [0, 1]]),
+        ("[]", "[]", [])])
+    def test_no_source_variable_fixes_every_unit(self, chart, vals, constraints):
+        # with no source unit to solve for, the lift exists only when every
+        # target unit is 1; the constraints once read [] for these charts
+        r = run(["lift", "solve", "--chart", chart, "--vals", vals])
+        assert r.exit_code == 0
+        assert r.payload["unit_constraints"] == constraints
+
 
 class TestCampanaCommands:
     def test_mult(self):
@@ -604,6 +614,10 @@ SHAPE_ERRORS = {
     "map target index out of range": [
         "firmament", "member", "--point", "[1]",
         "--map", explicit_map((0, [[0]]), (5, [[1]]))],
+    "face matrix other than its maximal cone's": [
+        "firmament", "member", "--point", "[2]", "--map",
+        explicit_map((0, [[0, 0]]), (1, [[7, 7]]), (1, [[5, 5]]), (1, [[2, 2]]),
+                     source=N2_FAN)],
     "map matrix with too many rows": [
         "firmament", "member", "--point", "[1]",
         "--map", explicit_map((0, [[0]]), (1, [[1], [1]]))],
@@ -730,6 +744,19 @@ class TestShapeValidation:
                 "--map", explicit_map((0, [[0]]), (1, [[-1]]))]
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().out)["error"].startswith("InvalidMap")
+
+    def test_maximal_cones_must_agree_on_a_shared_face(self, capsys):
+        # the cones of (1,0), (1,1) and of (1,1), (0,1) send (1,1) to 1 and
+        # to 2: no matrix of the ray (1,1) agrees with both
+        source = {"ambient_rank": 2, "cones": [{"rays": [[1, 0], [1, 1]]},
+                                               {"rays": [[1, 1], [0, 1]]}]}
+        argv = ["firmament", "member", "--point", "[1]", "--map", explicit_map(
+            (0, [[0, 0]]), (1, [[1, 1]]), (1, [[1, 1]]), (1, [[1, 0]]),
+            (1, [[1, 0]]), (1, [[1, 0]]), source=source)]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == ("ValueError: the matrix of cone [[1, 1]] differs on its "
+                         "rays from that of maximal cone [[0, 1], [1, 1]]")
 
     def test_valid_explicit_map(self):
         assert run(["firmament", "member", "--point", "[2,1]",

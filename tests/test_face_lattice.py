@@ -63,7 +63,7 @@ CONES = _cone_corpus()
 
 
 def test_corpus_has_non_simplicial_and_lower_dimensional_cones():
-    assert any(len(c.rays) > smith_normal_form(c.rays).rank for c in CONES)
+    assert any(len(c.rays) > smith_normal_form(c.rays, c.ambient_rank).rank for c in CONES)
     assert any(not c.full for c in CONES)
     assert any(c.ambient_rank == 6 and len(c.facets) >= 10 for c in CONES)
 
@@ -149,7 +149,8 @@ def test_face_normal_is_least_multiple_of_vanishing_facet_sum(m):
         assert rem == 0 and t >= 1
         assert on_basis == [t * x for x in lam]
         for smaller in range(1, t):
-            assert solve_lattice(basis, [smaller * x for x in lam]) is None
+            assert solve_lattice(basis, [smaller * x for x in lam],
+                                 m.ambient_rank) is None
 
 
 def test_faces_of_a_large_index_copy_of_n():

@@ -328,10 +328,11 @@ def span_lattice(cone):
     lattice maps its witnesses back to the same points."""
     if not cone.rays:
         return ()
-    normals = kernel_and_cokernel([list(r) for r in cone.rays]).kernel_basis
+    normals = kernel_and_cokernel([list(r) for r in cone.rays],
+                                  cone.ambient_rank).kernel_basis
     if not normals:
         return tuple(tuple(row) for row in identity(cone.ambient_rank))
-    return kernel_and_cokernel([list(v) for v in normals]).kernel_basis
+    return kernel_and_cokernel([list(v) for v in normals], cone.ambient_rank).kernel_basis
 
 
 def prepared_solves(gamma, coords):
@@ -403,11 +404,10 @@ class TestPreparedSystems:
                 calls.clear()
                 firmament_enumerate_box(gamma, bound)
                 per_box.append(dict(calls))
-                # one Smith form per source cone, and one more for the span
-                # of each cone that is not full-dimensional
+                # one Smith form per source cone for its span, the kernel of
+                # no rows for a full cone, and one for its system
                 maximal = gamma.map.source.maximal
-                assert calls["smith_normal_form"] == len(maximal) + sum(
-                    not cone.full for cone in maximal)
+                assert calls["smith_normal_form"] == 2 * len(maximal)
             assert per_box[0] == per_box[1] == per_box[2], chart_fn.__name__
 
 
@@ -617,7 +617,7 @@ def random_explicit_firmament(rng):
     while True:
         coeffs = [[rng.randint(1, 3)] + [rng.randint(-2, 2) for _ in range(d - 1)]
                   for _ in range(rng.randint(d, d + 1))]
-        snf = smith_normal_form(coeffs)
+        snf = smith_normal_form(coeffs, d)
         if snf.rank == d and snf.divisors[d - 1] > 1:
             break
     rays = [mat_vec(unimodular, list(a) + [0]) for a in coeffs]
@@ -634,7 +634,8 @@ def random_explicit_firmament(rng):
 
 def ray_lattice_index(cone):
     """The index of the lattice of the rays in its saturation."""
-    snf = smith_normal_form([list(r) for r in cone.rays] or [[0] * cone.ambient_rank])
+    snf = smith_normal_form([list(r) for r in cone.rays] or [[0] * cone.ambient_rank],
+                            cone.ambient_rank)
     index = 1
     for d in snf.divisors[:snf.rank]:
         index *= d

@@ -93,7 +93,7 @@ def test_intersection_matches_two_double_descriptions():
                 for f in c.facets)
             assert c.faces == brute_faces(c)
         seen[d] += 1
-        seen["non-simplicial"] += any(len(c.rays) > smith_normal_form(c.rays).rank
+        seen["non-simplicial"] += any(len(c.rays) > smith_normal_form(c.rays, c.ambient_rank).rank
                                       for c in (a, b))
         seen["lower-dimensional input"] += not (a.full and b.full)
         seen["meet at 0"] += not got.rays

@@ -87,6 +87,19 @@ class TestSolveUnits:
         assert sorted(l) == [-1, 1]  # u_s = u_t as a multiplicative relation
         assert orders == (1,)
 
+    @pytest.mark.parametrize("rows, want", [
+        ((), ()), (((),), ((1,),)), (((), ()), ((1, 0), (0, 1))),
+        (((0,), (1,)), ((1, 0),))])
+    def test_constraints_of_charts_without_a_free_row(self, rows, want):
+        # with no source variable every target unit must be 1; with the
+        # row of y_1 zero, u_{y_1} must be 1
+        chart = MonomialChart(rows)
+        _, _, constraints = solve_units(chart)
+        assert constraints == want
+        for l in constraints:
+            assert all(sum(x * row[i] for x, row in zip(l, chart.matrix)) == 0
+                       for i in range(chart.num_source))
+
     def test_substitution_identity(self):
         # A . C = I modulo the rows spanned by the unit constraints
         for chart in (CHART_23, CHART_SYM, MonomialChart(((1, 0), (0, 1)))):
@@ -109,7 +122,8 @@ class TestSolveUnits:
             for q in orders:
                 total = lcm(total, q)
             product = 1
-            for d in smith_normal_form([list(r) for r in chart.matrix]).divisors:
+            for d in smith_normal_form([list(r) for r in chart.matrix],
+                                       chart.num_source).divisors:
                 if d:
                     product *= d
             assert product % total == 0
@@ -122,7 +136,7 @@ def candidate_loop_units(chart):
     solve_lattice per try."""
     a = [list(r) for r in chart.matrix]
     n, m = chart.num_target, chart.num_source
-    snf = smith_normal_form(a)
+    snf = smith_normal_form(a, m)
     rank = snf.rank
     constraints = tuple(tuple(snf.U[i]) for i in range(rank, n))
     p, w = scaled_inverse(snf.U)  # |p| = 1: U is unimodular
@@ -133,7 +147,7 @@ def candidate_loop_units(chart):
             y = [q * snf.U[i][j] for i in range(n)]
             y = y[:rank] + [0] * (n - rank)
             reduced = [sum(u_inv[i][k] * y[k] for k in range(n)) for i in range(n)]
-            sol = solve_lattice(a, reduced)
+            sol = solve_lattice(a, reduced, m)
             if sol is not None:
                 columns.append([Fraction(x, q) for x in sol.particular])
                 break
@@ -161,9 +175,9 @@ class TestSolveUnitsOracle:
     def test_large_root_order_one_smith_form(self, monkeypatch):
         calls = []
 
-        def counting(m):
+        def counting(m, cols):
             calls.append(m)
-            return smith_normal_form(m)
+            return smith_normal_form(m, cols)
 
         monkeypatch.setattr(logfirm.lift, "smith_normal_form", counting)
         monkeypatch.setattr(logfirm.intlinalg, "smith_normal_form", counting)

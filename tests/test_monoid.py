@@ -79,7 +79,7 @@ def pushout_leg1(f, g, res):
     q1, q2 = f.target, g.target
     relations = [list(mat_vec(f.local, c)) + [-x for x in mat_vec(g.local, c)]
                  for c in f.source.local_generators] or [[0] * (q1.group_rank + q2.group_rank)]
-    snf = smith_normal_form(relations)
+    snf = smith_normal_form(relations, q1.group_rank + q2.group_rank)
     block = [row[:q1.group_rank] for row in transpose(snf.V)[snf.rank:]]
     _, sharp_proj = sharpen(res.saturation_free)
     return MonoidHom(q1, res.characteristic, local=mat_mul(sharp_proj.local, block))
@@ -195,7 +195,7 @@ def sharp_corpus(rng):
 
 def proper_sublattice(m):
     """Whether m's group has finite index > 1 in its saturation."""
-    return any(d > 1 for d in smith_normal_form(m.group_basis).divisors)
+    return any(d > 1 for d in smith_normal_form(m.group_basis, m.ambient_rank).divisors)
 
 
 class TestExplicitGroup:
@@ -282,7 +282,7 @@ class TestNonSharp:
             m, group = random_monoid(rng, rng.randint(1, 3))
             if m.facets_local:
                 zero_kernel = not kernel_and_cokernel(
-                    [list(f) for f in m.facets_local]).kernel_basis
+                    [list(f) for f in m.facets_local], m.group_rank).kernel_basis
             else:
                 zero_kernel = m.group_rank == 0
             assert m.sharp == zero_kernel, (m.generators, group)
@@ -598,7 +598,7 @@ def quotient_cases(rng):
 def unimodular_change(p, p_old):
     """The T with p = T * p_old, checked unimodular; p_old has full row rank
     and its rows span the lattice that the rows of p span."""
-    t = [solve_lattice(transpose(p_old), row).particular for row in p]
+    t = [solve_lattice(transpose(p_old), row, len(p_old)).particular for row in p]
     assert mat_mul(t, p_old) == [list(r) for r in p]
     if t:
         assert len(t) == len(t[0])
@@ -612,7 +612,7 @@ def lattice_index(vectors, d):
     the torsion of Z^d modulo the span, the cokernel of the vectors as
     columns."""
     out = 1
-    for order in kernel_and_cokernel(transpose(vectors)).torsion:
+    for order in kernel_and_cokernel(transpose(vectors), len(vectors)).torsion:
         out *= order
     return out
 
@@ -636,7 +636,7 @@ class TestQuotientOracle:
             for _ in range(5):
                 x = [rng.randint(-6, 6) for _ in range(d)]
                 # x is in the span exactly when every coordinate kills it
-                in_span = solve_lattice(transpose(vectors), x) is not None
+                in_span = solve_lattice(transpose(vectors), x, len(vectors)) is not None
                 assert in_span == (not any(mat_vec(p, x)) and all(
                     dot(row, x) % order == 0 for row, order in torsion))
             if not any(map(any, vectors)):
@@ -648,7 +648,7 @@ class TestQuotientOracle:
             assert all(not any(mat_vec(p, v)) for v in vectors)
             if p:
                 # p maps onto Z^(d - s): its cokernel is 0
-                onto = kernel_and_cokernel([list(r) for r in p])
+                onto = kernel_and_cokernel([list(r) for r in p], d)
                 assert (onto.free_rank, onto.torsion) == (0, ())
             t = unimodular_change(p, projection(vectors, d))
             seen["T is not 1"] += t != identity(len(t))
@@ -734,9 +734,9 @@ def smith_calls(monkeypatch):
     calls = []
     real = logfirm.intlinalg.smith_normal_form
 
-    def counting(m):
+    def counting(m, cols):
         calls.append(len(m))
-        return real(m)
+        return real(m, cols)
 
     for module in (logfirm.intlinalg, logfirm.monoid):
         monkeypatch.setattr(module, "smith_normal_form", counting)

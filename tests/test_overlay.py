@@ -487,7 +487,7 @@ class TestAllPairsOracle:
                 assert _overlay_or_mismatch(common_refinement, a, b) == want
             verdicts[f1.ambient_rank, isinstance(want, str)] += 1
             for c in (f1, f2):
-                dims = {smith_normal_form(m.rays).rank for m in c.maximal}
+                dims = {smith_normal_form(m.rays, c.ambient_rank).rank for m in c.maximal}
                 shapes["non-pure"] += len(dims) > 1
                 shapes["lower-dimensional"] += any(d < c.ambient_rank for d in dims)
         # both verdicts, in both ranks, and fans of every shape
