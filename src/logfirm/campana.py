@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .intlinalg import IntegerSystem, identity, scaled_inverse
+from .intlinalg import IntegerSystem, identity, int_vector, scaled_inverse
 from .lift import MonomialChart
 
 Exponent = tuple[int, ...]
@@ -110,7 +110,11 @@ class MonomialIdeal:
 
     @staticmethod
     def of(num_vars: int, generators) -> "MonomialIdeal":
-        gens = sorted({tuple(g) for g in generators})
+        """The ideal of these exponent vectors.  Raises ValueError, before
+        minimizing, unless each holds ``num_vars`` nonnegative ints."""
+        gens = {int_vector(g, num_vars, "ideal generator") for g in generators}
+        if any(e < 0 for g in gens for e in g):
+            raise ValueError("ideal exponents must be nonnegative")
         minimal = [g for g in gens
                    if not any(h != g and _divides(h, g) for h in gens)]
         return MonomialIdeal(num_vars, tuple(sorted(minimal)))
@@ -247,13 +251,12 @@ def variant_multiplicities(i: MonomialIdeal):
 
 def intersection_multiplicity(i: MonomialIdeal, vals, in_z: bool = False):
     """Valuation of the ideal at a DVR point with the given coordinate
-    valuations; the in_z flag marks points lying inside the subscheme."""
-    if in_z:
-        return IN_Z
-    vals = list(vals)
+    valuations; the in_z flag marks points lying inside the subscheme.
+    Raises ValueError unless vals holds i.num_vars nonnegative ints."""
+    vals = int_vector(vals, i.num_vars, "vals")
     if any(v < 0 for v in vals):
         raise ValueError("valuations must be nonnegative")
-    if i.is_zero:
+    if in_z or i.is_zero:
         return IN_Z
     return min(sum(e * v for e, v in zip(g, vals)) for g in i.generators)
 

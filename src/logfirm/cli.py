@@ -44,7 +44,7 @@ from .firmament import (
     firmament_from_charts,
     firmament_member,
 )
-from .intlinalg import DEFAULT_ILP_BUDGET, ResourceLimit, ilp_budget, mat_vec
+from .intlinalg import DEFAULT_ILP_BUDGET, ResourceLimit, ilp_budget, int_vector
 from .lift import (
     DVRTargetPoint,
     LiftSolution,
@@ -103,10 +103,7 @@ def _rows(rows, width: int, what: str, count=None) -> list[tuple[int, ...]]:
     rows = [tuple(r) for r in rows]
     if count is not None and len(rows) != count:
         raise ValueError(f"{what} has {len(rows)} rows, expected {count}")
-    for r in rows:
-        if len(r) != width or not all(type(x) is int for x in r):
-            raise ValueError(f"{what} row {list(r)} needs {width} integer entries")
-    return rows
+    return [int_vector(r, width, f"{what} row") for r in rows]
 
 
 def _natural(x, what: str, least: int = 0) -> int:
@@ -181,36 +178,20 @@ def firmament_from_json(d) -> Firmament:
         raise ValueError(f"the map has {len(d['cones'])} cone assignments, "
                          f"expected one per source cone ({len(source.faces)})")
     assignments = []
-    for rays, a in zip(source.faces, d["cones"]):
+    for a in d["cones"]:
         t = a["target"]
         if type(t) is not int or not 0 <= t < len(target.faces):
             raise ValueError(f"target cone index {t!r} is not in "
                              f"[0, {len(target.faces)})")
-        matrix = tuple(_rows(a["matrix"], source.ambient_rank, "cone matrix",
-                             target.ambient_rank))
-        if target.carrier_in(t, [mat_vec(matrix, r) for r in rays]) is None:
-            raise InvalidMap(f"the matrix of cone {[list(r) for r in rays]} "
-                             f"does not send it into target cone {t}")
-        assignments.append((t, matrix))
-    # membership reads the matrices of the maximal cones alone, so every face
-    # must get the map that each maximal cone holding it gives
-    matrices = {rays: matrix for rays, (_, matrix) in zip(source.faces, assignments)}
-    for m in source.maximal:
-        for rays in sorted(m.faces):
-            if any(mat_vec(matrices[rays], r) != mat_vec(matrices[m.rays], r)
-                   for r in rays):
-                raise ValueError(f"the matrix of cone {[list(r) for r in rays]} "
-                                 "differs on its rays from that of maximal cone "
-                                 f"{[list(r) for r in m.rays]}")
+        assignments.append((t, tuple(_rows(a["matrix"], source.ambient_rank,
+                                           "cone matrix", target.ambient_rank))))
     return Firmament(ConeComplexMap(source, target, tuple(assignments)))
 
 
 def ideal_from_json(d) -> MonomialIdeal:
     num_vars = _natural(d["vars"], "vars")
-    gens = _rows(d["generators"], num_vars, "ideal generators")
-    if any(e < 0 for g in gens for e in g):
-        raise ValueError("ideal exponents must be nonnegative")
-    return MonomialIdeal.of(num_vars, gens)
+    return MonomialIdeal.of(num_vars,
+                            _rows(d["generators"], num_vars, "ideal generators"))
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +248,20 @@ def _cmd_firm(args) -> CommandResult:
     return CommandResult("ok" if w is not None else "infeasible", payload)
 
 
-def _vals_by_generator(m: AffineMonoid, vals: dict) -> list:
-    """The values of a ``--vals`` object in the order of m's Hilbert basis.
-    Each key is a JSON list of integers of m's rank naming a Hilbert
-    generator, no two keys name the same one, and every one is named."""
-    hilbert = set(m.hilbert)
+def _vals_by_generator(m: AffineMonoid, vals: dict) -> dict:
+    """A ``--vals`` object keyed by tuples, each key a JSON list of integers
+    of m's rank and no two naming one vector; contact_order checks the rest."""
     by_generator = {}
     for key, v in vals.items():
         try:
-            g = json.loads(key)
-        except json.JSONDecodeError:
-            g = None
-        if (type(g) is not list or len(g) != m.ambient_rank
-                or not all(type(x) is int for x in g)):
+            g = int_vector(json.loads(key), m.ambient_rank, "vals key")
+        except (TypeError, ValueError):  # JSONDecodeError is a ValueError
             raise ValueError(f"vals key {key!r} is not a list of "
-                             f"{m.ambient_rank} integers")
-        g = tuple(g)
-        if g not in hilbert:
-            raise ValueError(f"vals key {key!r} names no Hilbert generator")
+                             f"{m.ambient_rank} integers") from None
         if g in by_generator:
             raise ValueError(f"vals key {key!r} names generator {list(g)} again")
         by_generator[g] = v
-    missing = [list(h) for h in m.hilbert if h not in by_generator]
-    if missing:
-        raise ValueError(f"vals has no value for generator {missing[0]}")
-    return [by_generator[h] for h in m.hilbert]
+    return by_generator
 
 
 def _cmd_firmament(args) -> CommandResult:
@@ -307,7 +277,6 @@ def _cmd_firmament(args) -> CommandResult:
         vals = _load(args.vals)
         if isinstance(vals, dict):
             vals = _vals_by_generator(m, vals)
-        _rows([vals], len(m.hilbert), "vals")
         c = contact_order(m, vals)
         return CommandResult("ok", {"coordinates": list(c.point.coordinates)})
     gamma = firmament_from_json(_load(args.map))
@@ -384,9 +353,7 @@ def _cmd_campana(args) -> CommandResult:
             payload.update({"m_a": m_a, "m_b": m_b, "m_c": m_c,
                             "m_d_threshold": m_d})
         return CommandResult("ok", payload)
-    vals = _load(args.vals)
-    _rows([vals], i.num_vars, "vals")
-    n = intersection_multiplicity(i, vals, in_z=args.in_z)
+    n = intersection_multiplicity(i, _load(args.vals), in_z=args.in_z)
     member = campana_member(n, args.m)
     payload = {"member": member, "n": "in_z" if n is IN_Z else n}
     return CommandResult("ok" if member else "infeasible", payload)

@@ -385,10 +385,10 @@ def lattice_points_box(c: ConeComplex, bound: int) -> set[IntegralPoint]:
 
 @dataclass(frozen=True)
 class ConeComplexMap:
-    """A map of complexes: for each source cone, a target cone index and an
-    integer matrix sending the source cone into that target cone.
-    Assignments agree on shared faces because they are restrictions of the
-    per-maximal-cone matrices."""
+    """A map of complexes: for each source cone, in the order of
+    ``source.faces``, a target cone index and an integer matrix sending it
+    into that target cone.  :class:`~logfirm.firmament.Firmament` checks
+    that the matrices of a map given by hand agree on shared faces."""
 
     source: ConeComplex
     target: ConeComplex

@@ -19,12 +19,13 @@ from .fan import (
     ConeComplex,
     ConeComplexMap,
     IntegralPoint,
+    InvalidMap,
     complex_map,
     cone_complex,
     lattice_points_box,
     point,
 )
-from .intlinalg import IntegerSystem, dot, solve_lattice
+from .intlinalg import IntegerSystem, dot, int_vector, mat_vec, solve_lattice
 from .monoid import AffineMonoid
 
 
@@ -34,7 +35,28 @@ class NotAdditive(Exception):
 
 @dataclass(frozen=True)
 class Firmament:
+    """The image of the lattice points of the source cones of ``map``.
+    Membership reads the maximal cones' matrices alone, so building one
+    raises InvalidMap unless each cone's matrix sends it into its target
+    cone, and ValueError unless it agrees on the cone's rays with the
+    matrix of every maximal cone holding it."""
+
     map: ConeComplexMap
+
+    def __post_init__(self):
+        source, target = self.map.source, self.map.target
+        matrices = dict(zip(source.faces, [a[1] for a in self.map.assignments]))
+        for rays, (t, matrix) in zip(source.faces, self.map.assignments):
+            if target.carrier_in(t, [mat_vec(matrix, r) for r in rays]) is None:
+                raise InvalidMap(f"the matrix of cone {[list(r) for r in rays]} "
+                                 f"does not send it into target cone {t}")
+        for m in source.maximal:
+            for rays in sorted(m.faces):
+                if any(mat_vec(matrices[rays], r) != mat_vec(matrices[m.rays], r)
+                       for r in rays):
+                    raise ValueError(f"the matrix of cone {[list(r) for r in rays]} "
+                                     "differs on its rays from that of maximal "
+                                     f"cone {[list(r) for r in m.rays]}")
 
     @cached_property
     def systems(self) -> tuple[IntegerSystem, ...]:
@@ -124,10 +146,10 @@ def firmament_enumerate_box(gamma: Firmament, bound: int) -> set[IntegralPoint]:
 
 def contact_order(p: AffineMonoid, vals) -> ContactOrder:
     """The integral point of the dual cone of p determined by prescribing
-    valuations on the Hilbert generators (vals: mapping generator -> N, or a
-    sequence aligned with p.hilbert).  Raises ValueError for a mapping with
-    a key that is not a tuple of ints naming a Hilbert generator, or with
-    no value for some generator."""
+    valuations on the Hilbert generators.  vals gives each generator one
+    int, as a dict keyed by generator tuples or a sequence aligned with
+    p.hilbert, else ValueError; a negative value, or values that break a
+    relation among the generators, raise NotAdditive."""
     hb = list(p.hilbert)
     if isinstance(vals, dict):
         for key in vals:
@@ -138,9 +160,8 @@ def contact_order(p: AffineMonoid, vals) -> ContactOrder:
         missing = [h for h in hb if h not in vals]
         if missing:
             raise ValueError(f"vals has no value for generator {missing[0]}")
-        values = [vals[h] for h in hb]
-    else:
-        values = list(vals)
+        vals = [vals[h] for h in hb]
+    values = int_vector(vals, len(hb), "vals")
     if any(v < 0 for v in values):
         raise NotAdditive("valuations must be nonnegative")
     rows = [list(p.coords(h)) for h in hb]

@@ -106,6 +106,14 @@ def vec_gcd(v) -> int:
     return g
 
 
+def int_vector(v, width: int, what: str) -> Vec:
+    """v as a tuple of ``width`` ints (no bool or float), else ValueError."""
+    v = tuple(v)
+    if len(v) != width or not all(type(x) is int for x in v):
+        raise ValueError(f"{what} {list(v)} needs {width} integer entries")
+    return v
+
+
 def primitive(v) -> Vec:
     """Divide a nonzero integer vector by the gcd of its entries."""
     g = vec_gcd(v)

@@ -91,6 +91,16 @@ class TestIdealBasics:
         with pytest.raises(ZeroOrUnitIdeal):
             m_multiplicity(ideal(2, [(0, 0)]))
 
+    @pytest.mark.parametrize("gens", [
+        [(-1, 2), (1, 0)],    # m was -1
+        [(0, 0, 5)],          # m was 5, the extra exponent read as if on y
+        [(1,)],
+        [(True, 0)],
+        [(1.0, 0)]])
+    def test_generators_checked_before_minimizing(self, gens):
+        with pytest.raises(ValueError):
+            ideal(2, gens)
+
     def test_prime_needs_variables(self):
         with pytest.raises(ValueError):
             MonomialPrime(frozenset())
@@ -312,6 +322,14 @@ class TestIntersectionMultiplicity:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             intersection_multiplicity(ideal(1, [(1,)]), (-1,))
+
+    @pytest.mark.parametrize("in_z", [False, True])
+    @pytest.mark.parametrize("vals", [[3], [3, 1, 9], [3, True], [3, 1.0],
+                                      [-1, 2]])
+    def test_one_nonnegative_integer_per_variable(self, vals, in_z):
+        # on (x y^2), [3] answered 3 and [3, 1, 9] answered 5
+        with pytest.raises(ValueError):
+            intersection_multiplicity(ideal(2, [(1, 2)]), vals, in_z=in_z)
 
 
 class TestCampanaMember:

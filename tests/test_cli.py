@@ -558,9 +558,11 @@ def explicit_map(*cones, source=N1_FAN, target=N1_FAN):
                        "cones": [{"target": t, "matrix": m} for t, m in cones]})
 
 
-# --vals objects with a bad key, each with that key
+# --vals objects with a bad key, each with that key as the error names it:
+# the CLI names the JSON key whose syntax it rejects, and contact_order the
+# tuple that names no Hilbert generator
 CONTACT_KEY_ERRORS = {
-    "naming no generator": ('{"[1, 0]": 3, "[0, 1]": 2, "[1, 1]": 5}', "[1, 1]"),
+    "naming no generator": ('{"[1, 0]": 3, "[0, 1]": 2, "[1, 1]": 5}', (1, 1)),
     "with a boolean entry": ('{"[true, 0]": 7, "[0, 1]": 2}', "[true, 0]"),
     "with a float entry": ('{"[1.0, 0]": 7, "[1, 0]": 3, "[0, 1]": 2}', "[1.0, 0]"),
     "naming a generator twice": ('{"[1, 0]": 3, "[0,1]": 2, "[0, 1]": 4}', "[0, 1]"),
@@ -631,6 +633,9 @@ SHAPE_ERRORS = {
     "campana vals too short": [
         "campana", "member", "--vals", "[1]", "--m", "2",
         "--ideal", '{"vars":2,"generators":[[1,0]]}'],
+    "campana vals too short inside the subscheme": [
+        "campana", "member", "--vals", "[1]", "--m", "2", "--in-z",
+        "--ideal", '{"vars":2,"generators":[[1,2]]}'],
     "negative fan scale": [
         "fan", "points", "--box", "2", "--fan",
         '{"ambient_rank":2,"scale":-1,"cones":[{"rays":[[1,0],[0,1]]}]}'],

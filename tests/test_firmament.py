@@ -19,9 +19,12 @@ from logfirm.charts import (
 )
 from logfirm.cli import firmament_from_json
 from logfirm.fan import (
+    ConeComplexMap,
+    InvalidMap,
     complex_map,
     cone_complex,
     lattice_points_box,
+    orthant,
     point,
     star_subdivision,
 )
@@ -175,6 +178,14 @@ class TestContactOrder:
         with pytest.raises(ValueError):
             contact_order(orthant_monoid(2), vals)
 
+    @pytest.mark.parametrize("vals", [[1.5, 2], [True, 2], [1], [1, 2, 3],
+                                      {(1, 0): True, (0, 1): 2}])
+    def test_values_must_be_one_integer_per_generator(self, vals):
+        # True was read as 1, and 1.5 was reported as NotAdditive, a
+        # mathematical no
+        with pytest.raises(ValueError):
+            contact_order(orthant_monoid(2), vals)
+
     def test_not_additive(self):
         q = in_group_coordinates(saturate(2, [(2, 0), (1, 1), (0, 2)]))
         # generators satisfy h1 + h3 = 2 h2; valuations 1,0,0 break it
@@ -182,6 +193,22 @@ class TestContactOrder:
         vals = {hb[0]: 1, hb[1]: 0, hb[2]: 0}
         with pytest.raises(NotAdditive):
             contact_order(q, vals)
+
+
+class TestFirmamentChecksItsMap:
+    def test_face_matrix_other_than_its_maximal_cone(self):
+        # membership reads the maximal cone's matrix (2, 2) alone: built
+        # unchecked, this map answered False at (2,) and True at (5,),
+        # though its rays' own matrices send them to 7 and 5
+        f = ConeComplexMap(orthant(2), cone_complex(1, [[[1]]]), (
+            (0, ((0, 0),)), (1, ((7, 7),)), (1, ((5, 5),)), (1, ((2, 2),))))
+        with pytest.raises(ValueError, match="differs on its rays"):
+            Firmament(f)
+
+    def test_matrix_outside_its_target_cone(self):
+        f = ConeComplexMap(orthant(1), orthant(1), ((0, ((0,),)), (1, ((-1,),))))
+        with pytest.raises(InvalidMap, match="does not send it into target cone 1"):
+            Firmament(f)
 
 
 class TestLiesInFirmament:
