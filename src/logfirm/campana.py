@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .intlinalg import IntegerSystem, identity, int_vector, scaled_inverse
+from .intlinalg import ConeImage, identity, int_vector, scaled_inverse
 from .lift import MonomialChart
 
 Exponent = tuple[int, ...]
@@ -103,18 +103,24 @@ def _divides(a: Exponent, b: Exponent) -> bool:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Ideal generated by monomials, stored by a minimal generator set."""
+    """Ideal generated by monomials, stored by a minimal generator set.
+    Raises ValueError unless each generator holds ``num_vars`` nonnegative
+    ints."""
 
     num_vars: int
     generators: tuple[Exponent, ...]
 
+    def __post_init__(self):
+        for g in self.generators:
+            int_vector(g, self.num_vars, "ideal generator")
+        if any(e < 0 for g in self.generators for e in g):
+            raise ValueError("ideal exponents must be nonnegative")
+
     @staticmethod
     def of(num_vars: int, generators) -> "MonomialIdeal":
-        """The ideal of these exponent vectors.  Raises ValueError, before
-        minimizing, unless each holds ``num_vars`` nonnegative ints."""
-        gens = {int_vector(g, num_vars, "ideal generator") for g in generators}
-        if any(e < 0 for g in gens for e in g):
-            raise ValueError("ideal exponents must be nonnegative")
+        """The ideal of these exponent vectors, checked as given and then
+        minimized."""
+        gens = set(MonomialIdeal(num_vars, tuple(map(tuple, generators))).generators)
         minimal = [g for g in gens
                    if not any(h != g and _divides(h, g) for h in gens)]
         return MonomialIdeal(num_vars, tuple(sorted(minimal)))
@@ -191,22 +197,23 @@ def radical(i: MonomialIdeal) -> MonomialIdeal:
         i.num_vars, [tuple(1 if e else 0 for e in g) for g in i.generators])
 
 
-def _power_system(prime_gens, num_vars: int) -> IntegerSystem:
-    """Monomial membership in (g_1, ..., g_k)^e as one integer program for
-    every e and monomial: some c >= 0 with c_1 + ... + c_k = e and
-    sum c_t g_t <= monomial componentwise.  :func:`_power_contains` solves
-    it for one (e, monomial)."""
+def _power_system(prime_gens, num_vars: int) -> ConeImage:
+    """Monomial membership in (r_1, ..., r_k)^e as one cone image for every
+    e and monomial g: x^g lies in it exactly when (e, g) = A·(c, s) for
+    some (c, s) in N^(k + num_vars), with A = [[1 ... 1, 0], [Rᵀ, I]]: c
+    picks e generators and s is the slack g - sum c_t r_t.
+    :func:`_power_contains` asks it for one (e, monomial)."""
     k = len(prime_gens)
-    return IntegerSystem(
-        k, [[1] * k],
-        [[-g[j] for g in prime_gens] for j in range(num_vars)] + identity(k))
+    return ConeImage(
+        [[1] * k + [0] * num_vars]
+        + [[g[j] for g in prime_gens] + e for j, e in enumerate(identity(num_vars))],
+        identity(k + num_vars), k + num_vars)
 
 
-def _power_contains(system: IntegerSystem, e: int, monomial: Exponent) -> bool:
+def _power_contains(system: ConeImage, e: int, monomial: Exponent) -> bool:
     """Whether the monomial lies in the power e of the ideal of
     ``system``, a :func:`_power_system`."""
-    return system.solve([e], [-x for x in monomial]
-                        + [0] * system.num_vars) is not None
+    return system.preimage([e, *monomial]) is not None
 
 
 def variant_multiplicities(i: MonomialIdeal):

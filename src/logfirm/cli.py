@@ -174,18 +174,10 @@ def firmament_from_json(d) -> Firmament:
         return firmament_from_charts(base, thetas)
     source = fan_from_json(d["source"])
     target = fan_from_json(d["target"])
-    if len(d["cones"]) != len(source.faces):
-        raise ValueError(f"the map has {len(d['cones'])} cone assignments, "
-                         f"expected one per source cone ({len(source.faces)})")
-    assignments = []
-    for a in d["cones"]:
-        t = a["target"]
-        if type(t) is not int or not 0 <= t < len(target.faces):
-            raise ValueError(f"target cone index {t!r} is not in "
-                             f"[0, {len(target.faces)})")
-        assignments.append((t, tuple(_rows(a["matrix"], source.ambient_rank,
-                                           "cone matrix", target.ambient_rank))))
-    return Firmament(ConeComplexMap(source, target, tuple(assignments)))
+    assignments = tuple((a["target"], tuple(_rows(a["matrix"], source.ambient_rank,
+                                                  "cone matrix", target.ambient_rank)))
+                        for a in d["cones"])
+    return Firmament(ConeComplexMap(source, target, assignments))
 
 
 def ideal_from_json(d) -> MonomialIdeal:

@@ -2,12 +2,14 @@
 
 Given charts θᵢ: P → Qᵢ, each dual cone Hom(Qᵢ, R≥0) maps to the dual cone
 of P by precomposition; the firmament is the image of the lattice points of
-the sources.  Membership is decided exactly, one integer program per source
-cone, each prepared once per firmament and solved at every query point.
-Each program is written in the coordinates of a Z-basis of the lattice of
-its cone's linear span, so a cone of lower dimension (every firmament with
-two or more charts, and a chart into a monoid with units) takes only as
-many variables as it has dimensions, and no equation of its own.
+the sources.  Membership is decided exactly: a point is a member when it
+is the image of a lattice point of some source cone, which one
+:class:`~logfirm.intlinalg.ConeImage` per source cone answers, prepared
+once per firmament and asked at every query point.  Each record is written
+in the coordinates of a Z-basis of the lattice of its cone's linear span,
+so a cone of lower dimension (every firmament with two or more charts, and
+a chart into a monoid with units) takes only as many variables as it has
+dimensions, and no equation of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .fan import (
     lattice_points_box,
     point,
 )
-from .intlinalg import IntegerSystem, dot, int_vector, mat_vec, solve_lattice
+from .intlinalg import ConeImage, dot, int_vector, mat_vec, solve_lattice
 from .monoid import AffineMonoid
 
 
@@ -37,14 +39,23 @@ class NotAdditive(Exception):
 class Firmament:
     """The image of the lattice points of the source cones of ``map``.
     Membership reads the maximal cones' matrices alone, so building one
-    raises InvalidMap unless each cone's matrix sends it into its target
-    cone, and ValueError unless it agrees on the cone's rays with the
-    matrix of every maximal cone holding it."""
+    raises ValueError unless the map has one assignment per source cone,
+    each naming a target cone, InvalidMap unless each cone's matrix sends
+    it into its target cone, and ValueError unless it agrees on the cone's
+    rays with the matrix of every maximal cone holding it."""
 
     map: ConeComplexMap
 
     def __post_init__(self):
         source, target = self.map.source, self.map.target
+        if len(self.map.assignments) != len(source.faces):
+            raise ValueError(f"the map has {len(self.map.assignments)} cone "
+                             "assignments, expected one per source cone "
+                             f"({len(source.faces)})")
+        for t, _ in self.map.assignments:
+            if type(t) is not int or not 0 <= t < len(target.faces):
+                raise ValueError(f"target cone index {t!r} is not in "
+                                 f"[0, {len(target.faces)})")
         matrices = dict(zip(source.faces, [a[1] for a in self.map.assignments]))
         for rays, (t, matrix) in zip(source.faces, self.map.assignments):
             if target.carrier_in(t, [mat_vec(matrix, r) for r in rays]) is None:
@@ -59,28 +70,28 @@ class Firmament:
                                      f"cone {[list(r) for r in m.rays]}")
 
     @cached_property
-    def systems(self) -> tuple[IntegerSystem, ...]:
-        """One prepared :class:`IntegerSystem` per maximal source cone, in
-        the order of ``map.source.maximal``, in the coordinates t of the
-        Z-basis K of the lattice of the cone's span (``Cone.span_basis``):
-        the cone's lattice points are the points K·t of the cone.  The
-        system's equations are the chart rows times K, and its inequalities
-        the facets that are not equations (``Cone.equations``), times K.
-        The cone's equations hold for every t, so none is written, and a
-        point solves the system as it is.  A cone has as many variables as
-        dimensions, g_i for the dual cone of a chart into a monoid of rank
-        g_i, not one per source coordinate, and a solve on a cone whose
-        chart is injective on its span takes no search.  Built on the first
-        query and kept for every later one."""
+    def systems(self) -> tuple[ConeImage, ...]:
+        """One prepared :class:`~logfirm.intlinalg.ConeImage` per maximal
+        source cone, in the order of ``map.source.maximal``, in the
+        coordinates t of the Z-basis K of the lattice of the cone's span
+        (``Cone.span_basis``): the cone's lattice points are the points K·t
+        of the cone.  The record's matrix is the chart rows times K, and its
+        facets are the cone's facets that are not equations
+        (``Cone.equations``), times K.  The cone's equations hold for every
+        t, so none is written, and a point is asked about as it is.  A cone
+        has as many variables as dimensions, g_i for the dual cone of a
+        chart into a monoid of rank g_i, not one per source coordinate, and
+        a point of a cone whose chart is injective on its span takes no
+        search.  Built on the first query and kept for every later one."""
         src = self.map.source
         systems = []
         for cone in src.maximal:
             _, matrix = self.map.assignments[src.cone_index(cone)]
             basis = cone.span_basis
             inequalities = [f for f in cone.facets if f not in cone.equations]
-            systems.append(IntegerSystem(
-                len(basis), [[dot(r, k) for k in basis] for r in matrix],
-                [[dot(f, k) for k in basis] for f in inequalities]))
+            systems.append(ConeImage(
+                [[dot(r, k) for k in basis] for r in matrix],
+                [[dot(f, k) for k in basis] for f in inequalities], len(basis)))
         return tuple(systems)
 
 
@@ -123,11 +134,11 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
 def firmament_member(gamma: Firmament, n) -> bool:
     """Exact membership: does some lattice point of a source cone map to n?
 
-    Solves n against each of ``gamma.systems`` in turn, so the Smith forms
-    and recession splits of a cone's integer program are found once per
-    firmament, not once per point.  Each system is written in its cone's
-    span, so a cone whose chart is injective on that span takes no search.
-    Each solve gets the whole node budget of
+    Asks each of ``gamma.systems`` in turn for a preimage of n, so the
+    Smith forms and recession splits of a cone's integer program are found
+    once per firmament, not once per point.  Each record is written in its
+    cone's span, so a cone whose chart is injective on that span takes no
+    search.  Each call gets the whole node budget of
     :func:`~logfirm.intlinalg.ilp_budget`.  Raises ValueError when n does
     not have one coordinate per target dimension, with or without a source
     cone."""
@@ -136,7 +147,7 @@ def firmament_member(gamma: Firmament, n) -> bool:
     if len(coords) != rank:
         raise ValueError(f"a point of this firmament has {rank} coordinates; "
                          f"this one has {len(coords)}")
-    return any(system.solve(coords) is not None for system in gamma.systems)
+    return any(system.preimage(coords) is not None for system in gamma.systems)
 
 
 def firmament_enumerate_box(gamma: Firmament, bound: int) -> set[IntegralPoint]:

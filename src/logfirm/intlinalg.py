@@ -2,7 +2,8 @@
 
 Normal forms (Smith, Hermite), lattice equation solving, kernel/cokernel
 computation, cone duality via the double description method, face lattices
-of cones, and a complete integer-feasibility solver.  All arithmetic is on
+of cones, and one complete integer program, whether b is the image of a
+lattice point of a cone (:class:`ConeImage`).  All arithmetic is on
 Python's unbounded integers (or :class:`fractions.Fraction` for intermediate
 bounds); nothing here ever rounds.
 
@@ -35,11 +36,10 @@ _BUDGET = ContextVar("ilp_budget", default=DEFAULT_ILP_BUDGET)
 
 @contextmanager
 def ilp_budget(nodes: int):
-    """Give each :func:`ilp_feasible` call and each
-    :meth:`IntegerSystem.solve` in the block ``nodes`` nodes, as
-    :func:`decimal.localcontext` scopes a precision.  The previous budget,
-    ``DEFAULT_ILP_BUDGET`` outside any block, comes back when the block
-    ends, also when it ends by :class:`ResourceLimit`."""
+    """Give each :meth:`ConeImage.preimage` call in the block ``nodes``
+    nodes, as :func:`decimal.localcontext` scopes a precision.  The
+    previous budget, ``DEFAULT_ILP_BUDGET`` outside any block, comes back
+    when the block ends, also when it ends by :class:`ResourceLimit`."""
     token = _BUDGET.set(nodes)
     try:
         yield
@@ -873,96 +873,99 @@ def _bounded_point(rows, k, charge: _Budget):
     return None
 
 
-class IntegerSystem:
-    """The integer programs eq_lhs*x = b, ineq_lhs*x >= c in x in Z^num_vars
-    for one left-hand side and any right-hand side (b, c), prepared once and
-    solved by :meth:`solve` for each (b, c): a fixed matrix with varying
-    right-hand sides, as in Eisenbrand & Shmonin, "Parametric integer
-    programming in fixed dimension" (2008).
+class ConeImage:
+    """The image A·(σ ∩ Z^cols) of the lattice points of the cone
+    σ = {x : f·x >= 0 for every f in ``facets``} under the integer matrix
+    A = ``matrix``, prepared once for every b asked about: whether b is the
+    image of a lattice point of σ is one integer program with a fixed
+    matrix and varying right-hand side, as in Eisenbrand & Shmonin,
+    "Parametric integer programming in fixed dimension" (2008).
 
-    Preparing takes the Smith form of the equations at width ``num_vars``;
-    with no equations it has no rows, V = I, and the kernel is all of
-    Z^num_vars.  The first solve whose equations have an integer solution
-    adds what depends on the matrices alone: the kernel basis of the
-    equations and the inequality rows in kernel coordinates.  The search's
-    recession splits (their double descriptions and unimodular changes of
-    variables) are built along the path that a solve first takes, and
-    kept.  So solving many right-hand sides does each of these once, and
-    one solve does the work of one :func:`ilp_feasible` call, which is this
-    class prepared and solved once.  The system reads the rows it is given,
-    not copies of them, so they must not change while it is in use.
-    ``eq_rhs`` None is the right-hand side of no equations.
+    Preparing takes the Smith form of A at width ``cols``; with no rows it
+    has V = I, and the kernel is all of Z^cols.  The first b with an
+    integer preimage adds what depends on A and σ alone: the kernel basis
+    of A and the facets in kernel coordinates.  The search's recession
+    splits (their double descriptions and unimodular changes of variables)
+    are built along the path that a call first takes, and kept.  So many
+    right-hand sides do each of these once.  The record reads the rows it
+    is given, not copies of them, so they must not change while it is in
+    use.
 
     Prepared users: ``firmament.Firmament.systems`` (one per source cone,
-    written in the coordinates of the cone's span, ``Cone.span_basis``, so
-    with the chart rows as its only equations, and solved at every point),
-    ``monoid.is_integral`` (one per call, solved for every quadruple),
-    ``monoid.PushoutResult`` (one for the amalgam, solved for every element
-    tested) and ``campana.variant_multiplicities`` (one per call, solved for
-    every power and generator).
+    written in the coordinates of the cone's span, ``Cone.span_basis``, and
+    asked at every point), ``monoid.is_integral`` (one per call, asked for
+    every quadruple), ``monoid.PushoutResult`` (one for the amalgam, asked
+    for every element tested) and ``campana.variant_multiplicities`` (one
+    per call, asked for every power and generator).
+    ``monoid.find_factorization``, ``lift.solve_exponents`` and
+    :func:`ilp_feasible` ask one b each.
     """
 
-    def __init__(self, num_vars, eq_lhs=None, ineq_lhs=None):
-        self.num_vars = num_vars
-        self.ineq_lhs = tuple(ineq_lhs or ())
-        self.snf = smith_normal_form(eq_lhs or (), num_vars)
+    def __init__(self, matrix, facets, cols: int):
+        self.cols = cols
+        self.facets = tuple(facets)
+        self.snf = smith_normal_form(matrix, cols)
         self._search = None
 
     def _kernel_and_root(self):
-        """The kernel basis, and the root of the search over the inequality
-        rows in kernel coordinates t, for x = x0 + sum_i t_i * kernel[i]
-        (None when the kernel is 0 and there is nothing to search)."""
+        """The kernel basis, and the root of the search over the facets in
+        kernel coordinates t, for x = x0 + sum_i t_i * kernel[i] (None when
+        the kernel is 0 and there is nothing to search)."""
         kernel = _kernel(self.snf)
         if not kernel:
             return kernel, None
-        g = [[dot(row, kv) for kv in kernel] for row in self.ineq_lhs]
+        g = [[dot(f, kv) for kv in kernel] for f in self.facets]
         return kernel, _Recession(g, len(kernel))
 
-    def solve(self, eq_rhs=None, ineq_rhs=None):
-        """Some integer x with eq_lhs*x = eq_rhs and ineq_lhs*x >= ineq_rhs
-        (0 when ``ineq_rhs`` is None), or None.  Complete, as
-        :func:`ilp_feasible`.
+    def preimage(self, b):
+        """Some lattice point x of σ with A·x = b, or None when there is
+        none.  Complete.
 
-        Each solve gets the whole node budget that :func:`ilp_budget` sets,
+        Each call gets the whole node budget that :func:`ilp_budget` sets,
         and raises :class:`ResourceLimit` when it spends it.  Raises
-        ValueError when a right-hand side does not have one entry per row,
-        or when ``eq_rhs`` is None for a system with equations."""
-        if ineq_rhs is None:
-            ineq_rhs = [0] * len(self.ineq_lhs)
-        _check_rhs(ineq_rhs, len(self.ineq_lhs))
-        x0 = _particular(self.snf, eq_rhs)
+        ValueError when b does not have one entry per row of A."""
+        x0 = _particular(self.snf, b)
         if x0 is None:
             return None
         if self._search is None:
             self._search = self._kernel_and_root()
         kernel, root = self._search
         if not kernel:
-            if any(dot(row, x0) < rhs for row, rhs in zip(self.ineq_lhs, ineq_rhs)):
-                return None
-            return tuple(x0)
-        h = [rhs - dot(row, x0) for row, rhs in zip(self.ineq_lhs, ineq_rhs)]
-        t = _int_point(root, h, _Budget(_BUDGET.get()))
+            return None if any(dot(f, x0) < 0 for f in self.facets) else tuple(x0)
+        t = _int_point(root, [-dot(f, x0) for f in self.facets],
+                       _Budget(_BUDGET.get()))
         if t is None:
             return None
         x = list(x0)
         for ti, kv in zip(t, kernel):
-            x = [a + ti * b for a, b in zip(x, kv)]
+            x = [a + ti * k for a, k in zip(x, kv)]
         return tuple(x)
 
 
 def ilp_feasible(num_vars, eq_lhs=None, eq_rhs=None, ineq_lhs=None,
                  ineq_rhs=None):
-    """Some integer x with eq_lhs*x = eq_rhs and ineq_lhs*x >= ineq_rhs, or None.
+    """Some integer x with eq_lhs*x = eq_rhs and ineq_lhs*x >= ineq_rhs (0
+    when ``ineq_rhs`` is None), or None.
 
     The decision is complete: a None return means no integer solution
-    exists.  Equalities are eliminated exactly through their Smith form;
-    the residual inequality system is searched by recession-direction
-    splitting plus exact Fourier-Motzkin bounded enumeration.  This is
-    :class:`IntegerSystem` prepared and solved once; a caller with one
-    matrix and many right-hand sides keeps the system and calls its
-    :meth:`~IntegerSystem.solve`.
+    exists.  It is one :meth:`ConeImage.preimage` on the homogenized cone:
+    the system holds at x exactly when (x, z) with z = 1 has
+    eq_lhs*x = eq_rhs and ineq_lhs*x - ineq_rhs*z >= 0, and z = 1 is one
+    more row of the matrix.  With no equations, the Smith form leaves x as
+    the kernel, and the search is that on x alone.
 
-    Raises :class:`ResourceLimit` if the node budget set by
-    :func:`ilp_budget` is exhausted.
+    Raises ValueError when a right-hand side does not have one entry per
+    row, or when ``eq_rhs`` is None and there are equations; raises
+    :class:`ResourceLimit` if the node budget set by :func:`ilp_budget`
+    is exhausted.
     """
-    return IntegerSystem(num_vars, eq_lhs, ineq_lhs).solve(eq_rhs, ineq_rhs)
+    eq_lhs, ineq_lhs = eq_lhs or (), ineq_lhs or ()
+    if ineq_rhs is None:
+        ineq_rhs = [0] * len(ineq_lhs)
+    _check_rhs(eq_rhs, len(eq_lhs))
+    _check_rhs(ineq_rhs, len(ineq_lhs))
+    image = ConeImage([list(row) + [0] for row in eq_lhs] + [[0] * num_vars + [1]],
+                      [list(row) + [-h] for row, h in zip(ineq_lhs, ineq_rhs)],
+                      num_vars + 1)
+    x = image.preimage(list(eq_rhs or ()) + [1])
+    return None if x is None else x[:num_vars]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .intlinalg import identity, ilp_feasible, scaled_solution, smith_normal_form
+from .intlinalg import ConeImage, identity, scaled_solution, smith_normal_form
 
 
 def _primes_of(n: int) -> set[int]:
@@ -77,12 +77,13 @@ class LiftSolution:
 
 
 def solve_exponents(chart: MonomialChart, e) -> tuple[int, ...] | None:
-    """A nonnegative integer solution x of A.x = e, or None (complete)."""
+    """A nonnegative integer solution x of A.x = e, or None (complete): a
+    lattice point of N^m that A sends to e."""
     e = list(e)
     m = chart.num_source
     if len(e) != chart.num_target:
         raise ValueError("valuation vector length mismatch")
-    return ilp_feasible(m, [list(r) for r in chart.matrix], e, identity(m))
+    return ConeImage(chart.matrix, identity(m), m).preimage(e)
 
 
 def solve_units(chart: MonomialChart):

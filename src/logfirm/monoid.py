@@ -14,7 +14,9 @@ A homomorphism is a map of groups that carries the source monoid into the
 target monoid, stored as its matrix on group coordinates; an integer matrix
 on the ambient lattices is only one way to present it, and need not exist.
 The searches in this module (retraction, factorization, pushout saturation
-probes) are complete: they reduce to exact integer feasibility problems.
+probes) are complete: each asks whether a vector is the image of a lattice
+point of a cone, an exact integer program
+(:class:`~logfirm.intlinalg.ConeImage`).
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ import itertools
 from dataclasses import dataclass, field
 
 from .intlinalg import (
-    IntegerSystem,
+    ConeImage,
     Vec,
     dual_description,
     face_closure,
     identity,
-    ilp_feasible,
     in_row_lattice,
     incidence,
     kernel_and_cokernel,
@@ -481,23 +482,23 @@ class PushoutResult:
                          local=mat_mul(self._sharpening[1].local, self.leg2_free))
 
     @functools.cached_property
-    def _amalgam(self) -> IntegerSystem:
-        """Membership in the integral amalgam, one integer program for every
-        group element: n >= 0 coefficients on the amalgam generators and
-        one free multiple of each torsion order, summing to the element."""
+    def _amalgam(self) -> ConeImage:
+        """The integral amalgam as the image of one cone's lattice points,
+        asked about every group element: n >= 0 coefficients on the
+        amalgam generators and one free multiple of each torsion order,
+        summing to the element (σ = N^n × Z^t)."""
         gens, orders = self.amalgam_generators, self.torsion_orders
         n, t = len(gens), len(orders)
-        return IntegerSystem(
-            n + t,
+        return ConeImage(
             [[free[i] for _, free in gens] + [0] * t
              for i in range(self.free_rank)]
             + [[tor[j] for tor, _ in gens] + [d * x for x in e]
                for j, (d, e) in enumerate(zip(orders, identity(t)))],
-            identity(n + t)[:n])
+            identity(n + t)[:n], n + t)
 
     def amalgam_contains(self, torsion_part, free_part) -> bool:
         """Exact membership of a group element in the integral amalgam."""
-        return (self._amalgam.solve(list(free_part) + list(torsion_part))
+        return (self._amalgam.preimage(list(free_part) + list(torsion_part))
                 is not None)
 
     def saturation_generators(self):
@@ -589,7 +590,7 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom) -> MonoidHom | None:
           for u, _ in images for i in range(gr)]
     ineq = [[a * x for a in fct for x in u]
             for u in q.rays_local for fct in r.facets_local]
-    sol = ilp_feasible(gr * gq, eq, [x for _, w in images for x in w], ineq)
+    sol = ConeImage(eq, ineq, gr * gq).preimage([x for _, w in images for x in w])
     if sol is None:
         return None
     return MonoidHom(q, r, local=[sol[i * gq:(i + 1) * gq] for i in range(gr)])
@@ -643,14 +644,13 @@ def is_integral(theta: MonoidHom, bound: int = 6) -> SemiDecision:
     # quadruple: theta(a3) + b = b1, theta(a4) + b = b2, a3 - a4 = a2 - a1
     zp, zq = [0] * gp, [0] * gq
     blocks = list(zip(theta.local, identity(gq)))
-    system = IntegerSystem(
-        2 * gp + gq,
+    system = ConeImage(
         [list(row) + zp + e for row, e in blocks]
         + [zp + list(row) + e for row, e in blocks]
         + [e + [-x for x in e] + zq for e in identity(gp)],
         [list(f) + zp + zq for f in p.facets_local]
         + [zp + list(f) + zq for f in p.facets_local]
-        + [zp + zp + list(f) for f in q.facets_local])
+        + [zp + zp + list(f) for f in q.facets_local], 2 * gp + gq)
     p_elts = _elements_up_to_degree(p, bound)
     q_elts = _elements_up_to_degree(q, bound)
     image = {a: mat_vec(theta.local, a) for a in p_elts}
@@ -666,7 +666,7 @@ def is_integral(theta: MonoidHom, bound: int = 6) -> SemiDecision:
             checked.add(key)
             if (a1, b1) == (a2, b2):
                 continue
-            if system.solve(b1 + b2 + vec_sub(a2, a1)) is None:
+            if system.preimage(b1 + b2 + vec_sub(a2, a1)) is None:
                 return SemiDecision("no", bound, witness=(
                     p.ambient(a1), p.ambient(a2), q.ambient(b1), q.ambient(b2)))
     return SemiDecision("probably_yes", bound)

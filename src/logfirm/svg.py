@@ -1,10 +1,9 @@
 """Deterministic SVG rendering for rank-2 lattice diagrams.
 
-Two kinds of pictures: a box of lattice points split into members (filled
-black circles) and non-members (hollow circles), and a fan drawn as ray
-segments from the origin.  The grid spacing is fixed at 40 pixels per
-lattice unit and all elements are emitted in sorted order, so identical
-inputs produce identical bytes.
+One kind of picture: a box of lattice points split into members (filled
+black circles) and non-members (hollow circles).  The grid spacing is
+fixed at 40 pixels per lattice unit and all elements are emitted in sorted
+order, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -76,32 +75,5 @@ def emit_point_grid(box: int, members) -> str:
         lines.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{POINT_RADIUS}" '
             'fill="black"/>')
-    lines.append('</svg>')
-    return "\n".join(lines) + "\n"
-
-
-def emit_fan(complex_, box: int = 5) -> str:
-    """SVG of a rank-2 fan: each ray as a segment from the origin to the
-    box boundary, plus the lattice points of the support as filled dots."""
-    if complex_.ambient_rank != 2:
-        raise RankUnsupported("fan drawing needs ambient rank 2")
-    rays = sorted({r for c in complex_.maximal for r in c.rays})
-    lines = _header(box, "rays of the fan; dots: supported lattice points")
-    lines += _axes(box)
-    for r in rays:
-        a, b = r
-        scale = Fraction(box, max(abs(a), abs(b)))
-        x0, y0 = _pixel(0, 0, box)
-        x1, y1 = _pixel(scale * a, scale * b, box)
-        lines.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-            f'y2="{_fmt(y1)}" stroke="black" stroke-width="2"/>')
-    for a in range(box + 1):
-        for b in range(box + 1):
-            if complex_.supports((a * complex_.scale, b * complex_.scale)):
-                x, y = _pixel(a, b, box)
-                lines.append(
-                    f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
-                    'fill="black"/>')
     lines.append('</svg>')
     return "\n".join(lines) + "\n"

@@ -2,15 +2,16 @@
 ``monoid`` wrote them before each became one set of block rows.
 
 ``oracle_find_factorization`` indexes the unknown matrix H entry by entry,
-H[i][j] as unknown i * g_Q + j, and fills each row by loops.
-``oracle_is_integral`` works in ambient coordinates and builds a fresh
-integer program, with a fresh Smith form, for every quadruple it checks.
-Both call :func:`~logfirm.intlinalg.ilp_feasible` once per program.
+H[i][j] as unknown i * g_Q + j, fills each row by loops, and asks one fresh
+:class:`~logfirm.intlinalg.ConeImage` for a preimage, so its witness is
+that of the same rows.  ``oracle_is_integral`` works in ambient coordinates
+and builds a fresh integer program, with a fresh Smith form, for every
+quadruple it checks, through :func:`~logfirm.intlinalg.ilp_feasible`.
 """
 
 import itertools
 
-from logfirm.intlinalg import ilp_feasible, mat_vec, vec_add, vec_sub
+from logfirm.intlinalg import ConeImage, ilp_feasible, mat_vec, vec_add, vec_sub
 from logfirm.monoid import SemiDecision
 
 
@@ -42,7 +43,7 @@ def oracle_find_factorization(theta, psi):
                 for j in range(gq):
                     row[var(i, j)] += fct[i] * u[j]
             ineq.append(row)
-    sol = ilp_feasible(num_vars, eq, rhs, ineq)
+    sol = ConeImage(eq, ineq, num_vars).preimage(rhs)
     if sol is None:
         return None
     return tuple(tuple(sol[var(i, j)] for j in range(gq)) for i in range(gr))

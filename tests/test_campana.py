@@ -101,6 +101,17 @@ class TestIdealBasics:
         with pytest.raises(ValueError):
             ideal(2, gens)
 
+    @pytest.mark.parametrize("gens", [
+        ((-1, 2), (1, 0)),    # m was -1
+        ((0, 0, 5),),         # m was 5
+        ((1,),),
+        ((True, 0),),
+        ((1.0, 0),)])
+    def test_every_record_is_checked(self, gens):
+        # the dataclass constructor, not only MonomialIdeal.of
+        with pytest.raises(ValueError):
+            m_multiplicity(MonomialIdeal(2, gens))
+
     def test_prime_needs_variables(self):
         with pytest.raises(ValueError):
             MonomialPrime(frozenset())

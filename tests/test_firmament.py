@@ -210,6 +210,23 @@ class TestFirmamentChecksItsMap:
         with pytest.raises(InvalidMap, match="does not send it into target cone 1"):
             Firmament(f)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_assignment_per_source_cone(self, count):
+        # orthant(1) has two cones: built unchecked, one assignment raised
+        # KeyError and a third was ignored
+        assignments = ((0, ((0,),)), (1, ((1,),)), (1, ((2,),)))[:count]
+        f = ConeComplexMap(orthant(1), orthant(1), assignments)
+        with pytest.raises(ValueError, match=f"the map has {count} cone assignments, "
+                                             r"expected one per source cone \(2\)"):
+            Firmament(f)
+
+    @pytest.mark.parametrize("index", [-1, 2, True])
+    def test_each_assignment_names_a_target_cone(self, index):
+        # -1 and 2 raised PointOutsideCone, and True was read as cone 1
+        f = ConeComplexMap(orthant(1), orthant(1), ((0, ((0,),)), (index, ((1,),))))
+        with pytest.raises(ValueError, match=rf"target cone index {index!r} is not in \[0, 2\)"):
+            Firmament(f)
+
 
 class TestLiesInFirmament:
     def test_contact_order_two(self):
@@ -367,7 +384,7 @@ def prepared_solves(gamma, coords):
     from the system's span coordinates t back to the source point K·t."""
     out = []
     for cone, system in zip(gamma.map.source.maximal, gamma.systems):
-        t = system.solve(list(coords))
+        t = system.preimage(list(coords))
         basis = span_lattice(cone)
         out.append(None if t is None else tuple(
             sum(ti * k[j] for ti, k in zip(t, basis)) for j in range(cone.ambient_rank)))
@@ -556,7 +573,7 @@ class TestConeEquationsInTheLatticeStep:
                 units_chart: [1], group_chart: [0], multi_chart_mix: [2, 2]}
         for chart_fn, want in dims.items():
             gamma = firmament_from_charts(*chart_fn())
-            assert [system.num_vars for system in gamma.systems] == want, chart_fn.__name__
+            assert [system.cols for system in gamma.systems] == want, chart_fn.__name__
             assert want == [len(span_lattice(cone)) for cone in gamma.map.source.maximal]
 
 

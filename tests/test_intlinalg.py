@@ -19,7 +19,7 @@ import logfirm.intlinalg
 from fan_oracle import facets_to_rays
 from logfirm.intlinalg import (
     Cone,
-    IntegerSystem,
+    ConeImage,
     ResourceLimit,
     _particular,
     dot,
@@ -40,6 +40,7 @@ from logfirm.intlinalg import (
     smith_normal_form,
     solve_lattice,
 )
+from logfirm.lift import MonomialChart, solve_exponents
 
 
 def det(m):
@@ -254,7 +255,7 @@ def scaled_particular(snf, b):
 
 class TestParticular:
     """``_particular``, the lattice step of ``solve_lattice`` and
-    ``IntegerSystem.solve``, reads U*b once and stops at the first entry
+    ``ConeImage.preimage``, reads U*b once and stops at the first entry
     that rules b out; its answers and solutions are those of the rule
     through :func:`scaled_solution`."""
 
@@ -311,18 +312,19 @@ class TestRightHandSideShape:
             solve_lattice(a, b, len(a[0]) if a else 2)
 
     def test_missing_equation_rhs_rejected(self):
-        with pytest.raises(ValueError, match="this one has none"):
-            IntegerSystem(2, [[1, 1]]).solve()
+        with pytest.raises(ValueError, match="per row, 1; this one has 0"):
+            ConeImage([[1, 1]], identity(2), 2).preimage([])
         with pytest.raises(ValueError, match="this one has none"):
             ilp_feasible(2, [[1, 1]], None, identity(2))
 
     def test_inequality_rhs_of_other_length_rejected(self):
-        system = IntegerSystem(2, ineq_lhs=identity(2))
         with pytest.raises(ValueError, match="per row, 2; this one has 1"):
-            system.solve(ineq_rhs=[1])
+            ilp_feasible(2, ineq_lhs=identity(2), ineq_rhs=[1])
         with pytest.raises(ValueError, match="per row, 0; this one has 1"):
-            system.solve(eq_rhs=[1])
-        assert system.solve(eq_rhs=[], ineq_rhs=[1, 2]) == (1, 2)
+            ilp_feasible(2, None, [1], identity(2))
+        with pytest.raises(ValueError, match="per row, 0; this one has 1"):
+            ConeImage([], identity(2), 2).preimage([1])
+        assert ilp_feasible(2, None, [], identity(2), [1, 2]) == (1, 2)
 
     def test_rhs_of_matching_length_accepted(self):
         assert ilp_feasible(2, [[1, 1]], [3], identity(2)) is not None
@@ -456,8 +458,9 @@ class TestIlpFeasible:
 
 
 class TestIntegerSystem:
-    """One matrix prepared once and solved at many right-hand sides gives,
-    at each, the x that a fresh :func:`ilp_feasible` call gives."""
+    """One :class:`ConeImage` prepared once and asked about many b gives,
+    at each, the x that a fresh record gives; the inhomogeneous programs of
+    :func:`ilp_feasible` are that record on the homogenized cone."""
 
     @staticmethod
     def enumeration_corpus():
@@ -472,12 +475,16 @@ class TestIntegerSystem:
             yield n, eq, list(mat_vec(eq, target)), identity(n) + [[-1] * n]
 
     def test_prepared_corpus_against_enumeration(self):
-        # each system is also solved at three more right-hand sides: x_i >=
-        # -a_i and sum(x) <= s, with equations met by a random point or not
+        # each system is solved at four right-hand sides: x_i >= -a_i and
+        # sum(x) <= s, with equations met by a random point or not, through
+        # ilp_feasible; and its equations with x >= 0 and a slack y >= 0,
+        # sum(x) + y = s, as one prepared record asked at the same equation
+        # right-hand sides with s = 2
         rng = random.Random(98)
-        solved = feasible = 0
+        solved = feasible = asked = found = 0
         for n, eq, b, ineq in self.enumeration_corpus():
-            system = IntegerSystem(n, eq, ineq)
+            matrix = [row + [0] for row in eq] + [[1] * (n + 1)]
+            image = ConeImage(matrix, identity(n + 1), n + 1)
             rhs = [(b, [0] * (n + 1))]
             for _ in range(3):
                 point = [rng.randint(-2, 4) for _ in range(n)]
@@ -485,8 +492,7 @@ class TestIntegerSystem:
                 rhs.append((b2, [-rng.randint(0, 2) for _ in range(n)]
                             + [-rng.randint(0, 4)]))
             for eq_rhs, ineq_rhs in rhs:
-                got = system.solve(eq_rhs, ineq_rhs)
-                assert got == ilp_feasible(n, eq, eq_rhs, ineq, ineq_rhs)
+                got = ilp_feasible(n, eq, eq_rhs, ineq, ineq_rhs)
                 lo, cap = ineq_rhs[:n], -ineq_rhs[n]
                 box = [range(l, cap - sum(lo) + l + 1) for l in lo]
                 oracle = next((x for x in itertools.product(*box)
@@ -498,7 +504,19 @@ class TestIntegerSystem:
                     assert all(dot(r, got) >= c for r, c in zip(ineq, ineq_rhs))
                     feasible += 1
                 solved += 1
+
+                w = image.preimage(eq_rhs + [2])
+                assert w == ConeImage(matrix, identity(n + 1), n + 1).preimage(eq_rhs + [2])
+                oracle = next((x for x in itertools.product(range(3), repeat=n)
+                               if sum(x) <= 2 and list(mat_vec(eq, x)) == eq_rhs), None)
+                assert (w is None) == (oracle is None), (eq, eq_rhs)
+                if w is not None:
+                    assert list(mat_vec(matrix, w)) == eq_rhs + [2]
+                    assert min(w) >= 0
+                    found += 1
+                asked += 1
         assert solved == 800 and 200 < feasible < 700
+        assert asked == 800 and 100 < found < 700, found
 
     def test_one_shot_work(self, monkeypatch):
         # ilp_feasible prepares and solves once: one Smith form per call with
@@ -515,19 +533,94 @@ class TestIntegerSystem:
         assert calls == {"smith_normal_form": 200, "dual_rays": 89}
 
     def test_each_solve_gets_the_whole_budget(self):
-        # the thin slab of TestIlpFeasible: 1000 nodes raise, 1001 decide
-        slab = TestIlpFeasible.SLAB
+        # the thin slab of TestIlpFeasible as a record on its homogenized
+        # cone, (x, y, z) with z = 1: 1000 nodes raise, 1001 decide
         rhs = TestIlpFeasible().slab_rhs(1000)
-        system = IntegerSystem(2, ineq_lhs=slab)
+        image = ConeImage([[0, 0, 1]],
+                          [row + [-h] for row, h in zip(TestIlpFeasible.SLAB, rhs)], 3)
         with pytest.raises(ResourceLimit), ilp_budget(1000):
-            system.solve(ineq_rhs=rhs)
+            image.preimage([1])
         with ilp_budget(1001):
-            # a budget shared by the two solves would run out in the second
-            assert system.solve(ineq_rhs=rhs) is None
-            assert system.solve(ineq_rhs=rhs) is None
+            # a budget shared by the two calls would run out in the second
+            assert image.preimage([1]) is None
+            assert image.preimage([1]) is None
         with pytest.raises(ResourceLimit), ilp_budget(1000):
-            system.solve(ineq_rhs=rhs)
-        assert system.solve(ineq_rhs=rhs) is None
+            image.preimage([1])
+        assert image.preimage([1]) is None
+
+
+def random_cone_image(rng):
+    """A small cone image (matrix, facets, cols): cols <= 3 and entries
+    <= 3.  σ lies in N^cols, cut in half the cases by one or two more
+    facets, some given with their negative as an equation; the other half
+    is σ = N^cols, the cone of ``lift.solve_exponents``, with a matrix of
+    nonnegative entries.  The first row of the matrix is positive, so
+    every preimage of b lies in the box x_i <= b_0 / A_0i."""
+    cols = rng.randint(1, 3)
+    facets = identity(cols)
+    cut = rng.random() < 0.5
+    if cut:
+        for _ in range(rng.randint(1, 2)):
+            f = [rng.randint(-3, 3) for _ in range(cols)]
+            facets.append(f)
+            if rng.random() < 0.3:
+                facets.append([-x for x in f])
+    least = -3 if cut else 0
+    matrix = [[rng.randint(1, 3) for _ in range(cols)]] + [
+        [rng.randint(least, 3) for _ in range(cols)] for _ in range(rng.randint(0, 2))]
+    return matrix, facets, cols
+
+
+def cone_image_faults(make, rng, count=250):
+    """Run ``make(matrix, facets, cols)``, a record or a planted mutation
+    of it, on ``count`` random cone images, each asked at the image of a
+    lattice point of its cone and at two other b; return the answers that
+    differ from enumeration of the box, those of ``lift.solve_exponents``
+    on σ = N^cols included, and what was seen."""
+    faults, seen = [], Counter()
+    for _ in range(count):
+        matrix, facets, cols = random_cone_image(rng)
+        image = make(matrix, facets, cols)
+        point = [rng.randint(0, 2) for _ in range(cols)]
+        bs = [list(mat_vec(matrix, point)),
+              [v + rng.randint(-1, 1) for v in mat_vec(matrix, point)],
+              [rng.randint(0, 6) for _ in matrix]]
+        for b in bs:
+            box = [range(b[0] // a + 1) for a in matrix[0]]
+            brute = [x for x in itertools.product(*box)
+                     if list(mat_vec(matrix, x)) == b and all(dot(f, x) >= 0 for f in facets)]
+            answers = [image.preimage(b)]
+            if len(facets) == cols:
+                answers.append(solve_exponents(MonomialChart(tuple(map(tuple, matrix))), b))
+                seen["orthant"] += 1
+            else:
+                seen["cut"] += 1
+            for got in answers:
+                if (got is None) != (not brute) or got is not None and (
+                        list(mat_vec(matrix, got)) != b or any(dot(f, got) < 0 for f in facets)):
+                    faults.append((matrix, facets, b, got))
+            seen["member" if brute else "not a member"] += 1
+            seen["equation"] += any([-x for x in f] in facets for f in facets)
+    return faults, seen
+
+
+class TestConeImageOracle:
+    """Brute force on small cones: the record's answer is that of
+    enumerating the box its first row bounds, and each witness is a
+    lattice point of the cone that the matrix sends to b."""
+
+    def test_against_enumeration(self):
+        faults, seen = cone_image_faults(ConeImage, random.Random(3101))
+        assert faults == []
+        assert min(seen.values()) >= 60, seen
+
+    @pytest.mark.parametrize("mutation", [
+        lambda m, f, c: ConeImage(m, f[:-1], c),
+        lambda m, f, c: ConeImage(m, [[-x for x in f[0]]] + f[1:], c)],
+        ids=["dropped facet", "flipped facet"])
+    def test_planted_mutations_are_caught(self, mutation):
+        faults, _ = cone_image_faults(mutation, random.Random(3101))
+        assert len(faults) >= 10, faults
 
 
 # ---------------------------------------------------------------------------

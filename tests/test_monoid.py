@@ -341,15 +341,15 @@ class TestNonSharp:
         assert kinds == {0, 1}
 
     def test_generating_set_lifts_without_ilp(self, monkeypatch):
+        # every integer program of the library is a ConeImage.preimage call
         calls = []
-        original = logfirm.intlinalg.ilp_feasible
+        original = logfirm.intlinalg.ConeImage.preimage
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(logfirm.monoid, "ilp_feasible", counting)
-        monkeypatch.setattr(logfirm.intlinalg, "ilp_feasible", counting)
+        monkeypatch.setattr(logfirm.intlinalg.ConeImage, "preimage", counting)
         rng = random.Random(78)
         checked = 0
         while checked < 60:

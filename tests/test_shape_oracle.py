@@ -25,9 +25,10 @@ from logfirm.charts import orthant_monoid
 from logfirm.fan import cone_faces, make_cone, sigma_n
 from logfirm.firmament import contact_order, firmament_from_charts
 from logfirm.intlinalg import (
-    IntegerSystem,
+    ConeImage,
     dot,
     identity,
+    ilp_feasible,
     kernel_and_cokernel,
     lattice_quotient,
     smith_normal_form,
@@ -48,7 +49,8 @@ def empty_shape_faults(n: int, rng) -> set[str]:
     """The names of the checks that miss their closed form at width n: the
     lattice routines on a matrix with no rows and n columns, the monoid
     routines on the zero monoid of Z^n and on the group Z^n, and seeded
-    systems with no equations against the route through one zero row."""
+    cone images and inhomogeneous programs with no equations against the
+    route through one zero row."""
     faults = set()
     eye = tuple(map(tuple, identity(n)))
     zeros = (0,) * n
@@ -67,8 +69,13 @@ def empty_shape_faults(n: int, rng) -> set[str]:
     for _ in range(20):
         ineq = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 3))]
         rhs = [rng.randint(-3, 3) for _ in ineq]
-        got = IntegerSystem(n, None, ineq).solve(None, rhs)
-        if got != IntegerSystem(n, [zeros], ineq).solve([0], rhs):
+        got = ConeImage([], ineq, n).preimage([])
+        if got != ConeImage([zeros], ineq, n).preimage([0]):
+            faults.add("system")
+        if got is None or len(got) != n or any(dot(row, got) < 0 for row in ineq):
+            faults.add("system")
+        got = ilp_feasible(n, None, None, ineq, rhs)
+        if got != ilp_feasible(n, [zeros], [0], ineq, rhs):
             faults.add("system")
         if got is not None and (len(got) != n or any(
                 dot(row, got) < c for row, c in zip(ineq, rhs))):

@@ -4,8 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from logfirm.fan import cone_complex
-from logfirm.svg import RankUnsupported, emit_fan, emit_point_grid
+from logfirm.svg import RankUnsupported, emit_point_grid
 
 
 def parse(doc: str):
@@ -35,31 +34,3 @@ class TestPointGrid:
     def test_rank_checked(self):
         with pytest.raises(RankUnsupported):
             emit_point_grid(2, {(1, 2, 3)})
-
-
-class TestFan:
-    def test_blowup_fan_two_cones(self):
-        fan = cone_complex(2, [[(1, 0), (1, 1)], [(1, 1), (0, 1)]])
-        doc = emit_fan(fan, box=4)
-        root = parse(doc)
-        lines = [e for e in root.iter() if e.tag.endswith("line")]
-        # two axes plus three distinct rays
-        assert len(lines) == 5
-
-    def test_empty_fan_axes_only(self):
-        fan = cone_complex(2, [])
-        doc = emit_fan(fan, box=2)
-        root = parse(doc)
-        lines = [e for e in root.iter() if e.tag.endswith("line")]
-        circles = [e for e in root.iter() if e.tag.endswith("circle")]
-        assert len(lines) == 2
-        assert circles == []
-
-    def test_rank_checked(self):
-        fan = cone_complex(3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
-        with pytest.raises(RankUnsupported):
-            emit_fan(fan)
-
-    def test_deterministic(self):
-        fan = cone_complex(2, [[(1, 0), (0, 1)]])
-        assert emit_fan(fan) == emit_fan(fan)
