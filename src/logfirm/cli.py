@@ -114,10 +114,8 @@ def _natural(x, what: str, least: int = 0) -> int:
 
 
 def monoid_from_json(d) -> AffineMonoid:
-    rank = _natural(d["rank"], "rank")
-    group = d.get("group")
-    return saturate(rank, _rows(d["generators"], rank, "generators"),
-                    group=None if group is None else _rows(group, rank, "group"))
+    return saturate(_natural(d["rank"], "rank"), d["generators"],
+                    group=d.get("group"))
 
 
 def monoid_to_json(m: AffineMonoid):

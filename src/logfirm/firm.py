@@ -22,14 +22,18 @@ answer always names the zero face of N.
 
 Two exact arguments spare work on charts that cannot witness firmness:
 
-- a chart θᵢ that is not local has no factorization: if θᵢ(p) = 0 with
-  p ≠ 0, then h(θᵢ(p)) = 0 ≠ ψ(p) for every h, since ψ is local.  So
-  ``firm_check`` skips it without an integer program;
-- the leg ℓ is local exactly when it kills no extreme ray of R, and ℓ
-  kills a ray exactly when the ray's image in the saturation S, whose
-  sharpening is N, is a unit of S: when every facet of S vanishes on it.
-  So ``firm_check_pushout`` reads locality off S, and only a local leg is
-  built, by sharpening S, and searched for a retraction.
+- a chart θᵢ that is not local witnesses neither criterion.  Say θᵢ(p) = 0
+  with p ≠ 0; then ψ(p) ≠ 0, since ψ is local.  No h has h(θᵢ(p)) = ψ(p),
+  so ``firm_check`` skips the chart without an integer program.  And the
+  pushout square gives ℓ(ψ(p)) = ℓ₁(θᵢ(p)) = 0, with ℓ₁: Qᵢ → N the other
+  leg, so ℓ is not local; ``firm_check_pushout`` skips the chart before it
+  forms the pushout;
+- for a local chart, the leg ℓ is local exactly when it kills no extreme
+  ray of R, and ℓ kills a ray exactly when the ray's image in the
+  saturation S, whose sharpening is N, is a unit of S: when every facet of
+  S vanishes on it.  So ``firm_check_pushout`` reads locality off S, and
+  only a local leg is built, by sharpening S, and searched for a
+  retraction.
 
 The faces an answer names, N's zero face and the face h^{-1}(0) of Qᵢ that
 a factorization h kills, are built in :mod:`logfirm.monoid`.
@@ -148,11 +152,16 @@ def firm_check_pushout(prob: FiberProblem, q: LogPointQuery) -> PushoutFirmness:
 
     Only G = {0} needs a search (see the module docstring): a retraction
     t_G at any face gives the retraction t_G o proj_G of the leg itself, and
-    the preimage of {0} is trivial exactly when the leg is local.  So a
-    chart whose leg is not local is skipped, read off the saturation before
-    the leg is built; every other chart takes one retraction search on N,
-    and the face returned is the zero face of N."""
+    the preimage of {0} is trivial exactly when the leg is local.  A chart
+    that is not local is skipped before its pushout is formed: if
+    theta_i(p) = 0 with p != 0, the leg sends psi(p) != 0 to the image of
+    theta_i(p) = 0 under the other leg, so it is not local.  Of the
+    other charts, one whose leg is not local is skipped, read off the
+    saturation before the leg is built; every other chart takes one
+    retraction search on N, and the face returned is the zero face of N."""
     for i, theta in enumerate(prob.components):
+        if not is_local(theta):
+            continue  # the leg kills psi(p) wherever theta(p) = 0 with p != 0
         res = fs_pushout(theta, q.psi)
         if not _leg_is_local(res):
             continue  # a nonzero element of R lands on every face of N

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 from .intlinalg import (
@@ -33,6 +34,7 @@ from .intlinalg import (
     identity,
     in_row_lattice,
     incidence,
+    int_vector,
     kernel_and_cokernel,
     lattice_quotient,
     mat_mul,
@@ -166,13 +168,38 @@ class AffineMonoid:
         return (self.group_rank, tuple(sorted(self.hilbert_local)))
 
 
+# saturate's table of shared records: weak, so it keeps alive no monoid that
+# every caller has dropped
+_SATURATED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     """The fs monoid cone(generators) intersected with the subgroup generated
     by them, or with an explicitly supplied subgroup; the monoid's group is
     then the supplied one cut down to the span of the generators.
-    Idempotent.  Raises ValueError when a generator lies outside the
-    supplied group, the zero group included."""
-    gens = [tuple(g) for g in generators if any(g)]
+    Idempotent.  Raises ValueError when a generator or a group row is not
+    ``ambient_rank`` integers (no bool or float), or when a generator lies
+    outside the supplied group, the zero group included.
+
+    Records are shared (hash-consed): while a caller keeps the result, a
+    call with the same ambient rank, the same generators in the same order
+    and the same group rows (or None), as lists or tuples alike,
+    returns that very record, with whatever it has cached, such as its
+    Hilbert basis.  A record built directly by ``AffineMonoid(...)`` is not
+    shared."""
+    gens = tuple(int_vector(v, ambient_rank, "generators row") for v in generators)
+    if group is not None:
+        group = tuple(int_vector(v, ambient_rank, "group row") for v in group)
+    key = (ambient_rank, gens, group)
+    m = _SATURATED.get(key)
+    if m is None:
+        m = _SATURATED[key] = _saturate(
+            ambient_rank, tuple(v for v in gens if any(v)), group)
+    return m
+
+
+def _saturate(ambient_rank: int, gens: tuple[Vec, ...], group) -> AffineMonoid:
+    """``saturate`` on checked nonzero generators, without the table."""
     basis = tuple(row_lattice_basis(gens if group is None else group))
     g = len(basis)
     gens_local = []
@@ -187,9 +214,9 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     if dd.equations:
         # the generators span less than the supplied group: the monoid's
         # group is the part of it in their span
-        return saturate(ambient_rank, gens,
-                        group=[mat_vec(transpose(basis), c) for c in dd.span_basis])
-    return AffineMonoid(ambient_rank, tuple(gens), basis, dd.facets, dd.rays)
+        return _saturate(ambient_rank, gens,
+                         [mat_vec(transpose(basis), c) for c in dd.span_basis])
+    return AffineMonoid(ambient_rank, gens, basis, dd.facets, dd.rays)
 
 
 def _hilbert_basis_local(rays, facets, g: int) -> tuple[Vec, ...]:

@@ -302,9 +302,10 @@ def shortcut_corpus(name):
 
 @pytest.mark.parametrize("corpus", ["random", "decide"])
 class TestChartLocalityShortcuts:
-    """``firm_check`` skips a chart that is not local, and
-    ``firm_check_pushout`` reads the locality of each leg off the saturation
-    and builds only a local leg; both are exact."""
+    """``firm_check`` and ``firm_check_pushout`` skip a chart that is not
+    local, the latter before it forms the chart's pushout; of the other
+    charts, ``firm_check_pushout`` reads the locality of each leg off the
+    saturation and builds only a local leg; all three are exact."""
 
     def test_nonlocal_chart_never_witnesses(self, corpus):
         # theta(p) = 0 for some p != 0, while psi(p) != 0: no h has
@@ -346,9 +347,9 @@ class TestChartLocalityShortcuts:
     def test_no_search_for_a_chart_or_leg_that_is_not_local(self, corpus,
                                                             monkeypatch):
         # the skipped work is not done: up to the chart that witnesses
-        # firmness, a factorization search per local chart, and a
-        # sharpening per pushout whose leg is local
-        calls = {"find_factorization": 0, "sharpen": 0}
+        # firmness, a factorization search and a pushout per local chart,
+        # and a sharpening per pushout whose leg is local
+        calls = {"find_factorization": 0, "fs_pushout": 0, "sharpen": 0}
 
         def counted(name, module):
             def call(*args, real=getattr(module, name)):
@@ -357,6 +358,7 @@ class TestChartLocalityShortcuts:
             monkeypatch.setattr(module, name, call)
 
         counted("find_factorization", firm)
+        counted("fs_pushout", firm)
         counted("sharpen", monoid)
         for prob, q in shortcut_corpus(corpus):
             last = len(prob.components)
@@ -369,8 +371,9 @@ class TestChartLocalityShortcuts:
             charts = prob.components[:last if not res.firm
                                      else res.component_index + 1]
             pushouts = [fs_pushout(theta, q.psi) for theta in charts]
-            calls["sharpen"] = 0
+            calls["fs_pushout"] = calls["sharpen"] = 0
             firm_check_pushout(prob, q)
+            assert calls["fs_pushout"] == sum(map(is_local, charts))
             assert calls["sharpen"] == sum(map(firm._leg_is_local, pushouts))
 
 

@@ -5,8 +5,10 @@ and cross-checked against the library's exact computations.
 """
 
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -156,6 +158,72 @@ class TestSaturate:
         assert not m.contains((1, 0))
         assert not m.contains((-1, 1))
         assert m.contains((0, 0))
+
+
+class TestSharedRecords:
+    """``saturate`` returns one record for equal inputs while a caller keeps
+    it, and forgets it once every caller has dropped it."""
+
+    def test_equal_inputs_give_the_identical_record(self):
+        m = saturate(2, [(2, 0), (1, 1), (0, 2)])
+        assert saturate(2, ((2, 0), (1, 1), (0, 2))) is m
+        assert saturate(2, [[2, 0], [1, 1], [0, 2]]) is m
+        cut = saturate(2, [(1, 0), (1, 3)], group=[[1, 0], [0, 1]])
+        assert saturate(2, ((1, 0), (1, 3)), group=((1, 0), (0, 1))) is cut
+        # the group is part of the input: without it the group is Z x 3Z
+        assert saturate(2, [(1, 0), (1, 3)]) != cut
+        # what one caller reads, the next one gets
+        m.hilbert_local
+        assert "hilbert_local" in vars(saturate(2, [(2, 0), (1, 1), (0, 2)]))
+
+    def test_generator_lists_of_one_monoid_keep_their_own_records(self):
+        lists = [[(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)],
+                 [(0, 1), (1, 0)], [(1, 0), (0, 0), (0, 1)]]
+        records = [saturate(2, gens) for gens in lists]
+        assert len({id(m) for m in records}) == len(lists)
+        assert all(m == records[0] for m in records)
+        assert [m.generators for m in records] == [
+            ((1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1)),
+            ((0, 1), (1, 0)), ((1, 0), (0, 1))]
+
+    def test_a_dropped_record_is_freed_and_recomputed(self, monkeypatch):
+        calls = []
+
+        def counting(*args, real=logfirm.monoid.dual_description):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(logfirm.monoid, "dual_description", counting)
+        gens = [(5, 1), (1, 7), (3, 4)]
+        m = saturate(2, gens)
+        assert len(calls) == 1
+        assert saturate(2, gens) is m
+        assert len(calls) == 1
+        ref, rays = weakref.ref(m), m.rays_local
+        del m
+        gc.collect()
+        assert ref() is None
+        again = saturate(2, gens)
+        assert len(calls) == 2
+        assert again.rays_local == rays
+
+    @pytest.mark.parametrize("gens, group", [
+        ([(True, 0), (0, 1)], None),
+        ([(1.0, 0), (0, 1)], None),
+        ([(1, 0, 0)], None),
+        ([(1,)], None),
+        ([(1, 0)], [(True, 0), (0, 1)]),
+        ([(1, 0)], [(1, 0, 0)]),
+        ([(1, 0)], [(0, 1)]),   # a generator outside the supplied group
+    ])
+    def test_raising_inputs_store_nothing(self, gens, group):
+        # (True, 0) == (1, 0) as keys: unchecked, it would return this record
+        kept = saturate(2, [(1, 0), (0, 1)])
+        held = dict(logfirm.monoid._SATURATED)
+        with pytest.raises(ValueError):
+            saturate(2, gens, group)
+        assert len(logfirm.monoid._SATURATED) == len(held)
+        assert kept.generators == ((1, 0), (0, 1))
 
 
 def random_monoid(rng, rank):
@@ -463,7 +531,9 @@ class TestLazyHilbertBasis:
 
     def test_equality_and_hash_ignore_reads(self):
         gens = [(2, 0), (1, 1), (0, 2)]
-        read, unread = saturate(2, gens), saturate(2, gens)
+        # saturate shares records, so each side is a fresh copy
+        read = dataclasses.replace(saturate(2, gens))
+        unread = dataclasses.replace(read)
         before = hash(read)
         read.hilbert_local
         assert hash(read) == before == hash(unread)
@@ -524,8 +594,11 @@ class TestFaces:
         rng = random.Random(1913)
         seen = {"rank 0": 0, "non-simplicial": 0, "sublattice": 0}
         for m in sharp_corpus(rng):
-            zero = zero_face(m)
-            assert "hilbert_local" not in vars(m)
+            # saturate shares records, so a Hilbert basis that another
+            # caller read may be cached on m already; a fresh copy has none
+            fresh = dataclasses.replace(m)
+            zero = zero_face(fresh)
+            assert "hilbert_local" not in vars(fresh)
             assert zero == faces(m)[0]
             assert zero.generator_subset == ()
             seen["rank 0"] += m.group_rank == 0
