@@ -250,10 +250,9 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex
     """Build a complex from the ray lists of its cones, checking that they
     form a fan: raises ValueError when a cone has a line (see
     :func:`make_cone`), when two maximal cones do not meet in a common face,
-    or when the scale is below 1.  A cone listed together with one of its
-    faces is fine; the face is not maximal."""
-    if scale < 1:
-        raise ValueError("scale factor must be positive")
+    or when the scale is not an integer >= 1.  A cone listed together with
+    one of its faces is fine; the face is not maximal."""
+    _check_scale(scale)
     c = _assemble(ambient_rank, [make_cone(ambient_rank, rays)
                                  for rays in maximal_rays], scale)
     for a, b in itertools.combinations(c.maximal, 2):
@@ -263,6 +262,12 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex
         if inter not in a.faces or inter not in b.faces:
             raise ValueError("cones do not meet along a common face")
     return c
+
+
+def _check_scale(k) -> None:
+    """Raise ValueError unless the scale k is an int (not a bool) >= 1."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"scale factor must be an integer >= 1, got {k!r}")
 
 
 def _flat(f, c: Cone) -> bool:
@@ -600,9 +605,9 @@ def sigma_n(rank: int, n: int) -> ConeComplex:
 
 
 def root_rescale(c: ConeComplex, k: int) -> ConeComplex:
-    """Same fan over the lattice refined by k (scale bookkeeping only)."""
-    if k < 1:
-        raise ValueError("scale factor must be positive")
+    """Same fan over the lattice refined by k (scale bookkeeping only).
+    Raises ValueError unless k is an integer >= 1."""
+    _check_scale(k)
     if k == 1:
         return c
     return ConeComplex(c.ambient_rank, c.maximal, c.scale * k)

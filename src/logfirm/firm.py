@@ -176,10 +176,10 @@ def _leg_is_local(res: PushoutResult) -> bool:
     without sharpening it: the leg kills an extreme ray of R exactly when
     the ray's image in S is a unit, that is, when every facet of S vanishes
     on it."""
-    facets = res.saturation_free.facets_local
+    facets = res.saturation_free.cone.facets
     return not any(all(dot(f, image) == 0 for f in facets)
                    for image in (mat_vec(res.leg2_free, c)
-                                 for c in res.leg2_source.rays_local))
+                                 for c in res.leg2_source.cone.rays))
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,8 @@ class ContactOrder:
 
 def dual_cone_complex(m: AffineMonoid) -> ConeComplex:
     """The cone of nonnegative functionals on a monoid, as a one-cone complex
-    in the dual of gp(m): its rays are the facets that m stores."""
-    return cone_complex(m.group_rank, [m.facets_local])
+    in the dual of gp(m): its rays are the facets of m's cone."""
+    return cone_complex(m.group_rank, [m.cone.facets])
 
 
 def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
@@ -123,7 +123,7 @@ def firmament_from_charts(p: AffineMonoid, thetas) -> Firmament:
             raise ValueError("every chart must start at the base monoid")
         width = theta.target.group_rank
         maximal.append([[0] * offset + list(r) + [0] * (total - offset - width)
-                        for r in theta.target.facets_local])
+                        for r in theta.target.cone.facets])
         offset += width
     matrix = [[row[i] for theta in thetas for row in theta.local]
               for i in range(p.group_rank)]
@@ -139,14 +139,15 @@ def firmament_member(gamma: Firmament, n) -> bool:
     once per firmament, not once per point.  Each record is written in its
     cone's span, so a cone whose chart is injective on that span takes no
     search.  Each call gets the whole node budget of
-    :func:`~logfirm.intlinalg.ilp_budget`.  Raises ValueError when n does
-    not have one coordinate per target dimension, with or without a source
-    cone."""
-    coords = list(n.coordinates) if isinstance(n, IntegralPoint) else list(n)
+    :func:`~logfirm.intlinalg.ilp_budget`.  Raises ValueError unless n has
+    one int (not a bool or float) per target dimension, with or without a
+    source cone."""
+    coords = tuple(n.coordinates) if isinstance(n, IntegralPoint) else tuple(n)
     rank = gamma.map.target.ambient_rank
     if len(coords) != rank:
         raise ValueError(f"a point of this firmament has {rank} coordinates; "
                          f"this one has {len(coords)}")
+    coords = int_vector(coords, rank, "point")
     return any(system.preimage(coords) is not None for system in gamma.systems)
 
 

@@ -534,7 +534,7 @@ class Cone:
     ⟨facet, x⟩ >= 0; an equation of a lower-dimensional cone is listed as f
     and -f).  ``incidence`` holds, for each facet, the indices of the rays on
     which it vanishes; it follows from the rays and facets, so equality
-    ignores it.
+    ignores it.  ``fan`` and ``monoid.AffineMonoid`` keep this one record.
 
     Which facets are equations, and so the lattice of the cone's span, is
     decided here once (``equations``, ``span_basis``), by the f and -f rule
@@ -666,12 +666,6 @@ def _simplicial_description(rays: list[Vec], dim: int) -> Cone | None:
                       for i in range(dim))
     return Cone(dim, tuple(gens), tuple(f for f, _ in by_facet),
                 tuple(on for _, on in by_facet))
-
-
-def incidence(points, normals) -> tuple[frozenset, ...]:
-    """For each normal, the indices of the points on which it vanishes."""
-    return tuple(frozenset(i for i, p in enumerate(points) if dot(a, p) == 0)
-                 for a in normals)
 
 
 def face_closure(tight, n_points: int) -> set[frozenset]:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .intlinalg import ConeImage, identity, scaled_solution, smith_normal_form
+from .intlinalg import (
+    ConeImage, identity, int_vector, scaled_solution, smith_normal_form)
 
 
 def _primes_of(n: int) -> set[int]:
@@ -34,16 +35,15 @@ def _primes_of(n: int) -> set[int]:
 
 @dataclass(frozen=True)
 class MonomialChart:
-    """matrix[j][i] = exponent of x_i in y_j; all entries nonnegative."""
+    """matrix[j][i] = exponent of x_i in y_j; all entries nonnegative
+    ints, and every row as long as the first, else ValueError."""
 
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         for row in self.matrix:
-            if any(a < 0 for a in row):
+            if any(a < 0 for a in int_vector(row, self.num_source, "exponent row")):
                 raise ValueError("monomial exponents must be nonnegative")
-            if len(row) != len(self.matrix[0]):
-                raise ValueError("ragged exponent matrix")
 
     @property
     def num_target(self) -> int:
@@ -78,12 +78,14 @@ class LiftSolution:
 
 def solve_exponents(chart: MonomialChart, e) -> tuple[int, ...] | None:
     """A nonnegative integer solution x of A.x = e, or None (complete): a
-    lattice point of N^m that A sends to e."""
-    e = list(e)
+    lattice point of N^m that A sends to e.  Raises ValueError unless e is
+    one int per target coordinate."""
+    e = tuple(e)
     m = chart.num_source
     if len(e) != chart.num_target:
         raise ValueError("valuation vector length mismatch")
-    return ConeImage(chart.matrix, identity(m), m).preimage(e)
+    return ConeImage(chart.matrix, identity(m), m).preimage(
+        int_vector(e, chart.num_target, "valuations"))
 
 
 def solve_units(chart: MonomialChart):

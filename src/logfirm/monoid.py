@@ -6,7 +6,7 @@ down to their span) in an ambient lattice Z^d.  All structural computation
 happens in "local" coordinates on the group: the group basis is a
 Hermite-form lattice basis, and cones, facets, and Hilbert bases live in Z^g
 where g is the group rank.  Duals, copies in group coordinates and faces are
-read off the facets and rays; one routine, ``_face``, builds every face.
+read off the monoid's cone record; one routine, ``_face``, builds every face.
 Every quotient (sharpening, localization, the group of an fs pushout) is
 read off one Smith form, by :func:`~logfirm.intlinalg.lattice_quotient`.
 
@@ -27,13 +27,13 @@ import weakref
 from dataclasses import dataclass, field
 
 from .intlinalg import (
+    Cone,
     ConeImage,
     Vec,
     dual_description,
     face_closure,
     identity,
     in_row_lattice,
-    incidence,
     int_vector,
     kernel_and_cokernel,
     lattice_quotient,
@@ -64,20 +64,19 @@ class NotAFace(Exception):
 
 @dataclass(frozen=True)
 class AffineMonoid:
-    """Equality compares the group, facets and rays, which are canonical
-    for the monoid as a set: two generator lists of one monoid give equal
-    records."""
+    """Equality compares the group and the cone's rays and facets, which
+    are canonical for the monoid as a set: two generator lists of one monoid
+    give equal records."""
 
     ambient_rank: int
     generators: tuple[Vec, ...] = field(compare=False)
     group_basis: tuple[Vec, ...]       # Hermite-form rows spanning the group
-    facets_local: tuple[Vec, ...]      # dual cone generators, group coords
-    rays_local: tuple[Vec, ...]        # extreme rays, group coords; () if not sharp
+    cone: Cone                         # in group coords; no rays if not sharp
 
     @property
     def sharp(self) -> bool:
         """Only 0 is a unit: true iff the group is 0 or the cone has rays."""
-        return not self.group_basis or bool(self.rays_local)
+        return not self.group_basis or bool(self.cone.rays)
 
     @functools.cached_property
     def hilbert_local(self) -> tuple[Vec, ...] | None:
@@ -88,8 +87,7 @@ class AffineMonoid:
         same element in both."""
         if not self.sharp:
             return None
-        return _hilbert_basis_local(self.rays_local, self.facets_local,
-                                    self.group_rank)
+        return _hilbert_basis_local(self.cone)
 
     # -- coordinates ------------------------------------------------------
 
@@ -112,9 +110,7 @@ class AffineMonoid:
 
     def contains(self, v) -> bool:
         c = self.coords(v)
-        if c is None:
-            return False
-        return all(dot(f, c) >= 0 for f in self.facets_local)
+        return c is not None and self.cone.contains(c)
 
     @property
     def hilbert(self) -> tuple[Vec, ...]:
@@ -157,7 +153,7 @@ class AffineMonoid:
     def unit_basis(self) -> tuple[Vec, ...]:
         """Ambient basis of the group of units (lineality of the cone): the
         kernel of the facets, all of the group when there are none."""
-        lin = kernel_and_cokernel(self.facets_local, self.group_rank).kernel_basis
+        lin = kernel_and_cokernel(self.cone.facets, self.group_rank).kernel_basis
         return tuple(self.ambient(b) for b in lin)
 
     def canonical_key(self):
@@ -209,24 +205,25 @@ def _saturate(ambient_rank: int, gens: tuple[Vec, ...], group) -> AffineMonoid:
             raise ValueError("generator outside the supplied group")
         gens_local.append(c)
     if not gens:
-        return AffineMonoid(ambient_rank, (), (), (), ())
+        return AffineMonoid(ambient_rank, (), (), Cone(0, (), (), ()))
     dd = dual_description(gens_local, g)
     if dd.equations:
         # the generators span less than the supplied group: the monoid's
         # group is the part of it in their span
         return _saturate(ambient_rank, gens,
                          [mat_vec(transpose(basis), c) for c in dd.span_basis])
-    return AffineMonoid(ambient_rank, gens, basis, dd.facets, dd.rays)
+    return AffineMonoid(ambient_rank, gens, basis, dd)
 
 
-def _hilbert_basis_local(rays, facets, g: int) -> tuple[Vec, ...]:
-    """Hilbert basis of a pointed full-dimensional cone in Z^g.
+def _hilbert_basis_local(cone: Cone) -> tuple[Vec, ...]:
+    """Hilbert basis of a pointed full-dimensional cone.
 
     Candidates are the lattice points of the zonotope spanned by the extreme
     rays (every irreducible element lies in the fundamental parallelepiped of
     some simplicial subcone); irreducibles are extracted by a graded greedy
     pass.
     """
+    rays, facets, g = cone.rays, cone.facets, cone.ambient_rank
     lo = [sum(min(0, r[j]) for r in rays) for j in range(g)]
     hi = [sum(max(0, r[j]) for r in rays) for j in range(g)]
     candidates = []
@@ -251,8 +248,7 @@ def in_group_coordinates(m: AffineMonoid) -> AffineMonoid:
     its group coordinates and its ambient coordinates agree."""
     g = m.group_rank
     gens = tuple(c for c in map(m.coords, m.generators) if c is not None)
-    return AffineMonoid(g, gens, tuple(map(tuple, identity(g))),
-                        m.facets_local, m.rays_local)
+    return AffineMonoid(g, gens, tuple(map(tuple, identity(g))), m.cone)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +282,7 @@ class MonoidHom:
             local = [[c[i] for c in cols] for i in range(target.group_rank)]
             object.__setattr__(self, "matrix", matrix)
         def lands(c):
-            image = mat_vec(local, c)
-            return all(dot(f, image) >= 0 for f in target.facets_local)
+            return target.cone.contains(mat_vec(local, c))
 
         # a group map that sends generators of the source cone into the
         # saturated target sends the whole source there: for a sharp source
@@ -296,7 +291,7 @@ class MonoidHom:
         # constructor builds).  A sharp source is reported by its first
         # Hilbert element that fails; an extreme ray is one, so one fails
         if source.sharp:
-            bad = (None if all(lands(c) for c in source.rays_local)
+            bad = (None if all(lands(c) for c in source.cone.rays)
                    else next(c for c in source.hilbert_local if not lands(c)))
         else:
             bad = next((c for c in map(source.coords, source.generators)
@@ -365,7 +360,7 @@ def _killed_rays(h: MonoidHom) -> list[Vec]:
     target h^{-1}(0) is a face, spanned by them when the source is sharp."""
     if not h.target.sharp:
         raise NotSharp("h^{-1}(0) is a face only when the target is sharp")
-    return [c for c in h.source.rays_local if not any(mat_vec(h.local, c))]
+    return [c for c in h.source.cone.rays if not any(mat_vec(h.local, c))]
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +379,11 @@ class Face:
 
 
 def faces(m: AffineMonoid) -> list[Face]:
-    """The full face lattice of a sharp monoid, from {0} to m itself."""
-    tight = incidence(m.rays_local, m.facets_local)
+    """The face lattice of a sharp monoid, {0} to m, from its cone's incidence."""
+    tight = m.cone.incidence
     snf = smith_normal_form(m.group_basis, m.ambient_rank)
     out = [_face(m, [j for j, t in enumerate(tight) if on_face <= t], snf=snf)
-           for on_face in face_closure(tight, len(m.rays_local))]
+           for on_face in face_closure(tight, len(m.cone.rays))]
     out.sort(key=lambda f: (len(f.generator_subset), f.generator_subset))
     return out
 
@@ -396,7 +391,7 @@ def faces(m: AffineMonoid) -> list[Face]:
 def zero_face(m: AffineMonoid) -> Face:
     """The face {0} of a sharp monoid, ``faces(m)[0]``, read off the facets
     alone: every facet vanishes on it, and no Hilbert element lies in it."""
-    return _face(m, range(len(m.facets_local)), subset=())
+    return _face(m, range(len(m.cone.facets)), subset=())
 
 
 def _zero_preimage_face(h: MonoidHom) -> Face:
@@ -404,7 +399,7 @@ def _zero_preimage_face(h: MonoidHom) -> Face:
     facets vanishing on every extreme ray h sends to 0."""
     q = h.source
     killed = _killed_rays(h)
-    face = _face(q, [j for j, f in enumerate(q.facets_local)
+    face = _face(q, [j for j, f in enumerate(q.cone.facets)
                      if all(dot(f, c) == 0 for c in killed)])
     if face.generator_subset != tuple(i for i, c in enumerate(q.hilbert_local)
                                       if not any(mat_vec(h.local, c))):
@@ -418,11 +413,11 @@ def _face(m: AffineMonoid, vanishing, subset=None, snf=None) -> Face:
     t * lam_i on the group basis (Smith form ``snf``), lam the facets' sum."""
     if not m.sharp:
         raise NotSharp("faces are enumerated for sharp monoids only")
+    facets = m.cone.facets
     if subset is None:
         subset = tuple(i for i, c in enumerate(m.hilbert_local)
-                       if all(dot(m.facets_local[j], c) == 0 for j in vanishing))
-    lam = [sum(m.facets_local[i][j] for i in vanishing)
-           for j in range(m.group_rank)]
+                       if all(dot(facets[j], c) == 0 for j in vanishing))
+    lam = [sum(facets[i][j] for i in vanishing) for j in range(m.group_rank)]
     snf = snf or smith_normal_form(m.group_basis, m.ambient_rank)
     return Face(subset, scaled_solution(snf, lam)[1])
 
@@ -471,12 +466,12 @@ def _quotient(m: AffineMonoid, vectors) -> tuple[AffineMonoid, MonoidHom]:
 
 def dual(m: AffineMonoid) -> AffineMonoid:
     """Hom(m, N) as an affine monoid in the dual lattice of gp(m): m's cone
-    spans gp(m) and is pointed, so its facets are the dual's rays."""
+    spans gp(m) and is pointed, so its record, transposed, is the dual's."""
     if not m.sharp:
         raise NotSharp("dual is defined for sharp monoids")
-    g = m.group_rank
-    return AffineMonoid(g, m.facets_local, tuple(map(tuple, identity(g))),
-                        m.rays_local, m.facets_local)
+    c, g = m.cone, m.group_rank
+    return AffineMonoid(g, c.facets, tuple(map(tuple, identity(g))),
+                        Cone(g, c.facets, c.rays, c.ray_facets))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +611,7 @@ def find_factorization(theta: MonoidHom, psi: MonoidHom) -> MonoidHom | None:
     eq = [[x if k == i else 0 for k in range(gr) for x in u]
           for u, _ in images for i in range(gr)]
     ineq = [[a * x for a in fct for x in u]
-            for u in q.rays_local for fct in r.facets_local]
+            for u in q.cone.rays for fct in r.cone.facets]
     sol = ConeImage(eq, ineq, gr * gq).preimage([x for _, w in images for x in w])
     if sol is None:
         return None
@@ -675,9 +670,9 @@ def is_integral(theta: MonoidHom, bound: int = 6) -> SemiDecision:
         [list(row) + zp + e for row, e in blocks]
         + [zp + list(row) + e for row, e in blocks]
         + [e + [-x for x in e] + zq for e in identity(gp)],
-        [list(f) + zp + zq for f in p.facets_local]
-        + [zp + list(f) + zq for f in p.facets_local]
-        + [zp + zp + list(f) for f in q.facets_local], 2 * gp + gq)
+        [list(f) + zp + zq for f in p.cone.facets]
+        + [zp + list(f) + zq for f in p.cone.facets]
+        + [zp + zp + list(f) for f in q.cone.facets], 2 * gp + gq)
     p_elts = _elements_up_to_degree(p, bound)
     q_elts = _elements_up_to_degree(q, bound)
     image = {a: mat_vec(theta.local, a) for a in p_elts}
@@ -685,7 +680,7 @@ def is_integral(theta: MonoidHom, bound: int = 6) -> SemiDecision:
     for a1, a2 in itertools.product(p_elts, repeat=2):
         for b1 in q_elts:
             b2 = vec_sub(vec_add(image[a1], b1), image[a2])
-            if any(dot(f, b2) < 0 for f in q.facets_local):
+            if not q.cone.contains(b2):
                 continue
             key = tuple(sorted([(a1, b1), (a2, b2)]))
             if key in checked:

@@ -36,8 +36,8 @@ def oracle_find_factorization(theta, psi):
             eq.append(row)
             rhs.append(w[i])
     ineq = []
-    for u in q.rays_local:
-        for fct in r.facets_local:
+    for u in q.cone.rays:
+        for fct in r.cone.facets:
             row = [0] * num_vars
             for i in range(gr):
                 for j in range(gq):
@@ -108,10 +108,10 @@ def oracle_is_integral(theta, bound):
                 eq.append(row)
                 rhs.append(ca2[i] - ca1[i])
             ineq = []
-            for f in p.facets_local:
+            for f in p.cone.facets:
                 ineq.append(list(f) + [0] * (gp + gq))
                 ineq.append([0] * gp + list(f) + [0] * gq)
-            for f in q.facets_local:
+            for f in q.cone.facets:
                 ineq.append([0] * (2 * gp) + list(f))
             if ilp_feasible(nv, eq, rhs, ineq) is None:
                 return SemiDecision("no", bound, witness=(a1, a2, b1, b2))

@@ -16,7 +16,8 @@ from logfirm.charts import parity_cover
 from logfirm.fan import cone_faces, make_cone
 from logfirm.firmament import firmament_from_charts
 from logfirm.intlinalg import dot, face_closure, smith_normal_form, solve_lattice
-from logfirm.monoid import faces, saturate
+from logfirm.monoid import dual, faces, saturate
+from record_oracle import record_faults
 
 
 def _subset_faces(points, normals):
@@ -109,17 +110,23 @@ MONOIDS = _monoid_corpus()
 
 
 def test_monoid_corpus_has_non_simplicial_cones():
-    assert any(len(m.rays_local) > m.group_rank for m in MONOIDS)
+    assert any(len(m.cone.rays) > m.group_rank for m in MONOIDS)
 
 
 @pytest.mark.parametrize("m", MONOIDS, ids=lambda m: str(m.generators))
 def test_monoid_faces_match_subset_enumeration(m):
     hb_local = [m.coords(h) for h in m.hilbert]
     want = {tuple(sorted(face))
-            for face in _subset_faces(hb_local, m.facets_local)}
+            for face in _subset_faces(hb_local, m.cone.facets)}
     got = [f.generator_subset for f in faces(m)]
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+@pytest.mark.parametrize("m", MONOIDS, ids=lambda m: str(m.generators))
+def test_monoid_cone_record_matches_dot_products(m):
+    assert record_faults(m) == []
+    assert record_faults(dual(m)) == []
 
 
 @pytest.mark.parametrize("m", MONOIDS, ids=lambda m: str(m.generators))
@@ -137,7 +144,7 @@ def test_face_normal_is_least_multiple_of_vanishing_facet_sum(m):
     hb_local = [m.coords(h) for h in m.hilbert]
     for f in faces(m):
         lam = [0] * m.group_rank
-        for a in m.facets_local:
+        for a in m.cone.facets:
             if all(dot(a, hb_local[i]) == 0 for i in f.generator_subset):
                 lam = [x + y for x, y in zip(lam, a)]
         on_basis = [dot(f.normal, b) for b in basis]

@@ -228,7 +228,9 @@ class TestRootRescale:
         c = root_rescale(orthant(2), 2)
         assert len(lattice_points_box(c, 1)) == 9  # (2*1+1)^2
 
-    @pytest.mark.parametrize("scale", [0, -1])
+    # a scale that is not an int built a complex whose refinement and box
+    # enumeration raised TypeError
+    @pytest.mark.parametrize("scale", [0, -1, 2.0, 1.5, True])
     def test_complex_scale_below_one_rejected(self, scale):
         with pytest.raises(ValueError):
             cone_complex(2, [[(1, 0), (0, 1)]], scale=scale)
@@ -237,7 +239,11 @@ class TestRootRescale:
 @pytest.mark.parametrize("call, exc", [
     (lambda: common_refinement(orthant(1), orthant(2)), SupportMismatch),
     (lambda: root_rescale(orthant(2), 0), ValueError),
-], ids=["refinement across ranks", "rescale by zero"])
+    (lambda: root_rescale(orthant(2), 1.5), ValueError),
+    (lambda: root_rescale(orthant(2), 1.0), ValueError),
+    (lambda: root_rescale(orthant(2), True), ValueError),
+], ids=["refinement across ranks", "rescale by zero", "rescale by 1.5",
+        "rescale by 1.0", "rescale by True"])
 def test_refused_input_raises(call, exc):
     with pytest.raises(exc):
         call()

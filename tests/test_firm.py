@@ -393,7 +393,7 @@ def test_zero_preimage_face_matches_face_lattice():
         # h sends to 0 the face on which the chosen facets vanish
         rows = []
         for _ in range(rng.randint(1, 3)):
-            chosen = rng.sample(q.facets_local, rng.randint(0, min(2, len(q.facets_local))))
+            chosen = rng.sample(q.cone.facets, rng.randint(0, min(2, len(q.cone.facets))))
             rows.append(tuple(sum(col) for col in zip((0,) * q.group_rank, *chosen)))
         h = MonoidHom(q, N(len(rows)), local=rows)
         got = _zero_preimage_face(h)

@@ -85,6 +85,13 @@ class TestPointShape:
         with pytest.raises(ValueError):
             firmament_member(gamma, [])
 
+    @pytest.mark.parametrize("pt", [[0.5, 0.5], [1.0, 1], [True, 1]])
+    def test_point_must_be_a_lattice_point(self, pt):
+        # these were answered False, True and True
+        _, _, gamma = build(parity_cover)
+        with pytest.raises(ValueError, match="integer entries"):
+            firmament_member(gamma, pt)
+
     @pytest.mark.parametrize("charts", [0, 1, 2])
     def test_long_point_with_or_without_a_source_cone(self, charts):
         # the length is checked before any solve: with no chart there is
@@ -325,7 +332,7 @@ class TestDualCones:
         for chart_fn in (kummer_two_three, parity_root, parity_cover):
             p, thetas = chart_fn()
             for m in [p] + [t.target for t in thetas]:
-                assert dual_cone_complex(m).maximal[0].rays == m.facets_local
+                assert dual_cone_complex(m).maximal[0].rays == m.cone.facets
 
     def test_chart_to_a_monoid_with_units(self):
         # Hom(Z x N, R>=0) is the ray {0} x R>=0, a sharp cone

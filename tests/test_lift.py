@@ -274,6 +274,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             MonomialChart(((1, 2), (1,)))
 
+    @pytest.mark.parametrize("rows", [((1.0, 2),), ((True, 2),), (("1", 2),)])
+    def test_exponents_must_be_ints(self, rows):
+        with pytest.raises(ValueError, match="integer entries"):
+            MonomialChart(rows)
+
+    @pytest.mark.parametrize("vals", [(2.5,), (2.0,), (True,)])
+    def test_valuations_must_be_ints(self, vals):
+        # 2.5 was answered NotInFirmament, a "no" for what is not a point
+        with pytest.raises(ValueError, match="integer entries"):
+            describe_lift(MonomialChart(((1, 2),)), DVRTargetPoint(vals))
+
     def test_valuation_vector_of_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             solve_exponents(CHART_23, (1,))

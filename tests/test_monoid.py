@@ -15,6 +15,7 @@ import pytest
 
 from program_oracle import oracle_find_factorization, oracle_is_integral
 from quotient_oracle import oracle_quotient, oracle_saturate, projection, saturated_span
+from record_oracle import record_faults
 from logfirm.firm import FiberProblem, LogPointQuery, firm_check_pushout
 from logfirm.intlinalg import (
     dot, hermite_normal_form, identity, kernel_and_cokernel, lattice_quotient,
@@ -199,13 +200,13 @@ class TestSharedRecords:
         assert len(calls) == 1
         assert saturate(2, gens) is m
         assert len(calls) == 1
-        ref, rays = weakref.ref(m), m.rays_local
+        ref, rays = weakref.ref(m), m.cone.rays
         del m
         gc.collect()
         assert ref() is None
         again = saturate(2, gens)
         assert len(calls) == 2
-        assert again.rays_local == rays
+        assert again.cone.rays == rays
 
     @pytest.mark.parametrize("gens, group", [
         ([(True, 0), (0, 1)], None),
@@ -348,9 +349,9 @@ class TestNonSharp:
         seen = {True: 0, False: 0, "group": 0}
         for _ in range(400):
             m, group = random_monoid(rng, rng.randint(1, 3))
-            if m.facets_local:
+            if m.cone.facets:
                 zero_kernel = not kernel_and_cokernel(
-                    [list(f) for f in m.facets_local], m.group_rank).kernel_basis
+                    [list(f) for f in m.cone.facets], m.group_rank).kernel_basis
             else:
                 zero_kernel = m.group_rank == 0
             assert m.sharp == zero_kernel, (m.generators, group)
@@ -363,8 +364,8 @@ class TestNonSharp:
         ranks = set()
         for _ in range(200):
             m, _ = random_monoid(rng, rng.randint(1, 3))
-            assert m.sharp == (bool(m.rays_local) or m.group_rank == 0)
-            assert all(m.contains(m.ambient(r)) for r in m.rays_local)
+            assert m.sharp == (bool(m.cone.rays) or m.group_rank == 0)
+            assert all(m.contains(m.ambient(r)) for r in m.cone.rays)
             ranks.add(m.group_rank)
         assert 0 in ranks
 
@@ -524,9 +525,7 @@ class TestLazyHilbertBasis:
             gens = [tuple(rng.randint(-1, 3) for _ in range(rank))
                     for _ in range(rng.randint(1, 4))]
             m = saturate(rank, gens)
-            box = (logfirm.monoid._hilbert_basis_local(
-                m.rays_local, m.facets_local, m.group_rank)
-                if m.sharp else None)
+            box = logfirm.monoid._hilbert_basis_local(m.cone) if m.sharp else None
             assert m.hilbert_local == box
 
     def test_equality_and_hash_ignore_reads(self):
@@ -602,7 +601,7 @@ class TestFaces:
             assert zero == faces(m)[0]
             assert zero.generator_subset == ()
             seen["rank 0"] += m.group_rank == 0
-            seen["non-simplicial"] += len(m.rays_local) > m.group_rank
+            seen["non-simplicial"] += len(m.cone.rays) > m.group_rank
             seen["sublattice"] += proper_sublattice(m)
         assert min(seen.values()) >= 5, seen
 
@@ -894,7 +893,7 @@ class TestDual:
             g = m.group_rank
             gens = [c for c in map(m.coords, m.generators) if c is not None]
             oracles.append((saturate(g, gens, group=identity(g)),
-                            saturate(g, m.facets_local, group=identity(g))
+                            saturate(g, m.cone.facets, group=identity(g))
                             if m.sharp else None))
         calls = []
 
@@ -919,7 +918,7 @@ class TestDual:
                 with pytest.raises(NotSharp):
                     dual(m)
             seen["rank 0"] += m.group_rank == 0
-            seen["non-simplicial"] += len(m.rays_local) > m.group_rank
+            seen["non-simplicial"] += len(m.cone.rays) > m.group_rank
             seen["sublattice"] += proper_sublattice(m)
             seen["not sharp"] += not m.sharp
         assert calls == []
@@ -932,6 +931,32 @@ class TestDual:
         for phi in d.hilbert:
             for h in m.hilbert_local:
                 assert dot(phi, h) >= 0
+
+
+class TestConeRecord:
+    """Each monoid keeps its cone's ``intlinalg.Cone`` record, which
+    ``dual`` transposes and ``faces`` closes (``record_oracle``)."""
+
+    def test_record_oracle_over_the_corpus(self):
+        rng = random.Random(1917)
+        corpus = sharp_corpus(rng) + [
+            m for m, _ in (random_monoid(rng, rng.randint(1, 3))
+                           for _ in range(60)) if not m.sharp]
+        corpus += [dual(m) for m in corpus if m.sharp]
+        seen = Counter()
+        for m in corpus:
+            assert record_faults(m) == [], m
+            seen["rank 0"] += m.group_rank == 0
+            seen["not sharp"] += not m.sharp
+            seen["sublattice"] += proper_sublattice(m)
+            # a dual that kept the incidence untransposed would differ here
+            seen["asymmetric"] += m.sharp and m.cone.ray_facets != m.cone.incidence
+        assert min(seen.values()) >= 5, seen
+
+    def test_no_second_copy_of_the_record(self):
+        m = saturate(2, [(1, 0), (1, 2)])
+        assert not any(hasattr(m, name) for name in ("facets_local", "rays_local"))
+        assert in_group_coordinates(m).cone is m.cone
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +1012,7 @@ class TestHoms:
         # the Hilbert basis is (1,0), (1,1), (1,2) and the extreme rays are
         # (1,0), (1,2); (1,1) -> -1 is the first element outside N
         src = saturate(2, [(1, 0), (1, 1), (1, 2)])
-        assert src.rays_local == ((1, 0), (1, 2))
+        assert src.cone.rays == ((1, 0), (1, 2))
         with pytest.raises(ValueError, match=r"^matrix does not map "
                            r"generator \(1, 1\) into the target monoid$"):
             hom(src, N(), [[2, -3]])

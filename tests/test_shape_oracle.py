@@ -90,7 +90,7 @@ def empty_shape_faults(n: int, rng) -> set[str]:
     if (point.cone_index, point.coordinates) != (0, ()):
         faults.add("contact order")
     group = saturate(n, [v for e in eye for v in (e, tuple(-x for x in e))])
-    if group.facets_local or group.unit_basis() != eye:
+    if group.cone.facets or group.unit_basis() != eye:
         faults.add("unit basis")
     return faults
 
