@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .intlinalg import ConeImage, identity, int_vector, scaled_inverse
+from .intlinalg import ConeImage, identity, int_at_least, int_vector, scaled_inverse
 from .lift import MonomialChart
 
 Exponent = tuple[int, ...]
@@ -104,13 +104,14 @@ def _divides(a: Exponent, b: Exponent) -> bool:
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Ideal generated by monomials, stored by a minimal generator set.
-    Raises ValueError unless each generator holds ``num_vars`` nonnegative
-    ints."""
+    Raises ValueError unless ``num_vars`` is an int >= 0 and each generator
+    holds ``num_vars`` nonnegative ints."""
 
     num_vars: int
     generators: tuple[Exponent, ...]
 
     def __post_init__(self):
+        int_at_least(self.num_vars, "vars")
         for g in self.generators:
             int_vector(g, self.num_vars, "ideal generator")
         if any(e < 0 for g in self.generators for e in g):
@@ -270,12 +271,13 @@ def intersection_multiplicity(i: MonomialIdeal, vals, in_z: bool = False):
 
 def campana_member(n, m: int) -> bool:
     """Whether a point with intersection multiplicity n belongs to the
-    Campana set of level m: inside the subscheme, untouched, or deep enough."""
+    Campana set of level m: inside the subscheme, untouched, or deep enough.
+    Raises ValueError unless n is IN_Z or an int >= 0."""
     if m < 1:
         raise ValueError("the multiplicity level must be at least 1")
     if isinstance(n, InZ):
         return True
-    return n == 0 or n >= m
+    return int_at_least(n, "intersection multiplicity") == 0 or n >= m
 
 
 # ---------------------------------------------------------------------------

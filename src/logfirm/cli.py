@@ -97,25 +97,8 @@ def _load(arg: str):
         return json.load(fh)
 
 
-def _rows(rows, width: int, what: str, count=None) -> list[tuple[int, ...]]:
-    """The rows as tuples, after checking that each holds ``width`` integers
-    and, when ``count`` is given, that there are ``count`` of them."""
-    rows = [tuple(r) for r in rows]
-    if count is not None and len(rows) != count:
-        raise ValueError(f"{what} has {len(rows)} rows, expected {count}")
-    return [int_vector(r, width, f"{what} row") for r in rows]
-
-
-def _natural(x, what: str, least: int = 0) -> int:
-    """x, after checking that it is an integer (not a boolean) >= least."""
-    if type(x) is not int or x < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
-    return x
-
-
 def monoid_from_json(d) -> AffineMonoid:
-    return saturate(_natural(d["rank"], "rank"), d["generators"],
-                    group=d.get("group"))
+    return saturate(d["rank"], d["generators"], group=d.get("group"))
 
 
 def monoid_to_json(m: AffineMonoid):
@@ -128,10 +111,7 @@ def hom_from_json(d, default_source: AffineMonoid | None = None) -> MonoidHom:
               else default_source)
     if source is None:
         raise _UsageError("hom JSON needs a source monoid")
-    target = monoid_from_json(d["target"])
-    return MonoidHom(source, target,
-                     tuple(_rows(d["matrix"], source.ambient_rank, "matrix",
-                                 target.ambient_rank)))
+    return MonoidHom(source, monoid_from_json(d["target"]), d["matrix"])
 
 
 def hom_to_json(h: MonoidHom):
@@ -147,10 +127,8 @@ def hom_to_json(h: MonoidHom):
 
 
 def fan_from_json(d):
-    rank = _natural(d["ambient_rank"], "ambient_rank")
-    return cone_complex(rank, [_rows(c["rays"], rank, "cone rays")
-                               for c in d["cones"]],
-                        scale=_natural(d.get("scale", 1), "scale", 1))
+    return cone_complex(d["ambient_rank"], [c["rays"] for c in d["cones"]],
+                        scale=d.get("scale", 1))
 
 
 def fan_to_json(c):
@@ -170,18 +148,13 @@ def firmament_from_json(d) -> Firmament:
         base = monoid_from_json(d["base"])
         thetas = [hom_from_json(h, base) for h in d["charts"]]
         return firmament_from_charts(base, thetas)
-    source = fan_from_json(d["source"])
-    target = fan_from_json(d["target"])
-    assignments = tuple((a["target"], tuple(_rows(a["matrix"], source.ambient_rank,
-                                                  "cone matrix", target.ambient_rank)))
-                        for a in d["cones"])
-    return Firmament(ConeComplexMap(source, target, assignments))
+    source, target = fan_from_json(d["source"]), fan_from_json(d["target"])
+    return Firmament(ConeComplexMap(source, target, tuple(
+        (a["target"], tuple(map(tuple, a["matrix"]))) for a in d["cones"])))
 
 
 def ideal_from_json(d) -> MonomialIdeal:
-    num_vars = _natural(d["vars"], "vars")
-    return MonomialIdeal.of(num_vars,
-                            _rows(d["generators"], num_vars, "ideal generators"))
+    return MonomialIdeal.of(d["vars"], d["generators"])
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +190,7 @@ def _cmd_firm(args) -> CommandResult:
                                     for h in pd["components"]))
     qd = _load(args.query)
     point_monoid = monoid_from_json(qd["point_monoid"])
-    psi = MonoidHom(base, point_monoid,
-                    tuple(_rows(qd["matrix"], base.ambient_rank, "query matrix",
-                                point_monoid.ambient_rank)))
-    q = LogPointQuery(point_monoid, psi)
+    q = LogPointQuery(point_monoid, MonoidHom(base, point_monoid, qd["matrix"]))
     if args.method == "pushout":
         res = firm_check_pushout(prob, q)
         witness = None
@@ -256,10 +226,8 @@ def _vals_by_generator(m: AffineMonoid, vals: dict) -> dict:
 
 def _cmd_firmament(args) -> CommandResult:
     if args.action == "member":
-        gamma = firmament_from_json(_load(args.map))
-        coords = _rows([_load(args.point)],
-                       gamma.map.target.ambient_rank, "point")[0]
-        member = firmament_member(gamma, coords)
+        member = firmament_member(firmament_from_json(_load(args.map)),
+                                  _load(args.point))
         return CommandResult("ok" if member else "infeasible",
                              {"member": member})
     if args.action == "contact":
@@ -272,7 +240,6 @@ def _cmd_firmament(args) -> CommandResult:
     gamma = firmament_from_json(_load(args.map))
     if gamma.map.target.ambient_rank != 2:
         raise RankUnsupported("SVG output needs a rank-2 target")
-    _natural(args.box, "--box")
     members = {p.coordinates for p in firmament_enumerate_box(gamma, args.box)}
     doc = emit_point_grid(args.box, members)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -283,9 +250,7 @@ def _cmd_firmament(args) -> CommandResult:
 
 def _cmd_fan(args) -> CommandResult:
     if args.action == "subdivide":
-        fan = fan_from_json(_load(args.fan))
-        vector = _rows([_load(args.vector)], fan.ambient_rank, "vector")[0]
-        sub, f = star_subdivision(fan, vector)
+        sub, f = star_subdivision(fan_from_json(_load(args.fan)), _load(args.vector))
         return CommandResult("ok", {"fan": fan_to_json(sub),
                                     "map": map_to_json(f)})
     if args.action == "refine":
@@ -293,10 +258,8 @@ def _cmd_fan(args) -> CommandResult:
         f2 = fan_from_json(_load(args.second))
         return CommandResult("ok", fan_to_json(common_refinement(f1, f2)))
     if args.action == "sigma-n":
-        tower = sigma_n(_natural(args.rank, "--rank", 1), _natural(args.n, "--n"))
-        return CommandResult("ok", fan_to_json(tower))
+        return CommandResult("ok", fan_to_json(sigma_n(args.rank, args.n)))
     fan = fan_from_json(_load(args.fan))
-    _natural(args.box, "--box")
     pts = sorted((p.cone_index, p.coordinates)
                  for p in lattice_points_box(fan, args.box))
     return CommandResult("ok", {"points": [
@@ -305,17 +268,13 @@ def _cmd_fan(args) -> CommandResult:
 
 def _cmd_lift(args) -> CommandResult:
     if args.action == "primes":
-        matrix = _load(args.matrix)
-        _rows(matrix, len(matrix[0]) if matrix else 0, "matrix")
-        primes = sorted(log_smooth_primes(matrix))
+        primes = sorted(log_smooth_primes(_load(args.matrix)))
         return CommandResult("ok", {"primes": primes})
     chart_data = _load(args.chart)
     if type(chart_data) is not list:
         raise ValueError("chart must be a list of rows")
-    chart = MonomialChart(tuple(_rows(
-        chart_data, len(chart_data[0]) if chart_data else 0, "chart")))
-    vals = _rows([_load(args.vals)], chart.num_target, "vals")[0]
-    out = describe_lift(chart, DVRTargetPoint(vals),
+    out = describe_lift(MonomialChart(tuple(map(tuple, chart_data))),
+                        DVRTargetPoint(tuple(_load(args.vals))),
                         residue_char=args.residue_char)
     if not isinstance(out, LiftSolution):
         return CommandResult("infeasible",
@@ -445,7 +404,7 @@ def dispatch(argv) -> CommandResult:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        with ilp_budget(_natural(args.bound, "--bound")):
+        with ilp_budget(args.bound):
             return args.func(args)
     except NotAdditive as exc:
         return CommandResult("infeasible", {"additive": False},

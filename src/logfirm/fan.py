@@ -79,6 +79,8 @@ from .intlinalg import (
     dot,
     dual_description,
     identity,
+    int_at_least,
+    int_vector,
     mat_vec,
     primitive,
 )
@@ -248,11 +250,15 @@ class ConeComplex:
 
 def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex:
     """Build a complex from the ray lists of its cones, checking that they
-    form a fan: raises ValueError when a cone has a line (see
-    :func:`make_cone`), when two maximal cones do not meet in a common face,
-    or when the scale is not an integer >= 1.  A cone listed together with
-    one of its faces is fine; the face is not maximal."""
-    _check_scale(scale)
+    form a fan: raises ValueError unless the ambient rank is an int >= 0,
+    each ray ``ambient_rank`` ints and the scale an int >= 1, when a cone
+    has a line (see :func:`make_cone`), or when two maximal cones do not
+    meet in a common face.  A cone listed together with one of its faces is
+    fine; the face is not maximal."""
+    int_at_least(ambient_rank, "ambient_rank")
+    maximal_rays = [[int_vector(r, ambient_rank, "cone rays row") for r in rays]
+                    for rays in maximal_rays]
+    int_at_least(scale, "scale", 1)
     c = _assemble(ambient_rank, [make_cone(ambient_rank, rays)
                                  for rays in maximal_rays], scale)
     for a, b in itertools.combinations(c.maximal, 2):
@@ -262,12 +268,6 @@ def cone_complex(ambient_rank: int, maximal_rays, scale: int = 1) -> ConeComplex
         if inter not in a.faces or inter not in b.faces:
             raise ValueError("cones do not meet along a common face")
     return c
-
-
-def _check_scale(k) -> None:
-    """Raise ValueError unless the scale k is an int (not a bool) >= 1."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"scale factor must be an integer >= 1, got {k!r}")
 
 
 def _flat(f, c: Cone) -> bool:
@@ -363,8 +363,9 @@ def _named(per_cone, j: int):
 
 
 def point(c: ConeComplex, coordinates) -> IntegralPoint:
-    """Canonical integral point of an embedded complex from raw coordinates."""
-    v = tuple(coordinates)
+    """Canonical integral point of an embedded complex from raw coordinates,
+    ``ambient_rank`` ints, else ValueError."""
+    v = int_vector(coordinates, c.ambient_rank, "point")
     sigma = c.locate([v])
     if sigma is None:
         raise OutsideSupport(f"{v} outside the support")
@@ -374,9 +375,10 @@ def point(c: ConeComplex, coordinates) -> IntegralPoint:
 def lattice_points_box(c: ConeComplex, bound: int) -> set[IntegralPoint]:
     """All canonical integral points with geometric coordinates in [0, B]^d.
     With scale k these are the numerator vectors in [0, B*k]^d.  Each point
-    is located once, and its cone is read from the maximal cone found."""
+    is located once, and its cone is read from the maximal cone found.
+    Raises ValueError unless B is an int >= 0."""
     out = set()
-    top = bound * c.scale
+    top = int_at_least(bound, "box bound") * c.scale
     for v in itertools.product(range(top + 1), repeat=c.ambient_rank):
         sigma = c.locate([v])
         if sigma is not None:
@@ -400,6 +402,10 @@ class ConeComplexMap:
     assignments: tuple[tuple[int, tuple[Vec, ...]], ...]  # per source cone
 
     def compose(self, inner: "ConeComplexMap") -> "ConeComplexMap":
+        """self o inner.  Raises ValueError unless inner ends at self's
+        source."""
+        if not inner.target.same_cones(self.source):
+            raise ValueError("composite maps must meet at one complex")
         assignments = []
         for mid_idx, m1 in inner.assignments:
             out_idx, m2 = self.assignments[mid_idx]
@@ -462,14 +468,19 @@ def star_subdivision(c: ConeComplex, v) -> tuple[ConeComplex, ConeComplexMap]:
     ``complex_map(subdivided, c, identity(c.ambient_rank))``.  Each maximal
     cone of the subdivision lies in the cone of ``c`` it was cut from (see
     :func:`_star_pieces`), which is the cone :func:`_map_faces` reads its
-    faces' carriers from, with no search over the cones of ``c``."""
-    v = tuple(v)
+    faces' carriers from, with no search over the cones of ``c``.  A piece
+    with the rays of its cone, as when v is a ray of a simplicial cone, is
+    that cone.  Raises ValueError unless v is ``ambient_rank`` ints."""
+    v = int_vector(v, c.ambient_rank, "vector")
     if not any(v) or primitive(v) != v:
         raise NotPrimitive(f"{v} is not primitive")
     if not c.supports(v):
         raise OutsideSupport(f"{v} outside the support")
-    subdivided = _star(c, v)
-    source = {rays: sigma for sigma, rays in _star_pieces(c, v)}
+    pieces = list(_star_pieces(c, v))
+    subdivided = _assemble(c.ambient_rank, [
+        sigma if rays == sigma.rays else make_cone(c.ambient_rank, rays)
+        for sigma, rays in pieces], c.scale)
+    source = {rays: sigma for sigma, rays in pieces}
     return subdivided, _map_faces(subdivided, c, identity(c.ambient_rank),
                                   lambda m, _: source[m.rays])
 
@@ -488,15 +499,6 @@ def _star_pieces(c: ConeComplex, v: Vec):
         for f, on in zip(sigma.facets, sigma.incidence):
             if dot(f, v) > 0:
                 yield sigma, tuple(sorted([sigma.rays[i] for i in on] + [v]))
-
-
-def _star(c: ConeComplex, v: Vec) -> ConeComplex:
-    """The stellar subdivision of ``c`` at ``v``, a primitive vector of its
-    support, without its map.  A piece with the rays of its cone, as when v
-    is a ray of a simplicial cone, is that cone."""
-    return _assemble(c.ambient_rank,
-                     [sigma if rays == sigma.rays else make_cone(c.ambient_rank, rays)
-                      for sigma, rays in _star_pieces(c, v)], c.scale)
 
 
 def _covers(a: Cone, pieces) -> bool:
@@ -586,8 +588,10 @@ def sigma_n(rank: int, n: int) -> ConeComplex:
     splits into the two halves that ``_cut_down`` builds; both are
     full-dimensional, so each takes one double description.  Chambers of a
     hyperplane arrangement form a fan, which is assembled without a check,
-    and no subdivision map is built."""
-    chambers = list(orthant(rank).maximal)
+    and no subdivision map is built.  Raises ValueError unless rank is an
+    int >= 1 and n an int >= 0."""
+    int_at_least(n, "n")
+    chambers = list(orthant(int_at_least(rank, "rank", 1)).maximal)
     for i, k in itertools.combinations(range(rank), 2):
         for a, b in itertools.product(range(1, n + 1), repeat=2):
             if gcd(a, b) > 1:
@@ -607,8 +611,7 @@ def sigma_n(rank: int, n: int) -> ConeComplex:
 def root_rescale(c: ConeComplex, k: int) -> ConeComplex:
     """Same fan over the lattice refined by k (scale bookkeeping only).
     Raises ValueError unless k is an integer >= 1."""
-    _check_scale(k)
-    if k == 1:
+    if int_at_least(k, "scale", 1) == 1:
         return c
     return ConeComplex(c.ambient_rank, c.maximal, c.scale * k)
 

@@ -27,7 +27,7 @@ from .fan import (
     lattice_points_box,
     point,
 )
-from .intlinalg import ConeImage, dot, int_vector, mat_vec, solve_lattice
+from .intlinalg import ConeImage, dot, int_rows, int_vector, mat_vec, solve_lattice
 from .monoid import AffineMonoid
 
 
@@ -40,9 +40,10 @@ class Firmament:
     """The image of the lattice points of the source cones of ``map``.
     Membership reads the maximal cones' matrices alone, so building one
     raises ValueError unless the map has one assignment per source cone,
-    each naming a target cone, InvalidMap unless each cone's matrix sends
-    it into its target cone, and ValueError unless it agrees on the cone's
-    rays with the matrix of every maximal cone holding it."""
+    each naming a target cone with a target rank x source rank matrix of
+    ints, InvalidMap unless each cone's matrix sends it into its target
+    cone, and ValueError unless it agrees on the cone's rays with the matrix
+    of every maximal cone holding it."""
 
     map: ConeComplexMap
 
@@ -52,7 +53,8 @@ class Firmament:
             raise ValueError(f"the map has {len(self.map.assignments)} cone "
                              "assignments, expected one per source cone "
                              f"({len(source.faces)})")
-        for t, _ in self.map.assignments:
+        for t, matrix in self.map.assignments:
+            int_rows(matrix, target.ambient_rank, source.ambient_rank, "cone matrix")
             if type(t) is not int or not 0 <= t < len(target.faces):
                 raise ValueError(f"target cone index {t!r} is not in "
                                  f"[0, {len(target.faces)})")
@@ -142,12 +144,8 @@ def firmament_member(gamma: Firmament, n) -> bool:
     :func:`~logfirm.intlinalg.ilp_budget`.  Raises ValueError unless n has
     one int (not a bool or float) per target dimension, with or without a
     source cone."""
-    coords = tuple(n.coordinates) if isinstance(n, IntegralPoint) else tuple(n)
-    rank = gamma.map.target.ambient_rank
-    if len(coords) != rank:
-        raise ValueError(f"a point of this firmament has {rank} coordinates; "
-                         f"this one has {len(coords)}")
-    coords = int_vector(coords, rank, "point")
+    coords = int_vector(n.coordinates if isinstance(n, IntegralPoint) else n,
+                        gamma.map.target.ambient_rank, "point")
     return any(system.preimage(coords) is not None for system in gamma.systems)
 
 

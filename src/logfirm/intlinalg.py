@@ -39,8 +39,9 @@ def ilp_budget(nodes: int):
     """Give each :meth:`ConeImage.preimage` call in the block ``nodes``
     nodes, as :func:`decimal.localcontext` scopes a precision.  The
     previous budget, ``DEFAULT_ILP_BUDGET`` outside any block, comes back
-    when the block ends, also when it ends by :class:`ResourceLimit`."""
-    token = _BUDGET.set(nodes)
+    when the block ends, also when it ends by :class:`ResourceLimit`.
+    Raises ValueError unless ``nodes`` is an int >= 0."""
+    token = _BUDGET.set(int_at_least(nodes, "node budget"))
     try:
         yield
     finally:
@@ -112,6 +113,21 @@ def int_vector(v, width: int, what: str) -> Vec:
     if len(v) != width or not all(type(x) is int for x in v):
         raise ValueError(f"{what} {list(v)} needs {width} integer entries")
     return v
+
+
+def int_rows(rows, count: int, width: int, what: str) -> tuple[Vec, ...]:
+    """rows as ``count`` :func:`int_vector` rows of ``width``, else ValueError."""
+    rows = tuple(rows)
+    if len(rows) != count:
+        raise ValueError(f"{what} has {len(rows)} rows, expected {count}")
+    return tuple(int_vector(r, width, f"{what} row") for r in rows)
+
+
+def int_at_least(x, what: str, least: int = 0) -> int:
+    """x, an int (not a bool) >= least, else ValueError."""
+    if type(x) is not int or x < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {x!r}")
+    return x
 
 
 def primitive(v) -> Vec:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .intlinalg import (
-    ConeImage, identity, int_vector, scaled_solution, smith_normal_form)
+    ConeImage, identity, int_rows, int_vector, scaled_solution, smith_normal_form)
 
 
 def _primes_of(n: int) -> set[int]:
@@ -127,11 +127,10 @@ def ramification_primes(chart: MonomialChart) -> set[int]:
 def log_smooth_primes(matrix) -> set[int]:
     """Primes at which the lattice map fails to be log smooth: divisors of
     the elementary divisors > 1 (torsion of the cokernel) plus the torsion
-    of the kernel, which is zero for lattice maps."""
-    m = [list(r) for r in matrix]
-    if not m:
-        return set()
-    snf = smith_normal_form(m, len(m[0]))
+    of the kernel, which is zero for lattice maps.  Raises ValueError unless
+    every row holds as many ints as the first."""
+    width = len(matrix[0]) if matrix else 0
+    snf = smith_normal_form(int_rows(matrix, len(matrix), width, "matrix"), width)
     out: set[int] = set()
     for d in snf.divisors:
         if d > 1:

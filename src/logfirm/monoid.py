@@ -34,6 +34,8 @@ from .intlinalg import (
     face_closure,
     identity,
     in_row_lattice,
+    int_at_least,
+    int_rows,
     int_vector,
     kernel_and_cokernel,
     lattice_quotient,
@@ -173,9 +175,10 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     """The fs monoid cone(generators) intersected with the subgroup generated
     by them, or with an explicitly supplied subgroup; the monoid's group is
     then the supplied one cut down to the span of the generators.
-    Idempotent.  Raises ValueError when a generator or a group row is not
-    ``ambient_rank`` integers (no bool or float), or when a generator lies
-    outside the supplied group, the zero group included.
+    Idempotent.  Raises ValueError unless ``ambient_rank`` is an int >= 0,
+    when a generator or a group row is not ``ambient_rank`` integers (no
+    bool or float), or when a generator lies outside the supplied group, the
+    zero group included.
 
     Records are shared (hash-consed): while a caller keeps the result, a
     call with the same ambient rank, the same generators in the same order
@@ -183,6 +186,7 @@ def saturate(ambient_rank: int, generators, group=None) -> AffineMonoid:
     returns that very record, with whatever it has cached, such as its
     Hilbert basis.  A record built directly by ``AffineMonoid(...)`` is not
     shared."""
+    int_at_least(ambient_rank, "rank")
     gens = tuple(int_vector(v, ambient_rank, "generators row") for v in generators)
     if group is not None:
         group = tuple(int_vector(v, ambient_rank, "group row") for v in group)
@@ -261,10 +265,10 @@ class MonoidHom:
     group coordinates.
 
     ``MonoidHom(source, target, matrix)`` takes an integer ambient matrix
-    (target ambient x source ambient); the library's constructions pass
-    ``local=`` instead.  ``matrix`` is a presentation: the given matrix, or
-    an integer ambient matrix inducing the hom, or None when none exists
-    (the source group a proper sublattice, as for 2N in Z).
+    (target ambient x source ambient ints, else ValueError); the library's
+    constructions pass ``local=`` instead.  ``matrix`` is a presentation:
+    the given matrix, or an integer ambient matrix inducing the hom, or None
+    when none exists (the source group a proper sublattice, as for 2N in Z).
     """
 
     source: AffineMonoid
@@ -274,7 +278,7 @@ class MonoidHom:
     def __init__(self, source: AffineMonoid, target: AffineMonoid,
                  matrix=None, *, local=None):
         if local is None:
-            matrix = tuple(tuple(r) for r in matrix)
+            matrix = int_rows(matrix, target.ambient_rank, source.ambient_rank, "matrix")
             cols = [target.coords(mat_vec(matrix, b)) for b in source.group_basis]
             if None in cols:
                 raise ValueError(

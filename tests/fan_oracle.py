@@ -104,7 +104,7 @@ def star_overlay_sigma_n(rank: int, n: int):
     base = result = fan.orthant(rank)
     for v in sorted(itertools.product(range(n + 1), repeat=rank)):
         if any(v) and primitive(v) == v:
-            result = fan.common_refinement(result, fan._star(base, v))
+            result = fan.common_refinement(result, fan.star_subdivision(base, v)[0])
     return result
 
 

@@ -73,7 +73,7 @@ def test_each_split_takes_one_double_description_per_half(monkeypatch):
     def counting(normals, dim, *start, run=intlinalg.dual_rays):
         calls.append(start)
         return run(normals, dim, *start)
-    monkeypatch.setattr(fan, "_star", refuse)
+    monkeypatch.setattr(fan, "star_subdivision", refuse)
     monkeypatch.setattr(fan, "_overlay", refuse)
     monkeypatch.setattr(intlinalg, "dual_rays", counting)
     s = sigma_n(3, 3)
