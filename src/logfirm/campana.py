@@ -272,9 +272,8 @@ def intersection_multiplicity(i: MonomialIdeal, vals, in_z: bool = False):
 def campana_member(n, m: int) -> bool:
     """Whether a point with intersection multiplicity n belongs to the
     Campana set of level m: inside the subscheme, untouched, or deep enough.
-    Raises ValueError unless n is IN_Z or an int >= 0."""
-    if m < 1:
-        raise ValueError("the multiplicity level must be at least 1")
+    Raises ValueError unless n is IN_Z or an int >= 0, and m an int >= 1."""
+    int_at_least(m, "multiplicity level", 1)
     if isinstance(n, InZ):
         return True
     return int_at_least(n, "intersection multiplicity") == 0 or n >= m

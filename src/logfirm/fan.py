@@ -80,8 +80,10 @@ from .intlinalg import (
     dual_description,
     identity,
     int_at_least,
+    int_rows,
     int_vector,
     mat_vec,
+    maximal,
     primitive,
 )
 
@@ -116,14 +118,15 @@ def make_cone(ambient_rank: int, rays) -> Cone:
     or, for a simplicial cone, by none.  The zero cone, from no nonzero ray,
     takes none: each coordinate vector and its negative is a facet.  Raises
     ValueError when the rays span a cone with a line, which is not sharp."""
-    rays = [primitive(tuple(r)) for r in rays if any(r)]
+    rays = [r for r in rays if any(r)]
     if not rays:
-        facets = tuple(tuple(s * x for x in row)
-                       for s in (1, -1) for row in identity(ambient_rank))
+        facets = tuple(sorted(tuple(s * x for x in row)
+                              for s in (1, -1) for row in identity(ambient_rank)))
         return Cone(ambient_rank, (), facets, (frozenset(),) * len(facets))
     cone = dual_description(rays, ambient_rank)
     if not cone.rays:
-        raise ValueError(f"cone {[list(r) for r in sorted(set(rays))]} is not sharp")
+        gens = sorted(set(map(primitive, rays)))
+        raise ValueError(f"cone {[list(r) for r in gens]} is not sharp")
     return cone
 
 
@@ -147,25 +150,25 @@ def _meet(a: Cone, facets: tuple[Vec, ...]) -> tuple[list[Vec], list[frozenset]]
 
 def _cut_down(a: Cone, facets: tuple[Vec, ...]) -> Cone:
     """The part of a on which every vector of ``facets`` is >= 0, equal to
-    ``make_cone`` of its rays.  One double description, started from a (see
-    :func:`_meet`), gives the rays and the facets of a and ``facets`` that
+    ``make_cone`` of its rays.  The facets already among a's, and repeats,
+    are dropped first.  One double description, started from a (see
+    :func:`_meet`), gives the rays and the facets of a and the rest that
     vanish on each.  When no facet vanishes on all of them, the cut is
     full-dimensional, and its facets and their incidence are the candidates
-    whose sets of tight rays are maximal: every proper face lies in a facet,
-    and distinct facets of a full-dimensional cone vanish on distinct sets
-    of rays.  A lower-dimensional cut takes a second double description, for
-    its equations."""
+    whose sets of tight rays are maximal (see :func:`intlinalg.maximal`):
+    every proper face lies in a facet, and distinct facets of a
+    full-dimensional cone vanish on distinct sets of rays.  A
+    lower-dimensional cut takes a second double description, for its
+    equations."""
     d = a.ambient_rank
-    rays, tight = _meet(a, facets)
+    # a's facets are distinct, so they are the first candidates
+    candidates = tuple(dict.fromkeys(a.facets + facets))
+    rays, tight = _meet(a, candidates[len(a.facets):])
     if not rays or frozenset.intersection(*tight):
         return make_cone(d, rays)
-    first: dict[Vec, int] = {}  # each facet, by its first place in the list
-    for j, f in enumerate(a.facets + facets):
-        first.setdefault(f, j)
-    candidates = sorted(first)
-    on = [frozenset(k for k, t in enumerate(tight) if first[f] in t) for f in candidates]
-    top = [i for i, o in enumerate(on) if not any(o < other for other in on)]
-    return Cone(d, tuple(rays), tuple(candidates[i] for i in top), tuple(on[i] for i in top))
+    on = [frozenset(k for k, t in enumerate(tight) if j in t) for j in range(len(candidates))]
+    kept = sorted((candidates[j], on[j]) for j in maximal(on))
+    return Cone(d, tuple(rays), tuple(f for f, _ in kept), tuple(o for _, o in kept))
 
 
 def cone_intersection(a: Cone, b: Cone) -> Cone:
@@ -429,7 +432,9 @@ def complex_map(source: ConeComplex, target: ConeComplex,
     """Map induced by one ambient matrix, assigning each source cone to the
     smallest target cone containing its image.  Raises InvalidMap when the
     image of a maximal source cone lies in no target cone.  The target is
-    searched once per maximal source cone (see :func:`_map_faces`)."""
+    searched once per maximal source cone (see :func:`_map_faces`).  Raises
+    ValueError unless ``matrix`` is target ambient x source ambient ints."""
+    matrix = int_rows(matrix, target.ambient_rank, source.ambient_rank, "matrix")
 
     def holder(m: Cone, images) -> Cone:
         sigma = target.locate(images)

@@ -621,57 +621,61 @@ def dual_description(rays, dim: int) -> Cone:
     extreme rays, and ``rays`` is ``()``.
 
     The generators of the cone are the distinct primitive vectors of the
-    nonzero rays.  A simplicial cone, whose generators are ``dim`` linearly
-    independent vectors, needs no double description (see
-    :func:`_simplicial_description`).  Any other cone takes one: the rays
-    are read off the generator-facet incidences that it carries (see
-    :func:`dual_rays`), as a generator is extreme exactly when no other
-    generator is tight on all of its facets (Fukuda & Prodon, "Double
-    description method revisited", 1996), and the cone has a line exactly
-    when some generator is tight on every facet.
+    nonzero rays, taken first, in the order they first occur.  A simplicial
+    cone, whose generators are ``dim`` linearly independent vectors, needs
+    no double description (see :func:`_simplicial_description`).  Any other
+    cone takes one: the rays are read off the generator-facet incidences
+    that it carries (see :func:`dual_rays`), and the cone has a line
+    exactly when some generator is tight on every facet.  Otherwise a
+    generator is extreme exactly when no other generator is tight on a
+    strictly larger set of facets (see :func:`maximal`; Fukuda & Prodon,
+    "Double description method revisited", 1996): two distinct generators
+    tight on the same facets span a face of dimension at least 2, whose
+    extreme rays are tight on more.
     """
-    rays = [tuple(r) for r in rays]
-    simplicial = _simplicial_description(rays, dim)
+    gens = list(dict.fromkeys(primitive(r) for r in rays if any(r)))
+    simplicial = _simplicial_description(gens, dim)
     if simplicial is not None:
         return simplicial
-    lin_f, facet_rays, on = dual_rays(rays, dim)
-    # each facet with the indices of the given rays it vanishes on; an
+    lin_f, facet_rays, on = dual_rays(gens, dim)
+    # each facet with the indices of the generators it vanishes on; an
     # equation, a lineality vector of the dual and its negative, on all
     on_facet = dict(zip(facet_rays, on))
-    every = frozenset(range(len(rays)))
+    every = frozenset(range(len(gens)))
     for l in lin_f:
         on_facet[l] = on_facet[tuple(-x for x in l)] = every
     facets = tuple(sorted(on_facet))
     ons = [on_facet[f] for f in facets]
-    first: dict[Vec, int] = {}  # each generator, by the first ray it is
-    for i, r in enumerate(rays):
-        if any(r):
-            first.setdefault(primitive(r), i)
-    gens = sorted(first)
-    tight = [frozenset(k for k, o in enumerate(ons) if first[g] in o) for g in gens]
+    tight = [frozenset(k for k, o in enumerate(ons) if i in o) for i in range(len(gens))]
     if any(len(t) == len(facets) for t in tight):
         return Cone(dim, (), facets, (frozenset(),) * len(facets))
-    extreme = [(r, t) for i, (r, t) in enumerate(zip(gens, tight))
-               if not any(j != i and u >= t for j, u in enumerate(tight))]
+    extreme = sorted((gens[i], tight[i]) for i in maximal(tight))
     return Cone(
         dim, tuple(r for r, _ in extreme), facets,
         tuple(frozenset(k for k, (_, t) in enumerate(extreme) if i in t)
               for i in range(len(facets))))
 
 
-def _simplicial_description(rays: list[Vec], dim: int) -> Cone | None:
-    """The :class:`Cone` record of cone(rays) in closed form when its
-    generators, the distinct primitive vectors of the nonzero rays, are
-    ``dim`` linearly independent vectors, and None otherwise.  With the
-    sorted generators as the rows of R, R·R⁻¹ = I says that column i of R⁻¹
-    is 1 on generator i and 0 on every other one: it is the normal of the
-    facet spanned by the others.  Column i of W = p·R⁻¹ (see
-    :func:`scaled_inverse`), times the sign of p and made primitive, is
-    that facet, and its incidence is every generator but i.  The generators
-    are all extreme."""
-    gens = sorted({primitive(r) for r in rays if any(r)})
+def maximal(sets) -> list[int]:
+    """The indices of the sets that no other set strictly contains: the
+    extreme rays among distinct generators, by their sets of tight facets,
+    and the facets among distinct normals of a full-dimensional cone, by
+    their sets of tight rays."""
+    return [i for i, s in enumerate(sets) if not any(s < t for t in sets)]
+
+
+def _simplicial_description(gens: list[Vec], dim: int) -> Cone | None:
+    """The :class:`Cone` record of cone(gens) in closed form when ``gens``,
+    distinct primitive nonzero vectors, are ``dim`` linearly independent
+    vectors, and None otherwise.  With the sorted generators as the rows of
+    R, R·R⁻¹ = I says that column i of R⁻¹ is 1 on generator i and 0 on
+    every other one: it is the normal of the facet spanned by the others.
+    Column i of W = p·R⁻¹ (see :func:`scaled_inverse`), times the sign of p
+    and made primitive, is that facet, and its incidence is every generator
+    but i.  The generators are all extreme."""
     if len(gens) != dim:
         return None
+    gens = sorted(gens)
     scaled = scaled_inverse(gens)
     if scaled is None:
         return None

@@ -80,12 +80,9 @@ def solve_exponents(chart: MonomialChart, e) -> tuple[int, ...] | None:
     """A nonnegative integer solution x of A.x = e, or None (complete): a
     lattice point of N^m that A sends to e.  Raises ValueError unless e is
     one int per target coordinate."""
-    e = tuple(e)
+    e = int_vector(e, chart.num_target, "valuations")
     m = chart.num_source
-    if len(e) != chart.num_target:
-        raise ValueError("valuation vector length mismatch")
-    return ConeImage(chart.matrix, identity(m), m).preimage(
-        int_vector(e, chart.num_target, "valuations"))
+    return ConeImage(chart.matrix, identity(m), m).preimage(e)
 
 
 def solve_units(chart: MonomialChart):

@@ -158,13 +158,6 @@ class AffineMonoid:
         lin = kernel_and_cokernel(self.cone.facets, self.group_rank).kernel_basis
         return tuple(self.ambient(b) for b in lin)
 
-    def canonical_key(self):
-        """Deterministic identity for sharp monoids: group rank plus the
-        lexicographically sorted local Hilbert basis."""
-        if self.hilbert_local is None:
-            raise NotSharp("canonical form is defined for sharp monoids only")
-        return (self.group_rank, tuple(sorted(self.hilbert_local)))
-
 
 # saturate's table of shared records: weak, so it keeps alive no monoid that
 # every caller has dropped
@@ -208,8 +201,6 @@ def _saturate(ambient_rank: int, gens: tuple[Vec, ...], group) -> AffineMonoid:
         if c is None:
             raise ValueError("generator outside the supplied group")
         gens_local.append(c)
-    if not gens:
-        return AffineMonoid(ambient_rank, (), (), Cone(0, (), (), ()))
     dd = dual_description(gens_local, g)
     if dd.equations:
         # the generators span less than the supplied group: the monoid's
@@ -262,7 +253,7 @@ def in_group_coordinates(m: AffineMonoid) -> AffineMonoid:
 @dataclass(frozen=True, init=False)
 class MonoidHom:
     """A monoid hom, defined by ``local``: its g_target x g_source matrix on
-    group coordinates.
+    group coordinates (ints, else ValueError).
 
     ``MonoidHom(source, target, matrix)`` takes an integer ambient matrix
     (target ambient x source ambient ints, else ValueError); the library's
@@ -285,6 +276,7 @@ class MonoidHom:
                     "hom does not carry the source group into the target group")
             local = [[c[i] for c in cols] for i in range(target.group_rank)]
             object.__setattr__(self, "matrix", matrix)
+        local = int_rows(local, target.group_rank, source.group_rank, "hom")
         def lands(c):
             return target.cone.contains(mat_vec(local, c))
 
@@ -304,7 +296,6 @@ class MonoidHom:
             raise ValueError(f"{'hom' if matrix is None else 'matrix'} does "
                              f"not map generator {source.ambient(bad)} into "
                              "the target monoid")
-        local = tuple(tuple(r) for r in local)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "local", local)

@@ -1,4 +1,12 @@
-"""An oracle for the cone record a monoid keeps.
+"""Oracles for the cone record.
+
+``described`` builds the record of a cone from its distinct generators with
+no keep rule of ``intlinalg``: the facets come from one double description,
+a generator is extreme when the facets tight on it have rank one less than
+the ambient rank, the cone has a line when its facets have less than full
+rank, and the incidence is found with dot products.  ``dual_description``
+of any list of rays, and ``fan._cut_down`` of a cone and any list of
+facets, must equal it, incidence included.
 
 ``AffineMonoid.cone`` is the record that ``intlinalg.dual_description``
 returns for the monoid's generators in group coordinates, incidence
@@ -8,7 +16,14 @@ from that, so a record whose incidence is lost, stale or not transposed
 fails ``record_faults``.
 """
 
-from logfirm.intlinalg import Cone, dot, dual_description, face_closure
+from logfirm.intlinalg import (
+    Cone,
+    dot,
+    dual_description,
+    dual_rays,
+    face_closure,
+    row_lattice_basis,
+)
 from logfirm.monoid import _face, dual, faces, in_group_coordinates
 
 
@@ -16,6 +31,26 @@ def dot_incidence(rays, facets):
     """For each facet, the indices of the rays on which it vanishes."""
     return tuple(frozenset(i for i, r in enumerate(rays) if dot(f, r) == 0)
                  for f in facets)
+
+
+def described(gens, d) -> Cone:
+    """The record of cone(gens) in Z^d, for distinct primitive nonzero
+    ``gens``, by the rules of the module docstring."""
+    lin, facet_rays, _ = dual_rays(gens, d)
+    facets = sorted({*facet_rays, *lin, *(tuple(-x for x in l) for l in lin)})
+    rays = []
+    if len(row_lattice_basis(facets)) == d:
+        rays = sorted(g for g in gens if len(row_lattice_basis(
+            [f for f in facets if dot(f, g) == 0])) == d - 1)
+    return Cone(d, tuple(rays), tuple(facets), dot_incidence(rays, facets))
+
+
+def cut_described(a, facets) -> Cone:
+    """The part of the sharp cone a on which every vector of ``facets`` is
+    >= 0, by the rules of the module docstring: its rays from one double
+    description of a's facets and ``facets``, with no start."""
+    _, rays, _ = dual_rays(a.facets + tuple(facets), a.ambient_rank)
+    return described(rays, a.ambient_rank)
 
 
 def faces_from_dot_products(m):

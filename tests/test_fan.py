@@ -14,6 +14,7 @@ from fan_oracle import (
     scan_point,
     smallest_containing,
 )
+from record_oracle import cut_described, described
 import logfirm.intlinalg
 from logfirm import charts
 from logfirm.fan import (
@@ -25,6 +26,7 @@ from logfirm.fan import (
     OutsideSupport,
     PointOutsideCone,
     SupportMismatch,
+    _cut_down,
     canonicalize_point,
     common_refinement,
     complex_map,
@@ -41,7 +43,7 @@ from logfirm.fan import (
     star_subdivision,
 )
 from logfirm.firmament import firmament_from_charts
-from logfirm.intlinalg import identity, mat_vec, primitive
+from logfirm.intlinalg import dot, dual_description, identity, mat_vec, primitive
 
 # overlays and subdivisions are assembled unchecked: the oracle checks them
 pytestmark = pytest.mark.usefixtures("every_fan_checked")
@@ -328,6 +330,65 @@ class TestWellFormedness:
         c = cone_complex(3, [[e1, e2, e3], [e1, e2], [e3], []])
         assert ray_sets(c) == {(e3, e2, e1)}
         assert len(c.faces) == 8
+
+
+class TestConeRecordOracle:
+    """Every cone record is built from distinct vectors: ``dual_description``
+    of any list of rays is the record of its distinct primitive nonzero
+    generators, and ``_cut_down`` of a cone by any list of facets, repeated
+    or already the cone's, is the record of the cut, as
+    ``record_oracle.described`` finds them."""
+
+    def test_dual_description_of_repeated_generators(self):
+        rng = random.Random(4000)
+        seen = Counter()
+        for n in range(600):
+            d = rng.randint(1, 4)
+            kind = ("full", "lower", "line")[n % 3]
+            span = [tuple(rng.randint(-2, 3) for _ in range(d))
+                    for _ in range(d - 1 if kind == "lower" else d)]
+            rays = [tuple(sum(rng.randint(0, 2) * x for x in col) for col in zip(*span))
+                    for _ in range(rng.randint(1, d + 2))]
+            if kind == "line":
+                rays.append(tuple(-x for x in rng.choice(rays)))
+            messy = rays + [(0,) * d] * rng.randint(0, 1) + rng.choices(rays, k=rng.randint(0, 2))
+            messy += [tuple(k * x for x in rng.choice(rays)) for k in range(2, rng.randint(2, 4))]
+            rng.shuffle(messy)
+            got = dual_description(messy, d)
+            want = described(list(dict.fromkeys(primitive(r) for r in messy if any(r))), d)
+            # a Cone's equality ignores its incidence, so it is compared too
+            assert (got, got.incidence) == (want, want.incidence), messy
+            seen["zero" if not any(map(any, messy)) else "line" if not got.rays
+                 else "lower" if got.equations else "full"] += 1
+            seen["repeats"] += len(set(map(primitive, messy))) < len(messy)
+        assert min(seen[k] for k in ("full", "lower", "line", "repeats")) > 100, seen
+
+    def test_cut_down_by_repeated_facets(self):
+        rng = random.Random(2836)
+        seen = Counter()
+        for _ in range(400):
+            d = rng.randint(2, 4)
+            rays = [tuple(rng.randint(0, 3) for _ in range(d))
+                    for _ in range(rng.randint(1, d + 2))]
+            if not any(map(any, rays)):
+                continue
+            a = make_cone(d, rays)
+            inside = [sum(col) for col in zip(*a.rays)]
+            facets = [primitive(f) for f in (tuple(rng.randint(-2, 2) for _ in range(d))
+                                             for _ in range(rng.randint(1, 3)))
+                      if any(f) and (dot(f, inside) > 0 or rng.random() < 0.3)]
+            facets += rng.choices(a.facets, k=rng.randint(0, 2))
+            facets += rng.choices(facets, k=rng.randint(0, 2)) if facets else []
+            rng.shuffle(facets)
+            got = _cut_down(a, tuple(facets))
+            remade = make_cone(d, got.rays)
+            want = cut_described(a, facets)
+            assert (got, got.incidence) == (remade, remade.incidence), (a, facets)
+            assert (got, got.incidence) == (want, want.incidence), (a, facets)
+            repeated = len(set(facets)) < len(facets) or not set(facets).isdisjoint(a.facets)
+            seen["full, repeated" if got.full and repeated else
+                 "full" if got.full else "lower"] += 1
+        assert seen["full, repeated"] > 100 and seen["lower"] > 100, seen
 
 
 @functools.lru_cache(maxsize=None)

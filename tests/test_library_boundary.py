@@ -25,9 +25,9 @@ from logfirm.lift import log_smooth_primes
 from logfirm.monoid import MonoidHom, saturate
 
 
-def _hom(matrix):
+def _hom(matrix=None, **local):
     n2 = saturate(2, [(1, 0), (0, 1)])
-    return MonoidHom(n2, n2, matrix)
+    return MonoidHom(n2, n2, matrix, **local)
 
 
 def _budget(nodes):
@@ -85,6 +85,17 @@ PROBES = {
     # False, and True
     "negative multiplicity": lambda: campana_member(-3, 2),
     "float multiplicity": lambda: campana_member(4.0, 2),
+    # True, and True
+    "float multiplicity level": lambda: campana_member(3, 2.5),
+    "boolean multiplicity level": lambda: campana_member(1, True),
+    # a map assigning every cone of the orthant, and one holding the float
+    "complex map matrix too tall": lambda: complex_map(
+        orthant(2), orthant(1), [[1, 0], [0, 1]]),
+    "complex map matrix of a float": lambda: complex_map(
+        orthant(2), orthant(2), [[1.5, 0], [0, 1]]),
+    # a hom with one row for a rank-2 target, and one keeping the float
+    "hom local with a missing row": lambda: _hom(local=[[1, 0]]),
+    "hom local with a float": lambda: _hom(local=[[1.5, 0], [0, 1]]),
 }
 
 

@@ -56,6 +56,12 @@ def q1_monoid():
     return saturate(2, [(2, 0), (1, 1), (0, 2)])
 
 
+def hilbert_key(m):
+    """The group rank and the sorted Hilbert basis in group coordinates of
+    a sharp monoid, which two presentations of one monoid share."""
+    return m.group_rank, tuple(sorted(m.hilbert_local))
+
+
 def double_dual_saturated(m):
     """dual(dual(m)) saturated again from its generators in Z^g, g the
     group rank of m, as an oracle independent of the facets it holds."""
@@ -150,7 +156,7 @@ class TestSaturate:
             if not m.sharp:
                 continue
             again = saturate(rank, m.hilbert)
-            assert again.canonical_key() == m.canonical_key()
+            assert hilbert_key(again) == hilbert_key(m)
             count += 1
 
     def test_membership(self):
@@ -1203,8 +1209,8 @@ class TestPushout:
             res = [fs_pushout(f, columns_hom(n, m, [img2])) for m in (q2, again)]
             assert res[0].free_rank == res[1].free_rank
             assert res[0].torsion_orders == res[1].torsion_orders
-            assert (res[0].characteristic.canonical_key()
-                    == res[1].characteristic.canonical_key())
+            assert (hilbert_key(res[0].characteristic)
+                    == hilbert_key(res[1].characteristic))
             assert ((res[0].amalgam_equals_saturation() is None)
                     == (res[1].amalgam_equals_saturation() is None))
             done += 1
@@ -1226,8 +1232,7 @@ class TestPushout:
                              columns_hom(n, c2, [q2.coords(img2)]))
             assert res.free_rank == ref.free_rank
             assert res.torsion_orders == ref.torsion_orders
-            assert (res.characteristic.canonical_key()
-                    == ref.characteristic.canonical_key())
+            assert hilbert_key(res.characteristic) == hilbert_key(ref.characteristic)
             assert pushout_leg1(f, g, res).compose(f).equal_on_source(res.leg2.compose(g))
             assert brute_saturation_check(res)
             sublattices += any(m.group_rank and m.group_basis != c.group_basis
@@ -1484,9 +1489,8 @@ _Z = saturate(1, [(1,), (-1,)])
                                     [[0], [1]]), identity_hom(N())), NotSharp),
     (lambda: is_integral(identity_hom(_Z)), NotSharp),
     (lambda: is_saturated(identity_hom(_Z)), NotSharp),
-    (lambda: _Z.canonical_key(), NotSharp),
 ], ids=["apply outside the source group", "face_localization",
-        "find_factorization", "is_integral", "is_saturated", "canonical_key"])
+        "find_factorization", "is_integral", "is_saturated"])
 def test_refused_input_raises(call, exc):
     with pytest.raises(exc):
         call()
